@@ -139,12 +139,11 @@ def cmd_verify(args) -> int:
         if args.checks:
             print("error: limits check needs eps != 0, X = all, nu = 0, D = 0", file=sys.stderr)
             return 2
-    cfg = VerifyConfig(
-        precision=args.precision,
-        tolerance=args.tol,
-        points=args.points,
-        seed=args.seed,
-    )
+    try:
+        cfg = VerifyConfig(precision=args.precision, tolerance=args.tol, points=args.points, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ok, reports, extras = run_checks(g, rd, spec, checks=checks, cfg=cfg)
     doc = {
         "spec_digest": digest,
@@ -200,7 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--precision", type=int, default=128, help="mantissa bits (default 128)")
     p_ver.add_argument("--tol", type=float, default=None, help="residual tolerance (default by precision)")
-    p_ver.add_argument("--points", type=int, default=20, help="sample points per numeric decision (default 20)")
+    p_ver.add_argument(
+        "--points", type=int, default=20, help="sample points per numeric decision, at least 1 (default 20)"
+    )
     p_ver.add_argument("--seed", type=int, default=0, help="seed for all lattice sampling (default 0)")
     p_ver.add_argument("--out", help="write the report here instead of stdout")
     p_ver.set_defaults(func=cmd_verify)

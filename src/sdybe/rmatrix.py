@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Poly, RationalFunction, ScalarExpr, poly_from_str
+from .scalars import Poly, RationalFunction, ScalarExpr, from_sexpr, poly_from_str, to_sexpr
 from .superalgebra import LieSuperalgebra, RootDatum, casimir, sign_A
 from .tensor import Tensor2
 
@@ -362,8 +362,6 @@ def functional_equation_residual(i: int, j: int, spec: RMatrixSpec, rd: RootDatu
 
 
 def spec_to_json(spec: RMatrixSpec, g: LieSuperalgebra) -> dict:
-    from .scalars import ScalarExpr, to_sexpr
-
     return {
         "algebra": g.family,
         "m": g.m,
@@ -380,8 +378,6 @@ def spec_to_json(spec: RMatrixSpec, g: LieSuperalgebra) -> dict:
 
 
 def _parse_d_entry(entry: dict, n: int) -> RationalFunction:
-    from .scalars import from_sexpr
-
     if "ratfun" in entry:
         expr = from_sexpr(entry["ratfun"], n)
         return expr.as_ratfun()  # raises NotRationalError on coth atoms

@@ -829,33 +829,6 @@ def _mono_normal(m: AtomMono) -> AtomMono:
     return _mono_mul(m, ())
 
 
-# free-function aliases for the common operations
-
-
-def add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    return a + b
-
-
-def mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    return a * b
-
-
-def neg(a: ScalarExpr) -> ScalarExpr:
-    return -a
-
-
-def differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
-    return f.differentiate(index)
-
-
-def eval_exact(f: ScalarExpr, point: Sequence) -> Fraction:
-    return f.eval_exact(point)
-
-
-def eval_numeric(f: ScalarExpr, point: Sequence, precision: int = 64, margin: float = 1e-6):
-    return f.eval_numeric(point, precision=precision, margin=margin)
-
-
 # ---------------------------------------------------------------------------
 # zero decision
 
@@ -947,10 +920,6 @@ def zero_status(
         witness_point=witness[0],
         witness_value=witness[1],
     )
-
-
-def is_zero(f: ScalarExpr, **kwargs) -> bool:
-    return zero_status(f, **kwargs).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ScalarExpr
+from .scalars import ScalarExpr, to_sexpr
 from .superalgebra import EVEN, LieSuperalgebra, Vector
 
 Q = Fraction
@@ -37,6 +37,18 @@ def _as_scalar(g: LieSuperalgebra, value) -> ScalarExpr:
     if isinstance(value, ScalarExpr):
         return value
     return ScalarExpr.const(g.rank, value)
+
+
+def accumulate(out: dict, key, term: ScalarExpr) -> None:
+    """out[key] += term, dropping the cell when the sum cancels exactly."""
+    if key in out:
+        acc = out[key] + term
+        if acc.symbolically_zero():
+            del out[key]
+        else:
+            out[key] = acc
+    else:
+        out[key] = term
 
 
 class _TensorBase:
@@ -73,14 +85,7 @@ class _TensorBase:
         self._check(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            if k in out:
-                s = out[k] + c
-                if s.symbolically_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = c
+            accumulate(out, k, c)
         return type(self)(self.g, out, _prune=False)
 
     def __neg__(self):
@@ -124,12 +129,7 @@ class Tensor2(_TensorBase):
         out: dict = {}
         for i, ci in x.items():
             for j, cj in y.items():
-                key = (i, j)
-                term = coeff * (ci * cj)
-                if key in out:
-                    out[key] = out[key] + term
-                else:
-                    out[key] = term
+                accumulate(out, (i, j), coeff * (ci * cj))
         return cls(g, out)
 
 
@@ -148,13 +148,7 @@ def super_twist(t: Tensor2) -> Tensor2:
     p = t.g.parity
     out: dict = {}
     for (i, j), c in t.coeffs.items():
-        sign = _koszul(p[i], p[j])
-        key = (j, i)
-        term = c if sign == 1 else -c
-        if key in out:
-            out[key] = out[key] + term
-        else:
-            out[key] = term
+        accumulate(out, (j, i), c if _koszul(p[i], p[j]) == 1 else -c)
     return Tensor2(t.g, out)
 
 
@@ -174,11 +168,7 @@ def signed_permutation(t: Tensor3, which: str) -> Tensor3:
     out: dict = {}
     for (i, j, k), c in t.coeffs.items():
         key, exponent = rule(i, j, k, p)
-        term = c if exponent % 2 == 0 else -c
-        if key in out:
-            out[key] = out[key] + term
-        else:
-            out[key] = term
+        accumulate(out, key, c if exponent % 2 == 0 else -c)
     return Tensor3(t.g, out)
 
 
@@ -186,23 +176,12 @@ def alt_s(t: Tensor3) -> Tensor3:
     """Alt_s(a (x) b (x) c) = abc + (-1)^{|a|(|b|+|c|)} bca + (-1)^{|c|(|a|+|b|)} cab."""
     p = t.g.parity
     out: dict = {}
-
-    def put(key, term):
-        if key in out:
-            s = out[key] + term
-            if s.symbolically_zero():
-                del out[key]
-            else:
-                out[key] = s
-        else:
-            out[key] = term
-
     for (i, j, k), c in t.coeffs.items():
-        put((i, j, k), c)
+        accumulate(out, (i, j, k), c)
         s2 = (p[i] * (p[j] + p[k])) % 2
-        put((j, k, i), c if s2 == 0 else -c)
+        accumulate(out, (j, k, i), c if s2 == 0 else -c)
         s3 = (p[k] * (p[i] + p[j])) % 2
-        put((k, i, j), c if s3 == 0 else -c)
+        accumulate(out, (k, i, j), c if s3 == 0 else -c)
     return Tensor3(t.g, out, _prune=False)
 
 
@@ -210,70 +189,83 @@ def alt_s(t: Tensor3) -> Tensor3:
 # leg brackets
 
 
-def _leg_bracket(r: Tensor2, s: Tensor2, mode: str) -> Tensor3:
+def _leg_bracket(r: Tensor2, s: Tensor2, mode: str, products: dict, swapped: bool = False) -> Tensor3:
+    """One leg bracket of r and s; mode is "12_13", "12_23" or "13_23".
+
+    products caches the coefficient product of each (cell of r, cell of s)
+    pair, so the brackets of one yb_bracket or cross_bracket call form each
+    product once; swapped marks a call with the operands the other way round
+    from the cache's keys (coefficients commute).  A product is formed only
+    when its legs have a nonzero bracket.
+    """
     r._check(s)
     g = r.g
     p = g.parity
     out: dict = {}
-
-    def put(key, term):
-        if key in out:
-            acc = out[key] + term
-            if acc.symbolically_zero():
-                del out[key]
-            else:
-                out[key] = acc
-        else:
-            out[key] = term
-
     for (i1, j1), c1 in r.coeffs.items():
         for (i2, j2), c2 in s.coeffs.items():
-            c = c1 * c2
+            if mode == "12_13":
+                basis, sign = g.bracket_basis(i1, i2), _koszul(p[j1], p[i2])
+            elif mode == "12_23":
+                basis, sign = g.bracket_basis(j1, i2), 1
+            else:
+                basis, sign = g.bracket_basis(j1, j2), _koszul(p[j1], p[i2])
+            if not basis:
+                continue
+            pair = ((i2, j2), (i1, j1)) if swapped else ((i1, j1), (i2, j2))
+            c = products.get(pair)
+            if c is None:
+                c = products[pair] = c2 * c1 if swapped else c1 * c2
             if c.symbolically_zero():
                 continue
-            if mode == "12_13":
-                sign = _koszul(p[j1], p[i2])
-                for k, sc in g.bracket_basis(i1, i2).items():
-                    put((k, j1, j2), c * (sign * sc))
-            elif mode == "12_23":
-                for k, sc in g.bracket_basis(j1, i2).items():
-                    put((i1, k, j2), c * sc)
-            else:  # "13_23"
-                sign = _koszul(p[j1], p[i2])
-                for k, sc in g.bracket_basis(j1, j2).items():
-                    put((i1, i2, k), c * (sign * sc))
+            for k, sc in basis.items():
+                f = sign * sc
+                term = c if f == 1 else -c if f == -1 else c * f
+                if mode == "12_13":
+                    key = (k, j1, j2)
+                elif mode == "12_23":
+                    key = (i1, k, j2)
+                else:
+                    key = (i1, i2, k)
+                accumulate(out, key, term)
     return Tensor3(g, out, _prune=False)
 
 
 def bracket_12_13(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^12, s^13] = sum (-1)^{|b||a'|} [a, a'] (x) b (x) b'."""
-    return _leg_bracket(r, s, "12_13")
+    return _leg_bracket(r, s, "12_13", {})
 
 
 def bracket_12_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^12, s^23] = sum a (x) [b, a'] (x) b'."""
-    return _leg_bracket(r, s, "12_23")
+    return _leg_bracket(r, s, "12_23", {})
 
 
 def bracket_13_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^13, s^23] = sum (-1)^{|b||a'|} a (x) a' (x) [b, b']."""
-    return _leg_bracket(r, s, "13_23")
+    return _leg_bracket(r, s, "13_23", {})
 
 
 def yb_bracket(r: Tensor2) -> Tensor3:
     """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23]."""
-    return bracket_12_13(r, r) + bracket_12_23(r, r) + bracket_13_23(r, r)
+    products: dict = {}
+    return (
+        _leg_bracket(r, r, "12_13", products)
+        + _leg_bracket(r, r, "12_23", products)
+        + _leg_bracket(r, r, "13_23", products)
+    )
 
 
 def cross_bracket(s: Tensor2, omega: Tensor2) -> Tensor3:
     """[s12,w13] + [w12,s13] + [s12,w23] + [w12,s23] + [s13,w23] + [w13,s23]."""
+    products: dict = {}
     return (
-        bracket_12_13(s, omega)
-        + bracket_12_13(omega, s)
-        + bracket_12_23(s, omega)
-        + bracket_12_23(omega, s)
-        + bracket_13_23(s, omega)
-        + bracket_13_23(omega, s)
+        _leg_bracket(s, omega, "12_13", products)
+        + _leg_bracket(omega, s, "12_13", products, swapped=True)
+        + _leg_bracket(s, omega, "12_23", products)
+        + _leg_bracket(omega, s, "12_23", products, swapped=True)
+        + _leg_bracket(s, omega, "13_23", products)
+        + _leg_bracket(omega, s, "13_23", products, swapped=True)
     )
 
 
@@ -291,23 +283,11 @@ def ad_action(z: Vector, t: Tensor2 | Tensor3):
     if any(g.parity[b] != EVEN and c for b, c in z.items()):
         raise OddActorError("ad_action actor must be even")
     out: dict = {}
-
-    def put(key, term):
-        if key in out:
-            acc = out[key] + term
-            if acc.symbolically_zero():
-                del out[key]
-            else:
-                out[key] = acc
-        else:
-            out[key] = term
-
     for key, c in t.coeffs.items():
         for leg in range(t.rank):
             for b, cz in z.items():
                 for k, sc in g.bracket_basis(b, key[leg]).items():
-                    new_key = key[:leg] + (k,) + key[leg + 1 :]
-                    put(new_key, c * (cz * sc))
+                    accumulate(out, key[:leg] + (k,) + key[leg + 1 :], c * (cz * sc))
     return type(t)(g, out, _prune=False)
 
 
@@ -317,6 +297,4 @@ def ad_action(z: Vector, t: Tensor2 | Tensor3):
 
 def tensor_dump(t: Tensor2 | Tensor3) -> list[dict]:
     """Stable-ordered (lexicographic by indices) list of cells for diffing."""
-    from .scalars import to_sexpr
-
     return [{"indices": list(k), "coefficient": to_sexpr(t.coeffs[k])} for k in sorted(t.coeffs)]

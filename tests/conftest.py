@@ -52,6 +52,16 @@ def sl21():
     return AlgebraBundle(build_sl(2, 1))
 
 
+@pytest.fixture(scope="session")
+def gl31():
+    return AlgebraBundle(build_gl(3, 1))
+
+
+@pytest.fixture(scope="session")
+def gl22():
+    return AlgebraBundle(build_gl(2, 2))
+
+
 # ---------------------------------------------------------------------------
 # matrix-unit oracle (independent of the package's structure constants)
 

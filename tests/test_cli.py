@@ -79,6 +79,13 @@ class TestVerifyCommand:
         spec = write_spec(tmp_path, "t1.json", t1_sl2())
         assert main(["verify", "--spec", spec, "--checks", "nonsense"]) == 2
 
+    def test_fewer_than_one_point_exits_2(self, tmp_path, capsys):
+        # with no sample points a surviving residual would pass vacuously
+        spec = write_spec(tmp_path, "t2.json", t2_sl2())
+        for points in ("0", "-1"):
+            assert main(["verify", "--spec", spec, "--points", points]) == 2
+            assert "points" in capsys.readouterr().err
+
     def test_reports_deterministic_modulo_timing(self, tmp_path):
         spec = write_spec(tmp_path, "t2.json", t2_sl2(algebra="gl", m=2, n=1, nu=["0", "0", "0"]))
         outs = []

@@ -24,6 +24,7 @@ from sdybe.tensor import (
     bracket_12_13,
     bracket_12_23,
     bracket_13_23,
+    cross_bracket,
     signed_permutation,
     super_twist,
     yb_bracket,
@@ -229,20 +230,47 @@ def build_zero_weight_tensor(g, rd, dcells, phis):
     return t
 
 
-class TestDisplayOracles:
-    """Expansions of [s12,w13] ... [w13,s23] and the [[r,r]] terms, recoded."""
+# on gl(3|1) and gl(2|2) most pairs of cells have a zero bracket, so the
+# kernel's skipping of those pairs is exercised
+COTH_ORACLE_ALGEBRAS = ["gl31", "gl22"]
 
-    def _setup(self, bundle):
-        g, rd, om = bundle
+
+class TestDisplayOracles:
+    """Expansions of [s12,w13] ... [w13,s23] and the [[r,r]] terms, recoded.
+
+    The expansions hold for any phi, so the coth cases rescale the phi of the
+    negative roots: then the cross bracket is nonzero, and summing the six
+    displays checks the product table cross_bracket shares between them.
+    """
+
+    def _setup(self, request, name, with_coth):
+        g, rd, om = request.getfixturevalue(name)
         rng = random.Random(17)
-        dcells, phis = _random_unitary_pieces(g, rd, rng)
+        dcells, phis = _random_unitary_pieces(g, rd, rng, with_coth=with_coth)
+        if with_coth:
+            for i in rd.positive_indices():
+                phis[rd.neg[i]] = phis[rd.neg[i]] * Q(rng.randint(2, 4))
         s = build_zero_weight_tensor(g, rd, dcells, phis)
         duals = dual_cartan(g)
         cartan_vecs = [{c: Q(1)} for c in g.cartan]
         return g, rd, om, s, dcells, phis, cartan_vecs, duals
 
-    def test_six_cross_displays(self, gl21):
-        g, rd, om, s, dcells, phis, hvec, hdual = self._setup(gl21)
+    def test_six_cross_displays(self, request):
+        self._six_cross_displays(request, "gl21", with_coth=False)
+
+    @pytest.mark.parametrize("name", COTH_ORACLE_ALGEBRAS)
+    def test_six_cross_displays_coth(self, request, name):
+        self._six_cross_displays(request, name, with_coth=True)
+
+    def test_three_rr_displays(self, request):
+        self._three_rr_displays(request, "gl21", with_coth=False)
+
+    @pytest.mark.parametrize("name", COTH_ORACLE_ALGEBRAS)
+    def test_three_rr_displays_coth(self, request, name):
+        self._three_rr_displays(request, name, with_coth=True)
+
+    def _six_cross_displays(self, request, name, with_coth):
+        g, rd, om, s, dcells, phis, hvec, hdual = self._setup(request, name, with_coth)
         n = g.rank
         one = ScalarExpr.const(n, 1)
         roots = range(len(rd))
@@ -302,9 +330,12 @@ class TestDisplayOracles:
         }
         for key in acc:
             assert (got[key] - acc[key]).is_zero(), key
+        total = sum(acc.values(), Tensor3.zero(g))
+        assert (cross_bracket(s, om) - total).is_zero()
+        assert total.is_zero() == (not with_coth)
 
-    def test_three_rr_displays(self, gl21):
-        g, rd, om, r, dcells, phis, hvec, hdual = self._setup(gl21)
+    def _three_rr_displays(self, request, name, with_coth):
+        g, rd, om, r, dcells, phis, hvec, hdual = self._setup(request, name, with_coth)
         n = g.rank
         roots = range(len(rd))
 
@@ -338,6 +369,7 @@ class TestDisplayOracles:
         assert (bracket_12_13(r, r) - exp_1213).is_zero()
         assert (bracket_12_23(r, r) - exp_1223).is_zero()
         assert (bracket_13_23(r, r) - exp_1323).is_zero()
+        assert (yb_bracket(r) - (exp_1213 + exp_1223 + exp_1323)).is_zero()
 
 
 class TestAdAction:

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import sdybe.tensor as tensor_mod
+import sdybe.verifier as verifier_mod
 from sdybe.rmatrix import RMatrixSpec, TwoForm, construct, shift_to_s
 from sdybe.scalars import Poly, RationalFunction, ScalarExpr
+from sdybe.superalgebra import build_gl, build_sl, root_decomposition
 from sdybe.tensor import Tensor2, ad_action, cross_bracket, signed_permutation, super_twist
 from sdybe.verifier import (
+    ALL_CHECKS,
     PreconditionError,
     VerifyConfig,
     cdybe_lhs,
@@ -333,6 +337,27 @@ class TestLimits:
         with pytest.raises(PreconditionError):
             limit_behavior_check(full_spec(rd), g, rd)  # eps = 0
 
+    @pytest.mark.parametrize("family,m,n", [("sl", 3, 0), ("sl", 2, 1), ("gl", 3, 3), ("sl", 6, 0)])
+    def test_dominant_vector_strictly_dominant(self, family, m, n):
+        rd = root_decomposition((build_gl if family == "gl" else build_sl)(m, n))
+        v = dominant_vector(rd)
+        assert all(isinstance(x, int) for x in v)
+        for i in rd.positive_indices():
+            assert sum(c * x for c, x in zip(rd.coroot_coords(i), v)) >= 1
+
+    @pytest.mark.parametrize("family,m,n", [("gl", 4, 3), ("sl", 8, 0)])
+    def test_limits_at_rank_seven(self, family, m, n):
+        # rank 7 puts any lattice search for the dominant vector out of reach
+        g = (build_gl if family == "gl" else build_sl)(m, n)
+        rd = root_decomposition(g)
+        assert g.rank == 7
+        start = time.monotonic()
+        rep = limit_behavior_check(full_spec(rd, eps=Q(1, 2)), g, rd, VerifyConfig(precision=128, seed=0))
+        assert time.monotonic() - start < 30
+        assert rep.status == "numeric-zero"
+        for seq in (rep.details["deviation_to_twisted_constant"], rep.details["deviation_to_constant"]):
+            assert seq[-1] < 1e-15
+
 
 class TestConcurrency:
     def test_parallel_point_evaluation_matches_serial(self, gl21):
@@ -380,6 +405,95 @@ class TestRankTwoCartan:
         assert un.status == "exact-zero"
         _, rep = cdybe_residual(r, CFG64)
         assert rep.is_zero
+
+
+def _without_seconds(doc):
+    if isinstance(doc, dict):
+        return {k: _without_seconds(v) for k, v in doc.items() if k != "seconds"}
+    return doc
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(verifier_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verifier_mod, name, counted)
+    return calls
+
+
+def _bad_signs_spec(rd):
+    """X = none with a, b signed + and a + b signed -: validate accepts it,
+    but it is no solution (the negative control of the compute-once test)."""
+    pos = rd.positive_indices()
+    composite = next(k for k in pos if any(rd.add_index(i, j) == k for i in pos for j in pos))
+    signs = {i: (-1 if i == composite else 1) for i in pos}
+    n = rd.g.rank
+    return RMatrixSpec(X=frozenset(), nu=[0] * n, D=TwoForm.zero(n), epsilon=Q(1, 2), sign_choice=signs)
+
+
+class TestComputeOnce:
+    """run_checks builds each residual once and the lemma reuses it."""
+
+    CHECKS = tuple(c for c in ALL_CHECKS if c != "limits")
+
+    @pytest.mark.parametrize(
+        "bundle,kind",
+        [("gl21", "eps0"), ("gl21", "coth"), ("sl3", "bad-signs")],
+    )
+    def test_counts_and_reports_match_standalone(self, request, monkeypatch, bundle, kind):
+        g, rd, om = request.getfixturevalue(bundle)
+        if kind == "eps0":
+            spec = full_spec(rd, nu=[1, 2, 3])
+        elif kind == "coth":
+            spec = full_spec(rd, eps=Q(1))
+        else:
+            spec = _bad_signs_spec(rd)
+        yb = _count_calls(monkeypatch, "yb_bracket")
+        decide = _count_calls(monkeypatch, "decide_tensor_zero")
+        ok, reports, _ = run_checks(g, rd, spec, checks=self.CHECKS, cfg=CFG64)
+        assert (len(yb), len(decide)) == (3, 2)
+        monkeypatch.undo()
+
+        r = construct(spec, g, rd, omega=om)
+        s = shift_to_s(r, spec.epsilon, om)
+        standalone = [
+            unitarity_residual(r, spec.epsilon, om)[1],
+            zero_weight_residual(r),
+            cdybe_residual(r, CFG64)[1],
+            mdybe_residual(s, spec.epsilon, om, CFG64)[1],
+            lemma_consistency_check(r, spec.epsilon, om, CFG64),
+        ]
+        assert reports[0].name == "validate" and reports[0].status == "exact-zero"
+        assert [_without_seconds(rep.as_dict()) for rep in reports[1:]] == [
+            _without_seconds(rep.as_dict()) for rep in standalone
+        ]
+        statuses = {rep.name: rep.status for rep in reports}
+        if kind == "bad-signs":
+            assert not ok
+            assert statuses["cdybe"] == statuses["mdybe"] == "nonzero"
+            assert statuses["lemma"] != "nonzero"  # both sides agree
+        else:
+            assert ok
+            assert statuses["cdybe"] == ("exact-zero" if kind == "eps0" else "numeric-zero")
+
+    def test_lemma_alone_still_builds_residuals_once(self, sl2, monkeypatch):
+        g, rd, _ = sl2
+        yb = _count_calls(monkeypatch, "yb_bracket")
+        decide = _count_calls(monkeypatch, "decide_tensor_zero")
+        ok, reports, _ = run_checks(g, rd, full_spec(rd, eps=Q(1)), checks=("lemma",), cfg=CFG64)
+        assert ok and [rep.name for rep in reports] == ["lemma"]
+        assert (len(yb), len(decide)) == (3, 2)
+
+
+class TestVerifyConfig:
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_rejects_fewer_than_one_point(self, points):
+        with pytest.raises(ValueError, match="points"):
+            VerifyConfig(points=points)
 
 
 class TestRunChecks:
