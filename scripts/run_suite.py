@@ -19,7 +19,7 @@ from pathlib import Path
 
 from sdybe.rmatrix import RMatrixSpec, TwoForm, spec_to_json
 from sdybe.superalgebra import build_gl, build_sl, root_decomposition
-from sdybe.verifier import ALL_CHECKS, VerifyConfig, run_checks
+from sdybe.verifier import VerifyConfig, run_checks
 
 Q = Fraction
 
@@ -61,15 +61,8 @@ def main() -> int:
     for alg_label, g in algebras():
         rd = root_decomposition(g)
         for spec_label, spec in specs_for(g, rd):
-            checks = ALL_CHECKS
-            if not (
-                spec.epsilon != 0
-                and spec.X == frozenset(range(len(rd)))
-                and all(v == 0 for v in spec.nu)
-            ):
-                checks = tuple(c for c in checks if c != "limits")
             start = time.monotonic()
-            ok, reports, extras = run_checks(g, rd, spec, checks=checks, cfg=cfg)
+            ok, reports, extras = run_checks(g, rd, spec, cfg=cfg)
             elapsed = time.monotonic() - start
             doc = {
                 "algebra": {"family": g.family, "m": g.m, "n": g.n},

@@ -2,11 +2,11 @@
 
 Layers, bottom up:
 
-  scalars       exact rational functions and coth atoms with numeric fallback
+  scalars       exact rational functions, coth atoms and their exact zero test
   superalgebra  gl(m|n) / sl(m|n), root data, Casimir element
   tensor        Koszul-signed tensor algebra on g (x) g and g (x) g (x) g
   rmatrix       the solution families and their hypotheses
-  verifier      residuals of the defining equations, exact or sampled
+  verifier      residuals of the defining equations, decided exactly
   cli           `sdybe algebra | construct | verify`
 """
 

@@ -2,7 +2,7 @@
 
   sdybe algebra   --family {gl,sl} --m M --n N [--out PATH]
   sdybe construct --spec PATH [--at q1,q2,...] [--precision BITS] [--out PATH]
-  sdybe verify    --spec PATH [--checks LIST] [--precision BITS] [--tol T]
+  sdybe verify    --spec PATH [--checks LIST] [--precision BITS]
                   [--points N] [--seed N] [--out PATH]
 
 Exit codes: 0 success / all selected checks pass, 1 check failure or pole,
@@ -29,7 +29,7 @@ from .superalgebra import (
     root_decomposition,
 )
 from .tensor import tensor_dump
-from .verifier import ALL_CHECKS, VerifyConfig, run_checks
+from .verifier import ALL_CHECKS, VerifyConfig, limits_applicable, run_checks
 
 Q = Fraction
 
@@ -129,18 +129,16 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError, DegenerateFormError) as exc:
         print(f"error: bad spec: {exc}", file=sys.stderr)
         return 2
-    checks = tuple(c.strip() for c in args.checks.split(",")) if args.checks else ALL_CHECKS
-    bad = [c for c in checks if c not in ALL_CHECKS]
+    checks = tuple(c.strip() for c in args.checks.split(",")) if args.checks else None
+    bad = [c for c in checks or () if c not in ALL_CHECKS]
     if bad:
         print(f"error: unknown checks {bad}; available: {', '.join(ALL_CHECKS)}", file=sys.stderr)
         return 2
-    if "limits" in checks and not _limits_applicable(spec, rd):
-        checks = tuple(c for c in checks if c != "limits")
-        if args.checks:
-            print("error: limits check needs eps != 0, X = all, nu = 0, D = 0", file=sys.stderr)
-            return 2
+    if checks and "limits" in checks and not limits_applicable(spec, rd):
+        print("error: limits check needs eps != 0, X = all, nu = 0, D = 0", file=sys.stderr)
+        return 2
     try:
-        cfg = VerifyConfig(precision=args.precision, tolerance=args.tol, points=args.points, seed=args.seed)
+        cfg = VerifyConfig(precision=args.precision, points=args.points, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -158,15 +156,6 @@ def cmd_verify(args) -> int:
     for rep in reports:
         print(f"{rep.name}: {rep.status}", file=sys.stderr)
     return 0 if ok else 1
-
-
-def _limits_applicable(spec, rd) -> bool:
-    return (
-        spec.epsilon != 0
-        and spec.X == frozenset(range(len(rd)))
-        and all(v == 0 for v in spec.nu)
-        and spec.D.is_zero()
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,10 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         help=f"comma-separated subset of: {', '.join(ALL_CHECKS)} (default: all applicable)",
     )
-    p_ver.add_argument("--precision", type=int, default=128, help="mantissa bits (default 128)")
-    p_ver.add_argument("--tol", type=float, default=None, help="residual tolerance (default by precision)")
     p_ver.add_argument(
-        "--points", type=int, default=20, help="sample points per numeric decision, at least 1 (default 20)"
+        "--precision", type=int, default=128, help="mantissa bits for witnesses and limits, at least 64 (default 128)"
+    )
+    p_ver.add_argument(
+        "--points",
+        type=int,
+        default=20,
+        help="lattice points searched for the witness of a nonzero residual, at least 1 (default 20)",
     )
     p_ver.add_argument("--seed", type=int, default=0, help="seed for all lattice sampling (default 0)")
     p_ver.add_argument("--out", help="write the report here instead of stdout")

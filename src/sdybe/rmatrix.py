@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import Poly, RationalFunction, ScalarExpr, from_sexpr, poly_from_str, to_sexpr
-from .superalgebra import LieSuperalgebra, RootDatum, casimir, sign_A
+from .superalgebra import LieSuperalgebra, RootDatum, cartan_casimir_cells, casimir, sign_A
 from .tensor import Tensor2
 
 Q = Fraction
@@ -292,17 +292,7 @@ def constant_example(g: LieSuperalgebra, rd: RootDatum, eps, which: str = "r") -
         raise ValueError("constant example needs a nonzero coupling")
     if which not in ("r", "Tsr"):
         raise ValueError("which must be 'r' or 'Tsr'")
-    from .superalgebra import invert_matrix
-
-    cells: dict = {}
-    cartan = list(g.cartan)
-    gram_inv = invert_matrix(g.cartan_gram())
-    for k, ck in enumerate(cartan):
-        for l, cl in enumerate(cartan):
-            v = gram_inv[l][k] * eps / 2
-            if v:
-                cells[(ck, cl)] = cells.get((ck, cl), Q(0)) + v
-    r = Tensor2.from_constant_cells(g, cells)
+    r = Tensor2.from_constant_cells(g, cartan_casimir_cells(g, eps / 2))
     for i in rd.positive_indices():
         if which == "r":
             r = r + Tensor2.from_vectors(g, rd.e[rd.neg[i]], rd.e[i], eps)

@@ -11,15 +11,18 @@ Coefficients are functions of N linear coordinates x0..x{N-1}.  Three layers:
 A coth atom is coth(u) for an affine-linear form u with rational coefficients.
 Atoms are sign-canonicalized (first nonzero coefficient of (u_0..u_{N-1}, const)
 made positive via coth(-u) = -coth(u)), so expressions whose arguments differ
-only by sign share an atom.  Distinct atoms are treated as algebraically
-independent indeterminates; the coth addition law is never applied
-symbolically.  `zero_status` therefore decides exactly for coth-free
-expressions and for atom-polynomial cancellations, and falls back to seeded
-numeric sampling for identities that need the addition law.
+only by sign share an atom.
+
+Zero is decided exactly and completely (`ScalarExpr.identically_zero`): the
+coth addition law is applied by exponential substitution, which turns the
+expression into a polynomial in exponential variables over the
+rational-function field.  Seeded numeric sampling only locates the witness
+point of an expression that is not zero.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from dataclasses import dataclass
@@ -135,9 +138,6 @@ class Poly:
 
     def lead_coeff(self) -> Fraction:
         return self.terms[self.lead_mono()]
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def key(self) -> tuple:
         """Hashable canonical form (sorted term list)."""
@@ -409,10 +409,6 @@ class RationalFunction:
     def const(cls, nvars: int, value) -> RationalFunction:
         return cls(Poly.const(nvars, value))
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> RationalFunction:
-        return cls(p)
-
     @property
     def nvars(self) -> int:
         return self.num.nvars
@@ -653,6 +649,44 @@ class ScalarExpr:
         """Exact zero test with atoms as independent indeterminates (sound)."""
         return not self.terms
 
+    def identically_zero(self) -> bool:
+        """Exact and complete zero test; applies the coth addition law.
+
+        With L the lcm of the atoms' coefficient denominators, substitute
+        y_i = e^{2 x_i / L} and t = e^{2/L}.  Then e^{2u} = P/M for monomials
+        P, M in (y, t), so coth u = (P + M)/(P - M).  Clearing the (P - M)
+        denominators leaves a polynomial in (y, t) over the rational
+        functions in x; the expression is zero iff every coefficient of that
+        polynomial is.  The substitution is a ring homomorphism, so this is
+        sound.  The x_i and e^{2 x_i / L} are algebraically independent (Ax,
+        Ann. Math. 93, 1971) and e^{2/L} is transcendental (Lindemann), so it
+        is also complete.
+        """
+        if not self.terms:
+            return True
+        atoms = self.atoms()
+        if not atoms:
+            return False
+        nexp = self.nvars + 1  # y_0..y_{N-1}, t
+        lcm = math.lcm(*(c.denominator for atom in atoms for c in atom))
+        factors = {}  # atom -> (P + M, P - M, highest power of the atom)
+        for atom in atoms:
+            p, m = (tuple(max(sign * int(c * lcm), 0) for c in atom) for sign in (1, -1))
+            top = max(dict(mono).get(atom, 0) for mono in self.terms)
+            factors[atom] = (Poly(nexp, {p: Q(1), m: Q(1)}), Poly(nexp, {p: Q(1), m: Q(-1)}), top)
+        numerator: dict[Mono, RationalFunction] = {}
+        for mono, coeff in self.terms.items():
+            powers = dict(mono)
+            cleared = Poly.const(nexp, 1)
+            for atom, (plus, minus, top) in factors.items():
+                k = powers.get(atom, 0)
+                for f in [plus] * k + [minus] * (top - k):
+                    cleared = cleared * f
+            for m, c in cleared.terms.items():
+                term = coeff * c
+                numerator[m] = numerator[m] + term if m in numerator else term
+        return all(c.is_zero() for c in numerator.values())
+
     def as_ratfun(self) -> RationalFunction:
         if not self.is_rational():
             raise NotRationalError("expression contains coth atoms")
@@ -837,8 +871,8 @@ def _mono_normal(m: AtomMono) -> AtomMono:
 class ZeroStatus:
     """Outcome of a zero decision.
 
-    kind is 'exact-zero' (symbolic proof), 'probably-zero' (all sampled values
-    below tol), or 'nonzero' (a witness point exceeded tol).
+    kind is 'exact-zero' or 'nonzero'; a nonzero status carries the sampled
+    point of largest |value| as its witness.
     """
 
     kind: str
@@ -849,7 +883,7 @@ class ZeroStatus:
 
     @property
     def is_zero(self) -> bool:
-        return self.kind in ("exact-zero", "probably-zero")
+        return self.kind == "exact-zero"
 
 
 def sample_points(
@@ -883,42 +917,47 @@ def sample_points(
     return out
 
 
+def largest_value(exprs: dict, points: Sequence, *, precision: int, margin: float) -> tuple:
+    """(key, point, value) of the largest |value| of exprs over points.
+
+    Points are scanned in order and keys in insertion order; the first
+    maximum wins, so the result is deterministic.
+    """
+    best = None
+    max_abs = 0.0
+    for pt in points:
+        for key, f in exprs.items():
+            v = f.eval_numeric(pt, precision=precision, margin=margin)
+            if best is None or abs(v) > max_abs:
+                max_abs = float(abs(v))
+                best = (key, pt, v)
+    return best
+
+
 def zero_status(
     f: ScalarExpr,
     *,
-    tol: float = 1e-12,
     points: int = 20,
     precision: int = 64,
     margin: float = 1e-6,
     seed: int = 0,
     lattice: int = 10,
 ) -> ZeroStatus:
-    """Decide whether f vanishes identically.
+    """Decide exactly whether f vanishes identically.
 
-    Symbolic fast path: with every distinct coth atom treated as a fresh
-    indeterminate, f is zero iff all coefficients cancel; that proof is exact.
-    Otherwise f is sampled at >= `points` margin-respecting lattice points and
-    reported probably-zero (all |values| < tol) or nonzero with a witness.
+    A nonzero f is evaluated at `points` seeded margin-respecting lattice
+    points, and the one of largest |value| is its witness.
     """
-    if f.symbolically_zero():
+    if f.identically_zero():
         return ZeroStatus("exact-zero")
     pts = sample_points(f.nvars, points, seed=seed, avoid=f.singular_forms(), margin=margin, lattice=lattice)
-    max_abs = 0.0
-    witness = None
-    for pt in pts:
-        v = f.eval_numeric(pt, precision=precision, margin=margin)
-        a = abs(v)
-        if a > max_abs:
-            max_abs = float(a)
-            witness = (pt, float(v))
-    if max_abs < tol:
-        return ZeroStatus("probably-zero", max_abs=max_abs, points_used=len(pts))
+    _, pt, v = largest_value({None: f}, pts, precision=precision, margin=margin)
     return ZeroStatus(
         "nonzero",
-        max_abs=max_abs,
+        max_abs=float(abs(v)),
         points_used=len(pts),
-        witness_point=witness[0],
-        witness_value=witness[1],
+        witness_point=pt,
+        witness_value=float(v),
     )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 Q = Fraction
 
@@ -131,37 +130,29 @@ class LieSuperalgebra:
                 acc += cx * cy * row[j]
         return acc
 
-    def vector_parity(self, x: Vector) -> int:
-        """Parity of a homogeneous vector; raises on mixed parity."""
-        parities = {self.parity[i] for i, c in x.items() if c}
-        if not parities:
-            return EVEN
-        if len(parities) > 1:
-            raise ValueError("vector is not parity homogeneous")
-        return parities.pop()
-
     def cartan_gram(self) -> list[list[Fraction]]:
         return [[self.form[i][j] for j in self.cartan] for i in self.cartan]
 
 
-def _supercommutator_matrix(a: dict, b: dict, parity_a: int, parity_b: int, size: int) -> dict:
+def _matmul(x: dict, y: dict) -> dict:
+    """Product of sparse {(row, col): Fraction} matrices, zero entries dropped."""
+    out: dict = {}
+    for (r, c), v in x.items():
+        for (r2, c2), w in y.items():
+            if c == r2:
+                s = out.get((r, c2), Q(0)) + v * w
+                if s:
+                    out[(r, c2)] = s
+                else:
+                    out.pop((r, c2), None)
+    return out
+
+
+def _supercommutator_matrix(a: dict, b: dict, parity_a: int, parity_b: int) -> dict:
     """[a, b] = ab - (-1)^{|a||b|} ba on sparse {(row, col): Fraction} matrices."""
     sign = -1 if parity_a and parity_b else 1
-
-    def matmul(x, y):
-        out: dict = {}
-        for (r, c), v in x.items():
-            for (r2, c2), w in y.items():
-                if c == r2:
-                    s = out.get((r, c2), Q(0)) + v * w
-                    if s:
-                        out[(r, c2)] = s
-                    else:
-                        out.pop((r, c2), None)
-        return out
-
-    ab = matmul(a, b)
-    ba = matmul(b, a)
+    ab = _matmul(a, b)
+    ba = _matmul(b, a)
     out = dict(ab)
     for key, v in ba.items():
         s = out.get(key, Q(0)) - sign * v
@@ -280,23 +271,15 @@ def build_sl(m: int, n: int) -> LieSuperalgebra:
     structure: dict = {}
     for a in range(dim):
         for b in range(dim):
-            res = _supercommutator_matrix(basis_mats[a], basis_mats[b], parity[a], parity[b], d)
+            res = _supercommutator_matrix(basis_mats[a], basis_mats[b], parity[a], parity[b])
             if res:
                 out = decompose(res)
                 if out:
                     structure[(a, b)] = out
 
     # (x, y) = str(xy), computed directly from the matrix product
-    def matmul(x, y):
-        out: dict = {}
-        for (r, c), v in x.items():
-            for (r2, c2), w in y.items():
-                if c == r2:
-                    out[(r, c2)] = out.get((r, c2), Q(0)) + v * w
-        return out
-
     form = tuple(
-        tuple(_supertrace(matmul(basis_mats[a], basis_mats[b]), m, n) for b in range(dim))
+        tuple(_supertrace(_matmul(basis_mats[a], basis_mats[b]), m, n) for b in range(dim))
         for a in range(dim)
     )
     gram = [[form[i][j] for j in range(dim)] for i in range(dim)]
@@ -314,10 +297,6 @@ def build_sl(m: int, n: int) -> LieSuperalgebra:
         m=m,
         n=n,
     )
-
-
-def bracket(g: LieSuperalgebra, x: Vector, y: Vector) -> Vector:
-    return g.bracket(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +332,6 @@ class RootDatum:
 
     def __len__(self) -> int:
         return len(self.roots)
-
-    def index_of(self, functional: Sequence[Fraction]) -> int:
-        functional = tuple(Q(c) for c in functional)
-        for i, r in enumerate(self.roots):
-            if r.functional == functional:
-                return i
-        raise KeyError(f"no root with functional {functional}")
 
     def positive_indices(self) -> list[int]:
         return [i for i, r in enumerate(self.roots) if r.positive]
@@ -452,6 +424,17 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
     return RootDatum(g=g, roots=roots, e=vectors, h_coroot=coroots, pairing=pairings, neg=neg)
 
 
+def cartan_casimir_cells(g: LieSuperalgebra, scale=1) -> dict:
+    """scale * sum_k x_k (x) x^k as {(x_k, x_l): value}, {x^k} the form-dual Cartan basis."""
+    gram_inv = invert_matrix(g.cartan_gram())
+    return {
+        (ck, cl): gram_inv[l][k] * scale
+        for k, ck in enumerate(g.cartan)
+        for l, cl in enumerate(g.cartan)
+        if gram_inv[l][k]
+    }
+
+
 def casimir(g: LieSuperalgebra, rd: RootDatum):
     """The invariant element of g (x) g for the form.
 
@@ -460,15 +443,7 @@ def casimir(g: LieSuperalgebra, rd: RootDatum):
     """
     from . import tensor
 
-    nvars = g.rank
-    gram_inv = invert_matrix(g.cartan_gram())
-    cells: dict = {}
-    cartan = list(g.cartan)
-    for k, ck in enumerate(cartan):
-        for l, cl in enumerate(cartan):
-            v = gram_inv[l][k]
-            if v:
-                cells[(ck, cl)] = cells.get((ck, cl), Q(0)) + v
+    cells = cartan_casimir_cells(g)
     for i in range(len(rd)):
         a = sign_A(rd, i)
         for bi, ci in rd.e[i].items():

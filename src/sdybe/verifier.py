@@ -11,11 +11,11 @@ Checks:
   limits       the X = Delta coth family degenerates onto the two constant
                solutions along a dominant ray as t -> +-infinity
 
-Zero decision policy: coefficients are first tested symbolically (coth atoms
-as independent indeterminates; exact and sound).  Coefficients that survive,
-which are exactly the ones whose cancellation needs the coth addition law,
-are sampled at seeded margin-respecting lattice points and compared against
-the tolerance; this outcome is labeled numeric-zero, never exact.
+Zero decision policy: every coefficient is decided exactly and completely
+(`ScalarExpr.identically_zero`, which applies the coth addition law), so a
+residual is exact-zero or nonzero.  A nonzero residual is evaluated at seeded
+margin-respecting lattice points only to give it a witness.  Only `limits`,
+a statement about values along a ray, is decided numerically (numeric-zero).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rmatrix import RMatrixSpec, functional_equation_residual, ode_residual, shift_to_s, validate
-from .scalars import sample_points, to_sexpr, zero_status
+from .scalars import largest_value, sample_points, to_sexpr, zero_status
 from .superalgebra import LieSuperalgebra, RootDatum, solve_linear
 from .tensor import (
     Tensor2,
@@ -48,15 +48,16 @@ class PreconditionError(ValueError):
 
 @dataclass
 class VerifyConfig:
-    """Numeric policy for residual decisions.
+    """Numeric settings for witnesses and the limits check.
 
-    tolerance defaults to 1e-12 below 128 mantissa bits and 1e-25 at or above;
-    the seed fixes every lattice draw, so reports are reproducible.  At least
-    one point is required: a decision over no samples would pass vacuously.
+    Residual verdicts are exact; the lattice points (fixed by the seed, so
+    reports are reproducible) only locate the witness of a nonzero residual,
+    and at least one is required so that every nonzero report has one.
+    precision feeds the witness values and `limits`, whose 1e-15 bound needs
+    at least 64 mantissa bits to be resolved.
     """
 
     precision: int = 128
-    tolerance: float | None = None
     points: int = 20
     seed: int = 0
     margin: float = 1e-6
@@ -65,17 +66,12 @@ class VerifyConfig:
     def __post_init__(self):
         if self.points < 1:
             raise ValueError(f"points must be at least 1, got {self.points}")
-
-    @property
-    def tol(self) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
-        return 1e-25 if self.precision >= 128 else 1e-12
+        if self.precision < 64:
+            raise ValueError(f"precision must be at least 64 bits, got {self.precision}")
 
     def as_dict(self) -> dict:
         return {
             "precision_bits": self.precision,
-            "tolerance": self.tol,
             "points": self.points,
             "seed": self.seed,
             "margin": self.margin,
@@ -87,9 +83,10 @@ class VerifyConfig:
 class ResidualReport:
     """Outcome of one residual check.
 
-    status 'exact-zero' is a symbolic proof; 'numeric-zero' means every
-    sampled value stayed below the tolerance (max_abs records the worst);
-    'nonzero' carries a witness {indices, point, value} or a symbolic witness.
+    status 'exact-zero' is a symbolic proof; 'nonzero' carries a witness
+    {indices, point, value} (max_abs records its |value|) or a symbolic
+    witness.  'numeric-zero' comes only from `limits`: every deviation
+    stayed below its bound `tolerance` (max_abs records the last one).
     """
 
     name: str
@@ -121,50 +118,34 @@ class ResidualReport:
 
 
 def decide_tensor_zero(t: Tensor2 | Tensor3, name: str, cfg: VerifyConfig) -> ResidualReport:
-    """Symbolic-first zero decision for every coefficient of a tensor."""
+    """Exact zero decision for every coefficient of a tensor.
+
+    A nonzero tensor gets a witness: its nonzero cells are evaluated at the
+    seeded lattice points, and the cell and point of largest |value| win.
+    """
     start = time.monotonic()
-    suspicious = {k: c for k, c in t.coeffs.items() if not c.symbolically_zero()}
-    if not suspicious:
+    nonzero = {k: c for k, c in t.coeffs.items() if not c.identically_zero()}
+    if not nonzero:
         return ResidualReport(name=name, status="exact-zero", seconds=time.monotonic() - start)
-    nvars = t.g.rank
-    forms = t.singular_forms()
     pts = sample_points(
-        nvars, cfg.points, seed=cfg.seed, avoid=forms, margin=cfg.margin, lattice=cfg.lattice
+        t.g.rank, cfg.points, seed=cfg.seed, avoid=t.singular_forms(), margin=cfg.margin, lattice=cfg.lattice
     )
-    max_abs = 0.0
-    witness = None
-    for pt in pts:
-        for key, coeff in suspicious.items():
-            v = coeff.eval_numeric(pt, precision=cfg.precision, margin=cfg.margin)
-            a = abs(v)
-            if a > max_abs:
-                max_abs = float(a)
-                witness = {"indices": list(key), "point": list(pt), "value": float(v)}
-    elapsed = time.monotonic() - start
-    if max_abs < cfg.tol:
-        return ResidualReport(
-            name=name,
-            status="numeric-zero",
-            max_abs=max_abs,
-            tolerance=cfg.tol,
-            points_used=len(pts),
-            seconds=elapsed,
-        )
+    key, pt, v = largest_value(nonzero, pts, precision=cfg.precision, margin=cfg.margin)
     return ResidualReport(
         name=name,
         status="nonzero",
-        max_abs=max_abs,
-        tolerance=cfg.tol,
+        max_abs=float(abs(v)),
         points_used=len(pts),
-        witness=witness,
-        seconds=elapsed,
+        witness={"indices": list(key), "point": list(pt), "value": float(v)},
+        seconds=time.monotonic() - start,
     )
 
 
 def _decide_exact(t: Tensor2 | Tensor3, name: str, start: float) -> ResidualReport:
-    if t.is_zero():
+    """Exact decision with the first nonzero cell as a symbolic witness."""
+    key = min((k for k, c in t.coeffs.items() if not c.identically_zero()), default=None)
+    if key is None:
         return ResidualReport(name=name, status="exact-zero", seconds=time.monotonic() - start)
-    key = min(t.coeffs)
     return ResidualReport(
         name=name,
         status="nonzero",
@@ -266,15 +247,10 @@ def lemma_consistency_check(
     cross_rep = _decide_exact(cross, "lemma-cross-bracket", time.monotonic())
     consistent = cd.is_zero == md.is_zero
     ok = consistent and cross_rep.status == "exact-zero"
-    status = "exact-zero" if ok and cd.status == "exact-zero" and md.status == "exact-zero" else (
-        "numeric-zero" if ok else "nonzero"
-    )
     return ResidualReport(
         name="lemma",
-        status=status,
+        status="exact-zero" if ok else "nonzero",
         seconds=time.monotonic() - start,
-        max_abs=max(cd.max_abs or 0.0, md.max_abs or 0.0) if (cd.max_abs or md.max_abs) else None,
-        tolerance=cfg.tol,
         witness=None if ok else {"cdybe": cd.as_dict(), "mdybe": md.as_dict(), "cross": cross_rep.as_dict()},
         details={
             "cdybe_status": cd.status,
@@ -295,7 +271,7 @@ def ode_check(spec: RMatrixSpec, rd: RootDatum, cfg: VerifyConfig | None = None)
     indices = range(len(rd)) if spec.epsilon != 0 else sorted(spec.X)
     for i in indices:
         for j, res in enumerate(ode_residual(i, spec, rd)):
-            if not res.symbolically_zero():
+            if not res.identically_zero():
                 return ResidualReport(
                     name="phi-ode",
                     status="nonzero",
@@ -312,24 +288,16 @@ def ode_check(spec: RMatrixSpec, rd: RootDatum, cfg: VerifyConfig | None = None)
 def functional_equation_check(
     spec: RMatrixSpec, rd: RootDatum, cfg: VerifyConfig | None = None
 ) -> ResidualReport:
-    """The pairwise phi relation over every root pair with a + b a root.
-
-    Exact where the residual cancels symbolically (always for eps = 0);
-    numeric sampling otherwise.
-    """
+    """The pairwise phi relation over every root pair with a + b a root, exactly."""
     cfg = cfg or VerifyConfig()
     start = time.monotonic()
-    max_abs = 0.0
-    points_used = 0
-    any_numeric = False
     for i in range(len(rd)):
         for j in range(len(rd)):
             res = functional_equation_residual(i, j, spec, rd)
-            if res is None or res.symbolically_zero():
+            if res is None:
                 continue
             status = zero_status(
                 res,
-                tol=cfg.tol,
                 points=cfg.points,
                 precision=cfg.precision,
                 margin=cfg.margin,
@@ -341,27 +309,16 @@ def functional_equation_check(
                     name="functional-equation",
                     status="nonzero",
                     max_abs=status.max_abs,
-                    tolerance=cfg.tol,
-                    points_used=status.points_used,
+                                points_used=status.points_used,
                     witness={
                         "alpha": [str(c) for c in rd.roots[i].functional],
                         "beta": [str(c) for c in rd.roots[j].functional],
-                        "point": list(status.witness_point or ()),
+                        "point": list(status.witness_point),
                         "value": status.witness_value,
                     },
                     seconds=time.monotonic() - start,
                 )
-            any_numeric = True
-            max_abs = max(max_abs, status.max_abs or 0.0)
-            points_used = max(points_used, status.points_used)
-    return ResidualReport(
-        name="functional-equation",
-        status="numeric-zero" if any_numeric else "exact-zero",
-        max_abs=max_abs if any_numeric else None,
-        tolerance=cfg.tol if any_numeric else None,
-        points_used=points_used,
-        seconds=time.monotonic() - start,
-    )
+    return ResidualReport(name="functional-equation", status="exact-zero", seconds=time.monotonic() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +347,16 @@ def dominant_vector(rd: RootDatum) -> tuple[int, ...]:
     return tuple(int(x * scale) for x in v)
 
 
+def limits_applicable(spec: RMatrixSpec, rd: RootDatum) -> bool:
+    """The limits check covers the X = all coth family with nu = 0 and D = 0."""
+    return (
+        spec.epsilon != 0
+        and spec.X == frozenset(range(len(rd)))
+        and all(v == 0 for v in spec.nu)
+        and spec.D.is_zero()
+    )
+
+
 def limit_behavior_check(
     spec: RMatrixSpec,
     g: LieSuperalgebra,
@@ -410,12 +377,8 @@ def limit_behavior_check(
 
     cfg = cfg or VerifyConfig()
     start = time.monotonic()
-    if spec.epsilon == 0:
-        raise PreconditionError("limit check needs a nonzero coupling")
-    if spec.X != frozenset(range(len(rd))):
-        raise PreconditionError("limit check needs X = all roots")
-    if any(v != 0 for v in spec.nu) or not spec.D.is_zero():
-        raise PreconditionError("limit check needs nu = 0 and D = 0")
+    if not limits_applicable(spec, rd):
+        raise PreconditionError("limit check needs eps != 0, X = all roots, nu = 0 and D = 0")
     scales = tuple(Q(t) / abs(spec.epsilon) for t in scales)
 
     r = construct(spec, g, rd)
@@ -471,16 +434,22 @@ def run_checks(
     g: LieSuperalgebra,
     rd: RootDatum,
     spec: RMatrixSpec,
-    checks: tuple = ALL_CHECKS,
+    checks: tuple | None = None,
     cfg: VerifyConfig | None = None,
 ) -> tuple[bool, list[ResidualReport], dict]:
-    """Run the selected residual checks; returns (all passed, reports, extras)."""
+    """Run the selected residual checks; returns (all passed, reports, extras).
+
+    checks defaults to every check that applies to the spec: all of them,
+    less `limits` where `limits_applicable` is false.
+    """
     # imported at call time: the per-layer benchmark wraps these names on
     # their own modules
     from .rmatrix import construct
     from .superalgebra import casimir
 
     cfg = cfg or VerifyConfig()
+    if checks is None:
+        checks = tuple(c for c in ALL_CHECKS if c != "limits" or limits_applicable(spec, rd))
     reports: list[ResidualReport] = []
     extras: dict = {}
 

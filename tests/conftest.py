@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from sdybe.scalars import sample_points
 from sdybe.superalgebra import build_gl, build_sl, casimir, root_decomposition
 
 Q = Fraction
@@ -128,3 +129,17 @@ def ad_signed_oracle(g, z_idx: int, t):
                 term = coeff * (sc * ((-1) ** exponent))
                 out[nk] = term if nk not in out else out[nk] + term
     return {k: v for k, v in out.items() if not v.symbolically_zero()}
+
+
+# ---------------------------------------------------------------------------
+# sampling oracle for the exact zero decision
+
+
+def sampled_max_abs(exprs, nvars: int, *, avoid=(), points: int = 20, precision: int = 128, seed: int = 0) -> float:
+    """Largest |value| of the expressions at seeded lattice points.
+
+    Numeric evaluation shares no code with `ScalarExpr.identically_zero`, so
+    it is an independent check of each exact verdict.
+    """
+    pts = sample_points(nvars, points, seed=seed, avoid=avoid)
+    return max((abs(float(f.eval_numeric(pt, precision=precision))) for pt in pts for f in exprs), default=0.0)

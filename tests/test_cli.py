@@ -86,6 +86,17 @@ class TestVerifyCommand:
             assert main(["verify", "--spec", spec, "--points", points]) == 2
             assert "points" in capsys.readouterr().err
 
+    def test_precision_below_64_bits_exits_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "t2.json", t2_sl2())
+        for precision in ("0", "-3", "8", "53"):
+            assert main(["verify", "--spec", spec, "--precision", precision]) == 2
+            assert "precision" in capsys.readouterr().err
+
+    def test_explicit_limits_on_inapplicable_spec_exits_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "t1.json", t1_sl2())
+        assert main(["verify", "--spec", spec, "--checks", "limits"]) == 2
+        assert "limits" in capsys.readouterr().err
+
     def test_reports_deterministic_modulo_timing(self, tmp_path):
         spec = write_spec(tmp_path, "t2.json", t2_sl2(algebra="gl", m=2, n=1, nu=["0", "0", "0"]))
         outs = []

@@ -26,6 +26,8 @@ from sdybe.rmatrix import (
 from sdybe.scalars import Poly, RationalFunction, ScalarExpr, zero_status
 from sdybe.tensor import Tensor2, super_twist, yb_bracket
 
+from conftest import sampled_max_abs
+
 Q = Fraction
 
 
@@ -307,8 +309,9 @@ class TestCoefficientIdentities:
                 res = functional_equation_residual(i, j, spec, rd)
                 if res is None or res.symbolically_zero():
                     continue
-                status = zero_status(res, tol=1e-12, points=20, precision=64, seed=2)
-                assert status.kind == "probably-zero"
+                status = zero_status(res, points=20, precision=64, seed=2)
+                assert status.kind == "exact-zero"
+                assert sampled_max_abs([res], 3, avoid=res.singular_forms(), precision=64, seed=2) < 1e-12
 
     def _count_violated_pairs(self, rd, choice):
         spec = RMatrixSpec(X=frozenset(), nu=[0, 0, 0], D=TwoForm.zero(3), epsilon=1, sign_choice=choice)

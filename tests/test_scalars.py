@@ -23,6 +23,8 @@ from sdybe.scalars import (
     zero_status,
 )
 
+from conftest import sampled_max_abs
+
 Q = Fraction
 
 
@@ -148,14 +150,16 @@ class TestZeroDecision:
         assert zero_status(c * c - c * c).kind == "exact-zero"
 
     def test_addition_law_needs_numerics(self):
+        # atoms as indeterminates do not cancel; the exact decision applies
+        # the addition law, and the sampler agrees as an oracle
         ca = ScalarExpr.coth([Q(1), Q(0)])
         cb = ScalarExpr.coth([Q(0), Q(1)])
         cab = ScalarExpr.coth([Q(1), Q(1)])
         f = cab * (ca + cb) - (ScalarExpr.const(2, 1) + ca * cb)
-        status = zero_status(f, tol=1e-12, points=20)
-        assert status.kind == "probably-zero"
-        assert status.points_used >= 20
-        assert status.max_abs < 1e-12
+        assert not f.symbolically_zero()
+        status = zero_status(f, points=20)
+        assert status.kind == "exact-zero"
+        assert sampled_max_abs([f], 2, avoid=f.singular_forms(), precision=64) < 1e-12
 
     def test_nonzero_has_witness(self):
         f = ScalarExpr.coth([Q(1)]) - 1
@@ -163,6 +167,79 @@ class TestZeroDecision:
         assert status.kind == "nonzero"
         assert status.witness_point is not None
         assert abs(status.witness_value) > 1e-12
+
+
+def coth(c0, c1, const=0) -> ScalarExpr:
+    """coth(c0 x0 + c1 x1 + const)."""
+    return ScalarExpr.coth([Q(c0), Q(c1)], Q(const))
+
+
+def addition_law(u, v) -> ScalarExpr:
+    """coth(u + v)(coth u + coth v) - 1 - coth u coth v, zero by the addition law."""
+    cu, cv = coth(*u), coth(*v)
+    cuv = coth(*(a + b for a, b in zip(u, v)))
+    return cuv * (cu + cv) - 1 - cu * cv
+
+
+def double_angle(u) -> ScalarExpr:
+    """2 coth(2u) coth u - 1 - coth(u)^2, zero by the addition law with v = u."""
+    cu = coth(*u)
+    return coth(*(2 * a for a in u)) * cu * 2 - 1 - cu * cu
+
+
+# affine arguments with constants and several coefficient denominators; none
+# of them (nor their sums) vanishes at an integer point
+U = (Q(1), Q(0), Q(1, 3))
+V = (Q(0), Q(1, 2), Q(-1, 4))
+W = (Q(1, 3), Q(-1, 3), Q(1, 5))
+IDENTITIES = (addition_law(U, V), addition_law(V, W), double_angle(U), double_angle(W))
+# neither these nor any combination of them is identically zero
+NONZERO = (coth(*U), coth(*V) * coth(*(a + b for a, b in zip(U, V))))
+COEFFS = (
+    ScalarExpr.const(2, 0),
+    ScalarExpr.const(2, Q(3, 2)),
+    ScalarExpr.coord(2, 0),
+    ratfun(Poly.const(2, 1), Poly.linear([Q(1), Q(1)], Q(7, 3))),
+    ratfun(Poly.linear([Q(1), Q(0)], -2), Poly.linear([Q(0), Q(1)], Q(5, 2))),
+)
+
+
+class TestExactDecider:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        coeffs=st.lists(st.sampled_from(COEFFS), min_size=len(IDENTITIES), max_size=len(IDENTITIES)),
+        extra=st.lists(st.integers(-2, 2), min_size=len(NONZERO), max_size=len(NONZERO)),
+    )
+    def test_agrees_with_sampler(self, coeffs, extra):
+        # rational-function combinations of the addition and double-angle laws
+        # are zero, and adding any nonzero piece is not; the 128-bit sampler
+        # is the independent oracle
+        f = ScalarExpr.zero(2)
+        for c, law in zip(coeffs, IDENTITIES):
+            f = f + c * law
+        for k, piece in zip(extra, NONZERO):
+            f = f + piece * k
+        exact = f.identically_zero()
+        assert exact == (not any(extra))
+        sampled = sampled_max_abs([f], 2, avoid=f.singular_forms())
+        assert sampled < 1e-30 if exact else sampled > 1e-20
+
+    def test_identities_need_the_addition_law(self):
+        for law in IDENTITIES:
+            assert not law.symbolically_zero()
+            assert zero_status(law).kind == "exact-zero"
+
+    def test_negative_controls(self):
+        law = addition_law(U, V)
+        cu, cv = coth(*U), coth(*V)
+        wrong_arg = coth(Q(1), Q(1, 2), Q(1, 3) - Q(1, 4) + Q(1, 1000)) * (cu + cv) - 1 - cu * cv
+        scaled = addition_law(U, V) + cu * cv * Q(1, 10**30)
+        for f in (law + Q(1, 10**20), wrong_arg, scaled):
+            status = zero_status(f, precision=128)
+            assert status.kind == "nonzero"
+            assert status.witness_point is not None and status.points_used == 20
+        # the tiny ones are below any tolerance the sampler could use
+        assert sampled_max_abs([scaled], 2, avoid=scaled.singular_forms()) < 1e-25
 
 
 class TestSampling:

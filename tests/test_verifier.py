@@ -10,7 +10,7 @@ import pytest
 
 import sdybe.tensor as tensor_mod
 import sdybe.verifier as verifier_mod
-from sdybe.rmatrix import RMatrixSpec, TwoForm, construct, shift_to_s
+from sdybe.rmatrix import RMatrixSpec, TwoForm, construct, functional_equation_residual, shift_to_s
 from sdybe.scalars import Poly, RationalFunction, ScalarExpr
 from sdybe.superalgebra import build_gl, build_sl, root_decomposition
 from sdybe.tensor import Tensor2, ad_action, cross_bracket, signed_permutation, super_twist
@@ -33,11 +33,12 @@ from sdybe.verifier import (
     zero_weight_residual,
 )
 
+from conftest import sampled_max_abs
 from test_tensor import _random_unitary_pieces, basis_tensor2, build_zero_weight_tensor
 
 Q = Fraction
 
-CFG64 = VerifyConfig(precision=64, tolerance=1e-12, points=20, seed=0)
+CFG64 = VerifyConfig(precision=64, points=20, seed=0)
 
 
 def full_spec(rd, eps=Q(0), nu=None, D=None, choice=None):
@@ -92,12 +93,29 @@ class TestCdybe:
         assert rep.status == "exact-zero"
 
     def test_coth_family_gl21_numeric(self, gl21):
+        # the cancellation needs the coth addition law; the sampler, as an
+        # oracle, confirms that the cells it decides vanish numerically too
         g, rd, om = gl21
         r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
-        _, rep = cdybe_residual(r, CFG64)
-        assert rep.status == "numeric-zero"
-        assert rep.max_abs < 1e-12
-        assert rep.points_used >= 20
+        lhs, rep = cdybe_residual(r, CFG64)
+        assert rep.status == "exact-zero"
+        survivors = [c for c in lhs.coeffs.values() if not c.symbolically_zero()]
+        assert survivors
+        assert sampled_max_abs(survivors, g.rank, avoid=lhs.singular_forms(), precision=64) < 1e-12
+
+    def test_perturbed_coth_cell_detected(self, gl21):
+        # one coth cell scaled by 1 + 10^-30: every sampled value stays below
+        # 1e-25, which a 128-bit sampled verdict would have passed, but the
+        # exact decision still rejects it
+        g, rd, om = gl21
+        r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
+        cell = next(k for k in sorted(r.coeffs) if r.coeffs[k].has_coth())
+        bumped = dict(r.coeffs)
+        bumped[cell] = bumped[cell] * (1 + Q(1, 10**30))
+        lhs, rep = cdybe_residual(Tensor2(g, bumped), VerifyConfig())
+        assert rep.status == "nonzero"
+        assert rep.witness is not None and tuple(rep.witness["indices"]) in lhs.coeffs
+        assert rep.max_abs < 1e-25
 
     def test_bare_term_fails_with_witness(self, sl2):
         g, rd, om = sl2
@@ -300,9 +318,13 @@ class TestOdeAndFunctionalChecks:
         g, rd, _ = gl21
         exact = functional_equation_check(full_spec(rd), rd, CFG64)
         assert exact.status == "exact-zero"
-        numeric = functional_equation_check(full_spec(rd, eps=Q(1)), rd, CFG64)
-        assert numeric.status == "numeric-zero"
-        assert numeric.max_abs < 1e-12
+        coupled = full_spec(rd, eps=Q(1))
+        assert functional_equation_check(coupled, rd, CFG64).status == "exact-zero"
+        residuals = [functional_equation_residual(i, j, coupled, rd) for i in range(len(rd)) for j in range(len(rd))]
+        survivors = [f for f in residuals if f is not None and not f.symbolically_zero()]
+        assert survivors
+        avoid = [p for f in survivors for p in f.singular_forms()]
+        assert sampled_max_abs(survivors, g.rank, avoid=avoid, precision=64) < 1e-12
 
 
 class TestLimits:
@@ -475,10 +497,10 @@ class TestComputeOnce:
         if kind == "bad-signs":
             assert not ok
             assert statuses["cdybe"] == statuses["mdybe"] == "nonzero"
-            assert statuses["lemma"] != "nonzero"  # both sides agree
+            assert statuses["lemma"] == "exact-zero"  # both sides agree
         else:
             assert ok
-            assert statuses["cdybe"] == ("exact-zero" if kind == "eps0" else "numeric-zero")
+            assert statuses["cdybe"] == statuses["mdybe"] == statuses["lemma"] == "exact-zero"
 
     def test_lemma_alone_still_builds_residuals_once(self, sl2, monkeypatch):
         g, rd, _ = sl2
@@ -495,6 +517,12 @@ class TestVerifyConfig:
         with pytest.raises(ValueError, match="points"):
             VerifyConfig(points=points)
 
+    @pytest.mark.parametrize("precision", [0, -3, 8, 53, 63])
+    def test_rejects_precision_below_64_bits(self, precision):
+        # below 64 bits the limits deviations round to 0 and pass vacuously
+        with pytest.raises(ValueError, match="precision"):
+            VerifyConfig(precision=precision)
+
 
 class TestRunChecks:
     def test_validation_short_circuits(self, gl21):
@@ -507,6 +535,19 @@ class TestRunChecks:
         assert not ok
         assert reports[0].name == "validate" and reports[0].status == "nonzero"
         assert not extras["validation"]["ok"]
+
+    def test_default_checks_skip_inapplicable_limits(self, gl21):
+        g, rd, _ = gl21
+        for spec in (full_spec(rd), full_spec(rd, eps=Q(1), nu=[Q(1, 2), 0, 0])):
+            assert not verifier_mod.limits_applicable(spec, rd)
+            ok, reports, _ = run_checks(g, rd, spec, cfg=CFG64)
+            assert ok and [rep.name for rep in reports] == [c for c in ALL_CHECKS if c != "limits"]
+            with pytest.raises(PreconditionError):
+                run_checks(g, rd, spec, checks=("limits",), cfg=CFG64)
+        applicable = full_spec(rd, eps=Q(1))
+        assert verifier_mod.limits_applicable(applicable, rd)
+        _, reports, _ = run_checks(g, rd, applicable, cfg=VerifyConfig(seed=1))
+        assert [rep.name for rep in reports] == list(ALL_CHECKS)
 
     def test_full_pass(self, sl2):
         g, rd, _ = sl2
