@@ -49,13 +49,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="reports")
     ap.add_argument("--precision", type=int, default=128)
-    ap.add_argument("--points", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = VerifyConfig(precision=args.precision, points=args.points, seed=args.seed)
+    cfg = VerifyConfig(precision=args.precision, seed=args.seed)
 
     failures = 0
     for alg_label, g in algebras():

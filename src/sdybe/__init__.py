@@ -18,8 +18,6 @@ from .scalars import (  # noqa: F401
     Poly,
     RationalFunction,
     ScalarExpr,
-    ZeroStatus,
-    zero_status,
 )
 from .superalgebra import (  # noqa: F401
     DegenerateFormError,

@@ -2,8 +2,10 @@
 
   sdybe algebra   --family {gl,sl} --m M --n N [--out PATH]
   sdybe construct --spec PATH [--at q1,q2,...] [--precision BITS] [--out PATH]
-  sdybe verify    --spec PATH [--checks LIST] [--precision BITS]
-                  [--points N] [--seed N] [--out PATH]
+  sdybe verify    --spec PATH [--checks LIST] [--precision BITS] [--seed N]
+                  [--out PATH]
+
+Both --precision options take at least 64 bits.
 
 Exit codes: 0 success / all selected checks pass, 1 check failure or pole,
 2 usage or spec errors.  Reports are JSON and are written even on failure;
@@ -29,7 +31,7 @@ from .superalgebra import (
     root_decomposition,
 )
 from .tensor import tensor_dump
-from .verifier import ALL_CHECKS, VerifyConfig, limits_applicable, run_checks
+from .verifier import ALL_CHECKS, MIN_PRECISION, VerifyConfig, limits_applicable, run_checks
 
 Q = Fraction
 
@@ -78,6 +80,9 @@ def cmd_algebra(args) -> int:
 def cmd_construct(args) -> int:
     from .rmatrix import ValidationError, construct
 
+    if args.precision < MIN_PRECISION:
+        print(f"error: precision must be at least {MIN_PRECISION} bits, got {args.precision}", file=sys.stderr)
+        return 2
     try:
         _, g, rd, spec, digest = _load_spec(args.spec)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, DegenerateFormError) as exc:
@@ -138,7 +143,7 @@ def cmd_verify(args) -> int:
         print("error: limits check needs eps != 0, X = all, nu = 0, D = 0", file=sys.stderr)
         return 2
     try:
-        cfg = VerifyConfig(precision=args.precision, points=args.points, seed=args.seed)
+        cfg = VerifyConfig(precision=args.precision, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -176,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_con = sub.add_parser("construct", help="assemble the r-matrix of a spec file")
     p_con.add_argument("--spec", required=True, help="path to a JSON r-matrix spec")
     p_con.add_argument("--at", help="evaluate at lambda = q1,q2,... (exact rationals)")
-    p_con.add_argument("--precision", type=int, default=64, help="mantissa bits for coth values (default 64)")
+    p_con.add_argument(
+        "--precision", type=int, default=64, help="mantissa bits for coth values, at least 64 (default 64)"
+    )
     p_con.add_argument("--out", help="write JSON here instead of stdout")
     p_con.set_defaults(func=cmd_construct)
 
@@ -188,12 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "--precision", type=int, default=128, help="mantissa bits for witnesses and limits, at least 64 (default 128)"
-    )
-    p_ver.add_argument(
-        "--points",
-        type=int,
-        default=20,
-        help="lattice points searched for the witness of a nonzero residual, at least 1 (default 20)",
     )
     p_ver.add_argument("--seed", type=int, default=0, help="seed for all lattice sampling (default 0)")
     p_ver.add_argument("--out", help="write the report here instead of stdout")

@@ -16,8 +16,9 @@ only by sign share an atom.
 Zero is decided exactly and completely (`ScalarExpr.identically_zero`): the
 coth addition law is applied by exponential substitution, which turns the
 expression into a polynomial in exponential variables over the
-rational-function field.  Seeded numeric sampling only locates the witness
-point of an expression that is not zero.
+rational-function field.  Seeded numeric sampling (`sample_points`,
+`largest_value`) only locates the witness of a nonzero residual for
+`verifier.decide_cells`, the one zero decision of every residual check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -864,26 +864,13 @@ def _mono_normal(m: AtomMono) -> AtomMono:
 
 
 # ---------------------------------------------------------------------------
-# zero decision
+# witness sampling
 
 
-@dataclass(frozen=True)
-class ZeroStatus:
-    """Outcome of a zero decision.
-
-    kind is 'exact-zero' or 'nonzero'; a nonzero status carries the sampled
-    point of largest |value| as its witness.
-    """
-
-    kind: str
-    max_abs: float | None = None
-    points_used: int = 0
-    witness_point: tuple | None = None
-    witness_value: float | None = None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "exact-zero"
+def singular_forms(exprs: Iterable[ScalarExpr]) -> list[Poly]:
+    """Denominator factors and coth arguments of all the expressions, each once."""
+    forms = {f.key(): f for e in exprs for f in e.singular_forms()}
+    return [forms[k] for k in sorted(forms)]
 
 
 def sample_points(
@@ -932,33 +919,6 @@ def largest_value(exprs: dict, points: Sequence, *, precision: int, margin: floa
                 max_abs = float(abs(v))
                 best = (key, pt, v)
     return best
-
-
-def zero_status(
-    f: ScalarExpr,
-    *,
-    points: int = 20,
-    precision: int = 64,
-    margin: float = 1e-6,
-    seed: int = 0,
-    lattice: int = 10,
-) -> ZeroStatus:
-    """Decide exactly whether f vanishes identically.
-
-    A nonzero f is evaluated at `points` seeded margin-respecting lattice
-    points, and the one of largest |value| is its witness.
-    """
-    if f.identically_zero():
-        return ZeroStatus("exact-zero")
-    pts = sample_points(f.nvars, points, seed=seed, avoid=f.singular_forms(), margin=margin, lattice=lattice)
-    _, pt, v = largest_value({None: f}, pts, precision=precision, margin=margin)
-    return ZeroStatus(
-        "nonzero",
-        max_abs=float(abs(v)),
-        points_used=len(pts),
-        witness_point=pt,
-        witness_value=float(v),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ScalarExpr, to_sexpr
+from .scalars import ScalarExpr, singular_forms, to_sexpr
 from .superalgebra import EVEN, LieSuperalgebra, Vector
 
 Q = Fraction
@@ -105,11 +105,7 @@ class _TensorBase:
         return {k: c.eval_numeric(point, precision=precision, margin=margin) for k, c in self.coeffs.items()}
 
     def singular_forms(self):
-        forms = {}
-        for c in self.coeffs.values():
-            for f in c.singular_forms():
-                forms[f.key()] = f
-        return [forms[k] for k in sorted(forms)]
+        return singular_forms(self.coeffs.values())
 
     def cells(self) -> list:
         return sorted(self.coeffs)

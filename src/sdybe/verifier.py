@@ -11,11 +11,12 @@ Checks:
   limits       the X = Delta coth family degenerates onto the two constant
                solutions along a dominant ray as t -> +-infinity
 
-Zero decision policy: every coefficient is decided exactly and completely
-(`ScalarExpr.identically_zero`, which applies the coth addition law), so a
-residual is exact-zero or nonzero.  A nonzero residual is evaluated at seeded
-margin-respecting lattice points only to give it a witness.  Only `limits`,
-a statement about values along a ray, is decided numerically (numeric-zero).
+Zero decision policy: every residual is a dict of cells, and `decide_cells`
+decides each cell exactly and completely (`ScalarExpr.identically_zero`,
+which applies the coth addition law), so a residual is exact-zero or nonzero.
+A nonzero residual is evaluated at seeded margin-respecting lattice points
+only to give it its witness {indices, point, value}.  Only `limits`, a
+statement about values along a ray, is decided numerically (numeric-zero).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rmatrix import RMatrixSpec, functional_equation_residual, ode_residual, shift_to_s, validate
-from .scalars import largest_value, sample_points, to_sexpr, zero_status
+from .scalars import largest_value, sample_points, singular_forms
 from .superalgebra import LieSuperalgebra, RootDatum, solve_linear
 from .tensor import (
     Tensor2,
@@ -46,47 +47,44 @@ class PreconditionError(ValueError):
     """A check was invoked on input that violates its stated precondition."""
 
 
+# the witness of a nonzero residual is searched at POINTS seeded points of
+# [-LATTICE, LATTICE]^rank at least MARGIN away from every singular form
+POINTS = 20
+MARGIN = 1e-6
+LATTICE = 10
+# the limits bound 1e-15 needs at least this many mantissa bits to be resolved
+MIN_PRECISION = 64
+
+
 @dataclass
 class VerifyConfig:
     """Numeric settings for witnesses and the limits check.
 
-    Residual verdicts are exact; the lattice points (fixed by the seed, so
-    reports are reproducible) only locate the witness of a nonzero residual,
-    and at least one is required so that every nonzero report has one.
-    precision feeds the witness values and `limits`, whose 1e-15 bound needs
-    at least 64 mantissa bits to be resolved.
+    Residual verdicts are exact; the seed fixes the lattice points that
+    locate the witness of a nonzero residual, so reports are reproducible.
+    precision feeds the witness values and `limits`.
     """
 
     precision: int = 128
-    points: int = 20
     seed: int = 0
-    margin: float = 1e-6
-    lattice: int = 10
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ValueError(f"points must be at least 1, got {self.points}")
-        if self.precision < 64:
-            raise ValueError(f"precision must be at least 64 bits, got {self.precision}")
+        if self.precision < MIN_PRECISION:
+            raise ValueError(f"precision must be at least {MIN_PRECISION} bits, got {self.precision}")
 
     def as_dict(self) -> dict:
-        return {
-            "precision_bits": self.precision,
-            "points": self.points,
-            "seed": self.seed,
-            "margin": self.margin,
-            "lattice": self.lattice,
-        }
+        return {"precision_bits": self.precision, "seed": self.seed}
 
 
 @dataclass
 class ResidualReport:
     """Outcome of one residual check.
 
-    status 'exact-zero' is a symbolic proof; 'nonzero' carries a witness
-    {indices, point, value} (max_abs records its |value|) or a symbolic
-    witness.  'numeric-zero' comes only from `limits`: every deviation
-    stayed below its bound `tolerance` (max_abs records the last one).
+    status 'exact-zero' is a symbolic proof.  A nonzero residual carries the
+    witness {indices, point, value} of `decide_cells` (max_abs records its
+    |value|); validate, lemma and limits carry their own.  'numeric-zero'
+    comes only from `limits`: every deviation stayed below its bound
+    `tolerance` (max_abs records the last one).
     """
 
     name: str
@@ -117,20 +115,22 @@ class ResidualReport:
         return out
 
 
-def decide_tensor_zero(t: Tensor2 | Tensor3, name: str, cfg: VerifyConfig) -> ResidualReport:
-    """Exact zero decision for every coefficient of a tensor.
+def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None) -> ResidualReport:
+    """Exact zero decision for every cell of a residual.
 
-    A nonzero tensor gets a witness: its nonzero cells are evaluated at the
-    seeded lattice points, and the cell and point of largest |value| win.
+    A nonzero residual gets a witness: its nonzero cells are evaluated at the
+    seeded lattice points, which avoid the singular forms of every cell, and
+    the cell and point of largest |value| win.
     """
+    cfg = cfg or VerifyConfig()
     start = time.monotonic()
-    nonzero = {k: c for k, c in t.coeffs.items() if not c.identically_zero()}
+    nonzero = {k: c for k, c in cells.items() if not c.identically_zero()}
     if not nonzero:
         return ResidualReport(name=name, status="exact-zero", seconds=time.monotonic() - start)
-    pts = sample_points(
-        t.g.rank, cfg.points, seed=cfg.seed, avoid=t.singular_forms(), margin=cfg.margin, lattice=cfg.lattice
-    )
-    key, pt, v = largest_value(nonzero, pts, precision=cfg.precision, margin=cfg.margin)
+    nvars = next(iter(nonzero.values())).nvars
+    avoid = singular_forms(cells.values())
+    pts = sample_points(nvars, POINTS, seed=cfg.seed, avoid=avoid, margin=MARGIN, lattice=LATTICE)
+    key, pt, v = largest_value(nonzero, pts, precision=cfg.precision, margin=MARGIN)
     return ResidualReport(
         name=name,
         status="nonzero",
@@ -141,17 +141,9 @@ def decide_tensor_zero(t: Tensor2 | Tensor3, name: str, cfg: VerifyConfig) -> Re
     )
 
 
-def _decide_exact(t: Tensor2 | Tensor3, name: str, start: float) -> ResidualReport:
-    """Exact decision with the first nonzero cell as a symbolic witness."""
-    key = min((k for k, c in t.coeffs.items() if not c.identically_zero()), default=None)
-    if key is None:
-        return ResidualReport(name=name, status="exact-zero", seconds=time.monotonic() - start)
-    return ResidualReport(
-        name=name,
-        status="nonzero",
-        witness={"indices": list(key), "coefficient": to_sexpr(t.coeffs[key])},
-        seconds=time.monotonic() - start,
-    )
+def decide_tensor_zero(t: Tensor2 | Tensor3, name: str, cfg: VerifyConfig | None = None) -> ResidualReport:
+    """`decide_cells` on the cells of a tensor."""
+    return decide_cells(t.coeffs, name, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -175,35 +167,21 @@ def cdybe_lhs(r: Tensor2) -> Tensor3:
 
 
 def cdybe_residual(r: Tensor2, cfg: VerifyConfig | None = None) -> tuple[Tensor3, ResidualReport]:
-    cfg = cfg or VerifyConfig()
     lhs = cdybe_lhs(r)
     return lhs, decide_tensor_zero(lhs, "cdybe", cfg)
 
 
-def unitarity_residual(r: Tensor2, eps, omega: Tensor2) -> tuple[Tensor2, ResidualReport]:
-    start = time.monotonic()
+def unitarity_residual(
+    r: Tensor2, eps, omega: Tensor2, cfg: VerifyConfig | None = None
+) -> tuple[Tensor2, ResidualReport]:
     res = r + super_twist(r) - omega.scale(Q(eps))
-    return res, _decide_exact(res, "unitarity", start)
+    return res, decide_tensor_zero(res, "unitarity", cfg)
 
 
-def zero_weight_residual(r: Tensor2 | Tensor3) -> ResidualReport:
-    start = time.monotonic()
-    g = r.g
-    for c in g.cartan:
-        res = ad_action({c: Q(1)}, r)
-        if not res.is_zero():
-            key = min(res.coeffs)
-            return ResidualReport(
-                name="zero-weight",
-                status="nonzero",
-                witness={
-                    "cartan_vector": g.basis_names[c],
-                    "indices": list(key),
-                    "coefficient": to_sexpr(res.coeffs[key]),
-                },
-                seconds=time.monotonic() - start,
-            )
-    return ResidualReport(name="zero-weight", status="exact-zero", seconds=time.monotonic() - start)
+def zero_weight_residual(r: Tensor2 | Tensor3, cfg: VerifyConfig | None = None) -> ResidualReport:
+    """[x (x) 1 + 1 (x) x, r] for every Cartan basis vector x, keyed (x, *cell)."""
+    cells = {(c, *k): v for c in r.g.cartan for k, v in ad_action({c: Q(1)}, r).coeffs.items()}
+    return decide_cells(cells, "zero-weight", cfg)
 
 
 def mdybe_lhs(s: Tensor2, eps, omega: Tensor2) -> Tensor3:
@@ -212,7 +190,6 @@ def mdybe_lhs(s: Tensor2, eps, omega: Tensor2) -> Tensor3:
 
 
 def mdybe_residual(s: Tensor2, eps, omega: Tensor2, cfg: VerifyConfig | None = None) -> tuple[Tensor3, ResidualReport]:
-    cfg = cfg or VerifyConfig()
     lhs = mdybe_lhs(s, eps, omega)
     return lhs, decide_tensor_zero(lhs, "mdybe", cfg)
 
@@ -235,16 +212,14 @@ def lemma_consistency_check(
     already built, so only the cross bracket is new work here; whatever is
     not passed in is computed.
     """
-    cfg = cfg or VerifyConfig()
     start = time.monotonic()
-    unit = unitarity if unitarity is not None else unitarity_residual(r, eps, omega)[1]
+    unit = unitarity if unitarity is not None else unitarity_residual(r, eps, omega, cfg)[1]
     if not unit.is_zero:
         raise PreconditionError("lemma check requires generalized unitarity")
     s = s if s is not None else shift_to_s(r, eps, omega)
     cd = cdybe if cdybe is not None else cdybe_residual(r, cfg)[1]
     md = mdybe if mdybe is not None else mdybe_residual(s, eps, omega, cfg)[1]
-    cross = cross_bracket(s, omega)
-    cross_rep = _decide_exact(cross, "lemma-cross-bracket", time.monotonic())
+    cross_rep = decide_tensor_zero(cross_bracket(s, omega), "lemma-cross-bracket", cfg)
     consistent = cd.is_zero == md.is_zero
     ok = consistent and cross_rep.status == "exact-zero"
     return ResidualReport(
@@ -266,59 +241,29 @@ def lemma_consistency_check(
 
 
 def ode_check(spec: RMatrixSpec, rd: RootDatum, cfg: VerifyConfig | None = None) -> ResidualReport:
-    """d(phi_a) + A_a (phi_a^2 - eps^2/4) d(h_a) = 0 for every root, exactly."""
-    start = time.monotonic()
+    """d(phi_a) + A_a (phi_a^2 - eps^2/4) d(h_a) = 0 for every root, exactly.
+
+    Cells are keyed (root index, coordinate).
+    """
     indices = range(len(rd)) if spec.epsilon != 0 else sorted(spec.X)
-    for i in indices:
-        for j, res in enumerate(ode_residual(i, spec, rd)):
-            if not res.identically_zero():
-                return ResidualReport(
-                    name="phi-ode",
-                    status="nonzero",
-                    witness={
-                        "root": [str(c) for c in rd.roots[i].functional],
-                        "coordinate": j,
-                        "residual": to_sexpr(res),
-                    },
-                    seconds=time.monotonic() - start,
-                )
-    return ResidualReport(name="phi-ode", status="exact-zero", seconds=time.monotonic() - start)
+    cells = {(i, j): res for i in indices for j, res in enumerate(ode_residual(i, spec, rd))}
+    return decide_cells(cells, "phi-ode", cfg)
 
 
 def functional_equation_check(
     spec: RMatrixSpec, rd: RootDatum, cfg: VerifyConfig | None = None
 ) -> ResidualReport:
-    """The pairwise phi relation over every root pair with a + b a root, exactly."""
-    cfg = cfg or VerifyConfig()
-    start = time.monotonic()
+    """The pairwise phi relation over every root pair with a + b a root, exactly.
+
+    Cells are keyed (alpha index, beta index).
+    """
+    cells = {}
     for i in range(len(rd)):
         for j in range(len(rd)):
             res = functional_equation_residual(i, j, spec, rd)
-            if res is None:
-                continue
-            status = zero_status(
-                res,
-                points=cfg.points,
-                precision=cfg.precision,
-                margin=cfg.margin,
-                seed=cfg.seed,
-                lattice=cfg.lattice,
-            )
-            if status.kind == "nonzero":
-                return ResidualReport(
-                    name="functional-equation",
-                    status="nonzero",
-                    max_abs=status.max_abs,
-                                points_used=status.points_used,
-                    witness={
-                        "alpha": [str(c) for c in rd.roots[i].functional],
-                        "beta": [str(c) for c in rd.roots[j].functional],
-                        "point": list(status.witness_point),
-                        "value": status.witness_value,
-                    },
-                    seconds=time.monotonic() - start,
-                )
-    return ResidualReport(name="functional-equation", status="exact-zero", seconds=time.monotonic() - start)
+            if res is not None:
+                cells[(i, j)] = res
+    return decide_cells(cells, "functional-equation", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +340,7 @@ def limit_behavior_check(
         }
         for t in scales:
             pt = tuple(direction * t * x for x in v)
-            vals = r.evaluate(pt, precision=cfg.precision, margin=cfg.margin)
+            vals = r.evaluate(pt, precision=cfg.precision, margin=MARGIN)
             keys = set(vals) | set(target_vals)
             dev = 0.0
             for k in keys:
@@ -447,7 +392,6 @@ def run_checks(
     from .rmatrix import construct
     from .superalgebra import casimir
 
-    cfg = cfg or VerifyConfig()
     if checks is None:
         checks = tuple(c for c in ALL_CHECKS if c != "limits" or limits_applicable(spec, rd))
     reports: list[ResidualReport] = []
@@ -473,14 +417,14 @@ def run_checks(
         lemma = "lemma" in checks
         omega = casimir(g, rd)
         r = construct(spec, g, rd, omega=omega)
-        unit = unitarity_residual(r, eps, omega)[1] if lemma or "unitarity" in checks else None
+        unit = unitarity_residual(r, eps, omega, cfg)[1] if lemma or "unitarity" in checks else None
         cd = cdybe_residual(r, cfg)[1] if lemma or "cdybe" in checks else None
         s = shift_to_s(r, eps, omega) if lemma or "mdybe" in checks else None
         md = mdybe_residual(s, eps, omega, cfg)[1] if s is not None else None
         if "unitarity" in checks:
             reports.append(unit)
         if "zero-weight" in checks:
-            reports.append(zero_weight_residual(r))
+            reports.append(zero_weight_residual(r, cfg))
         if "cdybe" in checks:
             reports.append(cd)
         if "mdybe" in checks:

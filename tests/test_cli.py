@@ -79,13 +79,6 @@ class TestVerifyCommand:
         spec = write_spec(tmp_path, "t1.json", t1_sl2())
         assert main(["verify", "--spec", spec, "--checks", "nonsense"]) == 2
 
-    def test_fewer_than_one_point_exits_2(self, tmp_path, capsys):
-        # with no sample points a surviving residual would pass vacuously
-        spec = write_spec(tmp_path, "t2.json", t2_sl2())
-        for points in ("0", "-1"):
-            assert main(["verify", "--spec", spec, "--points", points]) == 2
-            assert "points" in capsys.readouterr().err
-
     def test_precision_below_64_bits_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "t2.json", t2_sl2())
         for precision in ("0", "-3", "8", "53"):
@@ -104,6 +97,7 @@ class TestVerifyCommand:
             out = tmp_path / name
             assert main(["verify", "--spec", spec, "--seed", "5", "--precision", "64", "--out", str(out)]) == 0
             doc = json.loads(out.read_text())
+            assert doc["config"] == {"precision_bits": 64, "seed": 5}
             for check in doc["checks"]:
                 check.pop("seconds")
             outs.append(json.dumps(doc, sort_keys=True))
@@ -135,6 +129,16 @@ class TestConstructCommand:
     def test_wrong_at_length_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, "t1.json", t1_sl2())
         assert main(["construct", "--spec", spec, "--at", "1,2"]) == 2
+
+    def test_precision_below_64_bits_exits_2(self, tmp_path, capsys):
+        # at 8 bits every coth cell printed as 1.0 or 0.0, with exit 0
+        spec = write_spec(tmp_path, "t2.json", t2_sl2())
+        for precision in ("0", "-3", "8", "63"):
+            assert main(["construct", "--spec", spec, "--at", "3", "--precision", precision]) == 2
+            assert "precision" in capsys.readouterr().err
+        assert main(["construct", "--spec", spec, "--at", "3", "--precision", "64"]) == 0
+        values = [v["value"] for v in json.loads(capsys.readouterr().out)["values"]]
+        assert 1.0024849116568446 in values
 
 
 class TestRoundTrip:

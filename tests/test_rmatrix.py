@@ -23,7 +23,7 @@ from sdybe.rmatrix import (
     spec_to_json,
     validate,
 )
-from sdybe.scalars import Poly, RationalFunction, ScalarExpr, zero_status
+from sdybe.scalars import Poly, RationalFunction, ScalarExpr
 from sdybe.tensor import Tensor2, super_twist, yb_bracket
 
 from conftest import sampled_max_abs
@@ -309,8 +309,7 @@ class TestCoefficientIdentities:
                 res = functional_equation_residual(i, j, spec, rd)
                 if res is None or res.symbolically_zero():
                     continue
-                status = zero_status(res, points=20, precision=64, seed=2)
-                assert status.kind == "exact-zero"
+                assert res.identically_zero()
                 assert sampled_max_abs([res], 3, avoid=res.singular_forms(), precision=64, seed=2) < 1e-12
 
     def _count_violated_pairs(self, rd, choice):
@@ -321,7 +320,7 @@ class TestCoefficientIdentities:
                 res = functional_equation_residual(i, j, spec, rd)
                 if res is None:
                     continue
-                if not res.symbolically_zero() and zero_status(res, seed=1).kind == "nonzero":
+                if not res.identically_zero():
                     bad += 1
         return bad
 

@@ -20,8 +20,8 @@ from sdybe.scalars import (
     poly_to_str,
     sample_points,
     to_sexpr,
-    zero_status,
 )
+from sdybe.verifier import VerifyConfig, decide_cells
 
 from conftest import sampled_max_abs
 
@@ -143,11 +143,11 @@ class TestEvaluation:
 class TestZeroDecision:
     def test_exact_cancellation(self):
         f = inv_linear([Q(1)])
-        assert zero_status(f - f).kind == "exact-zero"
+        assert (f - f).identically_zero()
 
     def test_atom_square_cancellation(self):
         c = ScalarExpr.coth([Q(1)])
-        assert zero_status(c * c - c * c).kind == "exact-zero"
+        assert (c * c - c * c).identically_zero()
 
     def test_addition_law_needs_numerics(self):
         # atoms as indeterminates do not cancel; the exact decision applies
@@ -157,16 +157,15 @@ class TestZeroDecision:
         cab = ScalarExpr.coth([Q(1), Q(1)])
         f = cab * (ca + cb) - (ScalarExpr.const(2, 1) + ca * cb)
         assert not f.symbolically_zero()
-        status = zero_status(f, points=20)
-        assert status.kind == "exact-zero"
+        assert f.identically_zero()
         assert sampled_max_abs([f], 2, avoid=f.singular_forms(), precision=64) < 1e-12
 
     def test_nonzero_has_witness(self):
         f = ScalarExpr.coth([Q(1)]) - 1
-        status = zero_status(f)
-        assert status.kind == "nonzero"
-        assert status.witness_point is not None
-        assert abs(status.witness_value) > 1e-12
+        rep = decide_cells({(0,): f}, "f", VerifyConfig(precision=64))
+        assert rep.status == "nonzero"
+        assert rep.witness["point"] is not None
+        assert abs(rep.witness["value"]) > 1e-12
 
 
 def coth(c0, c1, const=0) -> ScalarExpr:
@@ -227,7 +226,7 @@ class TestExactDecider:
     def test_identities_need_the_addition_law(self):
         for law in IDENTITIES:
             assert not law.symbolically_zero()
-            assert zero_status(law).kind == "exact-zero"
+            assert law.identically_zero()
 
     def test_negative_controls(self):
         law = addition_law(U, V)
@@ -235,9 +234,9 @@ class TestExactDecider:
         wrong_arg = coth(Q(1), Q(1, 2), Q(1, 3) - Q(1, 4) + Q(1, 1000)) * (cu + cv) - 1 - cu * cv
         scaled = addition_law(U, V) + cu * cv * Q(1, 10**30)
         for f in (law + Q(1, 10**20), wrong_arg, scaled):
-            status = zero_status(f, precision=128)
-            assert status.kind == "nonzero"
-            assert status.witness_point is not None and status.points_used == 20
+            rep = decide_cells({(0,): f}, "f", VerifyConfig(precision=128))
+            assert rep.status == "nonzero"
+            assert rep.witness["point"] is not None and rep.points_used == 20
         # the tiny ones are below any tolerance the sampler could use
         assert sampled_max_abs([scaled], 2, avoid=scaled.singular_forms()) < 1e-25
 

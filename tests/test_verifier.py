@@ -10,7 +10,14 @@ import pytest
 
 import sdybe.tensor as tensor_mod
 import sdybe.verifier as verifier_mod
-from sdybe.rmatrix import RMatrixSpec, TwoForm, construct, functional_equation_residual, shift_to_s
+from sdybe.rmatrix import (
+    RMatrixSpec,
+    TwoForm,
+    construct,
+    functional_equation_residual,
+    ode_residual,
+    shift_to_s,
+)
 from sdybe.scalars import Poly, RationalFunction, ScalarExpr
 from sdybe.superalgebra import build_gl, build_sl, root_decomposition
 from sdybe.tensor import Tensor2, ad_action, cross_bracket, signed_permutation, super_twist
@@ -38,7 +45,7 @@ from test_tensor import _random_unitary_pieces, basis_tensor2, build_zero_weight
 
 Q = Fraction
 
-CFG64 = VerifyConfig(precision=64, points=20, seed=0)
+CFG64 = VerifyConfig(precision=64, seed=0)
 
 
 def full_spec(rd, eps=Q(0), nu=None, D=None, choice=None):
@@ -197,7 +204,27 @@ class TestZeroWeight:
         e = g.basis_names.index("E12")
         rep = zero_weight_residual(basis_tensor2(g, e, e))
         assert rep.status == "nonzero"
-        assert rep.witness["cartan_vector"] == "H1"
+        assert g.basis_names[rep.witness["indices"][0]] == "H1"
+
+    def test_addition_law_cell_is_zero_weight(self, sl3):
+        # E12 (x) E12 carries the coth addition law, which is zero although
+        # its atoms do not cancel as indeterminates; the residual of every
+        # Cartan vector is a multiple of it
+        g, rd, _ = sl3
+        e = g.basis_names.index("E12")
+        law = _addition_law_sl3()
+        assert not law.symbolically_zero()
+        assert zero_weight_residual(Tensor2(g, {(e, e): law})).status == "exact-zero"
+        rep = zero_weight_residual(Tensor2(g, {(e, e): law + Q(1, 10**20)}))
+        assert rep.status == "nonzero"
+        assert rep.witness["indices"][0] in g.cartan
+        assert tuple(rep.witness["indices"][1:]) == (e, e)
+
+
+def _addition_law_sl3() -> ScalarExpr:
+    """coth(x0 + x1)(coth x0 + coth x1) - (coth x0 coth x1 + 1), zero."""
+    c0, c1, c01 = (ScalarExpr.coth([Q(a), Q(b)]) for a, b in ((1, 0), (0, 1), (1, 1)))
+    return c01 * (c0 + c1) - (c0 * c1 + 1)
 
 
 class TestMdybe:
@@ -325,6 +352,90 @@ class TestOdeAndFunctionalChecks:
         assert survivors
         avoid = [p for f in survivors for p in f.singular_forms()]
         assert sampled_max_abs(survivors, g.rank, avoid=avoid, precision=64) < 1e-12
+
+
+def _assert_witness(rep: dict, cell_at):
+    """The one witness shape: a nonzero cell, a point and its value there."""
+    assert rep["status"] == "nonzero"
+    w = rep["witness"]
+    assert set(w) == {"indices", "point", "value"}
+    assert rep["points_used"] == 20 and rep["max_abs"] == abs(w["value"])
+    cell = cell_at(tuple(w["indices"]))
+    assert not cell.identically_zero()
+    assert float(cell.eval_numeric(w["point"], precision=128)) == w["value"]
+
+
+class TestSingleWitness:
+    """Every residual check reports a nonzero residual through one decision."""
+
+    CFG = VerifyConfig(precision=128, seed=3)
+
+    @staticmethod
+    def _doubled_coth_cell(gl21):
+        g, rd, om = gl21
+        r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
+        cell = next(k for k in sorted(r.coeffs) if r.coeffs[k].has_coth())
+        bumped = dict(r.coeffs)
+        bumped[cell] = bumped[cell] * 2
+        return Tensor2(g, bumped)
+
+    def test_unitarity(self, gl21):
+        g, rd, om = gl21
+        res, rep = unitarity_residual(self._doubled_coth_cell(gl21), 1, om, self.CFG)
+        _assert_witness(rep.as_dict(), res.coeffs.__getitem__)
+
+    def test_zero_weight(self, sl3):
+        g, rd, _ = sl3
+        e = g.basis_names.index("E12")
+        r = Tensor2(g, {(e, e): ScalarExpr.coth([Q(1), Q(0)])})
+        rep = zero_weight_residual(r, self.CFG)
+        _assert_witness(rep.as_dict(), lambda k: ad_action({k[0]: Q(1)}, r).coeffs[k[1:]])
+
+    def test_cdybe(self, gl21):
+        lhs, rep = cdybe_residual(self._doubled_coth_cell(gl21), self.CFG)
+        _assert_witness(rep.as_dict(), lhs.coeffs.__getitem__)
+
+    def test_mdybe(self, gl21):
+        g, rd, om = gl21
+        s = shift_to_s(self._doubled_coth_cell(gl21), 1, om)
+        lhs, rep = mdybe_residual(s, 1, om, self.CFG)
+        _assert_witness(rep.as_dict(), lhs.coeffs.__getitem__)
+
+    def test_lemma_cross_bracket(self, sl3):
+        # a unitary r passes the precondition; the s handed in is not skew
+        g, rd, om = sl3
+        r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
+        e12, e13 = g.basis_names.index("E12"), g.basis_names.index("E13")
+        s = Tensor2(g, {(e12, e13): ScalarExpr.coth([Q(1), Q(0)])})
+        rep = lemma_consistency_check(r, 1, om, self.CFG, s=s)
+        assert rep.status == "nonzero" and rep.details["cross_bracket_status"] == "nonzero"
+        _assert_witness(rep.witness["cross"], cross_bracket(s, om).coeffs.__getitem__)
+
+    def test_phi_ode(self, gl21):
+        # a constant branch of sign 2 squares to eps^2, not eps^2/4
+        g, rd, _ = gl21
+        spec = RMatrixSpec(
+            X=frozenset(), nu=[0, 0, 0], D=TwoForm.zero(3), epsilon=1,
+            sign_choice={i: 2 for i in rd.positive_indices()},
+        )
+        rep = ode_check(spec, rd, self.CFG)
+        _assert_witness(rep.as_dict(), lambda k: ode_residual(k[0], spec, rd)[k[1]])
+
+    def test_functional_equation(self, gl21):
+        # X = {+-gamma1} pairs a coth branch with constant ones that do not fit
+        g, rd, _ = gl21
+        pos = rd.positive_indices()
+        # gamma1 = theta + gamma2, the odd positive root that is a sum
+        gamma1 = next(
+            i for i in pos if rd.roots[i].parity == 1 and any(rd.add_index(j, k) == i for j in pos for k in pos)
+        )
+        spec = RMatrixSpec(
+            X=frozenset({gamma1, rd.neg[gamma1]}), nu=[0, 0, 0], D=TwoForm.zero(3), epsilon=1,
+            sign_choice={i: 1 for i in pos if i != gamma1},
+        )
+        rep = functional_equation_check(spec, rd, self.CFG)
+        _assert_witness(rep.as_dict(), lambda k: functional_equation_residual(k[0], k[1], spec, rd))
+        assert functional_equation_residual(*rep.witness["indices"], spec, rd).has_coth()
 
 
 class TestLimits:
@@ -477,14 +588,15 @@ class TestComputeOnce:
         yb = _count_calls(monkeypatch, "yb_bracket")
         decide = _count_calls(monkeypatch, "decide_tensor_zero")
         ok, reports, _ = run_checks(g, rd, spec, checks=self.CHECKS, cfg=CFG64)
-        assert (len(yb), len(decide)) == (3, 2)
+        # unitarity, cdybe, mdybe and the cross bracket, each decided once
+        assert (len(yb), len(decide)) == (3, 4)
         monkeypatch.undo()
 
         r = construct(spec, g, rd, omega=om)
         s = shift_to_s(r, spec.epsilon, om)
         standalone = [
-            unitarity_residual(r, spec.epsilon, om)[1],
-            zero_weight_residual(r),
+            unitarity_residual(r, spec.epsilon, om, CFG64)[1],
+            zero_weight_residual(r, CFG64),
             cdybe_residual(r, CFG64)[1],
             mdybe_residual(s, spec.epsilon, om, CFG64)[1],
             lemma_consistency_check(r, spec.epsilon, om, CFG64),
@@ -508,15 +620,10 @@ class TestComputeOnce:
         decide = _count_calls(monkeypatch, "decide_tensor_zero")
         ok, reports, _ = run_checks(g, rd, full_spec(rd, eps=Q(1)), checks=("lemma",), cfg=CFG64)
         assert ok and [rep.name for rep in reports] == ["lemma"]
-        assert (len(yb), len(decide)) == (3, 2)
+        assert (len(yb), len(decide)) == (3, 4)
 
 
 class TestVerifyConfig:
-    @pytest.mark.parametrize("points", [0, -3])
-    def test_rejects_fewer_than_one_point(self, points):
-        with pytest.raises(ValueError, match="points"):
-            VerifyConfig(points=points)
-
     @pytest.mark.parametrize("precision", [0, -3, 8, 53, 63])
     def test_rejects_precision_below_64_bits(self, precision):
         # below 64 bits the limits deviations round to 0 and pass vacuously
