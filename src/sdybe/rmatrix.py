@@ -367,42 +367,69 @@ def spec_to_json(spec: RMatrixSpec, g: LieSuperalgebra) -> dict:
     }
 
 
-def _parse_d_entry(entry: dict, n: int) -> RationalFunction:
+# what a malformed field value raises while it is parsed: bad rationals and
+# polynomials, zero denominators, coth in D, out-of-range indices, wrong types
+_BAD_FIELD = (ArithmeticError, LookupError, TypeError, ValueError)
+
+
+def _parse_field(name: str, parse, *args):
+    """parse(*args), reporting any malformed value as a ValueError naming the field."""
+    try:
+        return parse(*args)
+    except _BAD_FIELD as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
+def _parse_x(value, count: int) -> frozenset:
+    if value == "all":
+        return frozenset(range(count))
+    if value == "none":
+        return frozenset()
+    return frozenset(int(i) for i in value)
+
+
+def _parse_d_entry(entry: dict, n: int) -> tuple[int, int, RationalFunction]:
+    i, j = int(entry["i"]), int(entry["j"])
     if "ratfun" in entry:
         expr = from_sexpr(entry["ratfun"], n)
-        return expr.as_ratfun()  # raises NotRationalError on coth atoms
+        return i, j, expr.as_ratfun()  # raises NotRationalError on coth atoms
     num = poly_from_str(entry["num"], n)
     den = poly_from_str(entry.get("den", "1"), n)
     if den.is_zero():
-        raise ZeroDivisionError("D entry has zero denominator")
-    return RationalFunction(num, [(den, 1)])
+        raise ZeroDivisionError("zero denominator")
+    return i, j, RationalFunction(num, [(den, 1)])
+
+
+def _parse_d(entries: list, n: int) -> TwoForm:
+    if not isinstance(entries, list):
+        raise ValueError("D: expected a list of entries")
+    upper: dict = {}
+    for k, entry in enumerate(entries):
+        i, j, rf = _parse_field(f"D entry {k}", _parse_d_entry, entry, n)
+        if (i, j) in upper or (j, i) in upper:
+            raise ValueError(f"duplicate D entry ({i},{j})")
+        upper[(i, j)] = rf
+    return _parse_field("D", TwoForm, n, upper)
+
+
+def _parse_signs(choices: dict) -> dict:
+    if not isinstance(choices, dict):
+        raise TypeError("expected an object mapping root indices to '+' or '-'")
+    out = {}
+    for k, v in choices.items():
+        if v not in ("+", "-", 1, -1, "+1", "-1"):
+            raise ValueError(f"sign choice for root {k} must be '+' or '-'")
+        out[int(k)] = 1 if v in ("+", 1, "+1") else -1
+    return out
 
 
 def spec_from_json(doc: dict, g: LieSuperalgebra, rd: RootDatum) -> RMatrixSpec:
+    """The spec a JSON document describes; a malformed field raises ValueError naming it."""
     n = g.rank
-    x_field = doc.get("X", "none")
-    if x_field == "all":
-        X = frozenset(range(len(rd)))
-    elif x_field == "none":
-        X = frozenset()
-    else:
-        X = frozenset(int(i) for i in x_field)
-    nu = tuple(Q(v) for v in doc.get("nu", ["0"] * n))
-    upper: dict = {}
-    for entry in doc.get("D", []):
-        i, j = int(entry["i"]), int(entry["j"])
-        if (i, j) in upper or (j, i) in upper:
-            raise ValueError(f"duplicate D entry ({i},{j})")
-        upper[(i, j)] = _parse_d_entry(entry, n)
-    sign_choice = {}
-    for k, v in doc.get("sign_choice", {}).items():
-        if v not in ("+", "-", 1, -1, "+1", "-1"):
-            raise ValueError(f"sign choice for root {k} must be '+' or '-'")
-        sign_choice[int(k)] = 1 if v in ("+", 1, "+1") else -1
     return RMatrixSpec(
-        X=X,
-        nu=nu,
-        D=TwoForm(n, upper),
-        epsilon=Q(doc.get("epsilon", "0")),
-        sign_choice=sign_choice,
+        X=_parse_field("X", _parse_x, doc.get("X", "none"), len(rd)),
+        nu=_parse_field("nu", lambda v: tuple(Q(c) for c in v), doc.get("nu", ["0"] * n)),
+        D=_parse_d(doc.get("D", []), n),
+        epsilon=_parse_field("epsilon", Q, doc.get("epsilon", "0")),
+        sign_choice=_parse_field("sign_choice", _parse_signs, doc.get("sign_choice", {})),
     )

@@ -2,16 +2,27 @@
 
 Coefficients are functions of N linear coordinates x0..x{N-1}.  Three layers:
 
-  Poly              sparse multivariate polynomial over Fraction
-                    ({exponent tuple: coefficient}, graded-lex monomial order)
+  Poly              sparse multivariate polynomial over Q
+                    ({exponent tuple: coefficient}, graded-lex monomial order);
+                    an integral coefficient is stored as int, any other as
+                    Fraction, so most arithmetic stays on ints
   RationalFunction  numerator Poly over a product of monic denominator factors;
                     reduced by exact division so num/den share no stored factor
   ScalarExpr        polynomial in coth atoms with RationalFunction coefficients
 
+Every denominator factor is interned: made monic once, given an integer id
+from a process-wide table keyed by its canonical form, and its key cached on
+the Poly.  Denominators merge by id, and a factor already in a denominator is
+never normalised again.
+
 A coth atom is coth(u) for an affine-linear form u with rational coefficients.
 Atoms are sign-canonicalized (first nonzero coefficient of (u_0..u_{N-1}, const)
 made positive via coth(-u) = -coth(u)), so expressions whose arguments differ
-only by sign share an atom.
+only by sign share an atom.  An atom is an int id into a process-wide table
+that holds the canonical Fraction tuple and the form as a Poly.  Ids follow
+the order in which a process first met each form, so all output (s-expression
+term and factor order) and every numeric product follows the Fraction tuples,
+never the ids.  Both tables take new entries under a lock.
 
 Zero is decided exactly and completely (`ScalarExpr.identically_zero`): the
 coth addition law is applied by exponential substitution, which turns the
@@ -70,19 +81,40 @@ def _grlex(mono: Mono):
     return (sum(mono), mono)
 
 
+def _coeff(value):
+    """A coefficient in stored form: int when integral, else Fraction."""
+    if value.__class__ is int:
+        return value
+    value = Q(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _integral(terms: dict) -> dict:
+    """terms with every integral Fraction coefficient replaced by its numerator (in place)."""
+    for m, c in terms.items():
+        if c.__class__ is not int and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
 
 class Poly:
-    """Sparse multivariate polynomial over Fraction."""
+    """Sparse multivariate polynomial over Q; coefficients are int or Fraction.
 
-    __slots__ = ("nvars", "terms")
+    `_key` caches the canonical form; `_fid` is the interned factor id, set
+    only once the polynomial is a monic denominator factor.
+    """
+
+    __slots__ = ("nvars", "terms", "_key", "_fid")
 
     def __init__(self, nvars: int, terms: dict | None = None, _prune: bool = True):
         self.nvars = nvars
+        self._key = self._fid = None
         if terms and _prune:
-            self.terms = {m: Q(c) for m, c in terms.items() if c != 0}
+            self.terms = {m: _coeff(c) for m, c in terms.items() if c != 0}
         else:
             self.terms = terms or {}
 
@@ -94,7 +126,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, value) -> Poly:
-        value = Q(value)
+        value = _coeff(value)
         if value == 0:
             return cls.zero(nvars)
         return cls(nvars, {(0,) * nvars: value}, _prune=False)
@@ -104,7 +136,7 @@ class Poly:
         if not 0 <= index < nvars:
             raise IndexError(f"coordinate {index} out of range for {nvars} vars")
         mono = tuple(1 if k == index else 0 for k in range(nvars))
-        return cls(nvars, {mono: Q(1)}, _prune=False)
+        return cls(nvars, {mono: 1}, _prune=False)
 
     @classmethod
     def linear(cls, coeffs: Sequence, const=0) -> Poly:
@@ -112,10 +144,10 @@ class Poly:
         n = len(coeffs)
         terms: dict = {}
         for i, c in enumerate(coeffs):
-            c = Q(c)
+            c = _coeff(c)
             if c:
                 terms[tuple(1 if k == i else 0 for k in range(n))] = c
-        const = Q(const)
+        const = _coeff(const)
         if const:
             terms[(0,) * n] = const
         return cls(n, terms, _prune=False)
@@ -131,17 +163,19 @@ class Poly:
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, Q(0))
+        return Q(self.terms.get((0,) * self.nvars, 0))
 
     def lead_mono(self) -> Mono:
         return max(self.terms, key=_grlex)
 
     def lead_coeff(self) -> Fraction:
-        return self.terms[self.lead_mono()]
+        return Q(self.terms[self.lead_mono()])
 
     def key(self) -> tuple:
-        """Hashable canonical form (sorted term list)."""
-        return tuple(sorted(self.terms.items()))
+        """Hashable canonical form (sorted term list), computed once."""
+        if self._key is None:
+            self._key = tuple(sorted(self.terms.items()))
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
@@ -159,11 +193,17 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Q(0)) + c
-            if s:
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+                continue
+            s += c
+            if not s:
+                del out[m]
+            elif s.__class__ is int or s.denominator != 1:
                 out[m] = s
             else:
-                out.pop(m, None)
+                out[m] = s.numerator
         return Poly(self.nvars, out, _prune=False)
 
     def __neg__(self) -> Poly:
@@ -174,21 +214,21 @@ class Poly:
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
-            other = Q(other)
+            other = _coeff(other)
             if other == 0:
                 return Poly.zero(self.nvars)
-            return Poly(self.nvars, {m: c * other for m, c in self.terms.items()}, _prune=False)
+            return Poly(self.nvars, _integral({m: c * other for m, c in self.terms.items()}), _prune=False)
         self._check(other)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Q(0)) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return Poly(self.nvars, out, _prune=False)
+        return Poly(self.nvars, _integral(out), _prune=False)
 
     __rmul__ = __mul__
 
@@ -198,7 +238,7 @@ class Poly:
             e = m[index]
             if e:
                 dm = tuple(v - 1 if k == index else v for k, v in enumerate(m))
-                out[dm] = out.get(dm, Q(0)) + c * e
+                out[dm] = out.get(dm, 0) + c * e
         return Poly(self.nvars, out)
 
     def exact_div(self, divisor: Poly) -> Poly | None:
@@ -217,16 +257,16 @@ class Poly:
             dm = tuple(a - b for a, b in zip(m, lt_m))
             if any(e < 0 for e in dm):
                 return None
-            c = rem[m] / lt_c
+            c = rem[m] if lt_c == 1 else _coeff(Q(rem[m]) / lt_c)
             quo[dm] = c
             for m2, c2 in divisor.terms.items():
                 mm = tuple(a + b for a, b in zip(dm, m2))
-                s = rem.get(mm, Q(0)) - c * c2
+                s = rem.get(mm, 0) - c * c2
                 if s:
                     rem[mm] = s
                 else:
                     rem.pop(mm, None)
-        return Poly(self.nvars, quo, _prune=False)
+        return Poly(self.nvars, _integral(quo), _prune=False)
 
     # -- evaluation
 
@@ -350,6 +390,24 @@ def poly_from_str(text: str, nvars: int) -> Poly:
 # ---------------------------------------------------------------------------
 # rational functions
 
+# interned denominator factors: canonical key of a monic factor -> factor id
+_FACTOR_IDS: dict[tuple, int] = {}
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern_factor(f: Poly) -> None:
+    """Give the monic, non-constant f its factor id (cached on f with its key)."""
+    key = f.key()
+    fid = _FACTOR_IDS.get(key)
+    if fid is None:
+        with _INTERN_LOCK:
+            fid = _FACTOR_IDS.setdefault(key, len(_FACTOR_IDS))
+    f._fid = fid
+
+
+def _factor_key(entry: tuple[Poly, int]) -> tuple:
+    return entry[0]._key
+
 
 class RationalFunction:
     """num / prod(factor^mult) with monic, non-constant, reduced factors.
@@ -362,30 +420,32 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Iterable[tuple[Poly, int]] = ()):
-        factors: dict[tuple, tuple[Poly, int]] = {}
+        factors: dict[int, tuple[Poly, int]] = {}  # factor id -> (factor, multiplicity)
         for f, mult in den:
             if mult == 0:
                 continue
             if mult < 0:
                 raise ValueError("negative factor multiplicity")
-            if f.is_zero():
-                raise ZeroDivisionError("zero denominator factor")
-            if f.is_const():
-                num = num * (Q(1) / f.const_value()) ** mult
-                continue
-            lc = f.lead_coeff()
-            if lc != 1:
-                f = f * (Q(1) / lc)
-                num = num * (Q(1) / lc) ** mult
-            k = f.key()
-            if k in factors:
-                factors[k] = (f, factors[k][1] + mult)
+            if f._fid is None:
+                if f.is_zero():
+                    raise ZeroDivisionError("zero denominator factor")
+                if f.is_const():
+                    num = num * (Q(1) / f.const_value()) ** mult
+                    continue
+                lc = f.lead_coeff()
+                if lc != 1:
+                    f = f * (Q(1) / lc)
+                    num = num * (Q(1) / lc) ** mult
+                _intern_factor(f)
+            fid = f._fid
+            if fid in factors:
+                factors[fid] = (f, factors[fid][1] + mult)
             else:
-                factors[k] = (f, mult)
+                factors[fid] = (f, mult)
         # cancel stored factors dividing the numerator
         if not num.is_zero():
-            for k in list(factors):
-                f, mult = factors[k]
+            for fid in list(factors):
+                f, mult = factors[fid]
                 while mult > 0:
                     q = num.exact_div(f)
                     if q is None:
@@ -393,11 +453,20 @@ class RationalFunction:
                     num = q
                     mult -= 1
                 if mult:
-                    factors[k] = (f, mult)
+                    factors[fid] = (f, mult)
                 else:
-                    del factors[k]
+                    del factors[fid]
         self.num = num
-        self.den = () if num.is_zero() else tuple(sorted(factors.values(), key=lambda fm: fm[0].key()))
+        # ordered by canonical key, never by id, so eval_mp multiplies in a fixed order
+        self.den = () if num.is_zero() else tuple(sorted(factors.values(), key=_factor_key))
+
+    @classmethod
+    def _reduced(cls, num: Poly, den: tuple) -> RationalFunction:
+        """num / den as given; the caller guarantees the canonical, reduced form."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
 
     # -- constructors
 
@@ -435,31 +504,38 @@ class RationalFunction:
     # -- arithmetic
 
     def _coerce(self, other) -> RationalFunction:
+        # own type first: isinstance against Fraction goes through its ABC
+        if isinstance(other, RationalFunction):
+            return other
         if isinstance(other, (int, Fraction)):
             return RationalFunction.const(self.nvars, other)
         if isinstance(other, Poly):
             return RationalFunction(other)
-        if isinstance(other, RationalFunction):
-            return other
         return NotImplemented
 
     def __add__(self, other) -> RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        merged: dict[tuple, tuple[Poly, int]] = {f.key(): (f, m) for f, m in self.den}
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
+        if not self.den and not other.den:
+            return RationalFunction._reduced(self.num + other.num, ())
+        merged: dict[int, tuple[Poly, int]] = {f._fid: (f, m) for f, m in self.den}
         for f, m in other.den:
-            k = f.key()
-            if k in merged:
-                merged[k] = (f, max(merged[k][1], m))
+            fid = f._fid
+            if fid in merged:
+                merged[fid] = (f, max(merged[fid][1], m))
             else:
-                merged[k] = (f, m)
-        self_mult = dict((f.key(), m) for f, m in self.den)
-        other_mult = dict((f.key(), m) for f, m in other.den)
+                merged[fid] = (f, m)
+        self_mult = {f._fid: m for f, m in self.den}
+        other_mult = {f._fid: m for f, m in other.den}
         num1, num2 = self.num, other.num
-        for k, (f, m) in merged.items():
-            d1 = m - self_mult.get(k, 0)
-            d2 = m - other_mult.get(k, 0)
+        for fid, (f, m) in merged.items():
+            d1 = m - self_mult.get(fid, 0)
+            d2 = m - other_mult.get(fid, 0)
             for _ in range(d1):
                 num1 = num1 * f
             for _ in range(d2):
@@ -469,10 +545,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> RationalFunction:
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -487,13 +560,15 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        merged: dict[tuple, tuple[Poly, int]] = {}
-        for f, m in list(self.den) + list(other.den):
-            k = f.key()
-            if k in merged:
-                merged[k] = (f, merged[k][1] + m)
+        if not self.den and not other.den:
+            return RationalFunction._reduced(self.num * other.num, ())
+        merged: dict[int, tuple[Poly, int]] = {}
+        for f, m in self.den + other.den:
+            fid = f._fid
+            if fid in merged:
+                merged[fid] = (f, merged[fid][1] + m)
             else:
-                merged[k] = (f, m)
+                merged[fid] = (f, m)
         return RationalFunction(self.num * other.num, merged.values())
 
     __rmul__ = __mul__
@@ -563,8 +638,12 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 # coth atoms and scalar expressions
 
-Atom = tuple  # (c_0, ..., c_{N-1}, const) of Fraction, sign-canonical
-AtomMono = tuple  # ((atom, power), ...) sorted
+Atom = int  # id into _ATOMS, whose entry holds the form (c_0, ..., c_{N-1}, const)
+AtomMono = tuple  # ((atom, power), ...) sorted by atom id, powers positive
+
+# interned coth atoms: id -> (sign-canonical Fraction tuple, the form as a Poly)
+_ATOMS: list[tuple[tuple, Poly]] = []
+_ATOM_IDS: dict[tuple, int] = {}
 
 
 def make_atom(coeffs: Sequence, const=0) -> tuple[Atom, int]:
@@ -583,12 +662,26 @@ def make_atom(coeffs: Sequence, const=0) -> tuple[Atom, int]:
         raise ZeroDivisionError("coth of identically zero argument")
     if sign < 0:
         entries = [-c for c in entries]
-    return tuple(entries), sign
+    entries = tuple(entries)
+    atom = _ATOM_IDS.get(entries)
+    if atom is None:
+        with _INTERN_LOCK:
+            atom = _ATOM_IDS.get(entries)
+            if atom is None:
+                atom = len(_ATOMS)
+                _ATOMS.append((entries, Poly.linear(entries[:-1], entries[-1])))
+                _ATOM_IDS[entries] = atom
+    return atom, sign
+
+
+def atom_entries(atom: Atom) -> tuple:
+    """The sign-canonical form (c_0, ..., c_{N-1}, const) of the atom, as Fractions."""
+    return _ATOMS[atom][0]
 
 
 def atom_form_poly(atom: Atom) -> Poly:
     """The affine argument of the atom as a Poly."""
-    return Poly.linear(atom[:-1], atom[-1])
+    return _ATOMS[atom][1]
 
 
 class ScalarExpr:
@@ -634,7 +727,7 @@ class ScalarExpr:
     @classmethod
     def coth(cls, coeffs: Sequence, const=0) -> ScalarExpr:
         atom, sign = make_atom(coeffs, const)
-        nvars = len(atom) - 1
+        nvars = len(coeffs)
         return cls(nvars, {((atom, 1),): RationalFunction.const(nvars, sign)}, _prune=False)
 
     # -- structure
@@ -668,12 +761,12 @@ class ScalarExpr:
         if not atoms:
             return False
         nexp = self.nvars + 1  # y_0..y_{N-1}, t
-        lcm = math.lcm(*(c.denominator for atom in atoms for c in atom))
+        lcm = math.lcm(*(c.denominator for atom in atoms for c in atom_entries(atom)))
         factors = {}  # atom -> (P + M, P - M, highest power of the atom)
         for atom in atoms:
-            p, m = (tuple(max(sign * int(c * lcm), 0) for c in atom) for sign in (1, -1))
+            p, m = (tuple(max(sign * int(c * lcm), 0) for c in atom_entries(atom)) for sign in (1, -1))
             top = max(dict(mono).get(atom, 0) for mono in self.terms)
-            factors[atom] = (Poly(nexp, {p: Q(1), m: Q(1)}), Poly(nexp, {p: Q(1), m: Q(-1)}), top)
+            factors[atom] = (Poly(nexp, {p: 1, m: 1}, _prune=False), Poly(nexp, {p: 1, m: -1}, _prune=False), top)
         numerator: dict[Mono, RationalFunction] = {}
         for mono, coeff in self.terms.items():
             powers = dict(mono)
@@ -707,14 +800,14 @@ class ScalarExpr:
     # -- arithmetic
 
     def _coerce(self, other) -> ScalarExpr:
+        if isinstance(other, ScalarExpr):
+            return other
         if isinstance(other, (int, Fraction)):
             return ScalarExpr.const(self.nvars, other)
         if isinstance(other, Poly):
             return ScalarExpr.from_ratfun(RationalFunction(other))
         if isinstance(other, RationalFunction):
             return ScalarExpr.from_ratfun(other)
-        if isinstance(other, ScalarExpr):
-            return other
         return NotImplemented
 
     def __add__(self, other) -> ScalarExpr:
@@ -789,12 +882,12 @@ class ScalarExpr:
             if not dc.is_zero():
                 out = out + ScalarExpr(self.nvars, {mono: dc}, _prune=False)
             for k, (atom, power) in enumerate(mono):
-                u_i = atom[index]
+                u_i = atom_entries(atom)[index]
                 if u_i == 0:
                     continue
                 # p*coth^{p-1}*(1-coth^2)*u_i, within the rest of the monomial
-                rest = mono[:k] + ((atom, power - 1),) + mono[k + 1 :] if power > 1 else mono[:k] + mono[k + 1 :]
-                low = _mono_normal(rest)
+                # (a canonical monomial, as mono is)
+                low = mono[:k] + ((atom, power - 1),) + mono[k + 1 :] if power > 1 else mono[:k] + mono[k + 1 :]
                 high = _mono_mul(low, ((atom, 2),))
                 scale = coeff * (u_i * power)
                 out = out + ScalarExpr(self.nvars, {low: scale}, _prune=True)
@@ -818,7 +911,7 @@ class ScalarExpr:
         """
         ctx = mp_context(precision)
         atom_vals: dict[Atom, object] = {}
-        for atom in self.atoms():
+        for atom in sorted(self.atoms(), key=atom_entries):
             u = atom_form_poly(atom).eval_mp(point, ctx)
             if abs(u) < margin:
                 raise PoleError(f"coth({poly_to_str(atom_form_poly(atom))})", point)
@@ -827,7 +920,7 @@ class ScalarExpr:
         acc = ctx.mpf(0)
         for mono, coeff in self.terms.items():
             t = coeff.eval_mp(point, margin=margin, ctx=ctx)
-            for atom, power in mono:
+            for atom, power in _shown(mono):
                 t *= atom_vals[atom] ** power
             acc += t
         return acc
@@ -851,16 +944,27 @@ class ScalarExpr:
 
 
 def _mono_mul(m1: AtomMono, m2: AtomMono) -> AtomMono:
-    powers: dict[Atom, int] = {}
-    for a, p in m1:
-        powers[a] = powers.get(a, 0) + p
+    if not m2:
+        return m1
+    if not m1:
+        return m2
+    powers: dict[Atom, int] = dict(m1)
     for a, p in m2:
         powers[a] = powers.get(a, 0) + p
-    return tuple(sorted((a, p) for a, p in powers.items() if p))
+    return tuple(sorted(powers.items()))
 
 
-def _mono_normal(m: AtomMono) -> AtomMono:
-    return _mono_mul(m, ())
+def _atom_order(factor: tuple[Atom, int]) -> tuple:
+    return _ATOMS[factor[0]][0]
+
+
+def _shown(mono: AtomMono) -> AtomMono:
+    """The factors of mono in the order of their Fraction tuples, never their ids."""
+    return mono if len(mono) < 2 else tuple(sorted(mono, key=_atom_order))
+
+
+def _shown_key(mono: AtomMono) -> tuple:
+    return tuple((_ATOMS[a][0], p) for a, p in _shown(mono))
 
 
 # ---------------------------------------------------------------------------
@@ -941,15 +1045,15 @@ def to_sexpr(f: ScalarExpr) -> str:
     if f.symbolically_zero():
         return "0"
     parts = []
-    for mono in sorted(f.terms):
+    for mono in sorted(f.terms, key=_shown_key):
         rf = f.terms[mono]
         head = _ratfun_sexpr(rf)
         if not mono:
             parts.append(head)
             continue
         factors = []
-        for atom, power in mono:
-            a = "(coth " + " ".join(str(c) for c in atom) + ")"
+        for atom, power in _shown(mono):
+            a = "(coth " + " ".join(str(c) for c in atom_entries(atom)) + ")"
             factors.append(a if power == 1 else f"(^ {a} {power})")
         parts.append(f"(* {head} {' '.join(factors)})")
     if len(parts) == 1:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from sdybe.cli import main
 
@@ -26,6 +29,34 @@ def t2_sl2(**overrides):
     doc = {"algebra": "sl", "m": 2, "n": 0, "epsilon": "1", "nu": ["0"], "X": "all", "D": []}
     doc.update(overrides)
     return doc
+
+
+def gl21_coth(**overrides):
+    doc = {"algebra": "gl", "m": 2, "n": 1, "epsilon": "1/3", "nu": ["0", "0", "0"], "X": "all", "D": []}
+    doc.update(overrides)
+    return doc
+
+
+# each field value crashed verify and construct with a traceback and exit 1
+MALFORMED = {
+    "epsilon-1/0": ({"epsilon": "1/0"}, "epsilon"),
+    "nu-1/0": ({"nu": ["1/0", "0", "0"]}, "nu"),
+    "den-0": ({"D": [{"i": 0, "j": 1, "num": "1", "den": "0"}]}, "D entry 0"),
+    "ratfun-den-0": ({"D": [{"i": 0, "j": 1, "ratfun": '(ratfun "1" "0")'}]}, "D entry 0"),
+    "ratfun-coth": ({"D": [{"i": 0, "j": 1, "ratfun": "(coth 1 0 0 0)"}]}, "D entry 0"),
+    "ratfun-coth-zero": ({"D": [{"i": 0, "j": 1, "ratfun": "(coth 0 0 0 0)"}]}, "D entry 0"),
+    "D-index-7": ({"D": [{"i": 0, "j": 7, "num": "1"}]}, "D"),
+    "D-entry-not-object": ({"D": ["x"]}, "D entry 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "construct"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_field_exits_2_naming_it(tmp_path, capsys, command, case):
+    overrides, field = MALFORMED[case]
+    spec = write_spec(tmp_path, "bad.json", gl21_coth(**overrides))
+    assert main([command, "--spec", spec]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad spec: {field}: ")
 
 
 class TestAlgebraCommand:
@@ -139,6 +170,36 @@ class TestConstructCommand:
         assert main(["construct", "--spec", spec, "--at", "3", "--precision", "64"]) == 0
         values = [v["value"] for v in json.loads(capsys.readouterr().out)["values"]]
         assert 1.0024849116568446 in values
+
+
+# sha256 of `sdybe construct --out` dumps, taken before coth atoms and
+# denominator factors were interned; term and factor order must not follow
+# the intern ids
+CONSTRUCT_DIGESTS = {
+    "sl3-eps0-nu-D": (
+        {"algebra": "sl", "m": 3, "n": 0, "epsilon": "0", "nu": ["1/2", "-1/3"], "X": "all",
+         "D": [{"i": 0, "j": 1, "ratfun": '(ratfun "2*x0" "x1 + 3")'}]},
+        "0506b7c3c59b5c1a4c1f04ff5a30c09582a30ad019dc0bf5e1744098099c1091",
+    ),
+    "gl21-coth-all": (
+        {"algebra": "gl", "m": 2, "n": 1, "epsilon": "1/3", "nu": ["1/2", "1/3", "-1/5"], "X": "all", "D": []},
+        "2d5a6ba77894d23c0cd2cb86c65a51b4fefdb0f64408df51ce248308bd8d79c3",
+    ),
+    "gl32-coth-levi": (
+        {"algebra": "gl", "m": 3, "n": 2, "epsilon": "1/2", "nu": ["1/3", "-2/3", "1", "5/3", "-4/3"],
+         "X": [2, 3, 6, 13, 16, 17], "D": [], "sign_choice": {str(k): "+" for k in (0, 1, 4, 5, 7, 8, 9)}},
+        "3fd141b43d4447da5c24fdff6e2190b028ecaa3a32d60fdc9e3f972693591e0f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCT_DIGESTS))
+def test_symbolic_dump_bytes_unchanged(tmp_path, case):
+    doc, digest = CONSTRUCT_DIGESTS[case]
+    spec = write_spec(tmp_path, "spec.json", doc)
+    out = tmp_path / "dump.json"
+    assert main(["construct", "--spec", spec, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestRoundTrip:

@@ -404,5 +404,7 @@ class TestSpecJson:
 
         g, rd, _ = sl3
         base = {"algebra": "sl", "m": 3, "n": 0, "epsilon": "0", "nu": ["0", "0"], "X": "all"}
-        with pytest.raises(NotRationalError):
+        # a malformed field is a ValueError naming it, raised from the parse error
+        with pytest.raises(ValueError, match="^D entry 0: ") as info:
             spec_from_json({**base, "D": [{"i": 0, "j": 1, "ratfun": "(coth 1 0 0)"}]}, g, rd)
+        assert isinstance(info.value.__cause__, NotRationalError)

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdybe import scalars
+from sdybe.rmatrix import construct, spec_from_json
 from sdybe.scalars import (
     NotRationalError,
     PoleError,
@@ -16,12 +20,14 @@ from sdybe.scalars import (
     RationalFunction,
     ScalarExpr,
     from_sexpr,
+    make_atom,
     poly_from_str,
     poly_to_str,
     sample_points,
     to_sexpr,
 )
-from sdybe.verifier import VerifyConfig, decide_cells
+from sdybe.tensor import tensor_dump
+from sdybe.verifier import VerifyConfig, decide_cells, run_checks
 
 from conftest import sampled_max_abs
 
@@ -327,3 +333,90 @@ def test_reduction_cancels_linear_factor():
     rf = RationalFunction(n, [(d, 1)])
     assert rf.den == ()
     assert rf.num == Poly(2, {(1, 0): Q(1), (0, 1): Q(1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys())
+def test_integral_coefficients_stored_as_int(a, b):
+    results = [a, a + b, a - b, a * b, a * Q(2, 3), a * 4, a.diff(0)]
+    if not b.is_zero():
+        results.append((a * b).exact_div(b))
+    for p in results:
+        assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+
+
+def table_sizes() -> tuple[int, int, int]:
+    return len(scalars._FACTOR_IDS), len(scalars._ATOMS), len(scalars._ATOM_IDS)
+
+
+def assert_one_id_per_key():
+    assert sorted(scalars._FACTOR_IDS.values()) == list(range(len(scalars._FACTOR_IDS)))
+    assert len(scalars._ATOM_IDS) == len(scalars._ATOMS)
+    assert all(scalars._ATOM_IDS[entries] == atom for atom, (entries, _) in enumerate(scalars._ATOMS))
+
+
+class TestInternTables:
+    def test_output_order_follows_forms_not_ids(self):
+        # forms no other test meets, so the form that sorts later gets the smaller id
+        late, early = ([1, 0], Q(98, 89)), ([1, 0], Q(97, 89))
+        b = ScalarExpr.coth(*late)
+        a = ScalarExpr.coth(*early)
+        assert make_atom(*late)[0] < make_atom(*early)[0]
+        expected = "(+ (* 1 (coth 1 0 97/89)) (* 2 (coth 1 0 97/89) (coth 1 0 98/89)) (* 1 (coth 1 0 98/89)))"
+        assert to_sexpr(b + b * a * 2 + a) == expected
+        assert to_sexpr(from_sexpr(expected, 2)) == expected
+
+    def test_zero_form_is_not_an_atom(self):
+        with pytest.raises(ZeroDivisionError):
+            make_atom([0, 0], 0)
+        with pytest.raises(ZeroDivisionError):
+            ScalarExpr.coth([Q(0), Q(0)], Q(0))
+
+    def test_second_run_adds_no_entries(self, gl21):
+        g, rd, _ = gl21
+        doc = {"epsilon": "2/7", "nu": ["1/5", "2/5", "-3/5"], "X": "all",
+               "D": [{"i": 0, "j": 1, "ratfun": '(ratfun "1" "x0 + x1 + 5/7")'}]}
+        before = table_sizes()
+        spec = spec_from_json(doc, g, rd)
+        assert run_checks(g, rd, spec)[0]
+        after = table_sizes()
+        assert after[0] > before[0] and after[1] > before[1]
+        assert run_checks(g, rd, spec)[0]
+        assert table_sizes() == after
+        assert_one_id_per_key()
+
+    def test_concurrent_construction_interns_each_key_once(self, gl21):
+        g, rd, _ = gl21
+        doc = {"epsilon": "5/11", "nu": ["3/13", "-5/17", "2/19"], "X": "all",
+               "D": [{"i": 0, "j": 1, "ratfun": '(ratfun "1" "x0 - x1 + 7/23")'}]}
+        spec = spec_from_json(doc, g, rd)
+        # forms no other test meets, each first met by all threads at once
+        forms = [([1, Q(k, 31), 0], Q(1, 29)) for k in range(1, 201)]
+        barrier = threading.Barrier(4)
+        results: list = [None] * 4
+
+        def work(k):
+            barrier.wait()
+            try:
+                atoms = [next(iter(ScalarExpr.coth(*form).atoms())) for form in forms]
+                results[k] = (atoms, construct(spec, g, rd))
+            except Exception as exc:  # reported below, on the test's thread
+                results[k] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [r for r in results if isinstance(r, Exception)]
+        assert all(atoms == results[0][0] for atoms, _ in results)
+        dumps = [tensor_dump(r) for _, r in results]
+        assert all(d == dumps[0] for d in dumps)
+        r_atoms = [set().union(*(c.atoms() for c in r.coeffs.values())) for _, r in results]
+        assert r_atoms[0] and all(a == r_atoms[0] for a in r_atoms)
+        assert_one_id_per_key()
