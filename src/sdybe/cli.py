@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .rmatrix import spec_from_json, validate
+from .rmatrix import spec_from_json
 from .scalars import PoleError
 from .superalgebra import (
     DegenerateFormError,

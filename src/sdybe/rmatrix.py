@@ -265,6 +265,11 @@ def construct(spec: RMatrixSpec, g: LieSuperalgebra, rd: RootDatum, omega: Tenso
     report = validate(spec, g, rd)
     if not report.ok:
         raise ValidationError(report)
+    return _assemble(spec, g, rd, omega)
+
+
+def _assemble(spec: RMatrixSpec, g: LieSuperalgebra, rd: RootDatum, omega: Tensor2 | None = None) -> Tensor2:
+    """The r-matrix of a spec the caller has validated."""
     r = Tensor2(g, _cartan_part(spec, g))
     if spec.epsilon != 0:
         omega = omega if omega is not None else casimir(g, rd)

@@ -73,6 +73,34 @@ class NotRationalError(TypeError):
     """Exact evaluation requested for an expression with coth atoms."""
 
 
+class MpPoint:
+    """A point converted to mpf once, with the coth atom values found at it.
+
+    The expressions evaluated at one point share it, and it lives no longer.
+    """
+
+    __slots__ = ("point", "ctx", "margin", "coords", "_coth")
+
+    def __init__(self, point: Sequence, precision: int, margin: float):
+        self.point = tuple(point)
+        self.ctx = mp_context(precision)
+        self.margin = margin
+        self.coords = [_to_mpf(v, self.ctx) for v in self.point]
+        self._coth: dict = {}
+
+    def coth(self, atom: Atom):
+        """coth(u) = (e^u + e^-u) / (e^u - e^-u) of the atom's form u; PoleError within margin of u = 0."""
+        value = self._coth.get(atom)
+        if value is None:
+            form = atom_form_poly(atom)
+            u = form.eval_mp(self)
+            if abs(u) < self.margin:
+                raise PoleError(f"coth({poly_to_str(form)})", self.point)
+            et, emt = self.ctx.exp(u), self.ctx.exp(-u)
+            value = self._coth[atom] = (et + emt) / (et - emt)
+        return value
+
+
 Q = Fraction
 Mono = tuple  # exponent tuple, one int per coordinate
 
@@ -281,10 +309,9 @@ class Poly:
             acc += t
         return acc
 
-    def eval_mp(self, point: Sequence, ctx=None):
-        ctx = ctx or mp_context(64)
+    def eval_mp(self, at: MpPoint):
+        ctx, vals = at.ctx, at.coords
         acc = ctx.mpf(0)
-        vals = [_to_mpf(v, ctx) for v in point]
         for m, c in self.terms.items():
             t = _to_mpf(c, ctx)
             for i, e in enumerate(m):
@@ -616,15 +643,14 @@ class RationalFunction:
             val *= fv**m
         return self.num.eval_exact(point) / val
 
-    def eval_mp(self, point: Sequence, margin: float = 1e-6, ctx=None):
-        ctx = ctx or mp_context(64)
-        val = ctx.mpf(1)
+    def eval_mp(self, at: MpPoint):
+        val = at.ctx.mpf(1)
         for f, m in self.den:
-            fv = f.eval_mp(point, ctx)
-            if abs(fv) < margin:
-                raise PoleError(poly_to_str(f), point)
+            fv = f.eval_mp(at)
+            if abs(fv) < at.margin:
+                raise PoleError(poly_to_str(f), at.point)
             val *= fv**m
-        return self.num.eval_mp(point, ctx) / val
+        return self.num.eval_mp(at) / val
 
     def __str__(self) -> str:
         if not self.den:
@@ -901,27 +927,23 @@ class ScalarExpr:
             raise NotRationalError("expression contains coth atoms")
         return self.as_ratfun().eval_exact(point)
 
-    def eval_numeric(self, point: Sequence, precision: int = 64, margin: float = 1e-6):
+    def eval_numeric(self, point: Sequence | MpPoint, precision: int = 64, margin: float = 1e-6):
         """Evaluate at `point` with `precision` mantissa bits.
 
-        coth(t) = (e^t + e^-t) / (e^t - e^-t); raises PoleError when the point
-        is within `margin` of a denominator hyperplane or a coth singularity.
-        Thread-safe: arithmetic runs in a per-precision context, never through
-        mpmath's mutable global state.
+        Raises PoleError when the point is within `margin` of a coth
+        singularity (atoms first, in canonical order) or of a denominator
+        hyperplane.  An MpPoint brings its own precision and margin.
+        Thread-safe: arithmetic runs in a per-precision context, never
+        through mpmath's mutable global state.
         """
-        ctx = mp_context(precision)
-        atom_vals: dict[Atom, object] = {}
+        at = point if isinstance(point, MpPoint) else MpPoint(point, precision, margin)
         for atom in sorted(self.atoms(), key=atom_entries):
-            u = atom_form_poly(atom).eval_mp(point, ctx)
-            if abs(u) < margin:
-                raise PoleError(f"coth({poly_to_str(atom_form_poly(atom))})", point)
-            et, emt = ctx.exp(u), ctx.exp(-u)
-            atom_vals[atom] = (et + emt) / (et - emt)
-        acc = ctx.mpf(0)
+            at.coth(atom)
+        acc = at.ctx.mpf(0)
         for mono, coeff in self.terms.items():
-            t = coeff.eval_mp(point, margin=margin, ctx=ctx)
+            t = coeff.eval_mp(at)
             for atom, power in _shown(mono):
-                t *= atom_vals[atom] ** power
+                t *= at.coth(atom) ** power
             acc += t
         return acc
 
@@ -1017,8 +1039,9 @@ def largest_value(exprs: dict, points: Sequence, *, precision: int, margin: floa
     best = None
     max_abs = 0.0
     for pt in points:
+        at = MpPoint(pt, precision, margin)
         for key, f in exprs.items():
-            v = f.eval_numeric(pt, precision=precision, margin=margin)
+            v = f.eval_numeric(at)
             if best is None or abs(v) > max_abs:
                 max_abs = float(abs(v))
                 best = (key, pt, v)

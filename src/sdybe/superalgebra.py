@@ -2,7 +2,8 @@
 
 Algebras are gl(m|n) (matrix units, supercommutator, supertrace form) and its
 supertraceless subalgebra sl(m|n) for m != n.  Elements are sparse vectors
-{basis index: Fraction}.  All arithmetic is exact.
+{basis index: Fraction}.  All arithmetic is exact; structure constants, form
+entries, root functionals and coroots are int where they are integral.
 
 Root data follow the normalization [e_a, e_{-a}] = (e_a, e_{-a}) h_a with
 (e_a, e_{-a}) = 1 for positive roots, and the sign bookkeeping
@@ -13,6 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
+from .scalars import _coeff
 
 Q = Fraction
 
@@ -36,7 +40,7 @@ class NonDiagonalizableError(ValueError):
 def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve matrix @ x = rhs over Fraction; raises DegenerateFormError if singular."""
     n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    aug = [[Q(v) for v in row] + [Q(rhs[i])] for i, row in enumerate(matrix)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -133,6 +137,11 @@ class LieSuperalgebra:
     def cartan_gram(self) -> list[list[Fraction]]:
         return [[self.form[i][j] for j in self.cartan] for i in self.cartan]
 
+    @cached_property
+    def cartan_gram_inverse(self) -> list[list[Fraction]]:
+        """The inverse Cartan Gram matrix, computed once per algebra."""
+        return [[_coeff(v) for v in row] for row in invert_matrix(self.cartan_gram())]
+
 
 def _matmul(x: dict, y: dict) -> dict:
     """Product of sparse {(row, col): Fraction} matrices, zero entries dropped."""
@@ -191,19 +200,17 @@ def build_gl(m: int, n: int) -> LieSuperalgebra:
         for b, (k, l) in enumerate(units):
             out: Vector = {}
             if j == k:
-                out[index[(i, l)]] = out.get(index[(i, l)], Q(0)) + 1
+                out[index[(i, l)]] = out.get(index[(i, l)], 0) + 1
             if l == i:
                 sign = -1 if parity[a] and parity[b] else 1
                 key = index[(k, j)]
-                out[key] = out.get(key, Q(0)) - sign
+                out[key] = out.get(key, 0) - sign
             out = {kk: vv for kk, vv in out.items() if vv}
             if out:
                 structure[(a, b)] = out
 
-    s = [Q(1) if i < m else Q(-1) for i in range(d)]
-    form = tuple(
-        tuple(s[i] if (j == k and i == l) else Q(0) for (k, l) in units) for (i, j) in units
-    )
+    s = [1 if i < m else -1 for i in range(d)]
+    form = tuple(tuple(s[i] if (j == k and i == l) else 0 for (k, l) in units) for (i, j) in units)
     cartan = tuple(index[(i, i)] for i in range(d))
     return LieSuperalgebra(
         dim=d * d,
@@ -260,12 +267,12 @@ def build_sl(m: int, n: int) -> LieSuperalgebra:
         diag = [mat.get((k, k), Q(0)) for k in range(d)]
         for (r, c), v in mat.items():
             if r != c and v:
-                out[offdiag_index[(r, c)]] = v
+                out[offdiag_index[(r, c)]] = _coeff(v)
         last = diag[d - 1]
         for jj in range(d - 1):
             cc = diag[jj] - last
             if cc:
-                out[cartan_start + jj] = cc
+                out[cartan_start + jj] = _coeff(cc)
         return out
 
     structure: dict = {}
@@ -279,7 +286,7 @@ def build_sl(m: int, n: int) -> LieSuperalgebra:
 
     # (x, y) = str(xy), computed directly from the matrix product
     form = tuple(
-        tuple(_supertrace(_matmul(basis_mats[a], basis_mats[b]), m, n) for b in range(dim))
+        tuple(_coeff(_supertrace(_matmul(basis_mats[a], basis_mats[b]), m, n)) for b in range(dim))
         for a in range(dim)
     )
     gram = [[form[i][j] for j in range(dim)] for i in range(dim)]
@@ -320,7 +327,8 @@ class RootDatum:
     roots come first; this ordering is the stable index space used by
     serialized r-matrix specs.  For every root i: e[i] is the root vector,
     h_coroot[i] the Cartan element with (h_i, x) = root_i(x), pairing[i] the
-    value (e_i, e_{-i}), and neg[i] the index of the opposite root.
+    value (e_i, e_{-i}), neg[i] the index of the opposite root, and
+    index[functional] the index of the root with that functional.
     """
 
     g: LieSuperalgebra
@@ -329,6 +337,7 @@ class RootDatum:
     h_coroot: list[Vector]
     pairing: list[Fraction]
     neg: list[int] = field(default_factory=list)
+    index: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -343,11 +352,8 @@ class RootDatum:
 
     def add_index(self, i: int, j: int) -> int | None:
         """Index of root_i + root_j if it is a root, else None."""
-        total = tuple(a + b for a, b in zip(self.roots[i].functional, self.roots[j].functional))
-        for k, r in enumerate(self.roots):
-            if r.functional == total:
-                return k
-        return None
+        a, b = self.roots[i].functional, self.roots[j].functional
+        return self.index.get(tuple(x + y for x, y in zip(a, b)))
 
 
 def sign_A(rd: RootDatum, i: int) -> int:
@@ -364,7 +370,7 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
     Positivity is lexicographic in the Cartan coordinates of the functional
     (the distinguished Borel for matrix-unit bases).  For each positive root
     the opposite vector is rescaled so that (e_a, e_{-a}) = 1, and coroots
-    solve (h_a, x) = a(x) against the Cartan Gram matrix.
+    solve (h_a, x) = a(x): the inverse Cartan Gram matrix times a.
     """
     cartan = list(g.cartan)
     non_cartan = [b for b in range(g.dim) if b not in g.cartan]
@@ -376,7 +382,7 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
             extra = {k for k in v if k != b and v[k]}
             if extra:
                 raise NonDiagonalizableError(f"[{g.basis_names[c]}, {g.basis_names[b]}] not diagonal")
-            weight.append(v.get(b, Q(0)))
+            weight.append(v.get(b, 0))
         if all(w == 0 for w in weight):
             raise NonDiagonalizableError(f"non-Cartan basis vector {g.basis_names[b]} has zero weight")
         weight_of[b] = tuple(weight)
@@ -411,22 +417,20 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
                 raise DegenerateFormError(f"form does not pair root {r.functional} with its opposite")
             vectors[j] = {k: v / val for k, v in vectors[j].items()}
 
-    gram = g.cartan_gram()
-    if determinant(gram) == 0:
-        raise DegenerateFormError("form is degenerate on the Cartan")
+    gram_inv = g.cartan_gram_inverse
     coroots: list[Vector] = []
     pairings: list[Fraction] = []
     for i, r in enumerate(roots):
-        coeffs = solve_linear(gram, list(r.functional))
+        coeffs = [_coeff(sum(a * w for a, w in zip(row, r.functional))) for row in gram_inv]
         coroots.append({c: coeffs[k] for k, c in enumerate(cartan) if coeffs[k]})
         pairings.append(g.form_value(vectors[i], vectors[neg[i]]))
 
-    return RootDatum(g=g, roots=roots, e=vectors, h_coroot=coroots, pairing=pairings, neg=neg)
+    return RootDatum(g=g, roots=roots, e=vectors, h_coroot=coroots, pairing=pairings, neg=neg, index=index)
 
 
 def cartan_casimir_cells(g: LieSuperalgebra, scale=1) -> dict:
     """scale * sum_k x_k (x) x^k as {(x_k, x_l): value}, {x^k} the form-dual Cartan basis."""
-    gram_inv = invert_matrix(g.cartan_gram())
+    gram_inv = g.cartan_gram_inverse
     return {
         (ck, cl): gram_inv[l][k] * scale
         for k, ck in enumerate(g.cartan)

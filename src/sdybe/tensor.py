@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ScalarExpr, singular_forms, to_sexpr
+from .scalars import MpPoint, ScalarExpr, singular_forms, to_sexpr
 from .superalgebra import EVEN, LieSuperalgebra, Vector
 
 Q = Fraction
@@ -101,8 +101,9 @@ class _TensorBase:
         return type(self)(self.g, {k: c * factor for k, c in self.coeffs.items()})
 
     def evaluate(self, point, precision: int = 64, margin: float = 1e-6) -> dict:
-        """Numeric coefficient values at a sample point."""
-        return {k: c.eval_numeric(point, precision=precision, margin=margin) for k, c in self.coeffs.items()}
+        """Numeric coefficient values at a sample point, which every cell shares."""
+        at = MpPoint(point, precision, margin)
+        return {k: c.eval_numeric(at) for k, c in self.coeffs.items()}
 
     def singular_forms(self):
         return singular_forms(self.coeffs.values())

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+import sdybe.superalgebra as superalgebra_mod
+from sdybe import cli
+from sdybe.rmatrix import constant_example
 from sdybe.superalgebra import (
     DegenerateFormError,
     build_gl,
@@ -14,6 +18,7 @@ from sdybe.superalgebra import (
     check_jacobi,
     root_decomposition,
     sign_A,
+    solve_linear,
     structure_constant_identity_report,
     validate_algebra,
 )
@@ -225,3 +230,69 @@ class TestStructureConstantIdentities:
         assert report["violations"] == []
         # recorded, not asserted: no degenerate (h_a, h_b) pairings occur here
         assert report["zero_h_pairings"] == []
+
+
+# sha256 of `sdybe algebra --family F --m M --n N` output, taken before the
+# root data moved to integer tables; the descriptors must not change
+DESCRIPTOR_SHA256 = {
+    ("sl", 3, 0): "e270d2849481a446175ad3ab6595390efaceb03a3a39c2cefb792012cc51732e",
+    ("gl", 2, 1): "ba19ad67abd6d05559290c995a025c5366bd46803b7cdb7e90a0656c232d97d2",
+    ("gl", 2, 2): "9ba885c86f0cc60ac9a2f9440e531ff91486bcc3a3ea17ec83bfda929a080c7e",
+    ("sl", 5, 0): "c29a5267fb3c04f1bd0e8310d75c78c7e3544d688862c3d50bc8e80cacd94c38",
+    ("gl", 3, 2): "cd4cadcd73e1dc129f4a3b6e11c1c84971b8ff54eb69922181544f19c48cf24c",
+}
+
+
+def _stored_exactly(value) -> bool:
+    """An integral value is stored as int, any other as Fraction."""
+    return type(value) is int if Q(value).denominator == 1 else type(value) is Fraction
+
+
+class TestIntegerRootData:
+    """The integer root tables against brute force and the Gram system."""
+
+    @pytest.fixture(scope="class", params=sorted(DESCRIPTOR_SHA256), ids=lambda a: f"{a[0]}{a[1]}{a[2]}")
+    def algebra(self, request):
+        family, m, n = request.param
+        g = (build_gl if family == "gl" else build_sl)(m, n)
+        return request.param, g, root_decomposition(g)
+
+    def test_add_index_matches_functional_scan(self, algebra):
+        _, _, rd = algebra
+        for i, a in enumerate(rd.roots):
+            for j, b in enumerate(rd.roots):
+                total = tuple(x + y for x, y in zip(a.functional, b.functional))
+                scan = next((k for k, r in enumerate(rd.roots) if r.functional == total), None)
+                assert rd.add_index(i, j) == scan, (i, j)
+
+    def test_coroots_solve_the_gram_system(self, algebra):
+        _, g, rd = algebra
+        gram = g.cartan_gram()
+        for i, r in enumerate(rd.roots):
+            assert rd.coroot_coords(i) == solve_linear(gram, list(r.functional))
+
+    def test_integral_values_are_int(self, algebra):
+        _, g, rd = algebra
+        values = [c for v in g.structure.values() for c in v.values()]
+        values += [c for r in rd.roots for c in r.functional]
+        values += [c for h in rd.h_coroot for c in h.values()]
+        values += [c for row in g.cartan_gram_inverse for c in row]
+        assert values and all(_stored_exactly(c) for c in values)
+
+    def test_descriptor_bytes_unchanged(self, algebra, capsys):
+        (family, m, n), _, _ = algebra
+        assert cli.main(["algebra", "--family", family, "--m", str(m), "--n", str(n)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == DESCRIPTOR_SHA256[(family, m, n)]
+
+    def test_gram_solved_once_per_algebra(self, monkeypatch):
+        # coroots, the Casimir and both constant solutions share one inverse
+        calls = []
+        original = superalgebra_mod.solve_linear
+        monkeypatch.setattr(superalgebra_mod, "solve_linear", lambda *a: calls.append(a) or original(*a))
+        g = build_sl(4, 0)
+        rd = root_decomposition(g)
+        casimir(g, rd)
+        constant_example(g, rd, 1, which="r")
+        constant_example(g, rd, 1, which="Tsr")
+        assert len(calls) == g.rank  # one solve per column of the inverse

@@ -11,10 +11,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from sdybe.scalars import Poly, RationalFunction, ScalarExpr
-from sdybe.superalgebra import invert_matrix, sign_A
+from sdybe.rmatrix import RMatrixSpec, TwoForm, construct
+from sdybe.scalars import (
+    PoleError,
+    Poly,
+    RationalFunction,
+    ScalarExpr,
+    atom_form_poly,
+    largest_value,
+    sample_points,
+)
+from sdybe.superalgebra import DegenerateFormError, invert_matrix, sign_A, solve_linear
 from sdybe.tensor import (
     OddActorError,
     Tensor2,
@@ -453,3 +463,117 @@ class TestAltSOnDifferential:
                     expected = D(i, j).differentiate(k) + D(j, k).differentiate(i) + D(k, i).differentiate(j)
                     cell = got.coeffs.get((cartan[i], cartan[j], cartan[k]), ScalarExpr.zero(n))
                     assert (cell - expected).symbolically_zero(), (i, j, k)
+
+
+# ---------------------------------------------------------------------------
+# shared evaluation at a point
+
+
+def _independent_value(f: ScalarExpr, point, precision: int):
+    """f at a rational point from exact coefficient values and mpmath's coth."""
+    ctx = mpmath.mp.clone()
+    ctx.prec = precision + 20
+
+    def mpf(q):
+        return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+
+    total, scale = ctx.mpf(0), ctx.mpf(1)
+    for mono, coeff in f.terms.items():
+        term = mpf(coeff.eval_exact(point))
+        for atom, power in mono:
+            term *= ctx.coth(mpf(atom_form_poly(atom).eval_exact(point))) ** power
+        total, scale = total + term, scale + abs(term)
+    return total, scale
+
+
+def _point_on(rd, hyperplanes, n):
+    """A rational point on every (root index, nu) hyperplane (a, x - nu) = 0,
+    with the remaining coordinates pinned to values off the other hyperplanes."""
+    rows = [list(rd.coroot_coords(i)) for i, _ in hyperplanes]
+    rhs = [sum(c * v for c, v in zip(rows[k], nu)) for k, (_, nu) in enumerate(hyperplanes)]
+    for k in range(n):
+        if len(rows) == n:
+            break
+        trial = rows + [[Q(int(j == k)) for j in range(n)]]
+        try:
+            solve_linear(trial, rhs + [Q(7, 5) + k])
+        except DegenerateFormError:
+            continue
+        rows, rhs = trial, rhs + [Q(7, 5) + k]
+    return tuple(solve_linear(rows, rhs))
+
+
+def _coth_and_rational(bundle, request):
+    """r of the X = all coth family (nu1) plus r of the X = all rational family (nu2)."""
+    g, rd, om = request.getfixturevalue(bundle)
+    n = g.rank
+    nu1 = [Q(k + 1, 3) for k in range(n)]
+    nu2 = [Q(-k - 1, 2) for k in range(n)]
+    coth = RMatrixSpec(X=frozenset(range(len(rd))), nu=nu1, D=TwoForm.zero(n), epsilon=Q(1, 2))
+    rational = RMatrixSpec(X=frozenset(range(len(rd))), nu=nu2, D=TwoForm.zero(n))
+    return g, rd, nu1, nu2, construct(coth, g, rd, omega=om) + construct(rational, g, rd, omega=om)
+
+
+# the form each PoleError names, recorded before evaluation shared one
+# MpPoint across the cells at a point: (bundle, hyperplanes) -> form
+POLE_FORMS = {
+    ("gl21", "coth"): "coth(1/4*x0 + 1/4*x2 - 1/3)",
+    ("gl21", "denominator"): "x1 + x2 + 5/2",
+    ("gl21", "both"): "x0 + x2 + 2",
+    ("gl21", "both-swapped"): "coth(1/4*x0 + 1/4*x2 - 1/3)",
+    ("sl3", "coth"): "coth(1/2*x0 + 1/4*x1 - 1/3)",
+    ("sl3", "denominator"): "x0 + 2*x1 + 5/2",
+    ("sl3", "both"): "x0 + 1/2*x1 + 1",
+    ("sl3", "both-swapped"): "coth(1/2*x0 + 1/4*x1 - 1/3)",
+}
+
+
+class TestSharedEvaluation:
+    """Tensor.evaluate and largest_value share one MpPoint per point."""
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    @pytest.mark.parametrize("bundle", ["gl21", "sl3"])
+    def test_shared_state_equals_per_cell_evaluation(self, bundle, precision, request):
+        g, _, _, _, t = _coth_and_rational(bundle, request)
+        assert any(c.has_coth() for c in t.coeffs.values())
+        assert any(f.den for c in t.coeffs.values() for f in c.terms.values())
+        pts = sample_points(g.rank, 4, seed=3, avoid=t.singular_forms(), lattice=6)
+        for pt in pts:
+            shared = t.evaluate(pt, precision=precision)
+            assert shared == {k: c.eval_numeric(pt, precision=precision) for k, c in t.coeffs.items()}
+        best, max_abs = None, 0.0
+        for pt in pts:
+            for key, c in t.coeffs.items():
+                v = c.eval_numeric(pt, precision=precision)
+                if best is None or abs(v) > max_abs:
+                    best, max_abs = (key, pt, v), float(abs(v))
+        assert largest_value(t.coeffs, pts, precision=precision, margin=1e-6) == best
+
+    @pytest.mark.parametrize("bundle", ["gl21", "sl3"])
+    def test_values_belong_to_their_point(self, bundle, request):
+        # an atom value kept from one point and reused at the next is caught here
+        g, _, _, _, t = _coth_and_rational(bundle, request)
+        pts = sample_points(g.rank, 3, seed=5, avoid=t.singular_forms(), lattice=6)
+        for precision in (64, 128):
+            for pt in pts:
+                for key, v in t.evaluate(pt, precision=precision).items():
+                    expected, scale = _independent_value(t.coeffs[key], pt, precision)
+                    assert abs(v - expected) <= scale * 2.0 ** (16 - precision), (key, pt)
+
+    @pytest.mark.parametrize("where", ["coth", "denominator", "both", "both-swapped"])
+    @pytest.mark.parametrize("bundle", ["gl21", "sl3"])
+    def test_pole_names_the_same_form(self, bundle, where, request):
+        g, rd, nu1, nu2, t = _coth_and_rational(bundle, request)
+        pos = rd.positive_indices()
+        a, b = pos[0], pos[-1]
+        hyperplanes = {
+            "coth": [(a, nu1)],
+            "denominator": [(b, nu2)],
+            "both": [(b, nu1), (a, nu2)],
+            "both-swapped": [(a, nu1), (b, nu2)],
+        }[where]
+        point = _point_on(rd, hyperplanes, g.rank)
+        with pytest.raises(PoleError) as err:
+            t.evaluate(point, precision=64)
+        assert err.value.form == POLE_FORMS[(bundle, where)]
+        assert err.value.point == point

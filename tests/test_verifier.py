@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+import sdybe.rmatrix as rmatrix_mod
 import sdybe.tensor as tensor_mod
 import sdybe.verifier as verifier_mod
+from sdybe import cli
 from sdybe.rmatrix import (
     RMatrixSpec,
     TwoForm,
+    ValidationError,
     construct,
     functional_equation_residual,
     ode_residual,
@@ -558,6 +562,20 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def _count_validate(monkeypatch) -> list:
+    """Counts validate calls through both its bindings: run_checks' and construct's."""
+    calls = []
+    original = rmatrix_mod.validate
+
+    def counted(*args, **kwargs):
+        calls.append("validate")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verifier_mod, "validate", counted)
+    monkeypatch.setattr(rmatrix_mod, "validate", counted)
+    return calls
+
+
 def _bad_signs_spec(rd):
     """X = none with a, b signed + and a + b signed -: validate accepts it,
     but it is no solution (the negative control of the compute-once test)."""
@@ -621,6 +639,50 @@ class TestComputeOnce:
         ok, reports, _ = run_checks(g, rd, full_spec(rd, eps=Q(1)), checks=("lemma",), cfg=CFG64)
         assert ok and [rep.name for rep in reports] == ["lemma"]
         assert (len(yb), len(decide)) == (3, 4)
+
+    @pytest.mark.parametrize(
+        "checks,names",
+        [
+            (None, list(ALL_CHECKS)),
+            ("lemma", ["lemma"]),
+            ("validate,limits", ["validate", "limits"]),
+        ],
+    )
+    def test_verify_validates_once(self, tmp_path, monkeypatch, checks, names):
+        # X = all coth with nu = 0 and D = 0, so the default checks include limits
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"algebra": "gl", "m": 2, "n": 1, "epsilon": "1", "X": "all"}))
+        out = tmp_path / "report.json"
+        argv = ["verify", "--spec", str(spec), "--precision", "64", "--out", str(out)]
+        calls = _count_validate(monkeypatch)
+        assert cli.main(argv + (["--checks", checks] if checks else [])) == 0
+        assert calls == ["validate"]
+        assert [c["name"] for c in json.loads(out.read_text())["checks"]] == names
+
+    def test_validate_report_records_its_time(self, gl21):
+        g, rd, _ = gl21
+        _, reports, _ = run_checks(g, rd, full_spec(rd, eps=Q(1)), checks=("validate",), cfg=CFG64)
+        assert reports[0].name == "validate" and reports[0].seconds > 0
+
+    def test_public_construct_still_rejects_open_x(self, gl21):
+        g, rd, _ = gl21
+        pos = rd.positive_indices()
+        a, b = next((i, j) for i in pos for j in pos if rd.add_index(i, j) is not None)
+        n = g.rank
+        spec = RMatrixSpec(X={a, rd.neg[a], b, rd.neg[b]}, nu=[0] * n, D=TwoForm.zero(n))
+        with pytest.raises(ValidationError, match="X not closed under root addition"):
+            construct(spec, g, rd)
+
+    def test_standalone_limits_still_validates(self, gl21, monkeypatch):
+        g, rd, _ = gl21
+        calls = _count_validate(monkeypatch)
+        assert limit_behavior_check(full_spec(rd, eps=Q(1)), g, rd, CFG64).status == "numeric-zero"
+        assert calls == ["validate"]
+        # nu = 0 with one coordinate too many: limits applies, validate refuses it
+        too_long = full_spec(rd, eps=Q(1), nu=[0] * (g.rank + 1))
+        assert verifier_mod.limits_applicable(too_long, rd)
+        with pytest.raises(ValidationError, match="nu has 4 coordinates"):
+            limit_behavior_check(too_long, g, rd, CFG64)
 
 
 class TestVerifyConfig:
