@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Check that a change leaves every `sdybe verify` report as the parent wrote it.
+
+    python3 scripts/compare_reports.py --parent HEAD~1
+
+Run from the root of the checkout under test (the change).  The parent
+revision is exported with `git archive` into --parent-dir (a fresh temporary
+directory by default).  For seeds 1-3 of every perfbench workload, the spec
+files of `perfbench/workloads.py` (negative controls included) are written
+once and verified by each side, from its own source, with the arguments
+perfbench uses.  The reports are compared with every `seconds` field removed, and so
+are the exit codes.  Prints one line per difference and exits 1 if there is
+any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, HERE)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402
+from bench_pairs import export_parent  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+# runs in a fresh interpreter: argv[1] is a src/ directory, argv[2] a JSON list
+# of `sdybe` argument lists; prints the list of exit codes as JSON
+DRIVER = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from sdybe import cli
+codes = []
+for argv in json.load(open(sys.argv[2])):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+
+def without_seconds(node):
+    """node with every `seconds` entry removed, at any depth."""
+    if isinstance(node, dict):
+        return {k: without_seconds(v) for k, v in node.items() if k != "seconds"}
+    if isinstance(node, list):
+        return [without_seconds(v) for v in node]
+    return node
+
+
+def verify_all(checkout: str, jobs: list[list[str]], work: str) -> list:
+    path = os.path.join(work, "jobs.json")
+    with open(path, "w") as fh:
+        json.dump(jobs, fh)
+    argv = [sys.executable, "-c", DRIVER, os.path.join(checkout, "src"), path]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def read_report(path: str):
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        return without_seconds(json.load(fh))
+
+
+def compare(workload: str, seed: int, parent_dir: str, work: str) -> tuple[int, list[str]]:
+    """(specs compared, differences) for one workload and seed."""
+    specs = workloads.generate(workload, seed, os.path.join(work, "specs"))
+    outs: dict = {}
+    codes: dict = {}
+    for side, checkout in (("parent", parent_dir), ("change", ROOT)):
+        outs[side] = [os.path.join(work, f"{side}-{k:02d}.json") for k in range(len(specs))]
+        codes[side] = verify_all(checkout, [s.argv(seed, out) for s, out in zip(specs, outs[side])], work)
+    diffs = []
+    for k, spec in enumerate(specs):
+        where = f"{workload} seed {seed} spec {k:02d} ({spec.name})"
+        if codes["parent"][k] != codes["change"][k]:
+            diffs.append(f"{where}: exit code {codes['parent'][k]} -> {codes['change'][k]}")
+        if read_report(outs["parent"][k]) != read_report(outs["change"][k]):
+            diffs.append(f"{where}: reports differ")
+    return len(specs), diffs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--parent-dir", help="where to export the parent (default: a new temporary directory)")
+    args = ap.parse_args(argv)
+
+    parent_dir = args.parent_dir or tempfile.mkdtemp(prefix="compare-parent-")
+    commit = export_parent(args.parent, parent_dir)
+    total, diffs = 0, []
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            with tempfile.TemporaryDirectory(prefix="compare-reports-") as work:
+                count, found = compare(workload, seed, parent_dir, work)
+            total += count
+            diffs += found
+            print(f"{workload} seed {seed}: {count} specs, {len(found)} differences", file=sys.stderr)
+    for line in diffs:
+        print(line)
+    verdict = "differ" if diffs else "match"
+    print(f"{total} reports against {commit[:7]}: {len(diffs)} differences; reports {verdict}", file=sys.stderr)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .scalars import Poly, RationalFunction, ScalarExpr, from_sexpr, poly_from_str, to_sexpr
 from .superalgebra import LieSuperalgebra, RootDatum, cartan_casimir_cells, casimir, sign_A
-from .tensor import Tensor2
+from .tensor import Tensor2, collect_tensor
 
 Q = Fraction
 
@@ -269,20 +269,20 @@ def construct(spec: RMatrixSpec, g: LieSuperalgebra, rd: RootDatum, omega: Tenso
 
 
 def _assemble(spec: RMatrixSpec, g: LieSuperalgebra, rd: RootDatum, omega: Tensor2 | None = None) -> Tensor2:
-    """The r-matrix of a spec the caller has validated."""
-    r = Tensor2(g, _cartan_part(spec, g))
+    """The r-matrix of a spec the caller has validated, each cell summed once."""
+    cells: dict = {}
+    collect_tensor(cells, Tensor2(g, _cartan_part(spec, g)))
     if spec.epsilon != 0:
         omega = omega if omega is not None else casimir(g, rd)
-        r = r + omega.scale(spec.epsilon / 2)
+        collect_tensor(cells, omega, spec.epsilon / 2)
         indices = range(len(rd))
     else:
         indices = sorted(spec.X)
     for i in indices:
         f = phi(i, spec, rd)
-        if f.symbolically_zero():
-            continue
-        r = r + Tensor2.from_vectors(g, rd.e[i], rd.e[rd.neg[i]], f)
-    return r
+        if not f.symbolically_zero():
+            collect_tensor(cells, Tensor2.from_vectors(g, rd.e[i], rd.e[rd.neg[i]], f))
+    return Tensor2.summed(g, cells)
 
 
 def constant_example(g: LieSuperalgebra, rd: RootDatum, eps, which: str = "r") -> Tensor2:
@@ -297,13 +297,14 @@ def constant_example(g: LieSuperalgebra, rd: RootDatum, eps, which: str = "r") -
         raise ValueError("constant example needs a nonzero coupling")
     if which not in ("r", "Tsr"):
         raise ValueError("which must be 'r' or 'Tsr'")
-    r = Tensor2.from_constant_cells(g, cartan_casimir_cells(g, eps / 2))
+    cells: dict = {}
+    collect_tensor(cells, Tensor2.from_constant_cells(g, cartan_casimir_cells(g, eps / 2)))
     for i in rd.positive_indices():
         if which == "r":
-            r = r + Tensor2.from_vectors(g, rd.e[rd.neg[i]], rd.e[i], eps)
+            collect_tensor(cells, Tensor2.from_vectors(g, rd.e[rd.neg[i]], rd.e[i], eps))
         else:
-            r = r + Tensor2.from_vectors(g, rd.e[i], rd.e[rd.neg[i]], eps * (-1) ** rd.roots[i].parity)
-    return r
+            collect_tensor(cells, Tensor2.from_vectors(g, rd.e[i], rd.e[rd.neg[i]], eps * (-1) ** rd.roots[i].parity))
+    return Tensor2.summed(g, cells)
 
 
 def shift_to_s(r: Tensor2, eps, omega: Tensor2) -> Tensor2:

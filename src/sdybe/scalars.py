@@ -15,6 +15,16 @@ from a process-wide table keyed by its canonical form, and its key cached on
 the Poly.  Denominators merge by id, and a factor already in a denominator is
 never normalised again.
 
+There is one sum path.  `RationalFunction.sum` and `ScalarExpr.sum` take
+(factor, term) pairs with int or Fraction factors: numerators over one
+denominator add into one coefficient dict, the groups meet over the lcm of
+their denominators, and the total is reduced once (a zero total is never
+divided).  `+` and `-` are two-term calls of these, and the tensor builders
+sum each cell through them.  A sum keeps its monomials in the order their
+first terms arrive.  When every denominator factor of a product has degree
+1, a factor is tried only against the other operand's numerator, since both
+operands are reduced; otherwise every factor is tried against the product.
+
 A coth atom is coth(u) for an affine-linear form u with rational coefficients.
 Atoms are sign-canonicalized (first nonzero coefficient of (u_0..u_{N-1}, const)
 made positive via coth(-u) = -coth(u)), so expressions whose arguments differ
@@ -117,12 +127,26 @@ def _coeff(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def _integral(terms: dict) -> dict:
-    """terms with every integral Fraction coefficient replaced by its numerator (in place)."""
-    for m, c in terms.items():
-        if c.__class__ is not int and c.denominator == 1:
-            terms[m] = c.numerator
-    return terms
+def _add_terms(acc: dict, terms: dict, factor) -> None:
+    """acc += factor * terms, coefficient by coefficient; cancelled entries stay as 0."""
+    get = acc.get
+    if factor == 1:
+        for m, c in terms.items():
+            s = get(m)
+            acc[m] = c if s is None else s + c
+    elif factor == -1:
+        for m, c in terms.items():
+            s = get(m)
+            acc[m] = -c if s is None else s - c
+    else:
+        for m, c in terms.items():
+            s = get(m)
+            acc[m] = c * factor if s is None else s + c * factor
+
+
+def _pruned(acc: dict) -> dict:
+    """acc without zero entries, integral Fractions stored as int."""
+    return {m: c if c.__class__ is int or c.denominator != 1 else c.numerator for m, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +156,12 @@ def _integral(terms: dict) -> dict:
 class Poly:
     """Sparse multivariate polynomial over Q; coefficients are int or Fraction.
 
-    `_key` caches the canonical form; `_fid` is the interned factor id, set
-    only once the polynomial is a monic denominator factor.
+    `_key` caches the canonical form; `_fid` is the interned factor id and
+    `_linear` whether the degree is 1, both set only once the polynomial is a
+    monic denominator factor.
     """
 
-    __slots__ = ("nvars", "terms", "_key", "_fid")
+    __slots__ = ("nvars", "terms", "_key", "_fid", "_linear")
 
     def __init__(self, nvars: int, terms: dict | None = None, _prune: bool = True):
         self.nvars = nvars
@@ -220,19 +245,8 @@ class Poly:
     def __add__(self, other: Poly) -> Poly:
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-                continue
-            s += c
-            if not s:
-                del out[m]
-            elif s.__class__ is int or s.denominator != 1:
-                out[m] = s
-            else:
-                out[m] = s.numerator
-        return Poly(self.nvars, out, _prune=False)
+        _add_terms(out, other.terms, 1)
+        return Poly(self.nvars, _pruned(out), _prune=False)
 
     def __neg__(self) -> Poly:
         return Poly(self.nvars, {m: -c for m, c in self.terms.items()}, _prune=False)
@@ -245,8 +259,12 @@ class Poly:
             other = _coeff(other)
             if other == 0:
                 return Poly.zero(self.nvars)
-            return Poly(self.nvars, _integral({m: c * other for m, c in self.terms.items()}), _prune=False)
+            return Poly(self.nvars, _pruned({m: c * other for m, c in self.terms.items()}), _prune=False)
         self._check(other)
+        if len(other.terms) == 1 and not any(next(iter(other.terms))):
+            return self * next(iter(other.terms.values()))
+        if len(self.terms) == 1 and not any(next(iter(self.terms))):
+            return other * next(iter(self.terms.values()))
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -256,7 +274,7 @@ class Poly:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return Poly(self.nvars, _integral(out), _prune=False)
+        return Poly(self.nvars, _pruned(out), _prune=False)
 
     __rmul__ = __mul__
 
@@ -294,7 +312,7 @@ class Poly:
                     rem[mm] = s
                 else:
                     rem.pop(mm, None)
-        return Poly(self.nvars, _integral(quo), _prune=False)
+        return Poly(self.nvars, _pruned(quo), _prune=False)
 
     # -- evaluation
 
@@ -423,17 +441,32 @@ _INTERN_LOCK = threading.Lock()
 
 
 def _intern_factor(f: Poly) -> None:
-    """Give the monic, non-constant f its factor id (cached on f with its key)."""
+    """Give the monic, non-constant f its factor id and degree-1 flag (cached on f with its key)."""
     key = f.key()
     fid = _FACTOR_IDS.get(key)
     if fid is None:
         with _INTERN_LOCK:
             fid = _FACTOR_IDS.setdefault(key, len(_FACTOR_IDS))
     f._fid = fid
+    f._linear = all(sum(m) <= 1 for m in f.terms)
 
 
 def _factor_key(entry: tuple[Poly, int]) -> tuple:
     return entry[0]._key
+
+
+def _cancel(num: Poly, factors: dict, fids: Iterable[int]) -> RationalFunction:
+    """num / factors ({id: (factor, multiplicity)}), each factor in fids tried against num."""
+    for fid in fids:
+        f, mult = factors[fid]
+        while mult and (q := num.exact_div(f)) is not None:
+            num, mult = q, mult - 1
+        if mult:
+            factors[fid] = (f, mult)
+        else:
+            del factors[fid]
+    # ordered by canonical key, never by id, so eval_mp multiplies in a fixed order
+    return RationalFunction._reduced(num, tuple(sorted(factors.values(), key=_factor_key)) if num.terms else ())
 
 
 class RationalFunction:
@@ -469,23 +502,9 @@ class RationalFunction:
                 factors[fid] = (f, factors[fid][1] + mult)
             else:
                 factors[fid] = (f, mult)
-        # cancel stored factors dividing the numerator
-        if not num.is_zero():
-            for fid in list(factors):
-                f, mult = factors[fid]
-                while mult > 0:
-                    q = num.exact_div(f)
-                    if q is None:
-                        break
-                    num = q
-                    mult -= 1
-                if mult:
-                    factors[fid] = (f, mult)
-                else:
-                    del factors[fid]
-        self.num = num
-        # ordered by canonical key, never by id, so eval_mp multiplies in a fixed order
-        self.den = () if num.is_zero() else tuple(sorted(factors.values(), key=_factor_key))
+        reduced = _cancel(num, factors, list(factors) if num.terms else ())
+        self.num = reduced.num
+        self.den = reduced.den
 
     @classmethod
     def _reduced(cls, num: Poly, den: tuple) -> RationalFunction:
@@ -494,6 +513,50 @@ class RationalFunction:
         out.num = num
         out.den = den
         return out
+
+    @staticmethod
+    def sum(pairs: Sequence[tuple]) -> RationalFunction:
+        """sum(factor * term for factor, term in pairs), reduced once.
+
+        A factor is an int or a Fraction; pairs must not be empty.  Numerators
+        over one denominator add into one coefficient dict (+-1 as an add or
+        a subtract); these groups meet over the lcm of their denominators, and
+        each factor of the lcm is tried against the total once.  A zero total
+        divides nothing; a single term is already reduced.
+        """
+        nvars = pairs[0][1].num.nvars
+        live = [(factor, term) for factor, term in pairs if factor and term.num.terms]
+        if len(live) < 2:
+            if not live:
+                return RationalFunction.zero(nvars)
+            factor, term = live[0]
+            if factor == 1:
+                return term
+            return RationalFunction._reduced(-term.num if factor == -1 else term.num * factor, term.den)
+        groups: dict[tuple, tuple] = {}  # (factor id, multiplicity) pairs -> (den, coefficients)
+        for factor, term in live:
+            key = tuple([(f._fid, m) for f, m in term.den])
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (term.den, {})
+            _add_terms(group[1], term.num.terms, factor)
+        factors = {}  # the lcm: factor id -> (factor, highest multiplicity)
+        for den, _ in groups.values():
+            for f, m in den:
+                if m > factors.get(f._fid, (f, 0))[1]:
+                    factors[f._fid] = (f, m)
+        total: dict = {}
+        for key, (_, acc) in groups.items():
+            have = dict(key)
+            for fid, (f, m) in factors.items():
+                for _ in range(m - have.get(fid, 0)):
+                    acc = (Poly(nvars, acc, _prune=False) * f).terms
+            if total:
+                _add_terms(total, acc, 1)
+            else:  # the first group's dict, built here, starts the total
+                total = acc
+        total = _pruned(total)
+        return _cancel(Poly(nvars, total, _prune=False), factors, list(factors) if total else ())
 
     # -- constructors
 
@@ -544,30 +607,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.num.is_zero():
-            return self
-        if self.num.is_zero():
-            return other
-        if not self.den and not other.den:
-            return RationalFunction._reduced(self.num + other.num, ())
-        merged: dict[int, tuple[Poly, int]] = {f._fid: (f, m) for f, m in self.den}
-        for f, m in other.den:
-            fid = f._fid
-            if fid in merged:
-                merged[fid] = (f, max(merged[fid][1], m))
-            else:
-                merged[fid] = (f, m)
-        self_mult = {f._fid: m for f, m in self.den}
-        other_mult = {f._fid: m for f, m in other.den}
-        num1, num2 = self.num, other.num
-        for fid, (f, m) in merged.items():
-            d1 = m - self_mult.get(fid, 0)
-            d2 = m - other_mult.get(fid, 0)
-            for _ in range(d1):
-                num1 = num1 * f
-            for _ in range(d2):
-                num2 = num2 * f
-        return RationalFunction(num1 + num2, merged.values())
+        return RationalFunction.sum(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -578,25 +618,46 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return RationalFunction.sum(((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other) -> RationalFunction:
+        """The product, reduced.
+
+        When every denominator factor has degree 1, each is a prime and the
+        operands are reduced, so a factor of one denominator can only cancel
+        against the other numerator, and not at all when both denominators
+        hold it.  Otherwise every factor is tried against the product.
+        """
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not self.den and not other.den:
             return RationalFunction._reduced(self.num * other.num, ())
-        merged: dict[int, tuple[Poly, int]] = {}
-        for f, m in self.den + other.den:
-            fid = f._fid
-            if fid in merged:
-                merged[fid] = (f, merged[fid][1] + m)
-            else:
-                merged[fid] = (f, m)
-        return RationalFunction(self.num * other.num, merged.values())
+        nums = [self.num, other.num]
+        factors: dict[int, list] = {}  # id -> [factor, multiplicity, index of the numerator it may divide]
+        linear = True
+        for side, den in enumerate((self.den, other.den)):
+            for f, m in den:
+                linear = linear and f._linear
+                entry = factors.get(f._fid)
+                if entry is None:
+                    factors[f._fid] = [f, m, 1 - side]
+                else:  # in both denominators: it divides neither numerator
+                    entry[1:] = [entry[1] + m, None]
+        if not linear:
+            num = nums[0] * nums[1]
+            merged = {fid: (f, m) for fid, (f, m, _) in factors.items()}
+            return _cancel(num, merged, list(merged) if num.terms else ())
+        for entry in factors.values():
+            f, m, side = entry
+            if side is not None and not nums[side].is_const():
+                while m and (q := nums[side].exact_div(f)) is not None:
+                    nums[side], m = q, m - 1
+                entry[1] = m
+        return _cancel(nums[0] * nums[1], {fid: (f, m) for fid, (f, m, _) in factors.items() if m}, ())
 
     __rmul__ = __mul__
 
@@ -793,7 +854,7 @@ class ScalarExpr:
             p, m = (tuple(max(sign * int(c * lcm), 0) for c in atom_entries(atom)) for sign in (1, -1))
             top = max(dict(mono).get(atom, 0) for mono in self.terms)
             factors[atom] = (Poly(nexp, {p: 1, m: 1}, _prune=False), Poly(nexp, {p: 1, m: -1}, _prune=False), top)
-        numerator: dict[Mono, RationalFunction] = {}
+        numerator: dict[Mono, list] = {}  # (y, t) monomial -> its (int, coefficient) terms
         for mono, coeff in self.terms.items():
             powers = dict(mono)
             cleared = Poly.const(nexp, 1)
@@ -802,9 +863,8 @@ class ScalarExpr:
                 for f in [plus] * k + [minus] * (top - k):
                     cleared = cleared * f
             for m, c in cleared.terms.items():
-                term = coeff * c
-                numerator[m] = numerator[m] + term if m in numerator else term
-        return all(c.is_zero() for c in numerator.values())
+                numerator.setdefault(m, []).append((c, coeff))
+        return all(RationalFunction.sum(terms).is_zero() for terms in numerator.values())
 
     def as_ratfun(self) -> RationalFunction:
         if not self.is_rational():
@@ -836,21 +896,28 @@ class ScalarExpr:
             return ScalarExpr.from_ratfun(other)
         return NotImplemented
 
+    @staticmethod
+    def sum(nvars: int, pairs: Sequence[tuple]) -> ScalarExpr:
+        """sum(factor * term for factor, term in pairs), one reduction per atom monomial.
+
+        A factor is an int or a Fraction.  Monomials keep the order in which
+        the terms first bring them; a monomial whose sum cancels is dropped.
+        """
+        groups: dict[AtomMono, list] = {}
+        for factor, term in pairs:
+            for mono, c in term.terms.items():
+                group = groups.get(mono)
+                if group is None:
+                    groups[mono] = [(factor, c)]
+                else:
+                    group.append((factor, c))
+        return ScalarExpr(nvars, _sum_groups(groups), _prune=False)
+
     def __add__(self, other) -> ScalarExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in out:
-                s = out[m] + c
-                if s.is_zero():
-                    del out[m]
-                else:
-                    out[m] = s
-            else:
-                out[m] = c
-        return ScalarExpr(self.nvars, out, _prune=False)
+        return ScalarExpr.sum(self.nvars, ((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -861,7 +928,7 @@ class ScalarExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return ScalarExpr.sum(self.nvars, ((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -870,20 +937,14 @@ class ScalarExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict = {}
+        if len(self.terms) == 1 == len(other.terms):  # one product, nonzero: nothing to sum
+            ((m1, c1),), ((m2, c2),) = self.terms.items(), other.terms.items()
+            return ScalarExpr(self.nvars, {_mono_mul(m1, m2): c1 * c2}, _prune=False)
+        groups: dict[AtomMono, list] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                if m in out:
-                    s = out[m] + c
-                    if s.is_zero():
-                        del out[m]
-                    else:
-                        out[m] = s
-                else:
-                    out[m] = c
-        return ScalarExpr(self.nvars, out, _prune=False)
+                groups.setdefault(_mono_mul(m1, m2), []).append((1, c1 * c2))
+        return ScalarExpr(self.nvars, _sum_groups(groups), _prune=False)
 
     __rmul__ = __mul__
 
@@ -902,11 +963,11 @@ class ScalarExpr:
 
     def differentiate(self, index: int) -> ScalarExpr:
         """Exact partial derivative; d coth(u) = (1 - coth(u)^2) du."""
-        out = ScalarExpr.zero(self.nvars)
+        groups: dict[AtomMono, list] = {}
         for mono, coeff in self.terms.items():
             dc = coeff.diff(index)
-            if not dc.is_zero():
-                out = out + ScalarExpr(self.nvars, {mono: dc}, _prune=False)
+            if dc.num.terms:
+                groups.setdefault(mono, []).append((1, dc))
             for k, (atom, power) in enumerate(mono):
                 u_i = atom_entries(atom)[index]
                 if u_i == 0:
@@ -915,10 +976,10 @@ class ScalarExpr:
                 # (a canonical monomial, as mono is)
                 low = mono[:k] + ((atom, power - 1),) + mono[k + 1 :] if power > 1 else mono[:k] + mono[k + 1 :]
                 high = _mono_mul(low, ((atom, 2),))
-                scale = coeff * (u_i * power)
-                out = out + ScalarExpr(self.nvars, {low: scale}, _prune=True)
-                out = out + ScalarExpr(self.nvars, {high: -scale}, _prune=True)
-        return out
+                scale = u_i * power
+                groups.setdefault(low, []).append((scale, coeff))
+                groups.setdefault(high, []).append((-scale, coeff))
+        return ScalarExpr(self.nvars, _sum_groups(groups), _prune=False)
 
     # -- evaluation
 
@@ -963,6 +1024,16 @@ class ScalarExpr:
 
     def __repr__(self) -> str:
         return f"ScalarExpr({to_sexpr(self)})"
+
+
+def _sum_groups(groups: dict) -> dict:
+    """{monomial: RationalFunction.sum of its (factor, coefficient) terms}, zero sums dropped."""
+    out = {}
+    for mono, terms in groups.items():
+        c = RationalFunction.sum(terms)
+        if c.num.terms:
+            out[mono] = c
+    return out
 
 
 def _mono_mul(m1: AtomMono, m2: AtomMono) -> AtomMono:
@@ -1130,10 +1201,7 @@ def from_sexpr(text: str, nvars: int) -> ScalarExpr:
             return ScalarExpr.const(nvars, Q(node))
         head = node[0]
         if head == "+":
-            acc = ScalarExpr.zero(nvars)
-            for sub in node[1:]:
-                acc = acc + build(sub)
-            return acc
+            return ScalarExpr.sum(nvars, [(1, build(sub)) for sub in node[1:]])
         if head == "*":
             acc = ScalarExpr.const(nvars, 1)
             for sub in node[1:]:

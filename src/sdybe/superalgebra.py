@@ -1,9 +1,10 @@
 """Concrete matrix Lie superalgebras with invariant form and root data.
 
 Algebras are gl(m|n) (matrix units, supercommutator, supertrace form) and its
-supertraceless subalgebra sl(m|n) for m != n.  Elements are sparse vectors
-{basis index: Fraction}.  All arithmetic is exact; structure constants, form
-entries, root functionals and coroots are int where they are integral.
+supertraceless subalgebra sl(m|n) for m != n, both built from the closed-form
+matrix-unit rules.  Elements are sparse vectors {basis index: Fraction}.  All
+arithmetic is exact; structure constants, form entries, root functionals and
+coroots are int where they are integral.
 
 Root data follow the normalization [e_a, e_{-a}] = (e_a, e_{-a}) h_a with
 (e_a, e_{-a}) = 1 for positive roots, and the sign bookkeeping
@@ -143,43 +144,6 @@ class LieSuperalgebra:
         return [[_coeff(v) for v in row] for row in invert_matrix(self.cartan_gram())]
 
 
-def _matmul(x: dict, y: dict) -> dict:
-    """Product of sparse {(row, col): Fraction} matrices, zero entries dropped."""
-    out: dict = {}
-    for (r, c), v in x.items():
-        for (r2, c2), w in y.items():
-            if c == r2:
-                s = out.get((r, c2), Q(0)) + v * w
-                if s:
-                    out[(r, c2)] = s
-                else:
-                    out.pop((r, c2), None)
-    return out
-
-
-def _supercommutator_matrix(a: dict, b: dict, parity_a: int, parity_b: int) -> dict:
-    """[a, b] = ab - (-1)^{|a||b|} ba on sparse {(row, col): Fraction} matrices."""
-    sign = -1 if parity_a and parity_b else 1
-    ab = _matmul(a, b)
-    ba = _matmul(b, a)
-    out = dict(ab)
-    for key, v in ba.items():
-        s = out.get(key, Q(0)) - sign * v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _supertrace(mat: dict, m: int, n: int) -> Fraction:
-    acc = Q(0)
-    for (r, c), v in mat.items():
-        if r == c:
-            acc += v if r < m else -v
-    return acc
-
-
 def build_gl(m: int, n: int) -> LieSuperalgebra:
     """gl(m|n): matrix units E_ij, supercommutator, supertrace form.
 
@@ -229,77 +193,68 @@ def build_sl(m: int, n: int) -> LieSuperalgebra:
     """sl(m|n), m != n: supertraceless matrices with the restricted str form.
 
     Basis: off-diagonal units E_ij plus the supertraceless diagonals
-    h_i = E_ii - s_i/(m-n) * Id for i < m+n-1.
+    h_t = E_tt - s_t/(m-n) * Id for t < m+n-1, where s_i = +1 on even rows
+    and -1 on odd ones.  The brackets follow the matrix-unit rules
+
+      [E_ij, E_kl] = d_jk E_il - (-1)^{|E_ij||E_kl|} d_li E_kj
+      [h_t, E_kl]  = (d_tk - d_tl) E_kl,    [h_a, h_b] = 0
+
+    with a diagonal bracket sum_x c_x E_xx (supertraceless) written as
+    sum_t (c_t - c_{d-1}) h_t, and the form those of the supertrace,
+    (E_ij, E_kl) = d_jk d_il s_i and (h_a, h_b) = s_a d_ab - s_a s_b/(m-n).
     """
     if m == n:
         raise DegenerateFormError("the supertrace form degenerates on sl(n|n)")
     if m + n < 2:
         raise ValueError("need m + n >= 2")
     d = m + n
-    row_parity = [EVEN if i < m else ODD for i in range(d)]
-    s = [Q(1) if i < m else Q(-1) for i in range(d)]
+    s = [1 if i < m else -1 for i in range(d)]
+    units = [(i, j) for i in range(d) for j in range(d) if i != j]
+    index = {u: k for k, u in enumerate(units)}
+    h0 = len(units)  # index of h_0
+    dim = h0 + d - 1
+    parity = tuple([int(s[i] != s[j]) for i, j in units] + [EVEN] * (d - 1))
 
-    basis_mats: list[dict] = []
-    parity: list[int] = []
-    names: list[str] = []
-    offdiag_index: dict = {}
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                offdiag_index[(i, j)] = len(basis_mats)
-                basis_mats.append({(i, j): Q(1)})
-                parity.append((row_parity[i] + row_parity[j]) % 2)
-                names.append(f"E{i + 1}{j + 1}")
-    cartan_start = len(basis_mats)
-    for i in range(d - 1):
-        mat = {(k, k): -s[i] / (m - n) for k in range(d)}
-        mat[(i, i)] = mat.get((i, i), Q(0)) + 1
-        basis_mats.append({k: v for k, v in mat.items() if v})
-        parity.append(EVEN)
-        names.append(f"H{i + 1}")
-
-    dim = len(basis_mats)
-
-    def decompose(mat: dict) -> Vector:
-        # off-diagonal entries map to unit vectors; the supertraceless diagonal
-        # part X has X = sum_j (X_jj - X_{dd}) h_j (valid because str X = 0)
+    def bracket(a: int, b: int) -> Vector:
+        if a >= h0 and b >= h0:
+            return {}
+        if a >= h0 or b >= h0:
+            t, u, sign = (a - h0, b, 1) if a >= h0 else (b - h0, a, -1)
+            k, l = units[u]
+            c = sign * ((t == k) - (t == l))
+            return {u: c} if c else {}
+        (i, j), (k, l) = units[a], units[b]
+        sign = -1 if parity[a] and parity[b] else 1
+        if j == k and l == i:
+            diag = [0] * d
+            diag[i] += 1
+            diag[j] -= sign
+            return {h0 + t: diag[t] - diag[-1] for t in range(d - 1) if diag[t] != diag[-1]}
         out: Vector = {}
-        diag = [mat.get((k, k), Q(0)) for k in range(d)]
-        for (r, c), v in mat.items():
-            if r != c and v:
-                out[offdiag_index[(r, c)]] = _coeff(v)
-        last = diag[d - 1]
-        for jj in range(d - 1):
-            cc = diag[jj] - last
-            if cc:
-                out[cartan_start + jj] = _coeff(cc)
+        if j == k:
+            out[index[(i, l)]] = 1
+        if l == i:
+            out[index[(k, j)]] = -sign
         return out
 
-    structure: dict = {}
-    for a in range(dim):
-        for b in range(dim):
-            res = _supercommutator_matrix(basis_mats[a], basis_mats[b], parity[a], parity[b])
-            if res:
-                out = decompose(res)
-                if out:
-                    structure[(a, b)] = out
-
-    # (x, y) = str(xy), computed directly from the matrix product
-    form = tuple(
-        tuple(_coeff(_supertrace(_matmul(basis_mats[a], basis_mats[b]), m, n)) for b in range(dim))
-        for a in range(dim)
-    )
-    gram = [[form[i][j] for j in range(dim)] for i in range(dim)]
-    if determinant(gram) == 0:
+    structure = {(a, b): v for a in range(dim) for b in range(dim) if (v := bracket(a, b))}
+    form = [[0] * dim for _ in range(dim)]
+    for a, (i, j) in enumerate(units):
+        form[a][index[(j, i)]] = s[i]
+    for x in range(d - 1):
+        for y in range(d - 1):
+            form[h0 + x][h0 + y] = _coeff(s[x] * (x == y) - Q(s[x] * s[y], m - n))
+    # E_ij pairs only with E_ji, so the form is nondegenerate iff its Cartan block is
+    if determinant([row[h0:] for row in form[h0:]]) == 0:
         raise DegenerateFormError("restricted supertrace form is degenerate")
 
     return LieSuperalgebra(
         dim=dim,
-        parity=tuple(parity),
+        parity=parity,
         structure=structure,
-        form=form,
-        cartan=tuple(range(cartan_start, dim)),
-        basis_names=tuple(names),
+        form=tuple(map(tuple, form)),
+        cartan=tuple(range(h0, dim)),
+        basis_names=tuple([f"E{i + 1}{j + 1}" for i, j in units] + [f"H{t + 1}" for t in range(d - 1)]),
         family="sl",
         m=m,
         n=n,

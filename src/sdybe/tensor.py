@@ -12,16 +12,21 @@ pruned; there is no epsilon pruning.  Koszul signs enter in three places:
 
 The leg-bracket rules are the expansion of the graded commutators for tensors
 whose terms have even total parity (all zero-weight tensors here do).
+
+A builder whose terms can meet in one cell (the leg brackets, Alt_s, the
+Cartan action, the r-matrix assembly) records every term as a (factor,
+coefficient) pair with `collect` and reduces each cell once with
+`ScalarExpr.sum` (`_TensorBase.summed`); a cell that cancels is dropped.
+Cells keep the order in which their first term arrived, also a cell whose
+partial sum cancels before later terms bring it back.  The permutations,
+`from_vectors` and `dr` map distinct terms to distinct cells and sum nothing;
+two-operand `+` merges copies and sums only the cells both operands hold.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import MpPoint, ScalarExpr, singular_forms, to_sexpr
+from .scalars import MpPoint, ScalarExpr, _coeff, singular_forms, to_sexpr
 from .superalgebra import EVEN, LieSuperalgebra, Vector
-
-Q = Fraction
 
 
 class OddActorError(ValueError):
@@ -39,16 +44,19 @@ def _as_scalar(g: LieSuperalgebra, value) -> ScalarExpr:
     return ScalarExpr.const(g.rank, value)
 
 
-def accumulate(out: dict, key, term: ScalarExpr) -> None:
-    """out[key] += term, dropping the cell when the sum cancels exactly."""
-    if key in out:
-        acc = out[key] + term
-        if acc.symbolically_zero():
-            del out[key]
-        else:
-            out[key] = acc
+def collect(cells: dict, key, factor, term: ScalarExpr) -> None:
+    """Record factor * term (factor an int or a Fraction) for the cell key."""
+    terms = cells.get(key)
+    if terms is None:
+        cells[key] = [(factor, term)]
     else:
-        out[key] = term
+        terms.append((factor, term))
+
+
+def collect_tensor(cells: dict, t, factor=1) -> None:
+    """Record factor * t, cell by cell."""
+    for key, c in t.coeffs.items():
+        collect(cells, key, factor, c)
 
 
 class _TensorBase:
@@ -65,6 +73,16 @@ class _TensorBase:
     @classmethod
     def zero(cls, g: LieSuperalgebra):
         return cls(g, {})
+
+    @classmethod
+    def summed(cls, g: LieSuperalgebra, cells: dict):
+        """The tensor whose cells are the sums of the terms `collect` recorded in cells."""
+        out = {}
+        for key, terms in cells.items():
+            c = ScalarExpr.sum(g.rank, terms)
+            if c.terms:
+                out[key] = c
+        return cls(g, out, _prune=False)
 
     @classmethod
     def from_constant_cells(cls, g: LieSuperalgebra, cells: dict):
@@ -85,7 +103,12 @@ class _TensorBase:
         self._check(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            accumulate(out, k, c)
+            if k in out:
+                c = out[k] + c
+                if not c.terms:
+                    del out[k]
+                    continue
+            out[k] = c
         return type(self)(self.g, out, _prune=False)
 
     def __neg__(self):
@@ -123,11 +146,7 @@ class Tensor2(_TensorBase):
     @classmethod
     def from_vectors(cls, g: LieSuperalgebra, x: Vector, y: Vector, coeff=1) -> Tensor2:
         coeff = _as_scalar(g, coeff)
-        out: dict = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                accumulate(out, (i, j), coeff * (ci * cj))
-        return cls(g, out)
+        return cls(g, {(i, j): coeff * (ci * cj) for i, ci in x.items() for j, cj in y.items()})
 
 
 class Tensor3(_TensorBase):
@@ -143,10 +162,7 @@ class Tensor3(_TensorBase):
 def super_twist(t: Tensor2) -> Tensor2:
     """T_s(a (x) b) = (-1)^{|a||b|} b (x) a, termwise."""
     p = t.g.parity
-    out: dict = {}
-    for (i, j), c in t.coeffs.items():
-        accumulate(out, (j, i), c if _koszul(p[i], p[j]) == 1 else -c)
-    return Tensor2(t.g, out)
+    return Tensor2(t.g, {(j, i): c if _koszul(p[i], p[j]) == 1 else -c for (i, j), c in t.coeffs.items()})
 
 
 _PERM_RULES = {
@@ -165,29 +181,27 @@ def signed_permutation(t: Tensor3, which: str) -> Tensor3:
     out: dict = {}
     for (i, j, k), c in t.coeffs.items():
         key, exponent = rule(i, j, k, p)
-        accumulate(out, key, c if exponent % 2 == 0 else -c)
+        out[key] = c if exponent % 2 == 0 else -c
     return Tensor3(t.g, out)
 
 
 def alt_s(t: Tensor3) -> Tensor3:
     """Alt_s(a (x) b (x) c) = abc + (-1)^{|a|(|b|+|c|)} bca + (-1)^{|c|(|a|+|b|)} cab."""
     p = t.g.parity
-    out: dict = {}
+    cells: dict = {}
     for (i, j, k), c in t.coeffs.items():
-        accumulate(out, (i, j, k), c)
-        s2 = (p[i] * (p[j] + p[k])) % 2
-        accumulate(out, (j, k, i), c if s2 == 0 else -c)
-        s3 = (p[k] * (p[i] + p[j])) % 2
-        accumulate(out, (k, i, j), c if s3 == 0 else -c)
-    return Tensor3(t.g, out, _prune=False)
+        collect(cells, (i, j, k), 1, c)
+        collect(cells, (j, k, i), -1 if p[i] * (p[j] + p[k]) % 2 else 1, c)
+        collect(cells, (k, i, j), -1 if p[k] * (p[i] + p[j]) % 2 else 1, c)
+    return Tensor3.summed(t.g, cells)
 
 
 # ---------------------------------------------------------------------------
 # leg brackets
 
 
-def _leg_bracket(r: Tensor2, s: Tensor2, mode: str, products: dict, swapped: bool = False) -> Tensor3:
-    """One leg bracket of r and s; mode is "12_13", "12_23" or "13_23".
+def _leg_bracket(r: Tensor2, s: Tensor2, mode: str, products: dict, cells: dict, swapped: bool = False) -> None:
+    """Record the terms of one leg bracket of r and s in cells; mode is "12_13", "12_23" or "13_23".
 
     products caches the coefficient product of each (cell of r, cell of s)
     pair, so the brackets of one yb_bracket or cross_bracket call form each
@@ -198,7 +212,6 @@ def _leg_bracket(r: Tensor2, s: Tensor2, mode: str, products: dict, swapped: boo
     r._check(s)
     g = r.g
     p = g.parity
-    out: dict = {}
     for (i1, j1), c1 in r.coeffs.items():
         for (i2, j2), c2 in s.coeffs.items():
             if mode == "12_13":
@@ -216,54 +229,56 @@ def _leg_bracket(r: Tensor2, s: Tensor2, mode: str, products: dict, swapped: boo
             if c.symbolically_zero():
                 continue
             for k, sc in basis.items():
-                f = sign * sc
-                term = c if f == 1 else -c if f == -1 else c * f
                 if mode == "12_13":
                     key = (k, j1, j2)
                 elif mode == "12_23":
                     key = (i1, k, j2)
                 else:
                     key = (i1, i2, k)
-                accumulate(out, key, term)
-    return Tensor3(g, out, _prune=False)
+                collect(cells, key, sign * sc, c)
+
+
+_MODES = ("12_13", "12_23", "13_23")
+
+
+def _one_leg_bracket(r: Tensor2, s: Tensor2, mode: str) -> Tensor3:
+    cells: dict = {}
+    _leg_bracket(r, s, mode, {}, cells)
+    return Tensor3.summed(r.g, cells)
 
 
 def bracket_12_13(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^12, s^13] = sum (-1)^{|b||a'|} [a, a'] (x) b (x) b'."""
-    return _leg_bracket(r, s, "12_13", {})
+    return _one_leg_bracket(r, s, "12_13")
 
 
 def bracket_12_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^12, s^23] = sum a (x) [b, a'] (x) b'."""
-    return _leg_bracket(r, s, "12_23", {})
+    return _one_leg_bracket(r, s, "12_23")
 
 
 def bracket_13_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^13, s^23] = sum (-1)^{|b||a'|} a (x) a' (x) [b, b']."""
-    return _leg_bracket(r, s, "13_23", {})
+    return _one_leg_bracket(r, s, "13_23")
 
 
 def yb_bracket(r: Tensor2) -> Tensor3:
-    """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23]."""
+    """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23], each cell summed once."""
     products: dict = {}
-    return (
-        _leg_bracket(r, r, "12_13", products)
-        + _leg_bracket(r, r, "12_23", products)
-        + _leg_bracket(r, r, "13_23", products)
-    )
+    cells: dict = {}
+    for mode in _MODES:
+        _leg_bracket(r, r, mode, products, cells)
+    return Tensor3.summed(r.g, cells)
 
 
 def cross_bracket(s: Tensor2, omega: Tensor2) -> Tensor3:
-    """[s12,w13] + [w12,s13] + [s12,w23] + [w12,s23] + [s13,w23] + [w13,s23]."""
+    """[s12,w13] + [w12,s13] + [s12,w23] + [w12,s23] + [s13,w23] + [w13,s23], each cell summed once."""
     products: dict = {}
-    return (
-        _leg_bracket(s, omega, "12_13", products)
-        + _leg_bracket(omega, s, "12_13", products, swapped=True)
-        + _leg_bracket(s, omega, "12_23", products)
-        + _leg_bracket(omega, s, "12_23", products, swapped=True)
-        + _leg_bracket(s, omega, "13_23", products)
-        + _leg_bracket(omega, s, "13_23", products, swapped=True)
-    )
+    cells: dict = {}
+    for mode in _MODES:
+        _leg_bracket(s, omega, mode, products, cells)
+        _leg_bracket(omega, s, mode, products, cells, swapped=True)
+    return Tensor3.summed(s.g, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +294,13 @@ def ad_action(z: Vector, t: Tensor2 | Tensor3):
     g = t.g
     if any(g.parity[b] != EVEN and c for b, c in z.items()):
         raise OddActorError("ad_action actor must be even")
-    out: dict = {}
+    cells: dict = {}
     for key, c in t.coeffs.items():
         for leg in range(t.rank):
             for b, cz in z.items():
                 for k, sc in g.bracket_basis(b, key[leg]).items():
-                    accumulate(out, key[:leg] + (k,) + key[leg + 1 :], c * (cz * sc))
-    return type(t)(g, out, _prune=False)
+                    collect(cells, key[:leg] + (k,) + key[leg + 1 :], _coeff(cz * sc), c)
+    return type(t).summed(g, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .superalgebra import LieSuperalgebra, RootDatum, solve_linear
 from .tensor import (
     Tensor2,
     Tensor3,
-    accumulate,
     ad_action,
     alt_s,
     cross_bracket,
@@ -153,13 +152,12 @@ def decide_tensor_zero(t: Tensor2 | Tensor3, name: str, cfg: VerifyConfig | None
 def differential_dr(r: Tensor2) -> Tensor3:
     """dr = sum_i x_i (x) dr/dx_i, first leg in the Cartan."""
     g = r.g
-    out: dict = {}
-    for coord, c_idx in enumerate(g.cartan):
-        for (a, b), coeff in r.coeffs.items():
-            d = coeff.differentiate(coord)
-            if not d.symbolically_zero():
-                accumulate(out, (c_idx, a, b), d)
-    return Tensor3(g, out, _prune=True)
+    cells = {
+        (c_idx, a, b): coeff.differentiate(coord)
+        for coord, c_idx in enumerate(g.cartan)
+        for (a, b), coeff in r.coeffs.items()
+    }
+    return Tensor3(g, cells, _prune=True)
 
 
 def cdybe_lhs(r: Tensor2) -> Tensor3:

@@ -8,7 +8,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdybe import scalars
@@ -343,6 +343,176 @@ def test_integral_coefficients_stored_as_int(a, b):
         results.append((a * b).exact_div(b))
     for p in results:
         assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+
+
+# -- the n-ary sum: against a left fold of pairwise addition and exact values
+
+# shared, disjoint and repeated factors come from this pool; the quadratic is
+# a factor only inv() stores
+LINEAR_FACTORS = [Poly.linear([1, 0]), Poly.linear([1, -1]), Poly.linear([0, 1], 2), Poly.linear([2, 1], -1)]
+QUADRATIC = Poly(2, {(2, 0): 1, (0, 1): 1, (0, 0): 1})
+SUM_FACTORS = [1, -1, Q(1, 2), Q(-3, 2), 2, Q(2, 3), Q(-1), Q(1)]
+SUM_POINTS = [(Q(1, 3), Q(2, 7)), (Q(-5, 2), Q(3, 4)), (Q(7, 5), Q(-11, 3))]
+
+
+@st.composite
+def sum_terms(draw, linear_only=False):
+    """num / prod(f^m) over factors of the pool."""
+    num = draw(polys(max_terms=3, max_exp=2))
+    dens = draw(st.lists(st.tuples(st.sampled_from(LINEAR_FACTORS), st.integers(1, 2)), max_size=2))
+    term = RationalFunction(num, dens)
+    if not linear_only and draw(st.booleans()):
+        term = term * RationalFunction(QUADRATIC).inv()
+    return term
+
+
+@st.composite
+def sum_pairs(draw, linear_only=False):
+    """(factor, term) pairs; some totals cancel a factor, some cancel to zero."""
+    terms = draw(st.lists(sum_terms(linear_only), min_size=1, max_size=5))
+    pairs = [(draw(st.sampled_from(SUM_FACTORS)), t) for t in terms]
+    kind = draw(st.sampled_from(["plain", "cancel-factor", "zero"]))
+    if kind == "cancel-factor":
+        # u/f + (f q - u)/f = q: the total's numerator is divisible by f
+        f = draw(st.sampled_from(LINEAR_FACTORS))
+        q, u = draw(polys(max_terms=2, max_exp=1)), draw(polys(max_terms=2, max_exp=1))
+        pairs += [(1, RationalFunction(u, [(f, 1)])), (1, RationalFunction(f * q - u, [(f, 1)]))]
+    elif kind == "zero":
+        pairs += [(-factor, t) for factor, t in pairs]
+    return draw(st.permutations(pairs))
+
+
+def fold(pairs, zero):
+    acc = zero
+    for factor, term in pairs:
+        acc = acc + term * factor
+    return acc
+
+
+def den_keys(rf: RationalFunction) -> list:
+    return [(f.key(), m) for f, m in rf.den]
+
+
+def assert_reduced(rf: RationalFunction):
+    assert rf.den == () if rf.is_zero() else all(rf.num.exact_div(f) is None for f, _ in rf.den)
+
+
+def exact_values(pairs, value):
+    """(point, sum of factor * value(term, point)) at every pool point off the poles."""
+    out = []
+    for pt in SUM_POINTS:
+        try:
+            out.append((pt, sum((factor * value(term, pt) for factor, term in pairs), Q(0))))
+        except PoleError:
+            pass
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(sum_pairs())
+def test_ratfun_sum_matches_fold_and_values(pairs):
+    total = RationalFunction.sum(pairs)
+    assert total == fold(pairs, RationalFunction.zero(2))
+    assert_reduced(total)
+    for pt, expected in exact_values(pairs, lambda t, pt: t.eval_exact(pt)):
+        assert total.eval_exact(pt) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(sum_pairs(linear_only=True))
+def test_ratfun_sum_is_the_folds_canonical_form(pairs):
+    # prime factors only: num/den is unique, so the sum and the fold agree term for term
+    total, folded = RationalFunction.sum(pairs), fold(pairs, RationalFunction.zero(2))
+    assert (total.num, den_keys(total)) == (folded.num, den_keys(folded))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sum_pairs())
+def test_ratfun_sum_of_all_terms_and_negations_is_zero(pairs):
+    total = RationalFunction.sum(pairs + [(-factor, term) for factor, term in pairs])
+    assert total.is_zero() and total.den == ()
+
+
+SUM_ATOMS = [ScalarExpr.coth([1, 0]), ScalarExpr.coth([1, -1], Q(1, 2)), ScalarExpr.coth([0, -1], 1)]
+
+
+@st.composite
+def sum_exprs(draw, linear_only=False):
+    """A coth polynomial: a term of the pool times each of a few atom monomials."""
+    expr = ScalarExpr.zero(2)
+    for powers in draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(SUM_ATOMS)), min_size=1, max_size=3)):
+        mono = ScalarExpr.from_ratfun(draw(sum_terms(linear_only)))
+        for atom, power in zip(SUM_ATOMS, powers):
+            for _ in range(power):
+                mono = mono * atom
+        expr = expr + mono
+    return expr
+
+
+@st.composite
+def expr_pairs(draw, linear_only=False):
+    exprs = draw(st.lists(sum_exprs(linear_only), min_size=1, max_size=4))
+    pairs = [(draw(st.sampled_from(SUM_FACTORS)), e) for e in exprs]
+    if draw(st.booleans()):
+        pairs += [(-factor, e) for factor, e in pairs[: draw(st.integers(1, len(pairs)))]]
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(expr_pairs())
+def test_scalar_sum_matches_fold_and_values(pairs):
+    total = ScalarExpr.sum(2, pairs)
+    assert (total - fold(pairs, ScalarExpr.zero(2))).symbolically_zero()
+    # monomials in the order the terms first bring them
+    assert list(total.terms) == [m for m in dict.fromkeys(m for _, e in pairs for m in e.terms) if m in total.terms]
+    # atoms as indeterminates: each monomial's coefficient sums on its own
+    for mono in {m for _, e in pairs for m in e.terms}:
+        coeff = total.terms.get(mono, RationalFunction.zero(2))
+        assert_reduced(coeff)
+        zero = RationalFunction.zero(2)
+        for pt, expected in exact_values(pairs, lambda e, pt: e.terms.get(mono, zero).eval_exact(pt)):
+            assert coeff.eval_exact(pt) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(expr_pairs(linear_only=True))
+def test_scalar_sum_is_the_folds_canonical_form(pairs):
+    assert to_sexpr(ScalarExpr.sum(2, pairs)) == to_sexpr(fold(pairs, ScalarExpr.zero(2)))
+
+
+REDUCIBLE = Poly(2, {(1, 1): 1})  # x0*x1: a stored factor that is not prime
+
+
+def assert_constructors_form(a, b):
+    # the constructor merges both denominators and tries every factor
+    # against the product, in denominator order
+    product, expected = a * b, RationalFunction(a.num * b.num, a.den + b.den)
+    assert (product.num, den_keys(product)) == (expected.num, den_keys(expected))
+    assert_reduced(product)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sum_terms(), sum_terms())
+def test_product_is_the_constructors_form(a, b):
+    assert_constructors_form(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sum_terms(), sum_terms())
+@example(RationalFunction.const(2, 1), RationalFunction.const(2, 1))  # x0/(x0*x1) * x1/x0 = 1/x0
+def test_product_with_a_reducible_factor_is_the_constructors_form(a, b):
+    # x0 * num / (x0*x1 * den) keeps its x0 above the line, and the other
+    # operand brings an x0 below the line that x0*x1 may claim first
+    x0, x1 = Poly.var(2, 0), Poly.var(2, 1)
+    a = RationalFunction(a.num * x0, a.den + ((REDUCIBLE, 1),))
+    b = RationalFunction(b.num * x1, b.den + ((x0, 1),))
+    assert_constructors_form(a, b)
+    assert_constructors_form(b, a)
+
+
+def test_scalar_sum_of_nothing_is_zero():
+    assert ScalarExpr.sum(2, []).symbolically_zero()
+    assert RationalFunction.sum([(1, RationalFunction.zero(2)), (Q(1, 2), RationalFunction.zero(2))]).is_zero()
 
 
 def table_sizes() -> tuple[int, int, int]:

@@ -24,7 +24,15 @@ from sdybe.superalgebra import (
 )
 from sdybe.tensor import ad_action
 
-from conftest import ad_signed_oracle, gl_matrix_of, mat_mul, supercommutator, supertrace, unit_matrix
+from conftest import (
+    ad_signed_oracle,
+    gl_matrix_of,
+    mat_mul,
+    sl_by_matrix_products,
+    supercommutator,
+    supertrace,
+    unit_matrix,
+)
 
 Q = Fraction
 
@@ -95,6 +103,24 @@ class TestBuildSl:
     def test_sl11_rejected(self):
         with pytest.raises(DegenerateFormError):
             build_sl(1, 1)
+
+    @pytest.mark.parametrize(
+        "m,n", [(2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (1, 2), (2, 1), (3, 1), (3, 2), (2, 3), (4, 1)]
+    )
+    def test_closed_form_matches_matrix_products(self, m, n):
+        g = build_sl(m, n)
+        structure, form = sl_by_matrix_products(m, n)
+        # inner key order too: it is the order in which leg brackets meet their terms
+        assert [(k, list(v.items())) for k, v in g.structure.items()] == [
+            (k, list(v.items())) for k, v in structure.items()
+        ]
+        assert g.form == form
+        assert [type(v) for row in g.form for v in row] == [type(v) for row in form for v in row]
+
+    def test_degenerate_form_rejected(self, monkeypatch):
+        monkeypatch.setattr(superalgebra_mod, "determinant", lambda rows: Q(0))
+        with pytest.raises(DegenerateFormError):
+            build_sl(3, 0)
 
     def test_sl2_textbook_relations(self):
         g = build_sl(2, 0)
@@ -240,6 +266,11 @@ DESCRIPTOR_SHA256 = {
     ("gl", 2, 2): "9ba885c86f0cc60ac9a2f9440e531ff91486bcc3a3ea17ec83bfda929a080c7e",
     ("sl", 5, 0): "c29a5267fb3c04f1bd0e8310d75c78c7e3544d688862c3d50bc8e80cacd94c38",
     ("gl", 3, 2): "cd4cadcd73e1dc129f4a3b6e11c1c84971b8ff54eb69922181544f19c48cf24c",
+    ("sl", 2, 1): "28aa9d21e7726b75a6ab2a8179379104cd2bb11d814a7b71edf0cb2158dc35ae",
+    ("sl", 3, 1): "90a65cd4c6a31f3f18ebe5a46b6c1b7ceff146f8f84f7cc4ecfedadee673eae4",
+    ("sl", 3, 2): "9afd59d4218315b0ca08252b8af8db3a4406a5118f6c067810d4b65da44735a6",
+    ("sl", 4, 1): "257cecd11dd2414196059b70e61df46a9d98dc1e75914b4b5626aa275b699386",
+    ("sl", 6, 0): "df57a7bc97fa9ea39f8b052b50a31ac0477fb9d20365bd43a9dcd2e3fa51b06c",
 }
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sdybe.rmatrix import RMatrixSpec, TwoForm, construct
+from sdybe.rmatrix import RMatrixSpec, TwoForm, construct, shift_to_s
 from sdybe.scalars import (
     PoleError,
     Poly,
@@ -37,8 +37,12 @@ from sdybe.tensor import (
     cross_bracket,
     signed_permutation,
     super_twist,
+    tensor_dump,
     yb_bracket,
 )
+from sdybe.verifier import decide_tensor_zero, differential_dr
+
+from conftest import ReferenceCells, reference_leg_bracket
 
 Q = Fraction
 
@@ -414,7 +418,7 @@ class TestAltSOnDifferential:
         # +dphi on the (e_a, e_{-a}, x_i) cells and (-1)^{|a|} dphi on the
         # (e_{-a}, x_i, e_a) cells.  The exact cancellation for the rational
         # family on algebras with odd roots holds only with this convention.
-        from sdybe.verifier import differential_dr
+        from sdybe.verifier import decide_tensor_zero, differential_dr
 
         g, rd, _ = gl21
         n = g.rank
@@ -436,7 +440,7 @@ class TestAltSOnDifferential:
 
     def test_hhh_component_is_exterior_derivative(self, gl21):
         # Alt_s(dr) restricted to Cartan^3 must equal the cyclic-derivative sum
-        from sdybe.verifier import differential_dr
+        from sdybe.verifier import decide_tensor_zero, differential_dr
 
         g, _, _ = gl21
         n = g.rank
@@ -577,3 +581,112 @@ class TestSharedEvaluation:
             t.evaluate(point, precision=64)
         assert err.value.form == POLE_FORMS[(bundle, where)]
         assert err.value.point == point
+
+
+# ---------------------------------------------------------------------------
+# one reduction per cell against the per-term reference accumulator
+
+
+MODES = ("12_13", "12_23", "13_23")
+
+
+def _reference_alt_s(t):
+    p, ref = t.g.parity, ReferenceCells()
+    for (i, j, k), c in t.coeffs.items():
+        ref.add((i, j, k), c)
+        ref.add((j, k, i), c * (-1) ** (p[i] * (p[j] + p[k])))
+        ref.add((k, i, j), c * (-1) ** (p[k] * (p[i] + p[j])))
+    return ref
+
+
+def _reference_ad_action(z, t):
+    g, ref = t.g, ReferenceCells()
+    for key, c in t.coeffs.items():
+        for leg in range(t.rank):
+            for b, cz in z.items():
+                for k, sc in g.bracket_basis(b, key[leg]).items():
+                    ref.add(key[:leg] + (k,) + key[leg + 1 :], c * (cz * sc))
+    return ref
+
+
+def _reference_yb_bracket(r):
+    # leg by leg, then the legs added as tensors, in yb_bracket's order
+    ref = ReferenceCells()
+    for mode in MODES:
+        ref.merge(reference_leg_bracket(r, r, mode))
+    return ref
+
+
+def _per_cell_case(bundle, kind):
+    g, rd, om = bundle
+    n = g.rank
+    eps = Q(1, 3) if kind == "coth" else Q(0)
+    nu = [Q(k, 2 * k + 1) for k in range(1, n + 1)]
+    spec = RMatrixSpec(X=frozenset(range(len(rd))), nu=nu, D=TwoForm.zero(n), epsilon=eps)
+    r = construct(spec, g, rd, omega=om)
+    return g, om, r, shift_to_s(r, eps, om)
+
+
+def assert_summed(t, ref):
+    """t holds ref's sums, each cell where its first term arrived.
+
+    That is ref's order on every cell whose running sum never cancelled.
+    """
+    assert tensor_dump(t) == tensor_dump(type(t)(t.g, ref.cells))
+    assert list(t.coeffs) == ref.first_arrival_order()
+    assert [k for k in t.coeffs if k not in ref.dropped] == [k for k in ref.cells if k not in ref.dropped]
+
+
+class TestOneReductionPerCell:
+    """Every builder's cells equal a per-term fold, in value and in order."""
+
+    @pytest.fixture(scope="class", params=[
+        (b, kind) for b in ("gl21", "sl3", "gl22") for kind in ("coth", "rational")
+    ], ids=lambda p: f"{p[0]}-{p[1]}")
+    def case(self, request):
+        bundle, kind = request.param
+        return _per_cell_case(request.getfixturevalue(bundle), kind)
+
+    def test_yb_bracket(self, case):
+        _, _, r, _ = case
+        assert_summed(yb_bracket(r), _reference_yb_bracket(r))
+
+    def test_cross_bracket(self, case):
+        _, om, r, s = case
+        # s cancels to zero (the lemma); r does not when eps != 0
+        for t in (s, r):
+            ref = ReferenceCells()
+            for mode in MODES:
+                ref.merge(reference_leg_bracket(t, om, mode))
+                ref.merge(reference_leg_bracket(om, t, mode))
+            assert_summed(cross_bracket(t, om), ref)
+
+    def test_alt_s(self, case):
+        _, _, r, _ = case
+        dr = differential_dr(r)
+        assert_summed(alt_s(dr), _reference_alt_s(dr))
+
+    def test_ad_action(self, case):
+        g, om, r, _ = case
+        # an actor with every Cartan component, so several terms meet in a cell
+        z = {c: Q(k + 1, 2) for k, c in enumerate(g.cartan)}
+        for t in (r, bracket_12_13(r, om)):
+            assert_summed(ad_action(z, t), _reference_ad_action(z, t))
+
+    def test_cells_that_cancel_and_return_keep_their_first_place(self, gl22):
+        """[[r, r]] on gl(2|2) with coth cells: 24 cells cancel and come back.
+
+        Per-term accumulation put such a cell back at the end; one sum per
+        cell leaves it where its first term arrived.  The cells are tied in
+        |value|, so deciding [[r, r]] on its own names a different witness
+        cell in the two orders, with the same max_abs.
+        """
+        g, _, r, _ = _per_cell_case(gl22, "coth")
+        t, ref = yb_bracket(r), _reference_yb_bracket(r)
+        returned = [k for k in ref.cells if k in ref.dropped]
+        assert len(returned) == 24
+        assert list(t.coeffs) != list(ref.cells)
+        ours = decide_tensor_zero(t, "yb")
+        theirs = decide_tensor_zero(Tensor3(g, {k: t.coeffs[k] for k in ref.cells}), "yb")
+        assert ours.max_abs == theirs.max_abs
+        assert ours.witness["indices"] != theirs.witness["indices"]
