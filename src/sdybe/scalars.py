@@ -50,8 +50,6 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import mpmath
-
 # one immutable context per mantissa precision; mpmath's global context is
 # mutable and workprec() on it would race under concurrent evaluation
 _MP_CONTEXTS: dict = {}
@@ -59,11 +57,14 @@ _MP_LOCK = threading.Lock()
 
 
 def mp_context(precision: int):
+    """The mpmath context of this precision; mpmath is imported on first numeric use."""
     ctx = _MP_CONTEXTS.get(precision)
     if ctx is None:
         with _MP_LOCK:
             ctx = _MP_CONTEXTS.get(precision)
             if ctx is None:
+                import mpmath
+
                 ctx = mpmath.mp.clone()
                 ctx.prec = precision
                 _MP_CONTEXTS[precision] = ctx
@@ -522,12 +523,14 @@ class RationalFunction:
         over one denominator add into one coefficient dict (+-1 as an add or
         a subtract); these groups meet over the lcm of their denominators, and
         each factor of the lcm is tried against the total once.  A zero total
-        divides nothing; a single term is already reduced.
+        divides nothing; a single term is already reduced.  A term with factor
+        0 (the merged factors of terms that cancel) keeps its place in the
+        group order and the lcm, as those terms would.
         """
         nvars = pairs[0][1].num.nvars
-        live = [(factor, term) for factor, term in pairs if factor and term.num.terms]
+        live = [(factor, term) for factor, term in pairs if term.num.terms]
         if len(live) < 2:
-            if not live:
+            if not live or not live[0][0]:
                 return RationalFunction.zero(nvars)
             factor, term = live[0]
             if factor == 1:
@@ -828,6 +831,25 @@ class ScalarExpr:
     def symbolically_zero(self) -> bool:
         """Exact zero test with atoms as independent indeterminates (sound)."""
         return not self.terms
+
+    def constant(self):
+        """The int or Fraction value of a constant expression, else None."""
+        if not self.terms:
+            return 0
+        rf = self.terms.get(())
+        if len(self.terms) > 1 or rf is None or rf.den or len(rf.num.terms) > 1:
+            return None
+        ((mono, value),) = rf.num.terms.items()
+        return None if any(mono) else value
+
+    def key(self) -> tuple:
+        """Hashable canonical representation, like `Poly.key`: sorted (atom monomial,
+        numerator key, (factor id, multiplicity) pairs).  Equal keys mean identical
+        representations; one value can have two (a reducible denominator factor).
+        """
+        return tuple(
+            sorted((mono, c.num.key(), tuple([(f._fid, m) for f, m in c.den])) for mono, c in self.terms.items())
+        )
 
     def identically_zero(self) -> bool:
         """Exact and complete zero test; applies the coth addition law.

@@ -150,6 +150,8 @@ def build_gl(m: int, n: int) -> LieSuperalgebra:
     Rows/columns 1..m are even, m+1..m+n odd; |E_ij| = |i| + |j| mod 2;
     the Cartan is spanned by the diagonal units.
     """
+    if m < 0 or n < 0:
+        raise ValueError(f"m and n must be non-negative, got m = {m}, n = {n}")
     if m + n < 2:
         raise ValueError("need m + n >= 2")
     d = m + n
@@ -203,6 +205,8 @@ def build_sl(m: int, n: int) -> LieSuperalgebra:
     sum_t (c_t - c_{d-1}) h_t, and the form those of the supertrace,
     (E_ij, E_kl) = d_jk d_il s_i and (h_a, h_b) = s_a d_ab - s_a s_b/(m-n).
     """
+    if m < 0 or n < 0:
+        raise ValueError(f"m and n must be non-negative, got m = {m}, n = {n}")
     if m == n:
         raise DegenerateFormError("the supertrace form degenerates on sl(n|n)")
     if m + n < 2:

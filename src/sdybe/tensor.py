@@ -15,12 +15,16 @@ whose terms have even total parity (all zero-weight tensors here do).
 
 A builder whose terms can meet in one cell (the leg brackets, Alt_s, the
 Cartan action, the r-matrix assembly) records every term as a (factor,
-coefficient) pair with `collect` and reduces each cell once with
-`ScalarExpr.sum` (`_TensorBase.summed`); a cell that cancels is dropped.
-Cells keep the order in which their first term arrived, also a cell whose
-partial sum cancels before later terms bring it back.  The permutations,
-`from_vectors` and `dr` map distinct terms to distinct cells and sum nothing;
-two-operand `+` merges copies and sums only the cells both operands hold.
+coefficient) pair with `collect`, which adds the factors of one coefficient
+object, and reduces each cell once with `ScalarExpr.sum`
+(`_TensorBase.summed`); a cell that cancels is dropped.  The leg brackets
+record a constant operand cell (Casimir, Cartan block, off-X +-eps/2) as a
+factor of one shared constant, so they form a coefficient product only for
+two non-constant cells; `scale` uses the sum's factor path too.  Cells keep
+the order in which their first term arrived, also a cell whose partial sum
+cancels before later terms bring it back.  The permutations, `from_vectors`
+and `dr` map distinct terms to distinct cells and sum nothing; two-operand
+`+` merges copies and sums only the cells both operands hold.
 """
 
 from __future__ import annotations
@@ -38,19 +42,18 @@ def _koszul(p: int, q: int) -> int:
     return -1 if p and q else 1
 
 
-def _as_scalar(g: LieSuperalgebra, value) -> ScalarExpr:
-    if isinstance(value, ScalarExpr):
-        return value
-    return ScalarExpr.const(g.rank, value)
-
-
 def collect(cells: dict, key, factor, term: ScalarExpr) -> None:
-    """Record factor * term (factor an int or a Fraction) for the cell key."""
+    """Record factor * term (factor an int or a Fraction) for the cell key.
+
+    The factors of one term object in one cell add up, in the place of its
+    first record, before its numerator is touched.
+    """
     terms = cells.get(key)
     if terms is None:
-        cells[key] = [(factor, term)]
+        cells[key] = {id(term): (factor, term)}
     else:
-        terms.append((factor, term))
+        prior = terms.get(id(term))
+        terms[id(term)] = (factor, term) if prior is None else (prior[0] + factor, term)
 
 
 def collect_tensor(cells: dict, t, factor=1) -> None:
@@ -79,7 +82,7 @@ class _TensorBase:
         """The tensor whose cells are the sums of the terms `collect` recorded in cells."""
         out = {}
         for key, terms in cells.items():
-            c = ScalarExpr.sum(g.rank, terms)
+            c = ScalarExpr.sum(g.rank, terms.values())
             if c.terms:
                 out[key] = c
         return cls(g, out, _prune=False)
@@ -118,10 +121,12 @@ class _TensorBase:
         return self + (-other)
 
     def scale(self, factor):
-        factor = _as_scalar(self.g, factor)
-        if factor.symbolically_zero():
+        """factor * self for an int or Fraction factor, each cell through the sum's factor path."""
+        factor = _coeff(factor)
+        if not factor:
             return type(self).zero(self.g)
-        return type(self)(self.g, {k: c * factor for k, c in self.coeffs.items()})
+        n = self.g.rank
+        return type(self)(self.g, {k: ScalarExpr.sum(n, ((factor, c),)) for k, c in self.coeffs.items()}, _prune=False)
 
     def evaluate(self, point, precision: int = 64, margin: float = 1e-6) -> dict:
         """Numeric coefficient values at a sample point, which every cell shares."""
@@ -145,7 +150,7 @@ class Tensor2(_TensorBase):
 
     @classmethod
     def from_vectors(cls, g: LieSuperalgebra, x: Vector, y: Vector, coeff=1) -> Tensor2:
-        coeff = _as_scalar(g, coeff)
+        coeff = coeff if isinstance(coeff, ScalarExpr) else ScalarExpr.const(g.rank, coeff)
         return cls(g, {(i, j): coeff * (ci * cj) for i, ci in x.items() for j, cj in y.items()})
 
 
@@ -200,20 +205,22 @@ def alt_s(t: Tensor3) -> Tensor3:
 # leg brackets
 
 
-def _leg_bracket(r: Tensor2, s: Tensor2, mode: str, products: dict, cells: dict, swapped: bool = False) -> None:
-    """Record the terms of one leg bracket of r and s in cells; mode is "12_13", "12_23" or "13_23".
+def _split(t: Tensor2, one: ScalarExpr) -> list:
+    """[(cell, k, base)]: a constant cell is k times the shared one, any other 1 times itself."""
+    return [(key, 1, c) if (k := c.constant()) is None else (key, k, one) for key, c in t.coeffs.items()]
 
-    products caches the coefficient product of each (cell of r, cell of s)
-    pair, so the brackets of one yb_bracket or cross_bracket call form each
-    product once; swapped marks a call with the operands the other way round
-    from the cache's keys (coefficients commute).  A product is formed only
-    when its legs have a nonzero bracket.
+
+def _leg_bracket(r: list, s: list, mode: str, g, one, products: dict, cells: dict) -> None:
+    """Record the terms of one leg bracket of the `_split` cells r and s; mode is "12_13", "12_23" or "13_23".
+
+    A pair with a nonzero bracket records sign * sc * k1 * k2 against
+    base1 * base2.  That product is formed only when neither base is the
+    constant one, once per ordered pair of bases (products, keyed by their
+    ids), and is nonzero as both bases are.
     """
-    r._check(s)
-    g = r.g
     p = g.parity
-    for (i1, j1), c1 in r.coeffs.items():
-        for (i2, j2), c2 in s.coeffs.items():
+    for (i1, j1), k1, b1 in r:
+        for (i2, j2), k2, b2 in s:
             if mode == "12_13":
                 basis, sign = g.bracket_basis(i1, i2), _koszul(p[j1], p[i2])
             elif mode == "12_23":
@@ -222,63 +229,68 @@ def _leg_bracket(r: Tensor2, s: Tensor2, mode: str, products: dict, cells: dict,
                 basis, sign = g.bracket_basis(j1, j2), _koszul(p[j1], p[i2])
             if not basis:
                 continue
-            pair = ((i2, j2), (i1, j1)) if swapped else ((i1, j1), (i2, j2))
-            c = products.get(pair)
-            if c is None:
-                c = products[pair] = c2 * c1 if swapped else c1 * c2
-            if c.symbolically_zero():
-                continue
-            for k, sc in basis.items():
+            if b1 is one:
+                c = b2
+            elif b2 is one:
+                c = b1
+            else:
+                c = products.get((id(b1), id(b2)))
+                if c is None:
+                    c = products[id(b1), id(b2)] = b1 * b2
+            # multiplied only by what is not 1: each Fraction product makes a new Fraction
+            k = k1 if k2 == 1 else k2 if k1 == 1 else k1 * k2
+            for idx, sc in basis.items():
                 if mode == "12_13":
-                    key = (k, j1, j2)
+                    key = (idx, j1, j2)
                 elif mode == "12_23":
-                    key = (i1, k, j2)
+                    key = (i1, idx, j2)
                 else:
-                    key = (i1, i2, k)
-                collect(cells, key, sign * sc, c)
+                    key = (i1, i2, idx)
+                f = sign * sc
+                collect(cells, key, k if f == 1 else k * f, c)
 
 
 _MODES = ("12_13", "12_23", "13_23")
 
 
-def _one_leg_bracket(r: Tensor2, s: Tensor2, mode: str) -> Tensor3:
+def _leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool) -> Tensor3:
+    """The leg brackets of r and s in each mode (and of s and r when both_orders), each cell summed once."""
+    r._check(s)
+    g = r.g
+    one = ScalarExpr.const(g.rank, 1)
+    rs, ss = _split(r, one), _split(s, one)
+    products: dict = {}
     cells: dict = {}
-    _leg_bracket(r, s, mode, {}, cells)
-    return Tensor3.summed(r.g, cells)
+    for mode in modes:
+        _leg_bracket(rs, ss, mode, g, one, products, cells)
+        if both_orders:
+            _leg_bracket(ss, rs, mode, g, one, products, cells)
+    return Tensor3.summed(g, cells)
 
 
 def bracket_12_13(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^12, s^13] = sum (-1)^{|b||a'|} [a, a'] (x) b (x) b'."""
-    return _one_leg_bracket(r, s, "12_13")
+    return _leg_brackets(r, s, ("12_13",), False)
 
 
 def bracket_12_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^12, s^23] = sum a (x) [b, a'] (x) b'."""
-    return _one_leg_bracket(r, s, "12_23")
+    return _leg_brackets(r, s, ("12_23",), False)
 
 
 def bracket_13_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^13, s^23] = sum (-1)^{|b||a'|} a (x) a' (x) [b, b']."""
-    return _one_leg_bracket(r, s, "13_23")
+    return _leg_brackets(r, s, ("13_23",), False)
 
 
 def yb_bracket(r: Tensor2) -> Tensor3:
     """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23], each cell summed once."""
-    products: dict = {}
-    cells: dict = {}
-    for mode in _MODES:
-        _leg_bracket(r, r, mode, products, cells)
-    return Tensor3.summed(r.g, cells)
+    return _leg_brackets(r, r, _MODES, False)
 
 
 def cross_bracket(s: Tensor2, omega: Tensor2) -> Tensor3:
     """[s12,w13] + [w12,s13] + [s12,w23] + [w12,s23] + [s13,w23] + [w13,s23], each cell summed once."""
-    products: dict = {}
-    cells: dict = {}
-    for mode in _MODES:
-        _leg_bracket(s, omega, mode, products, cells)
-        _leg_bracket(omega, s, mode, products, cells, swapped=True)
-    return Tensor3.summed(s.g, cells)
+    return _leg_brackets(s, omega, _MODES, True)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ Checks:
                solutions along a dominant ray as t -> +-infinity
 
 Zero decision policy: every residual is a dict of cells, and `decide_cells`
-decides each cell exactly and completely (`ScalarExpr.identically_zero`,
-which applies the coth addition law), so a residual is exact-zero or nonzero.
+decides each distinct cell form (`ScalarExpr.key`) once, exactly and
+completely (`ScalarExpr.identically_zero`, which applies the coth addition
+law), so a residual is exact-zero or nonzero.
 A nonzero residual is evaluated at seeded margin-respecting lattice points
 only to give it its witness {indices, point, value}.  Only `limits`, a
 statement about values along a ray, is decided numerically (numeric-zero).
@@ -115,7 +116,7 @@ class ResidualReport:
 
 
 def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None) -> ResidualReport:
-    """Exact zero decision for every cell of a residual.
+    """Exact zero decision for every cell of a residual, once per distinct `ScalarExpr.key`.
 
     A nonzero residual gets a witness: its nonzero cells are evaluated at the
     seeded lattice points, which avoid the singular forms of every cell, and
@@ -123,7 +124,14 @@ def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None) -> Res
     """
     cfg = cfg or VerifyConfig()
     start = time.monotonic()
-    nonzero = {k: c for k, c in cells.items() if not c.identically_zero()}
+    verdicts: dict = {}  # ScalarExpr.key -> identically zero
+    nonzero = {}
+    for k, c in cells.items():
+        zero = verdicts.get(form := c.key())
+        if zero is None:
+            zero = verdicts[form] = c.identically_zero()
+        if not zero:
+            nonzero[k] = c
     if not nonzero:
         return ResidualReport(name=name, status="exact-zero", seconds=time.monotonic() - start)
     nvars = next(iter(nonzero.values())).nvars

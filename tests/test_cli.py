@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import sdybe
 from sdybe.cli import main
 
 Q = Fraction
@@ -59,6 +63,23 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, command, case):
     assert capsys.readouterr().err.startswith(f"error: bad spec: {field}: ")
 
 
+# gl(-1|4) and sl(4|-1) built algebras in which every basis vector was even,
+# and verify passed on them
+NEGATIVE_SIZES = [(family, m, n) for family in ("gl", "sl") for m, n in ((-1, 4), (4, -1))]
+
+
+@pytest.mark.parametrize("family,m,n", NEGATIVE_SIZES)
+def test_negative_size_exits_2(tmp_path, capsys, family, m, n):
+    assert main(["algebra", "--family", family, "--m", str(m), "--n", str(n)]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    rank = m + n if family == "gl" else m + n - 1
+    doc = {"algebra": family, "m": m, "n": n, "epsilon": "0", "nu": ["0"] * rank, "X": "all", "D": []}
+    spec = write_spec(tmp_path, "negative.json", doc)
+    for command in ("verify", "construct"):
+        assert main([command, "--spec", spec]) == 2
+        assert capsys.readouterr().err.startswith("error: bad spec: m and n must be non-negative")
+
+
 class TestAlgebraCommand:
     def test_sl21_descriptor(self, capsys):
         assert main(["algebra", "--family", "sl", "--m", "2", "--n", "1"]) == 0
@@ -88,6 +109,21 @@ class TestVerifyCommand:
         assert statuses["cdybe"] == "exact-zero"
         assert statuses["unitarity"] == "exact-zero"
         assert statuses["zero-weight"] == "exact-zero"
+
+    @pytest.mark.parametrize("doc,numeric", [(t1_sl2(), False), (t2_sl2(), True)], ids=["exact", "limits"])
+    def test_mpmath_is_imported_on_first_numeric_use(self, tmp_path, doc, numeric):
+        # a fresh interpreter: an exact-zero verify evaluates nothing, while
+        # the limits check of the coth family evaluates r along a ray
+        spec, out = write_spec(tmp_path, "spec.json", doc), str(tmp_path / "report.json")
+        script = (
+            "import sys\n"
+            "from sdybe import cli\n"
+            f"code = cli.main(['verify', '--spec', {spec!r}, '--out', {out!r}])\n"
+            "print(code, 'mpmath' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sdybe.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["0", str(numeric)]
 
     def test_nonclosed_D_exits_1_with_witness(self, tmp_path):
         doc = t1_sl2(algebra="gl", m=2, n=1, nu=["0", "0", "0"],

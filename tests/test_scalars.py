@@ -510,6 +510,40 @@ def test_product_with_a_reducible_factor_is_the_constructors_form(a, b):
     assert_constructors_form(b, a)
 
 
+def test_constant_value():
+    n = 2
+    assert [(v, type(v)) for v in (ScalarExpr.const(n, 3).constant(), ScalarExpr.const(n, Q(4, 2)).constant())] == [
+        (3, int),
+        (2, int),
+    ]
+    assert ScalarExpr.const(n, Q(-2, 3)).constant() == Q(-2, 3)
+    assert ScalarExpr.zero(n).constant() == 0
+    x0 = Poly.var(n, 0)
+    not_constant = [
+        ratfun(Poly.const(n, 2), x0),  # a denominator
+        ScalarExpr.coord(n, 0),  # a non-constant numerator
+        ScalarExpr.coord(n, 0) + 1,  # and a constant term beside it
+        ScalarExpr.coth([1, 0]),  # an atom
+        ScalarExpr.coth([1, 0]) + 1,
+    ]
+    assert [e.constant() for e in not_constant] == [None] * len(not_constant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sum_exprs(), min_size=1, max_size=3), st.sampled_from(SUM_FACTORS))
+def test_equal_keys_are_equal_forms(exprs, factor):
+    a = exprs[0]
+    reordered = ScalarExpr(2, dict(reversed(list(a.terms.items()))), _prune=False)
+    assert reordered.key() == a.key()
+    # a multiple has a's monomials and denominators, and other numerators; the
+    # parsed text form can store a product of factors as one factor
+    forms = exprs + [reordered, ScalarExpr.sum(2, [(factor, a)]), from_sexpr(to_sexpr(a), 2)]
+    for x in forms:
+        for y in forms:
+            if x.key() == y.key():
+                assert to_sexpr(x) == to_sexpr(y)
+
+
 def test_scalar_sum_of_nothing_is_zero():
     assert ScalarExpr.sum(2, []).symbolically_zero()
     assert RationalFunction.sum([(1, RationalFunction.zero(2)), (Q(1, 2), RationalFunction.zero(2))]).is_zero()

@@ -133,6 +133,20 @@ class TestBuildSl:
         assert g.bracket({e: Q(1)}, {f: Q(1)}) == {h1: Q(2)}
 
 
+@pytest.mark.parametrize("build", [build_gl, build_sl])
+@pytest.mark.parametrize("m,n", [(-1, 4), (4, -1), (-1, -1), (-2, 4)])
+def test_negative_size_rejected(build, m, n):
+    # gl(-1|4) used to build a 9-dimensional algebra with every basis vector even
+    with pytest.raises(ValueError, match="non-negative"):
+        build(m, n)
+
+
+@pytest.mark.parametrize("build,m,n,dim", [(build_gl, 0, 2, 4), (build_sl, 0, 3, 8)])
+def test_zero_even_block_stays_legal(build, m, n, dim):
+    g = build(m, n)
+    assert g.dim == dim and all(g.parity[i] == 0 for i in g.cartan)
+
+
 class TestAxioms:
     @pytest.mark.parametrize("builder,m,n", [
         (build_gl, 1, 1),

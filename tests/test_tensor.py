@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdybe.rmatrix import RMatrixSpec, TwoForm, construct, shift_to_s
 from sdybe.scalars import (
@@ -24,7 +26,7 @@ from sdybe.scalars import (
     largest_value,
     sample_points,
 )
-from sdybe.superalgebra import DegenerateFormError, invert_matrix, sign_A, solve_linear
+from sdybe.superalgebra import DegenerateFormError, build_sl, invert_matrix, sign_A, solve_linear
 from sdybe.tensor import (
     OddActorError,
     Tensor2,
@@ -34,6 +36,7 @@ from sdybe.tensor import (
     bracket_12_13,
     bracket_12_23,
     bracket_13_23,
+    collect,
     cross_bracket,
     signed_permutation,
     super_twist,
@@ -43,8 +46,10 @@ from sdybe.tensor import (
 from sdybe.verifier import decide_tensor_zero, differential_dr
 
 from conftest import ReferenceCells, reference_leg_bracket
+from test_scalars import SUM_FACTORS, sum_exprs
 
 Q = Fraction
+RANK2 = build_sl(3, 0)  # an algebra for cells over the two coordinates of the scalar strategies
 
 
 def basis_tensor2(g, i, j, coeff=1):
@@ -627,6 +632,41 @@ def _per_cell_case(bundle, kind):
     return g, om, r, shift_to_s(r, eps, om)
 
 
+def stored_form(c: ScalarExpr) -> list:
+    """Monomials, numerator terms and denominator factors of c, in their stored order."""
+    return [(m, list(rf.num.terms.items()), [(f.key(), k) for f, k in rf.den]) for m, rf in c.terms.items()]
+
+
+@st.composite
+def repeated_terms(draw):
+    """(factor, term) pairs in which term objects repeat; one term's factors may add up to 0."""
+    exprs = draw(st.lists(sum_exprs(), min_size=1, max_size=3))
+    pairs = [(draw(st.sampled_from(SUM_FACTORS)), draw(st.sampled_from(exprs))) for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        term = pairs[0][1]
+        total = sum((f for f, t in pairs if t is term), Q(0))
+        pairs.insert(draw(st.integers(1, len(pairs))), (-total, term))
+    return pairs
+
+
+# T cancels; its denominator x0 still joins the lcm, so U's numerator is
+# multiplied by x0 and divided again, which leaves it in grlex order
+_T = ScalarExpr.from_ratfun(RationalFunction(Poly.const(2, 1), [(Poly.var(2, 0), 1)]))
+_U = ScalarExpr.from_ratfun(RationalFunction(Poly(2, {(0, 0): 1, (1, 0): 1})))
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_terms())
+@example([(1, _T), (1, _U), (-1, _T)])
+def test_merged_factors_keep_the_orders_of_the_unmerged_sum(pairs):
+    cells: dict = {}
+    for factor, term in pairs:
+        collect(cells, "cell", factor, term)
+    assert len(cells["cell"]) == len({id(t) for _, t in pairs})
+    merged = Tensor3.summed(RANK2, cells).coeffs.get("cell", ScalarExpr.zero(2))
+    assert stored_form(merged) == stored_form(ScalarExpr.sum(2, pairs))
+
+
 def assert_summed(t, ref):
     """t holds ref's sums, each cell where its first term arrived.
 
@@ -648,8 +688,21 @@ class TestOneReductionPerCell:
         return _per_cell_case(request.getfixturevalue(bundle), kind)
 
     def test_yb_bracket(self, case):
-        _, _, r, _ = case
-        assert_summed(yb_bracket(r), _reference_yb_bracket(r))
+        _, om, r, _ = case
+        # the Casimir's cells are all constant: each cell reduces as one term
+        for t in (r, om):
+            assert_summed(yb_bracket(t), _reference_yb_bracket(t))
+
+    def test_scale_is_the_per_cell_product(self, case):
+        g, om, r, _ = case
+        for t in (r, om, yb_bracket(r)):
+            for factor in (Q(1, 3), -1, 2, Q(-5, 2), Q(4, 2)):
+                products = {k: c * ScalarExpr.const(g.rank, factor) for k, c in t.coeffs.items()}
+                scaled = t.scale(factor)
+                assert [(k, stored_form(c)) for k, c in scaled.coeffs.items()] == [
+                    (k, stored_form(c)) for k, c in products.items()
+                ]
+            assert t.scale(0).is_zero() and t.scale(Q(0)).is_zero()
 
     def test_cross_bracket(self, case):
         _, om, r, s = case

@@ -31,6 +31,7 @@ from sdybe.verifier import (
     VerifyConfig,
     cdybe_lhs,
     cdybe_residual,
+    decide_cells,
     differential_dr,
     dominant_vector,
     functional_equation_check,
@@ -683,6 +684,71 @@ class TestComputeOnce:
         assert verifier_mod.limits_applicable(too_long, rd)
         with pytest.raises(ValidationError, match="nu has 4 coordinates"):
             limit_behavior_check(too_long, g, rd, CFG64)
+
+
+class TestOneDecisionPerForm:
+    """decide_cells decides each distinct cell form once, with the verdicts of deciding every cell."""
+
+    @pytest.fixture(scope="class", params=[
+        (b, kind) for b in ("gl21", "sl3", "gl22") for kind in ("coth", "rational", "bad-signs")
+    ], ids=lambda p: f"{p[0]}-{p[1]}")
+    def residuals(self, request):
+        bundle, kind = request.param
+        g, rd, om = request.getfixturevalue(bundle)
+        n = g.rank
+        if kind == "bad-signs":
+            spec = _bad_signs_spec(rd)
+        else:
+            nu = [Q(k, 2 * k + 1) for k in range(1, n + 1)]
+            spec = full_spec(rd, eps=Q(1, 3) if kind == "coth" else Q(0), nu=nu)
+        eps = spec.epsilon
+        r = construct(spec, g, rd, omega=om)
+        s = shift_to_s(r, eps, om)
+        return kind, {
+            "cdybe": cdybe_lhs(r),
+            "mdybe": mdybe_lhs(s, eps, om),
+            "unitarity": r + super_twist(r) - om.scale(eps),
+            "cross": cross_bracket(s, om),
+        }
+
+    def test_verdicts_equal_per_cell_decisions(self, residuals, monkeypatch):
+        kind, tensors = residuals
+        statuses = {}
+        for name, t in tensors.items():
+            calls = []
+            original = ScalarExpr.identically_zero
+            monkeypatch.setattr(ScalarExpr, "identically_zero", lambda c: calls.append(c.key()) or original(c))
+            shared = decide_cells(t.coeffs, name, CFG64)
+            monkeypatch.undo()
+            assert len(calls) == len(set(calls)) == len({c.key() for c in t.coeffs.values()})
+            # every cell a form of its own: each is decided on its own
+            monkeypatch.setattr(ScalarExpr, "key", lambda c: object())
+            alone = decide_cells(t.coeffs, name, CFG64)
+            monkeypatch.undo()
+            assert _without_seconds(shared.as_dict()) == _without_seconds(alone.as_dict())
+            statuses[name] = shared.status
+            if kind == "coth" and name in ("cdybe", "mdybe"):
+                assert shared.status == "exact-zero" and len(calls) < len(t.coeffs)
+        if kind == "bad-signs":
+            assert statuses["cdybe"] == statuses["mdybe"] == "nonzero"
+
+    def test_a_perturbed_cell_of_a_shared_form_is_the_witness(self, gl22):
+        """Cells of one form, one of them moved by 10^-20: only that cell is nonzero."""
+        g, rd, om = gl22
+        n = g.rank
+        r = construct(full_spec(rd, eps=Q(1, 3), nu=[Q(k, 2 * k + 1) for k in range(1, n + 1)]), g, rd, omega=om)
+        forms: dict = {}
+        for k, c in cdybe_lhs(r).coeffs.items():
+            forms.setdefault(c.key(), {})[k] = c
+        # a form with a coth-free term, so the perturbation changes a numerator only
+        cells = next(group for form, group in forms.items() if len(group) > 2 and form[0][0] == ())
+        assert decide_cells(cells, "shared", CFG64).status == "exact-zero"
+        moved = list(cells)[len(cells) // 2]
+        cells[moved] = cells[moved] + ScalarExpr.const(n, Q(1, 10**20))
+        assert [m for m, *_ in cells[moved].key()] == [m for m, *_ in next(iter(cells.values())).key()]
+        rep = decide_cells(cells, "perturbed", VerifyConfig(precision=128))
+        assert rep.status == "nonzero" and rep.witness["indices"] == list(moved)
+        assert abs(rep.witness["value"] - 1e-20) < 1e-30
 
 
 class TestVerifyConfig:
