@@ -9,8 +9,10 @@ directory by default).  For seeds 1-3 of every perfbench workload, the spec
 files of `perfbench/workloads.py` (negative controls included) are written
 once and verified by each side, from its own source, with the arguments
 perfbench uses.  The reports are compared with every `seconds` field removed, and so
-are the exit codes.  Prints one line per difference and exits 1 if there is
-any, else 0.
+are the exit codes.  Prints one line per difference, naming the spec and the
+path of the field with both values (`limits.status: numeric-zero ->
+exact-zero`; a check is named by its `name`), and exits 1 if there is any,
+else 0.
 """
 
 from __future__ import annotations
@@ -66,6 +68,32 @@ def verify_all(checkout: str, jobs: list[list[str]], work: str) -> list:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+ABSENT = object()
+
+
+def _shown(value) -> str:
+    return "(absent)" if value is ABSENT else value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+
+
+def field_diffs(old, new, path: str = "") -> list[str]:
+    """'path: old -> new' for every leaf field that differs; dicts and
+    equal-length lists are descended, and a report's checks are keyed by name.
+    A missing report file reads as None and differs as a whole `report`."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(old.keys() | new.keys()):
+            a, b = old.get(key, ABSENT), new.get(key, ABSENT)
+            if key == "checks" and not path and isinstance(a, list) and isinstance(b, list):
+                a, b = ({c["name"]: c for c in side} for side in (a, b))
+                out += field_diffs(a, b, "")
+            else:
+                out += field_diffs(a, b, f"{path}.{key}" if path else key)
+        return out
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [d for k, (a, b) in enumerate(zip(old, new)) for d in field_diffs(a, b, f"{path}[{k}]")]
+    return [] if old == new else [f"{path or 'report'}: {_shown(old)} -> {_shown(new)}"]
+
+
 def read_report(path: str):
     if not os.path.exists(path):
         return None
@@ -86,8 +114,8 @@ def compare(workload: str, seed: int, parent_dir: str, work: str) -> tuple[int, 
         where = f"{workload} seed {seed} spec {k:02d} ({spec.name})"
         if codes["parent"][k] != codes["change"][k]:
             diffs.append(f"{where}: exit code {codes['parent'][k]} -> {codes['change'][k]}")
-        if read_report(outs["parent"][k]) != read_report(outs["change"][k]):
-            diffs.append(f"{where}: reports differ")
+        old, new = read_report(outs["parent"][k]), read_report(outs["change"][k])
+        diffs += [f"{where}: {d}" for d in field_diffs(old, new)]
     return len(specs), diffs
 
 

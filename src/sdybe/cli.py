@@ -5,7 +5,8 @@
   sdybe verify    --spec PATH [--checks LIST] [--precision BITS] [--seed N]
                   [--out PATH]
 
-Both --precision options take at least 64 bits.
+Both --precision options take at least 64 bits.  Every `verify` verdict is
+exact, so there it sets only the witness values of nonzero residuals.
 
 Exit codes: 0 success / all selected checks pass, 1 check failure or pole,
 2 usage or spec errors.  Reports are JSON and are written even on failure;
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {', '.join(ALL_CHECKS)} (default: all applicable)",
     )
     p_ver.add_argument(
-        "--precision", type=int, default=128, help="mantissa bits for witnesses and limits, at least 64 (default 128)"
+        "--precision", type=int, default=128, help="mantissa bits for witness values, at least 64 (default 128)"
     )
     p_ver.add_argument("--seed", type=int, default=0, help="seed for all lattice sampling (default 0)")
     p_ver.add_argument("--out", help="write the report here instead of stdout")

@@ -37,7 +37,8 @@ never the ids.  Both tables take new entries under a lock.
 Zero is decided exactly and completely (`ScalarExpr.identically_zero`): the
 coth addition law is applied by exponential substitution, which turns the
 expression into a polynomial in exponential variables over the
-rational-function field.  Seeded numeric sampling (`sample_points`,
+rational-function field.  Limits along a ray are exact too
+(`ScalarExpr.ray_limit`).  Seeded numeric sampling (`sample_points`,
 `largest_value`) only locates the witness of a nonzero residual for
 `verifier.decide_cells`, the one zero decision of every residual check.
 """
@@ -1030,6 +1031,26 @@ class ScalarExpr:
             acc += t
         return acc
 
+    def ray_limit(self, w: Sequence) -> ScalarExpr:
+        """The limit of the expression at t*w as t -> +infinity, for constant coefficients.
+
+        coth(c.x + d) at x = t*w tends to the sign of its slope c.w; a zero
+        slope leaves coth(d), which has no rational limit, so PoleError.
+        """
+        acc = Q(0)
+        for mono, coeff in self.terms.items():
+            if coeff.den or not coeff.num.is_const():
+                raise ValueError("ray_limit needs constant coefficients")
+            value = coeff.num.const_value()
+            for atom, power in mono:
+                entries = atom_entries(atom)
+                slope = sum(c * x for c, x in zip(entries[:-1], w))
+                if slope == 0:
+                    raise PoleError(f"coth({poly_to_str(atom_form_poly(atom))})", w)
+                value *= (1 if slope > 0 else -1) ** power
+            acc += value
+        return ScalarExpr.const(self.nvars, acc)
+
     def singular_forms(self) -> list[Poly]:
         """Denominator factors and coth arguments, as polynomials."""
         forms: dict[tuple, Poly] = {}
@@ -1130,13 +1151,13 @@ def largest_value(exprs: dict, points: Sequence, *, precision: int, margin: floa
     maximum wins, so the result is deterministic.
     """
     best = None
-    max_abs = 0.0
+    max_abs = 0
     for pt in points:
         at = MpPoint(pt, precision, margin)
         for key, f in exprs.items():
             v = f.eval_numeric(at)
             if best is None or abs(v) > max_abs:
-                max_abs = float(abs(v))
+                max_abs = abs(v)
                 best = (key, pt, v)
     return best
 

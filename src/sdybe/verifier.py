@@ -9,15 +9,15 @@ Checks:
   lemma        cdybe(r) and mdybe(r - (eps/2) Omega) agree, and the six-term
                s/Omega cross bracket vanishes exactly
   limits       the X = Delta coth family degenerates onto the two constant
-               solutions along a dominant ray as t -> +-infinity
+               solutions along a dominant ray as t -> +-infinity (the
+               limit is exact: `ScalarExpr.ray_limit`)
 
 Zero decision policy: every residual is a dict of cells, and `decide_cells`
 decides each distinct cell form (`ScalarExpr.key`) once, exactly and
 completely (`ScalarExpr.identically_zero`, which applies the coth addition
-law), so a residual is exact-zero or nonzero.
+law), so a residual is exact-zero or nonzero; no check is numeric.
 A nonzero residual is evaluated at seeded margin-respecting lattice points
-only to give it its witness {indices, point, value}.  Only `limits`, a
-statement about values along a ray, is decided numerically (numeric-zero).
+only to give it its witness {indices, point, value}.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rmatrix import RMatrixSpec, _assemble, functional_equation_residual, ode_residual, shift_to_s, validate
-from .scalars import largest_value, sample_points, singular_forms
+from .scalars import ScalarExpr, largest_value, sample_points, singular_forms
 from .superalgebra import LieSuperalgebra, RootDatum, solve_linear
 from .tensor import (
     Tensor2,
@@ -52,17 +52,17 @@ class PreconditionError(ValueError):
 POINTS = 20
 MARGIN = 1e-6
 LATTICE = 10
-# the limits bound 1e-15 needs at least this many mantissa bits to be resolved
+# the floor on the mantissa bits of witness values
 MIN_PRECISION = 64
 
 
 @dataclass
 class VerifyConfig:
-    """Numeric settings for witnesses and the limits check.
+    """Numeric settings for witnesses.
 
-    Residual verdicts are exact; the seed fixes the lattice points that
-    locate the witness of a nonzero residual, so reports are reproducible.
-    precision feeds the witness values and `limits`.
+    Verdicts are exact; the seed fixes the lattice points that locate the
+    witness of a nonzero residual, so reports are reproducible, and
+    precision sets the witness values.
     """
 
     precision: int = 128
@@ -80,11 +80,10 @@ class VerifyConfig:
 class ResidualReport:
     """Outcome of one residual check.
 
-    status 'exact-zero' is a symbolic proof.  A nonzero residual carries the
-    witness {indices, point, value} of `decide_cells` (max_abs records its
-    |value|); validate, lemma and limits carry their own.  'numeric-zero'
-    comes only from `limits`: every deviation stayed below its bound
-    `tolerance` (max_abs records the last one).
+    status is 'exact-zero', a symbolic proof, or 'nonzero'.  A nonzero
+    residual carries the witness {indices, point, value} of `decide_cells`
+    (max_abs records its |value|); validate and lemma carry their own.
+    tolerance is always None: no verdict rests on a numeric bound.
     """
 
     name: str
@@ -98,7 +97,7 @@ class ResidualReport:
 
     @property
     def is_zero(self) -> bool:
-        return self.status in ("exact-zero", "numeric-zero")
+        return self.status == "exact-zero"
 
     def as_dict(self) -> dict:
         out = {
@@ -192,7 +191,8 @@ def zero_weight_residual(r: Tensor2 | Tensor3, cfg: VerifyConfig | None = None) 
 
 def mdybe_lhs(s: Tensor2, eps, omega: Tensor2) -> Tensor3:
     eps = Q(eps)
-    return alt_s(differential_dr(s)) + yb_bracket(s) + yb_bracket(omega).scale(eps * eps / 4)
+    lhs = alt_s(differential_dr(s)) + yb_bracket(s)
+    return lhs + yb_bracket(omega).scale(eps * eps / 4) if eps else lhs
 
 
 def mdybe_residual(s: Tensor2, eps, omega: Tensor2, cfg: VerifyConfig | None = None) -> tuple[Tensor3, ResidualReport]:
@@ -315,63 +315,35 @@ def limit_behavior_check(
     cfg: VerifyConfig | None = None,
     *,
     r: Tensor2 | None = None,
-    scales: tuple = (10, 20, 40),
-    final_tol: float = 1e-15,
 ) -> ResidualReport:
-    """Coefficient-wise limits of the X = Delta family along a dominant ray.
+    """Exact limits of the X = Delta family along a dominant ray.
 
-    r(t v) must approach the twisted constant solution as t -> +infinity and
-    the untwisted one as t -> -infinity, with geometrically shrinking error.
-    The scales are measured in units of 1/eps, so the decay regime matched by
-    final_tol is the same for every coupling constant.  Without r (which
+    r(t v) must tend to the twisted constant solution as t -> +infinity and
+    to the untwisted one as t -> -infinity.  Each coth atom of r tends to the
+    sign of its slope (a, +-v), nonzero for a dominant v (`ScalarExpr.ray_limit`).
+    The cells of each limit minus its constant solution, keyed
+    (direction, i, j), are decided by `decide_cells`.  Without r (which
     run_checks passes) the spec is validated and r constructed here.
     """
     from .rmatrix import constant_example, construct
 
-    cfg = cfg or VerifyConfig()
     start = time.monotonic()
     if not limits_applicable(spec, rd):
         raise PreconditionError("limit check needs eps != 0, X = all roots, nu = 0 and D = 0")
-    scales = tuple(Q(t) / abs(spec.epsilon) for t in scales)
-
     r = r if r is not None else construct(spec, g, rd)
     v = dominant_vector(rd)
-    targets = {
-        1: constant_example(g, rd, spec.epsilon, which="Tsr"),
-        -1: constant_example(g, rd, spec.epsilon, which="r"),
-    }
-    devs: dict[int, list[float]] = {1: [], -1: []}
-    for direction in (1, -1):
-        target_vals = targets[direction].evaluate((0,) * g.rank, precision=cfg.precision)
-        for t in scales:
-            pt = tuple(direction * t * x for x in v)
-            vals = r.evaluate(pt, precision=cfg.precision, margin=MARGIN)
-            keys = set(vals) | set(target_vals)
-            dev = 0.0
-            for k in keys:
-                a = vals.get(k, 0)
-                b = target_vals.get(k, 0)
-                dev = max(dev, float(abs(a - b)))
-            devs[direction].append(dev)
-
-    monotone = all(d[i + 1] <= d[i] for d in devs.values() for i in range(len(d) - 1))
-    converged = all(d[-1] < final_tol for d in devs.values())
-    ok = monotone and converged
-    return ResidualReport(
-        name="limits",
-        status="numeric-zero" if ok else "nonzero",
-        max_abs=max(d[-1] for d in devs.values()),
-        tolerance=final_tol,
-        points_used=len(scales) * 2,
-        witness=None if ok else {"deviations_positive": devs[1], "deviations_negative": devs[-1]},
-        seconds=time.monotonic() - start,
-        details={
-            "dominant_vector": list(v),
-            "scales": [str(t) for t in scales],
-            "deviation_to_twisted_constant": devs[1],
-            "deviation_to_constant": devs[-1],
-        },
-    )
+    zero = ScalarExpr.zero(g.rank)
+    cells = {}
+    for direction, which in ((1, "Tsr"), (-1, "r")):
+        target = constant_example(g, rd, spec.epsilon, which=which).coeffs
+        ray = tuple(direction * x for x in v)
+        for k in sorted(r.coeffs.keys() | target.keys()):
+            lim = r.coeffs[k].ray_limit(ray) if k in r.coeffs else zero
+            cells[(direction, *k)] = lim - target.get(k, zero)
+    rep = decide_cells(cells, "limits", cfg)
+    rep.seconds = time.monotonic() - start
+    rep.details = {"dominant_vector": list(v)}
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -255,3 +255,26 @@ def sampled_max_abs(exprs, nvars: int, *, avoid=(), points: int = 20, precision:
     """
     pts = sample_points(nvars, points, seed=seed, avoid=avoid)
     return max((abs(float(f.eval_numeric(pt, precision=precision))) for pt in pts for f in exprs), default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# ray oracle for the exact limits check
+
+
+def ray_deviations(r, target_plus, target_minus, v, eps, *, scales=(10, 20, 40), precision: int = 128) -> dict:
+    """Largest coefficient deviation of r(t v) from target_plus and of r(-t v)
+    from target_minus, at each t = scale / |eps|; {1: [...], -1: [...]}.
+
+    Numeric evaluation along the ray shares no code with
+    `ScalarExpr.ray_limit`, so it is an independent check of each exact limit.
+    """
+    out = {}
+    for direction, target in ((1, target_plus), (-1, target_minus)):
+        target_vals = target.evaluate((0,) * len(v), precision=precision)
+        devs = []
+        for scale in scales:
+            t = Q(scale) / abs(Q(eps))
+            vals = r.evaluate(tuple(direction * t * x for x in v), precision=precision)
+            devs.append(max(float(abs(vals.get(k, 0) - target_vals.get(k, 0))) for k in vals.keys() | target_vals.keys()))
+        out[direction] = devs
+    return out

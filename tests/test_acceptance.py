@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import sdybe.tensor as tensor_mod
-from sdybe.rmatrix import RMatrixSpec, TwoForm, construct, functional_equation_residual, validate
+from sdybe.rmatrix import RMatrixSpec, TwoForm, constant_example, construct, functional_equation_residual, validate
 from sdybe.scalars import Poly, RationalFunction
 from sdybe.superalgebra import (
     check_jacobi,
@@ -26,6 +26,7 @@ from sdybe.tensor import Tensor2, cross_bracket, super_twist
 from sdybe.verifier import (
     VerifyConfig,
     cdybe_residual,
+    dominant_vector,
     lemma_consistency_check,
     limit_behavior_check,
     mdybe_residual,
@@ -34,7 +35,7 @@ from sdybe.verifier import (
     zero_weight_residual,
 )
 
-from conftest import ad_signed_oracle, sampled_max_abs
+from conftest import ad_signed_oracle, ray_deviations, sampled_max_abs
 from test_tensor import _random_unitary_pieces, build_zero_weight_tensor
 
 Q = Fraction
@@ -191,15 +192,17 @@ class TestAcceptance:
             assert rep4.status == "nonzero" and rep4.witness is not None
 
     def test_criterion_5_limits(self, sl2, gl21):
-        with criterion(5, "coth family degenerates onto both constant solutions, error < 1e-15 at t = 40"):
+        with criterion(5, "coth family degenerates exactly onto both constant solutions; error < 1e-15 at t = 40"):
             for bundle in (sl2, gl21):
                 g, rd, _ = bundle
                 spec = RMatrixSpec(
                     X=full_X(rd), nu=[0] * g.rank, D=TwoForm.zero(g.rank), epsilon=1
                 )
                 rep = limit_behavior_check(spec, g, rd, VerifyConfig(precision=128, seed=0))
-                assert rep.status == "numeric-zero", g.family
-                for seq in (rep.details["deviation_to_twisted_constant"], rep.details["deviation_to_constant"]):
+                assert rep.status == "exact-zero", g.family
+                targets = (constant_example(g, rd, 1, which=w) for w in ("Tsr", "r"))
+                r = construct(spec, g, rd)
+                for seq in ray_deviations(r, *targets, dominant_vector(rd), 1).values():
                     assert seq[-1] < 1e-15
                     assert seq[0] > seq[1] > seq[2]
 

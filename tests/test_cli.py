@@ -41,6 +41,14 @@ def gl21_coth(**overrides):
     return doc
 
 
+def bad_signs_sl3():
+    """X = none with the simple roots E12, E23 signed + and their sum E13
+    signed - (root order E13, E12, E23, ...): validate accepts it, cdybe
+    and mdybe are nonzero."""
+    return {"algebra": "sl", "m": 3, "n": 0, "epsilon": "1/2", "nu": ["0", "0"], "X": "none", "D": [],
+            "sign_choice": {"0": "-", "1": "+", "2": "+"}}
+
+
 # each field value crashed verify and construct with a traceback and exit 1
 MALFORMED = {
     "epsilon-1/0": ({"epsilon": "1/0"}, "epsilon"),
@@ -110,10 +118,14 @@ class TestVerifyCommand:
         assert statuses["unitarity"] == "exact-zero"
         assert statuses["zero-weight"] == "exact-zero"
 
-    @pytest.mark.parametrize("doc,numeric", [(t1_sl2(), False), (t2_sl2(), True)], ids=["exact", "limits"])
-    def test_mpmath_is_imported_on_first_numeric_use(self, tmp_path, doc, numeric):
-        # a fresh interpreter: an exact-zero verify evaluates nothing, while
-        # the limits check of the coth family evaluates r along a ray
+    @pytest.mark.parametrize(
+        "doc,code,numeric",
+        [(t1_sl2(), 0, False), (t2_sl2(), 0, False), (bad_signs_sl3(), 1, True)],
+        ids=["exact", "limits", "witness"],
+    )
+    def test_mpmath_is_imported_on_first_numeric_use(self, tmp_path, doc, code, numeric):
+        # a fresh interpreter: a passing verify evaluates nothing, limits
+        # included, while the witness of a nonzero residual is a numeric value
         spec, out = write_spec(tmp_path, "spec.json", doc), str(tmp_path / "report.json")
         script = (
             "import sys\n"
@@ -123,7 +135,7 @@ class TestVerifyCommand:
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sdybe.__file__)))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["0", str(numeric)]
+        assert done.stdout.split() == [str(code), str(numeric)]
 
     def test_nonclosed_D_exits_1_with_witness(self, tmp_path):
         doc = t1_sl2(algebra="gl", m=2, n=1, nu=["0", "0", "0"],

@@ -20,6 +20,7 @@ from sdybe.scalars import (
     RationalFunction,
     ScalarExpr,
     from_sexpr,
+    largest_value,
     make_atom,
     poly_from_str,
     poly_to_str,
@@ -131,6 +132,16 @@ class TestEvaluation:
     def test_coth_asymptote(self):
         got = ScalarExpr.coth([Q(1)]).eval_numeric([50], precision=64)
         assert abs(float(got) - 1.0) < 1e-15
+
+    def test_ray_limit_takes_the_sign_of_each_slope(self):
+        c = ScalarExpr.coth([Q(0), Q(1)])
+        f = ScalarExpr.coth([Q(1), Q(-1)], 3) * ScalarExpr.coth([Q(2), Q(1)]) * 5 + c * c
+        assert f.ray_limit((2, 1)).constant() == 5 * 1 * 1 + 1
+        assert f.ray_limit((-1, 3)).constant() == 5 * -1 * 1 + 1
+        with pytest.raises(PoleError, match="coth"):
+            f.ray_limit((1, 1))  # x0 - x1 has slope 0: coth(3) is no rational limit
+        with pytest.raises(ValueError, match="constant coefficients"):
+            (f * inv_linear([Q(1), Q(0)])).ray_limit((2, 1))
 
     def test_margin_pole(self):
         f = inv_linear([Q(1)], -3)
@@ -254,6 +265,14 @@ class TestSampling:
         b = sample_points(2, 25, seed=3, avoid=avoid)
         assert a == b
         assert all(p[0] != p[1] for p in a)
+
+    def test_largest_value_first_maximum_wins(self):
+        # |value| peaks at 2/9, whose float rounds down, in both cells at two
+        # points: a tie must not move the witness off the first of them
+        a = ratfun(Poly.linear([Q(1, 9)]))
+        assert float(Q(2, 9)) < Q(2, 9)
+        key, pt, v = largest_value({"a": a, "b": -a}, [(1,), (2,), (-2,)], precision=128, margin=1e-6)
+        assert (key, pt) == ("a", (2,)) and abs(v - Q(2, 9)) < 1e-30
 
 
 # -- randomized structure, via hypothesis

@@ -17,6 +17,7 @@ from sdybe.rmatrix import (
     RMatrixSpec,
     TwoForm,
     ValidationError,
+    constant_example,
     construct,
     functional_equation_residual,
     ode_residual,
@@ -45,7 +46,7 @@ from sdybe.verifier import (
     zero_weight_residual,
 )
 
-from conftest import sampled_max_abs
+from conftest import ray_deviations, sampled_max_abs
 from test_tensor import _random_unitary_pieces, basis_tensor2, build_zero_weight_tensor
 
 Q = Fraction
@@ -443,6 +444,17 @@ class TestSingleWitness:
         assert functional_equation_residual(*rep.witness["indices"], spec, rd).has_coth()
 
 
+def _assert_ray_converges(spec, g, rd, r=None):
+    """The numeric ray oracle's bounds: at t = 10, 20, 40 over |eps|, each
+    deviation from the constant solutions is at least 10 times smaller than
+    the one before, and the last is below 1e-15."""
+    r = r if r is not None else construct(spec, g, rd)
+    twisted, plain = (constant_example(g, rd, spec.epsilon, which=w) for w in ("Tsr", "r"))
+    for seq in ray_deviations(r, twisted, plain, dominant_vector(rd), spec.epsilon).values():
+        assert seq[1] < seq[0] / 10 and seq[2] < seq[1] / 10
+        assert seq[-1] < 1e-15
+
+
 class TestLimits:
     def test_dominant_vector_is_dominant(self, gl21):
         _, rd, _ = gl21
@@ -463,12 +475,12 @@ class TestLimits:
             g, rd, _ = bundle
             spec = full_spec(rd, eps=Q(1))
             rep = limit_behavior_check(spec, g, rd, VerifyConfig(precision=128, seed=0))
-            assert rep.status == "numeric-zero"
-            up = rep.details["deviation_to_twisted_constant"]
-            down = rep.details["deviation_to_constant"]
-            for seq in (up, down):
-                assert seq[-1] < 1e-15
-                assert seq[1] < seq[0] / 10 and seq[2] < seq[1] / 10
+            assert rep.as_dict() | {"seconds": 0} == {
+                "name": "limits", "status": "exact-zero", "max_abs": None, "tolerance": None,
+                "points_used": 0, "witness": None, "seconds": 0,
+                "details": {"dominant_vector": list(dominant_vector(rd))},
+            }
+            _assert_ray_converges(spec, g, rd)
 
     def test_precondition(self, sl2):
         g, rd, _ = sl2
@@ -490,11 +502,54 @@ class TestLimits:
         rd = root_decomposition(g)
         assert g.rank == 7
         start = time.monotonic()
-        rep = limit_behavior_check(full_spec(rd, eps=Q(1, 2)), g, rd, VerifyConfig(precision=128, seed=0))
+        spec = full_spec(rd, eps=Q(1, 2))
+        rep = limit_behavior_check(spec, g, rd, VerifyConfig(precision=128, seed=0))
         assert time.monotonic() - start < 30
-        assert rep.status == "numeric-zero"
-        for seq in (rep.details["deviation_to_twisted_constant"], rep.details["deviation_to_constant"]):
-            assert seq[-1] < 1e-15
+        assert rep.status == "exact-zero"
+        _assert_ray_converges(spec, g, rd)
+
+    @pytest.mark.parametrize("bundle", ["sl2", "gl21", "sl3"])
+    def test_a_cell_moved_by_1e_20_is_the_witness(self, request, bundle):
+        """The ray oracle stays within its bounds, but the exact limit is off."""
+        g, rd, om = request.getfixturevalue(bundle)
+        spec = full_spec(rd, eps=Q(1))
+        r = construct(spec, g, rd, omega=om)
+        cell = sorted(r.coeffs)[len(r.coeffs) // 2]
+        moved = dict(r.coeffs)
+        moved[cell] = moved[cell] + ScalarExpr.const(g.rank, Q(1, 10**20))
+        moved = Tensor2(g, moved)
+        _assert_ray_converges(spec, g, rd, moved)
+        rep = limit_behavior_check(spec, g, rd, VerifyConfig(precision=128), r=moved)
+        assert rep.status == "nonzero"
+        # both directions are off by the same amount; the first maximum wins
+        assert rep.witness["indices"] == [1, *cell]
+        assert abs(rep.witness["value"] - 1e-20) < 1e-30
+        assert rep.details == {"dominant_vector": list(dominant_vector(rd))}
+
+    @pytest.mark.parametrize("bundle", ["sl2", "gl21", "sl3"])
+    def test_a_cell_with_flipped_sign_is_nonzero(self, request, bundle):
+        g, rd, om = request.getfixturevalue(bundle)
+        spec = full_spec(rd, eps=Q(1))
+        r = construct(spec, g, rd, omega=om)
+        # a cell whose limit is not 0, so flipping it moves the limit
+        v = dominant_vector(rd)
+        cell = next(k for k in sorted(r.coeffs) if r.coeffs[k].ray_limit(v).terms)
+        flipped = dict(r.coeffs)
+        flipped[cell] = -flipped[cell]
+        rep = limit_behavior_check(spec, g, rd, CFG64, r=Tensor2(g, flipped))
+        assert rep.status == "nonzero" and rep.witness["indices"][1:] == list(cell)
+
+    def test_ladder_statuses_are_exact(self):
+        """Every limits-ray rung, as `verify` runs it: no status but exact-zero or nonzero."""
+        ladder = [("sl", 3, 0), ("gl", 2, 1), ("sl", 4, 0), ("gl", 3, 1), ("gl", 2, 2), ("sl", 5, 0),
+                  ("gl", 3, 2), ("gl", 4, 1), ("sl", 6, 0)]
+        for k, (family, m, n) in enumerate(ladder):
+            g = (build_gl if family == "gl" else build_sl)(m, n)
+            rd = root_decomposition(g)
+            eps = (Q(1, 3), Q(1, 2), Q(2, 3), Q(1), Q(3, 2))[k % 5]
+            ok, reports, _ = run_checks(g, rd, full_spec(rd, eps=eps), checks=("validate", "limits"))
+            assert ok and [rep.name for rep in reports] == ["validate", "limits"]
+            assert {rep.status for rep in reports} <= {"exact-zero", "nonzero"}
 
 
 class TestConcurrency:
@@ -607,8 +662,9 @@ class TestComputeOnce:
         yb = _count_calls(monkeypatch, "yb_bracket")
         decide = _count_calls(monkeypatch, "decide_tensor_zero")
         ok, reports, _ = run_checks(g, rd, spec, checks=self.CHECKS, cfg=CFG64)
-        # unitarity, cdybe, mdybe and the cross bracket, each decided once
-        assert (len(yb), len(decide)) == (3, 4)
+        # unitarity, cdybe, mdybe and the cross bracket, each decided once;
+        # at eps = 0 mdybe has no [[Omega, Omega]] term to build
+        assert (len(yb), len(decide)) == (2 if kind == "eps0" else 3, 4)
         monkeypatch.undo()
 
         r = construct(spec, g, rd, omega=om)
@@ -677,7 +733,7 @@ class TestComputeOnce:
     def test_standalone_limits_still_validates(self, gl21, monkeypatch):
         g, rd, _ = gl21
         calls = _count_validate(monkeypatch)
-        assert limit_behavior_check(full_spec(rd, eps=Q(1)), g, rd, CFG64).status == "numeric-zero"
+        assert limit_behavior_check(full_spec(rd, eps=Q(1)), g, rd, CFG64).status == "exact-zero"
         assert calls == ["validate"]
         # nu = 0 with one coordinate too many: limits applies, validate refuses it
         too_long = full_spec(rd, eps=Q(1), nu=[0] * (g.rank + 1))
@@ -754,7 +810,7 @@ class TestOneDecisionPerForm:
 class TestVerifyConfig:
     @pytest.mark.parametrize("precision", [0, -3, 8, 53, 63])
     def test_rejects_precision_below_64_bits(self, precision):
-        # below 64 bits the limits deviations round to 0 and pass vacuously
+        # 64 bits is the floor for witness values
         with pytest.raises(ValueError, match="precision"):
             VerifyConfig(precision=precision)
 
