@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that a change leaves every `sdybe verify` report as the parent wrote it.
+"""Check that a change leaves every `sdybe verify` and `construct --at` report as the parent wrote it.
 
     python3 scripts/compare_reports.py --parent HEAD~1
 
@@ -7,12 +7,13 @@ Run from the root of the checkout under test (the change).  The parent
 revision is exported with `git archive` into --parent-dir (a fresh temporary
 directory by default).  For seeds 1-3 of every perfbench workload, the spec
 files of `perfbench/workloads.py` (negative controls included) are written
-once and verified by each side, from its own source, with the arguments
-perfbench uses.  The reports are compared with every `seconds` field removed, and so
-are the exit codes.  Prints one line per difference, naming the spec and the
-path of the field with both values (`limits.status: numeric-zero ->
-exact-zero`; a check is named by its `name`), and exits 1 if there is any,
-else 0.
+once, and each side runs on them, from its own source: `verify` with the
+arguments perfbench uses, and `construct --at` at two fixed rational points
+(`at_points`), at 64 and at 128 bits.  The reports are compared with every
+`seconds` field removed, and so are the exit codes.  Prints one line per
+difference, naming the spec and the path of the field with both values
+(`limits.status: numeric-zero -> exact-zero`; a check is named by its
+`name`), and exits 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import workloads  # noqa: E402
 from bench_pairs import export_parent  # noqa: E402
 
 SEEDS = (1, 2, 3)
+PRECISIONS = (64, 128)
 
 # runs in a fresh interpreter: argv[1] is a src/ directory, argv[2] a JSON list
 # of `sdybe` argument lists; prints the list of exit codes as JSON
@@ -59,7 +61,7 @@ def without_seconds(node):
     return node
 
 
-def verify_all(checkout: str, jobs: list[list[str]], work: str) -> list:
+def run_all(checkout: str, jobs: list[list[str]], work: str) -> list:
     path = os.path.join(work, "jobs.json")
     with open(path, "w") as fh:
         json.dump(jobs, fh)
@@ -101,22 +103,40 @@ def read_report(path: str):
         return without_seconds(json.load(fh))
 
 
-def compare(workload: str, seed: int, parent_dir: str, work: str) -> tuple[int, list[str]]:
-    """(specs compared, differences) for one workload and seed."""
+def at_points(rank: int) -> list[str]:
+    """The two fixed rational points of `construct --at` for this rank."""
+    first = ["2/5", "-1/5"] + [f"{(-1) ** k * (k + 1)}/{3 * k + 4}" for k in range(2, rank)]
+    return [",".join(first[:rank]), ",".join(f"{k + 1}/{2 * k + 3}" for k in range(rank))]
+
+
+def runs(specs: list, seed: int, out) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every run on the specs; out(n) is the report path of run n."""
+    jobs: list = []
+    for k, spec in enumerate(specs):
+        where = f"spec {k:02d} ({spec.name})"
+        jobs.append((where, spec.argv(seed, out(len(jobs)))))
+        for at in at_points(len(spec.doc["nu"])):
+            for bits in PRECISIONS:
+                argv = ["construct", "--spec", spec.path, "--at", at, "--precision", str(bits)]
+                jobs.append((f"{where} construct --at {at} --precision {bits}", argv + ["--out", out(len(jobs))]))
+    return jobs
+
+
+def compare(workload: str, seed: int, parent_dir: str, work: str) -> tuple[int, int, list[str]]:
+    """(specs compared, runs compared, differences) for one workload and seed."""
     specs = workloads.generate(workload, seed, os.path.join(work, "specs"))
-    outs: dict = {}
     codes: dict = {}
     for side, checkout in (("parent", parent_dir), ("change", ROOT)):
-        outs[side] = [os.path.join(work, f"{side}-{k:02d}.json") for k in range(len(specs))]
-        codes[side] = verify_all(checkout, [s.argv(seed, out) for s, out in zip(specs, outs[side])], work)
+        jobs = runs(specs, seed, lambda n, side=side: os.path.join(work, f"{side}-{n:03d}.json"))
+        codes[side] = run_all(checkout, [argv for _, argv in jobs], work)
     diffs = []
-    for k, spec in enumerate(specs):
-        where = f"{workload} seed {seed} spec {k:02d} ({spec.name})"
-        if codes["parent"][k] != codes["change"][k]:
-            diffs.append(f"{where}: exit code {codes['parent'][k]} -> {codes['change'][k]}")
-        old, new = read_report(outs["parent"][k]), read_report(outs["change"][k])
+    for n, (label, _) in enumerate(jobs):
+        where = f"{workload} seed {seed} {label}"
+        if codes["parent"][n] != codes["change"][n]:
+            diffs.append(f"{where}: exit code {codes['parent'][n]} -> {codes['change'][n]}")
+        old, new = (read_report(os.path.join(work, f"{side}-{n:03d}.json")) for side in ("parent", "change"))
         diffs += [f"{where}: {d}" for d in field_diffs(old, new)]
-    return len(specs), diffs
+    return len(specs), len(jobs), diffs
 
 
 def main(argv=None) -> int:
@@ -127,18 +147,21 @@ def main(argv=None) -> int:
 
     parent_dir = args.parent_dir or tempfile.mkdtemp(prefix="compare-parent-")
     commit = export_parent(args.parent, parent_dir)
-    total, diffs = 0, []
+    specs, total, diffs = 0, 0, []
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory(prefix="compare-reports-") as work:
-                count, found = compare(workload, seed, parent_dir, work)
-            total += count
+                count, ran, found = compare(workload, seed, parent_dir, work)
+            specs, total = specs + count, total + ran
             diffs += found
-            print(f"{workload} seed {seed}: {count} specs, {len(found)} differences", file=sys.stderr)
+            print(f"{workload} seed {seed}: {count} specs, {ran} runs, {len(found)} differences", file=sys.stderr)
     for line in diffs:
         print(line)
     verdict = "differ" if diffs else "match"
-    print(f"{total} reports against {commit[:7]}: {len(diffs)} differences; reports {verdict}", file=sys.stderr)
+    print(
+        f"{total} runs on {specs} specs against {commit[:7]}: {len(diffs)} differences; reports {verdict}",
+        file=sys.stderr,
+    )
     return 1 if diffs else 0
 
 

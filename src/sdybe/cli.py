@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .rmatrix import spec_from_json
+from .rmatrix import parse_sizes, spec_from_json
 from .scalars import PoleError
 from .superalgebra import (
     DegenerateFormError,
@@ -60,7 +60,7 @@ def _load_spec(path: str):
     for key in ("algebra", "m", "n"):
         if key not in doc:
             raise ValueError(f"spec file is missing the {key!r} field")
-    g = _build_algebra(doc["algebra"], int(doc["m"]), int(doc["n"]))
+    g = _build_algebra(doc["algebra"], *parse_sizes(doc))
     rd = root_decomposition(g)
     spec = spec_from_json(doc, g, rd)
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
@@ -111,6 +111,7 @@ def cmd_construct(args) -> int:
         if len(point) != g.rank:
             print(f"error: --at needs {g.rank} coordinates", file=sys.stderr)
             return 2
+        doc["at"] = [str(v) for v in point]
         values = []
         try:
             for key in sorted(r.coeffs):
@@ -122,8 +123,9 @@ def cmd_construct(args) -> int:
                     values.append({"indices": list(key), "value": float(v)})
         except PoleError as exc:
             print(f"error: {exc.form} vanishes at the evaluation point", file=sys.stderr)
+            doc["pole"] = {"indices": list(key), "form": exc.form}
+            _emit(doc, args.out)
             return 1
-        doc["at"] = [str(v) for v in point]
         doc["values"] = values
     _emit(doc, args.out)
     return 0

@@ -17,6 +17,7 @@ witnesses for every violation.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -386,16 +387,54 @@ def _parse_field(name: str, parse, *args):
         raise ValueError(f"{name}: {exc}") from exc
 
 
+# one check per kind of JSON field, where int() would read 2.9 as 2 and true as
+# 1, Fraction() 0.1 as its binary value, and a string would iterate as a list:
+# m, n, X entries and D indices are integers, never bools; epsilon and nu
+# entries are strings or integers; X and nu are lists; signs are never bools
+
+
+def _integer(value) -> int:
+    if value.__class__ is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _rational(value) -> Fraction:
+    if value.__class__ not in (int, str):
+        raise TypeError(f"expected a rational as a string or an integer, got {json.dumps(value)}")
+    return Q(value)
+
+
+def _entries(value, parse) -> list:
+    if value.__class__ is not list:
+        raise TypeError(f"expected a list, got {json.dumps(value)}")
+    return [parse(v) for v in value]
+
+
+_SIGNS = {"+": 1, "+1": 1, 1: 1, "-": -1, "-1": -1, -1: -1}
+
+
+def _sign(value) -> int:
+    if value.__class__ not in (int, str) or value not in _SIGNS:
+        raise ValueError(f"expected '+' or '-', got {json.dumps(value)}")
+    return _SIGNS[value]
+
+
+def parse_sizes(doc: dict) -> tuple[int, int]:
+    """The m and n fields of a spec document."""
+    return _parse_field("m", _integer, doc["m"]), _parse_field("n", _integer, doc["n"])
+
+
 def _parse_x(value, count: int) -> frozenset:
     if value == "all":
         return frozenset(range(count))
     if value == "none":
         return frozenset()
-    return frozenset(int(i) for i in value)
+    return frozenset(_entries(value, _integer))
 
 
 def _parse_d_entry(entry: dict, n: int) -> tuple[int, int, RationalFunction]:
-    i, j = int(entry["i"]), int(entry["j"])
+    i, j = _integer(entry["i"]), _integer(entry["j"])
     if "ratfun" in entry:
         expr = from_sexpr(entry["ratfun"], n)
         return i, j, expr.as_ratfun()  # raises NotRationalError on coth atoms
@@ -421,12 +460,7 @@ def _parse_d(entries: list, n: int) -> TwoForm:
 def _parse_signs(choices: dict) -> dict:
     if not isinstance(choices, dict):
         raise TypeError("expected an object mapping root indices to '+' or '-'")
-    out = {}
-    for k, v in choices.items():
-        if v not in ("+", "-", 1, -1, "+1", "-1"):
-            raise ValueError(f"sign choice for root {k} must be '+' or '-'")
-        out[int(k)] = 1 if v in ("+", 1, "+1") else -1
-    return out
+    return {int(k): _sign(v) for k, v in choices.items()}
 
 
 def spec_from_json(doc: dict, g: LieSuperalgebra, rd: RootDatum) -> RMatrixSpec:
@@ -434,8 +468,8 @@ def spec_from_json(doc: dict, g: LieSuperalgebra, rd: RootDatum) -> RMatrixSpec:
     n = g.rank
     return RMatrixSpec(
         X=_parse_field("X", _parse_x, doc.get("X", "none"), len(rd)),
-        nu=_parse_field("nu", lambda v: tuple(Q(c) for c in v), doc.get("nu", ["0"] * n)),
+        nu=_parse_field("nu", lambda v: tuple(_entries(v, _rational)), doc.get("nu", ["0"] * n)),
         D=_parse_d(doc.get("D", []), n),
-        epsilon=_parse_field("epsilon", Q, doc.get("epsilon", "0")),
+        epsilon=_parse_field("epsilon", _rational, doc.get("epsilon", "0")),
         sign_choice=_parse_field("sign_choice", _parse_signs, doc.get("sign_choice", {})),
     )

@@ -40,7 +40,8 @@ expression into a polynomial in exponential variables over the
 rational-function field.  Limits along a ray are exact too
 (`ScalarExpr.ray_limit`).  Seeded numeric sampling (`sample_points`,
 `largest_value`) only locates the witness of a nonzero residual for
-`verifier.decide_cells`, the one zero decision of every residual check.
+`verifier.decide_cells`, the one zero decision of every residual check.  A
+numeric value is evaluated exactly and rounded once; mpmath computes only coth.
 """
 
 from __future__ import annotations
@@ -86,28 +87,36 @@ class NotRationalError(TypeError):
 
 
 class MpPoint:
-    """A point converted to mpf once, with the coth atom values found at it.
+    """An exact point, with the coth atom values found at it.
 
-    The expressions evaluated at one point share it, and it lives no longer.
+    A coefficient's value and a coth atom's argument are evaluated exactly and
+    rounded once; mpmath computes only coth.  The expressions evaluated at one
+    point share it, and it lives no longer.
     """
 
-    __slots__ = ("point", "ctx", "margin", "coords", "_coth")
+    __slots__ = ("point", "ctx", "margin", "_coth")
 
     def __init__(self, point: Sequence, precision: int, margin: float):
         self.point = tuple(point)
         self.ctx = mp_context(precision)
         self.margin = margin
-        self.coords = [_to_mpf(v, self.ctx) for v in self.point]
         self._coth: dict = {}
+
+    def mpf(self, value):
+        """The exact int or Fraction value, rounded to the nearest mpf once."""
+        if value.__class__ is int:
+            return self.ctx.mpf(value)
+        return self.ctx.fdiv(value.numerator, value.denominator)
 
     def coth(self, atom: Atom):
         """coth(u) = (e^u + e^-u) / (e^u - e^-u) of the atom's form u; PoleError within margin of u = 0."""
         value = self._coth.get(atom)
         if value is None:
             form = atom_form_poly(atom)
-            u = form.eval_mp(self)
-            if abs(u) < self.margin:
+            u = form.eval_exact(self.point)
+            if not u or abs(u) < self.margin:
                 raise PoleError(f"coth({poly_to_str(form)})", self.point)
+            u = self.mpf(u)
             et, emt = self.ctx.exp(u), self.ctx.exp(-u)
             value = self._coth[atom] = (et + emt) / (et - emt)
         return value
@@ -318,41 +327,21 @@ class Poly:
 
     # -- evaluation
 
-    def eval_exact(self, point: Sequence) -> Fraction:
-        acc = Q(0)
-        vals = [Q(v) for v in point]
+    def eval_exact(self, point: Sequence):
+        """The exact value at point, an int while every coefficient and coordinate is integral."""
+        vals = [v if v.__class__ is int else _coeff(v) for v in point]
+        acc = 0
         for m, c in self.terms.items():
-            t = c
-            for i, e in enumerate(m):
+            for v, e in zip(vals, m):
                 if e:
-                    t *= vals[i] ** e
-            acc += t
-        return acc
-
-    def eval_mp(self, at: MpPoint):
-        ctx, vals = at.ctx, at.coords
-        acc = ctx.mpf(0)
-        for m, c in self.terms.items():
-            t = _to_mpf(c, ctx)
-            for i, e in enumerate(m):
-                if e:
-                    t *= vals[i] ** e
-            acc += t
+                    c *= v**e
+            acc += c
         return acc
 
     # -- text form
 
-    def __str__(self) -> str:
-        return poly_to_str(self)
-
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {poly_to_str(self)!r})"
-
-
-def _to_mpf(v, ctx):
-    if isinstance(v, Fraction):
-        return ctx.mpf(v.numerator) / ctx.mpf(v.denominator)
-    return ctx.mpf(v)
 
 
 def poly_to_str(p: Poly) -> str:
@@ -467,7 +456,7 @@ def _cancel(num: Poly, factors: dict, fids: Iterable[int]) -> RationalFunction:
             factors[fid] = (f, mult)
         else:
             del factors[fid]
-    # ordered by canonical key, never by id, so eval_mp multiplies in a fixed order
+    # ordered by canonical key, never by id, so one denominator has one order
     return RationalFunction._reduced(num, tuple(sorted(factors.values(), key=_factor_key)) if num.terms else ())
 
 
@@ -587,9 +576,7 @@ class RationalFunction:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.const(self.nvars, other)
-        if not isinstance(other, RationalFunction):
+        if not isinstance(other, (RationalFunction, int, Fraction)):
             return NotImplemented
         return (self - other).is_zero()
 
@@ -603,14 +590,10 @@ class RationalFunction:
             return other
         if isinstance(other, (int, Fraction)):
             return RationalFunction.const(self.nvars, other)
-        if isinstance(other, Poly):
-            return RationalFunction(other)
-        return NotImplemented
+        raise TypeError(f"cannot combine a RationalFunction with {type(other).__name__}")
 
     def __add__(self, other) -> RationalFunction:
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return RationalFunction.sum(((1, self), (1, other)))
 
     __radd__ = __add__
@@ -620,12 +603,7 @@ class RationalFunction:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return RationalFunction.sum(((1, self), (-1, other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other) -> RationalFunction:
         """The product, reduced.
@@ -636,8 +614,6 @@ class RationalFunction:
         hold it.  Otherwise every factor is tried against the product.
         """
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         if not self.den and not other.den:
             return RationalFunction._reduced(self.num * other.num, ())
         nums = [self.num, other.num]
@@ -665,17 +641,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def inv(self) -> RationalFunction:
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero rational function")
-        return RationalFunction(self.den_poly(), [(self.num, 1)])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
     def diff(self, index: int) -> RationalFunction:
         # d(n/D)/dx = (n' - n * sum_k m_k f_k'/f_k) / D, cleared of the f_k
         if not self.den:
@@ -699,23 +664,16 @@ class RationalFunction:
 
     # -- evaluation
 
-    def eval_exact(self, point: Sequence) -> Fraction:
-        val = Q(1)
+    def eval_exact(self, point: Sequence, margin: float = 0):
+        """The exact value at point; PoleError where a denominator factor is 0 or within margin of 0."""
+        den = 1
         for f, m in self.den:
             fv = f.eval_exact(point)
-            if fv == 0:
+            if not fv or abs(fv) < margin:
                 raise PoleError(poly_to_str(f), point)
-            val *= fv**m
-        return self.num.eval_exact(point) / val
-
-    def eval_mp(self, at: MpPoint):
-        val = at.ctx.mpf(1)
-        for f, m in self.den:
-            fv = f.eval_mp(at)
-            if abs(fv) < at.margin:
-                raise PoleError(poly_to_str(f), at.point)
-            val *= fv**m
-        return self.num.eval_mp(at) / val
+            den *= fv**m
+        num = self.num.eval_exact(point)
+        return num if den == 1 else Q(num, den)
 
     def __str__(self) -> str:
         if not self.den:
@@ -826,9 +784,6 @@ class ScalarExpr:
     def is_rational(self) -> bool:
         return all(m == () for m in self.terms)
 
-    def has_coth(self) -> bool:
-        return not self.is_rational()
-
     def symbolically_zero(self) -> bool:
         """Exact zero test with atoms as independent indeterminates (sound)."""
         return not self.terms
@@ -898,9 +853,7 @@ class ScalarExpr:
         return {a for m in self.terms for a, _ in m}
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ScalarExpr.const(self.nvars, other)
-        if not isinstance(other, ScalarExpr):
+        if not isinstance(other, (ScalarExpr, int, Fraction)):
             return NotImplemented
         return (self - other).symbolically_zero()
 
@@ -913,11 +866,7 @@ class ScalarExpr:
             return other
         if isinstance(other, (int, Fraction)):
             return ScalarExpr.const(self.nvars, other)
-        if isinstance(other, Poly):
-            return ScalarExpr.from_ratfun(RationalFunction(other))
-        if isinstance(other, RationalFunction):
-            return ScalarExpr.from_ratfun(other)
-        return NotImplemented
+        raise TypeError(f"cannot combine a ScalarExpr with {type(other).__name__}")
 
     @staticmethod
     def sum(nvars: int, pairs: Sequence[tuple]) -> ScalarExpr:
@@ -938,8 +887,6 @@ class ScalarExpr:
 
     def __add__(self, other) -> ScalarExpr:
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return ScalarExpr.sum(self.nvars, ((1, self), (1, other)))
 
     __radd__ = __add__
@@ -949,17 +896,10 @@ class ScalarExpr:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return ScalarExpr.sum(self.nvars, ((1, self), (-1, other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other) -> ScalarExpr:
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         if len(self.terms) == 1 == len(other.terms):  # one product, nonzero: nothing to sum
             ((m1, c1),), ((m2, c2),) = self.terms.items(), other.terms.items()
             return ScalarExpr(self.nvars, {_mono_mul(m1, m2): c1 * c2}, _prune=False)
@@ -970,19 +910,6 @@ class ScalarExpr:
         return ScalarExpr(self.nvars, _sum_groups(groups), _prune=False)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Q(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * Q(q.denominator, q.numerator)
-        if isinstance(other, (Poly, RationalFunction)):
-            rf = other if isinstance(other, RationalFunction) else RationalFunction(other)
-            return self * rf.inv()
-        if isinstance(other, ScalarExpr) and other.is_rational():
-            return self * other.as_ratfun().inv()
-        return NotImplemented
 
     def differentiate(self, index: int) -> ScalarExpr:
         """Exact partial derivative; d coth(u) = (1 - coth(u)^2) du."""
@@ -1006,17 +933,17 @@ class ScalarExpr:
 
     # -- evaluation
 
-    def eval_exact(self, point: Sequence) -> Fraction:
-        if self.has_coth():
-            raise NotRationalError("expression contains coth atoms")
+    def eval_exact(self, point: Sequence):
         return self.as_ratfun().eval_exact(point)
 
     def eval_numeric(self, point: Sequence | MpPoint, precision: int = 64, margin: float = 1e-6):
-        """Evaluate at `point` with `precision` mantissa bits.
+        """The value at `point` as an mpf of `precision` mantissa bits.
 
-        Raises PoleError when the point is within `margin` of a coth
-        singularity (atoms first, in canonical order) or of a denominator
-        hyperplane.  An MpPoint brings its own precision and margin.
+        Each coefficient is evaluated exactly and rounded once; mpmath is
+        used only for the coth atoms (`MpPoint.coth`).  Raises PoleError when
+        the point is within `margin` of a coth singularity (atoms first, in
+        canonical order) or of a denominator hyperplane, judged on exact
+        values.  An MpPoint brings its own precision and margin.
         Thread-safe: arithmetic runs in a per-precision context, never
         through mpmath's mutable global state.
         """
@@ -1025,7 +952,7 @@ class ScalarExpr:
             at.coth(atom)
         acc = at.ctx.mpf(0)
         for mono, coeff in self.terms.items():
-            t = coeff.eval_mp(at)
+            t = at.mpf(coeff.eval_exact(at.point, at.margin))
             for atom, power in _shown(mono):
                 t *= at.coth(atom) ** power
             acc += t
@@ -1061,9 +988,6 @@ class ScalarExpr:
             p = atom_form_poly(atom)
             forms[p.key()] = p
         return [forms[k] for k in sorted(forms)]
-
-    def __str__(self) -> str:
-        return to_sexpr(self)
 
     def __repr__(self) -> str:
         return f"ScalarExpr({to_sexpr(self)})"
@@ -1121,24 +1045,22 @@ def sample_points(
     avoid: Sequence[Poly] = (),
     margin: float = 1e-6,
     lattice: int = 10,
-    rng: random.Random | None = None,
 ) -> list[tuple[int, ...]]:
     """Draw integer lattice points in [-lattice, lattice]^nvars.
 
     Points within `margin` of any polynomial in `avoid` (in value, tested with
     exact arithmetic) are rejected and redrawn; the draw is seed-deterministic.
     """
-    rng = rng or random.Random(seed)
+    rng = random.Random(seed)
     out: list[tuple[int, ...]] = []
     tries = 0
     limit = 1000 * max(count, 1)
-    margin_q = Q(margin)
     while len(out) < count:
         tries += 1
         if tries > limit:
             raise RuntimeError("could not find margin-respecting sample points")
         pt = tuple(rng.randint(-lattice, lattice) for _ in range(nvars))
-        if any(abs(f.eval_exact(pt)) <= margin_q for f in avoid):
+        if any(abs(f.eval_exact(pt)) <= margin for f in avoid):
             continue
         out.append(pt)
     return out

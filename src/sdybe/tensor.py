@@ -136,9 +136,6 @@ class _TensorBase:
     def singular_forms(self):
         return singular_forms(self.coeffs.values())
 
-    def cells(self) -> list:
-        return sorted(self.coeffs)
-
     def __repr__(self):
         return f"{type(self).__name__}({len(self.coeffs)} cells over {self.g.family}({self.g.m}|{self.g.n}))"
 

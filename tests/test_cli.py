@@ -59,6 +59,16 @@ MALFORMED = {
     "ratfun-coth-zero": ({"D": [{"i": 0, "j": 1, "ratfun": "(coth 0 0 0 0)"}]}, "D entry 0"),
     "D-index-7": ({"D": [{"i": 0, "j": 7, "num": "1"}]}, "D"),
     "D-entry-not-object": ({"D": ["x"]}, "D entry 0"),
+    # each value below was accepted: "05" read as X = {0, 5}, 2.5 truncated,
+    # true taken as 1 and 0.1 as its binary fraction
+    "X-string": ({"X": "05"}, "X"),
+    "X-float": ({"X": [0, 5.5]}, "X"),
+    "m-float": ({"m": 2.5}, "m"),
+    "n-bool": ({"n": True}, "n"),
+    "epsilon-float": ({"epsilon": 0.1}, "epsilon"),
+    "nu-float": ({"nu": [0.5, "0", "0"]}, "nu"),
+    "D-index-float": ({"D": [{"i": 0.0, "j": 1, "num": "1"}]}, "D entry 0"),
+    "sign-bool": ({"sign_choice": {"0": True}}, "sign_choice"),
 }
 
 
@@ -195,6 +205,24 @@ class TestConstructCommand:
         spec = write_spec(tmp_path, "t1.json", t1_sl2())
         assert main(["construct", "--spec", spec, "--at", "0"]) == 1
         assert "x0" in capsys.readouterr().err
+        # the report is written at a pole too, naming the cell and the form
+        out = tmp_path / "pole.json"
+        assert main(["construct", "--spec", spec, "--at", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"spec_digest", "algebra", "tool_version", "at", "pole"}
+        assert doc["at"] == ["0"] and doc["algebra"] == {"family": "sl", "m": 2, "n": 0}
+        assert err == f"error: {doc['pole']['form']} vanishes at the evaluation point\n"
+        assert doc["pole"]["form"] == "x0" and len(doc["pole"]["indices"]) == 2
+
+    @pytest.mark.parametrize("eps,form", [("0", "x0 - x1"), ("1", "coth(1/2*x0 - 1/2*x1)")])
+    def test_pole_report_on_gl21(self, tmp_path, capsys, eps, form):
+        # an exact cell (eps = 0) and a numeric one (eps = 1) hit the same hyperplane
+        spec = write_spec(tmp_path, "gl21.json", gl21_coth(epsilon=eps))
+        assert main(["construct", "--spec", spec, "--at", "1,1,0"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["at"] == ["1", "1", "0"] and "values" not in doc
+        assert doc["pole"] == {"indices": [1, 3], "form": form}
 
     def test_symbolic_dump_one_atom_per_root(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "t2.json", t2_sl2())

@@ -7,9 +7,11 @@ import sys
 import threading
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational
 
 from sdybe import scalars
 from sdybe.rmatrix import construct, spec_from_json
@@ -148,6 +150,12 @@ class TestEvaluation:
         near = Q(3) + Q(1, 10**30)
         with pytest.raises(PoleError):
             f.eval_numeric([near], precision=64, margin=1e-6)
+        # the margin is judged on exact values, for coth arguments and denominators
+        with pytest.raises(PoleError, match="coth"):
+            ScalarExpr.coth([Q(1)], -3).eval_numeric([near], precision=64, margin=1e-6)
+        with pytest.raises(PoleError):
+            f.eval_numeric([3 + Q(1, 2 * 10**6)], precision=64, margin=1e-6)
+        assert f.eval_numeric([3 + Q(2, 10**6)], precision=64, margin=1e-6) == 500000
 
     def test_exact_numeric_agreement_on_rational(self):
         f = ratfun(Poly.linear([Q(2), Q(-1)], 7), Poly.linear([Q(1), Q(1)], 3))
@@ -155,6 +163,19 @@ class TestEvaluation:
             exact = f.eval_exact(pt)
             numeric = f.eval_numeric(pt, precision=64)
             assert abs(float(numeric) - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    def test_numeric_is_the_exact_value_rounded_once(self, precision):
+        # fractional coefficients and a squared factor: rounding the
+        # coefficients and the point before the arithmetic moves the last bits
+        num = Poly.linear([Q(1, 3), Q(-2, 7)], Q(5, 11))
+        f = ScalarExpr.from_ratfun(RationalFunction(num, [(Poly.linear([1, 3], Q(1, 3)), 2)]))
+        ctx = mpmath.mp.clone()
+        ctx.prec = precision
+        for pt in sample_points(2, 10, seed=5, avoid=f.singular_forms()):
+            exact = Q(f.eval_exact(pt))
+            rounded = ctx.make_mpf(from_rational(exact.numerator, exact.denominator, precision, "n"))
+            assert f.eval_numeric(pt, precision=precision) == rounded, pt
 
 
 class TestZeroDecision:
@@ -367,7 +388,7 @@ def test_integral_coefficients_stored_as_int(a, b):
 # -- the n-ary sum: against a left fold of pairwise addition and exact values
 
 # shared, disjoint and repeated factors come from this pool; the quadratic is
-# a factor only inv() stores
+# a denominator factor of degree 2
 LINEAR_FACTORS = [Poly.linear([1, 0]), Poly.linear([1, -1]), Poly.linear([0, 1], 2), Poly.linear([2, 1], -1)]
 QUADRATIC = Poly(2, {(2, 0): 1, (0, 1): 1, (0, 0): 1})
 SUM_FACTORS = [1, -1, Q(1, 2), Q(-3, 2), 2, Q(2, 3), Q(-1), Q(1)]
@@ -381,7 +402,7 @@ def sum_terms(draw, linear_only=False):
     dens = draw(st.lists(st.tuples(st.sampled_from(LINEAR_FACTORS), st.integers(1, 2)), max_size=2))
     term = RationalFunction(num, dens)
     if not linear_only and draw(st.booleans()):
-        term = term * RationalFunction(QUADRATIC).inv()
+        term = term * RationalFunction(Poly.const(2, 1), [(QUADRATIC, 1)])
     return term
 
 

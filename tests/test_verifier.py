@@ -122,7 +122,7 @@ class TestCdybe:
         # exact decision still rejects it
         g, rd, om = gl21
         r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
-        cell = next(k for k in sorted(r.coeffs) if r.coeffs[k].has_coth())
+        cell = next(k for k in sorted(r.coeffs) if not r.coeffs[k].is_rational())
         bumped = dict(r.coeffs)
         bumped[cell] = bumped[cell] * (1 + Q(1, 10**30))
         lhs, rep = cdybe_residual(Tensor2(g, bumped), VerifyConfig())
@@ -380,7 +380,7 @@ class TestSingleWitness:
     def _doubled_coth_cell(gl21):
         g, rd, om = gl21
         r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
-        cell = next(k for k in sorted(r.coeffs) if r.coeffs[k].has_coth())
+        cell = next(k for k in sorted(r.coeffs) if not r.coeffs[k].is_rational())
         bumped = dict(r.coeffs)
         bumped[cell] = bumped[cell] * 2
         return Tensor2(g, bumped)
@@ -441,7 +441,7 @@ class TestSingleWitness:
         )
         rep = functional_equation_check(spec, rd, self.CFG)
         _assert_witness(rep.as_dict(), lambda k: functional_equation_residual(k[0], k[1], spec, rd))
-        assert functional_equation_residual(*rep.witness["indices"], spec, rd).has_coth()
+        assert not functional_equation_residual(*rep.witness["indices"], spec, rd).is_rational()
 
 
 def _assert_ray_converges(spec, g, rd, r=None):
