@@ -14,6 +14,11 @@ arguments perfbench uses, and `construct --at` at two fixed rational points
 difference, naming the spec and the path of the field with both values
 (`limits.status: numeric-zero -> exact-zero`; a check is named by its
 `name`), and exits 1 if there is any, else 0.
+
+The workloads give D only as constants, so no workload reaches a product
+with a non-constant numerator.  A fixed set of rational-D specs
+(`RATIONAL_D`: gl(2|1) and sl(3), eps = 0 and 1/3, X = all) runs through
+`verify` and symbolic `construct` on both sides as well.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from bench_pairs import export_parent  # noqa: E402
 
 SEEDS = (1, 2, 3)
 PRECISIONS = (64, 128)
+RATIONAL_D = ('(ratfun "2*x0" "x1 + 3")', '(ratfun "x0" "x0^2 + 1")', '(ratfun "1" "x0*x1")')
+RATIONAL_D_ALGEBRAS = (("gl", 2, 1), ("sl", 3, 0))
+RATIONAL_D_EPSILONS = ("0", "1/3")
 
 # runs in a fresh interpreter: argv[1] is a src/ directory, argv[2] a JSON list
 # of `sdybe` argument lists; prints the list of exit codes as JSON
@@ -122,21 +130,53 @@ def runs(specs: list, seed: int, out) -> list[tuple[str, list[str]]]:
     return jobs
 
 
-def compare(workload: str, seed: int, parent_dir: str, work: str) -> tuple[int, int, list[str]]:
-    """(specs compared, runs compared, differences) for one workload and seed."""
-    specs = workloads.generate(workload, seed, os.path.join(work, "specs"))
+def rational_d_specs(outdir: str) -> list[tuple[str, str]]:
+    """Write the RATIONAL_D spec files under outdir; (label, path) of each."""
+    os.makedirs(outdir, exist_ok=True)
+    specs = []
+    for family, m, n in RATIONAL_D_ALGEBRAS:
+        rank = m + n if family == "gl" else m + n - 1
+        for eps in RATIONAL_D_EPSILONS:
+            for ratfun in RATIONAL_D:
+                doc = {"algebra": family, "m": m, "n": n, "epsilon": eps, "nu": ["0"] * rank, "X": "all",
+                       "D": [{"i": 0, "j": 1, "ratfun": ratfun}]}
+                path = os.path.join(outdir, f"{len(specs):02d}.json")
+                with open(path, "w") as fh:
+                    json.dump(doc, fh, indent=1, sort_keys=True)
+                specs.append((f"{workloads.label((family, m, n))} eps {eps} D01 {ratfun}", path))
+    return specs
+
+
+def rational_d_runs(specs: list[tuple[str, str]], out) -> list[tuple[str, list[str]]]:
+    """(label, argv) of `verify` and symbolic `construct` on each spec; out(n) is the report path of run n."""
+    jobs: list = []
+    for label, path in specs:
+        for command in ("verify", "construct"):
+            jobs.append((f"{label} {command}", [command, "--spec", path, "--out", out(len(jobs))]))
+    return jobs
+
+
+def diff_runs(name: str, make_jobs, parent_dir: str, work: str) -> tuple[int, list[str]]:
+    """(runs compared, differences) of the jobs make_jobs(out) gives, run on each side."""
     codes: dict = {}
     for side, checkout in (("parent", parent_dir), ("change", ROOT)):
-        jobs = runs(specs, seed, lambda n, side=side: os.path.join(work, f"{side}-{n:03d}.json"))
+        jobs = make_jobs(lambda n, side=side: os.path.join(work, f"{side}-{n:03d}.json"))
         codes[side] = run_all(checkout, [argv for _, argv in jobs], work)
     diffs = []
     for n, (label, _) in enumerate(jobs):
-        where = f"{workload} seed {seed} {label}"
+        where = f"{name} {label}"
         if codes["parent"][n] != codes["change"][n]:
             diffs.append(f"{where}: exit code {codes['parent'][n]} -> {codes['change'][n]}")
         old, new = (read_report(os.path.join(work, f"{side}-{n:03d}.json")) for side in ("parent", "change"))
         diffs += [f"{where}: {d}" for d in field_diffs(old, new)]
-    return len(specs), len(jobs), diffs
+    return len(jobs), diffs
+
+
+def compare(workload: str, seed: int, parent_dir: str, work: str) -> tuple[int, int, list[str]]:
+    """(specs compared, runs compared, differences) for one workload and seed."""
+    specs = workloads.generate(workload, seed, os.path.join(work, "specs"))
+    ran, diffs = diff_runs(f"{workload} seed {seed}", lambda out: runs(specs, seed, out), parent_dir, work)
+    return len(specs), ran, diffs
 
 
 def main(argv=None) -> int:
@@ -155,6 +195,12 @@ def main(argv=None) -> int:
             specs, total = specs + count, total + ran
             diffs += found
             print(f"{workload} seed {seed}: {count} specs, {ran} runs, {len(found)} differences", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="compare-reports-") as work:
+        rational = rational_d_specs(os.path.join(work, "specs"))
+        ran, found = diff_runs("rational-D", lambda out: rational_d_runs(rational, out), parent_dir, work)
+    specs, total = specs + len(rational), total + ran
+    diffs += found
+    print(f"rational-D: {len(rational)} specs, {ran} runs, {len(found)} differences", file=sys.stderr)
     for line in diffs:
         print(line)
     verdict = "differ" if diffs else "match"

@@ -37,10 +37,6 @@ from .tensor import (  # noqa: F401
     Tensor3,
     ad_action,
     alt_s,
-    bracket_12_13,
-    bracket_12_23,
-    bracket_13_23,
-    signed_permutation,
     super_twist,
     yb_bracket,
 )

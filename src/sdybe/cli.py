@@ -32,7 +32,7 @@ from .superalgebra import (
     root_decomposition,
 )
 from .tensor import tensor_dump
-from .verifier import ALL_CHECKS, MIN_PRECISION, VerifyConfig, limits_applicable, run_checks
+from .verifier import ALL_CHECKS, MARGIN, MIN_PRECISION, VerifyConfig, limits_applicable, run_checks
 
 Q = Fraction
 
@@ -114,12 +114,13 @@ def cmd_construct(args) -> int:
         doc["at"] = [str(v) for v in point]
         values = []
         try:
+            # a rational cell and a coth cell alike hit a pole within MARGIN of a singular form
             for key in sorted(r.coeffs):
                 coeff = r.coeffs[key]
                 if coeff.is_rational():
-                    values.append({"indices": list(key), "value": str(coeff.eval_exact(point))})
+                    values.append({"indices": list(key), "value": str(coeff.eval_exact(point, MARGIN))})
                 else:
-                    v = coeff.eval_numeric(point, precision=args.precision)
+                    v = coeff.eval_numeric(point, precision=args.precision, margin=MARGIN)
                     values.append({"indices": list(key), "value": float(v)})
         except PoleError as exc:
             print(f"error: {exc.form} vanishes at the evaluation point", file=sys.stderr)

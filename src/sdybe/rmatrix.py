@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import Poly, RationalFunction, ScalarExpr, from_sexpr, poly_from_str, to_sexpr
-from .superalgebra import LieSuperalgebra, RootDatum, cartan_casimir_cells, casimir, sign_A
+from .superalgebra import LieSuperalgebra, RootDatum, cartan_casimir_cells, casimir
 from .tensor import Tensor2, collect_tensor
 
 Q = Fraction
@@ -314,38 +314,6 @@ def shift_to_s(r: Tensor2, eps, omega: Tensor2) -> Tensor2:
 
 
 # ---------------------------------------------------------------------------
-# coefficient identities (exact residuals used by the verifier and tests)
-
-
-def ode_residual(i: int, spec: RMatrixSpec, rd: RootDatum) -> list[ScalarExpr]:
-    """Per-coordinate residual of d(phi_a) + A_a (phi_a^2 - eps^2/4) d(h_a).
-
-    For eps = 0 this is the zero-coupling equation d(phi) + A phi^2 dh.
-    Identically zero componentwise for every constructed phi with a in X (and
-    for the constant branches, whose square is exactly eps^2/4).
-    """
-    f = phi(i, spec, rd)
-    a = sign_A(rd, i)
-    coeffs = rd.coroot_coords(i)
-    quad = f * f - ScalarExpr.const(rd.g.rank, spec.epsilon**2 / 4)
-    return [f.differentiate(j) + quad * (a * c) for j, c in enumerate(coeffs)]
-
-
-def functional_equation_residual(i: int, j: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr | None:
-    """A_{a+b} phi_a phi_b + (eps^2/4) A_{a+b} A_a A_b
-       - phi_{a+b} (A_a phi_b + A_b phi_a), or None if a+b is not a root."""
-    k = rd.add_index(i, j)
-    if k is None:
-        return None
-    fa, fb, fs = phi(i, spec, rd), phi(j, spec, rd), phi(k, spec, rd)
-    aa, ab, asum = sign_A(rd, i), sign_A(rd, j), sign_A(rd, k)
-    n = rd.g.rank
-    res = fa * fb * asum - fs * (fb * aa + fa * ab)
-    res = res + ScalarExpr.const(n, spec.epsilon**2 / 4 * asum * aa * ab)
-    return res
-
-
-# ---------------------------------------------------------------------------
 # JSON spec format
 #
 # {"algebra": "gl" | "sl", "m": int, "n": int, "epsilon": "p/q",
@@ -430,7 +398,11 @@ def _parse_x(value, count: int) -> frozenset:
         return frozenset(range(count))
     if value == "none":
         return frozenset()
-    return frozenset(_entries(value, _integer))
+    x = frozenset(_entries(value, _integer))
+    for i in sorted(x):
+        if not 0 <= i < count:
+            raise IndexError(f"root index {i} out of range 0..{count - 1}")
+    return x
 
 
 def _parse_d_entry(entry: dict, n: int) -> tuple[int, int, RationalFunction]:

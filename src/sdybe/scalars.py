@@ -21,9 +21,8 @@ denominator add into one coefficient dict, the groups meet over the lcm of
 their denominators, and the total is reduced once (a zero total is never
 divided).  `+` and `-` are two-term calls of these, and the tensor builders
 sum each cell through them.  A sum keeps its monomials in the order their
-first terms arrive.  When every denominator factor of a product has degree
-1, a factor is tried only against the other operand's numerator, since both
-operands are reduced; otherwise every factor is tried against the product.
+first terms arrive.  A product tries each factor of its merged denominator
+once against the product of the numerators.
 
 A coth atom is coth(u) for an affine-linear form u with rational coefficients.
 Atoms are sign-canonicalized (first nonzero coefficient of (u_0..u_{N-1}, const)
@@ -167,12 +166,11 @@ def _pruned(acc: dict) -> dict:
 class Poly:
     """Sparse multivariate polynomial over Q; coefficients are int or Fraction.
 
-    `_key` caches the canonical form; `_fid` is the interned factor id and
-    `_linear` whether the degree is 1, both set only once the polynomial is a
-    monic denominator factor.
+    `_key` caches the canonical form; `_fid` is the interned factor id, set
+    only once the polynomial is a monic denominator factor.
     """
 
-    __slots__ = ("nvars", "terms", "_key", "_fid", "_linear")
+    __slots__ = ("nvars", "terms", "_key", "_fid")
 
     def __init__(self, nvars: int, terms: dict | None = None, _prune: bool = True):
         self.nvars = nvars
@@ -432,14 +430,13 @@ _INTERN_LOCK = threading.Lock()
 
 
 def _intern_factor(f: Poly) -> None:
-    """Give the monic, non-constant f its factor id and degree-1 flag (cached on f with its key)."""
+    """Give the monic, non-constant f its factor id (cached on f with its key)."""
     key = f.key()
     fid = _FACTOR_IDS.get(key)
     if fid is None:
         with _INTERN_LOCK:
             fid = _FACTOR_IDS.setdefault(key, len(_FACTOR_IDS))
     f._fid = fid
-    f._linear = all(sum(m) <= 1 for m in f.terms)
 
 
 def _factor_key(entry: tuple[Poly, int]) -> tuple:
@@ -606,38 +603,17 @@ class RationalFunction:
         return RationalFunction.sum(((1, self), (-1, other)))
 
     def __mul__(self, other) -> RationalFunction:
-        """The product, reduced.
-
-        When every denominator factor has degree 1, each is a prime and the
-        operands are reduced, so a factor of one denominator can only cancel
-        against the other numerator, and not at all when both denominators
-        hold it.  Otherwise every factor is tried against the product.
-        """
+        """The product, reduced: each factor of the merged denominator is tried
+        once against the product of the numerators, and none when that product
+        is constant, as no non-constant factor divides a nonzero constant."""
         other = self._coerce(other)
+        num = self.num * other.num
         if not self.den and not other.den:
-            return RationalFunction._reduced(self.num * other.num, ())
-        nums = [self.num, other.num]
-        factors: dict[int, list] = {}  # id -> [factor, multiplicity, index of the numerator it may divide]
-        linear = True
-        for side, den in enumerate((self.den, other.den)):
-            for f, m in den:
-                linear = linear and f._linear
-                entry = factors.get(f._fid)
-                if entry is None:
-                    factors[f._fid] = [f, m, 1 - side]
-                else:  # in both denominators: it divides neither numerator
-                    entry[1:] = [entry[1] + m, None]
-        if not linear:
-            num = nums[0] * nums[1]
-            merged = {fid: (f, m) for fid, (f, m, _) in factors.items()}
-            return _cancel(num, merged, list(merged) if num.terms else ())
-        for entry in factors.values():
-            f, m, side = entry
-            if side is not None and not nums[side].is_const():
-                while m and (q := nums[side].exact_div(f)) is not None:
-                    nums[side], m = q, m - 1
-                entry[1] = m
-        return _cancel(nums[0] * nums[1], {fid: (f, m) for fid, (f, m, _) in factors.items() if m}, ())
+            return RationalFunction._reduced(num, ())
+        factors = {f._fid: (f, m) for f, m in self.den}  # id -> (factor, multiplicity)
+        for f, m in other.den:
+            factors[f._fid] = (f, factors[f._fid][1] + m) if f._fid in factors else (f, m)
+        return _cancel(num, factors, () if num.is_const() else list(factors))
 
     __rmul__ = __mul__
 
@@ -736,19 +712,16 @@ def atom_form_poly(atom: Atom) -> Poly:
 class ScalarExpr:
     """Polynomial in coth atoms over the rational-function field.
 
-    terms maps an atom monomial ((atom, power), ...) to a RationalFunction
-    coefficient; the empty monomial holds the coth-free part.  All operations
-    are pure; values are immutable after construction.
+    terms maps an atom monomial ((atom, power), ...) to a nonzero
+    RationalFunction coefficient; the empty monomial holds the coth-free part.
+    All operations are pure; values are immutable after construction.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict | None = None, _prune: bool = True):
+    def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
-        if terms and _prune:
-            self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
-        else:
-            self.terms = terms or {}
+        self.terms = terms or {}
 
     # -- constructors
 
@@ -761,23 +734,23 @@ class ScalarExpr:
         rf = RationalFunction.const(nvars, value)
         if rf.is_zero():
             return cls.zero(nvars)
-        return cls(nvars, {(): rf}, _prune=False)
+        return cls(nvars, {(): rf})
 
     @classmethod
     def coord(cls, nvars: int, index: int) -> ScalarExpr:
-        return cls(nvars, {(): RationalFunction(Poly.var(nvars, index))}, _prune=False)
+        return cls(nvars, {(): RationalFunction(Poly.var(nvars, index))})
 
     @classmethod
     def from_ratfun(cls, rf: RationalFunction) -> ScalarExpr:
         if rf.is_zero():
             return cls.zero(rf.nvars)
-        return cls(rf.nvars, {(): rf}, _prune=False)
+        return cls(rf.nvars, {(): rf})
 
     @classmethod
     def coth(cls, coeffs: Sequence, const=0) -> ScalarExpr:
         atom, sign = make_atom(coeffs, const)
         nvars = len(coeffs)
-        return cls(nvars, {((atom, 1),): RationalFunction.const(nvars, sign)}, _prune=False)
+        return cls(nvars, {((atom, 1),): RationalFunction.const(nvars, sign)})
 
     # -- structure
 
@@ -883,7 +856,7 @@ class ScalarExpr:
                     groups[mono] = [(factor, c)]
                 else:
                     group.append((factor, c))
-        return ScalarExpr(nvars, _sum_groups(groups), _prune=False)
+        return ScalarExpr(nvars, _sum_groups(groups))
 
     def __add__(self, other) -> ScalarExpr:
         other = self._coerce(other)
@@ -892,7 +865,7 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __neg__(self) -> ScalarExpr:
-        return ScalarExpr(self.nvars, {m: -c for m, c in self.terms.items()}, _prune=False)
+        return ScalarExpr(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -902,12 +875,12 @@ class ScalarExpr:
         other = self._coerce(other)
         if len(self.terms) == 1 == len(other.terms):  # one product, nonzero: nothing to sum
             ((m1, c1),), ((m2, c2),) = self.terms.items(), other.terms.items()
-            return ScalarExpr(self.nvars, {_mono_mul(m1, m2): c1 * c2}, _prune=False)
+            return ScalarExpr(self.nvars, {_mono_mul(m1, m2): c1 * c2})
         groups: dict[AtomMono, list] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 groups.setdefault(_mono_mul(m1, m2), []).append((1, c1 * c2))
-        return ScalarExpr(self.nvars, _sum_groups(groups), _prune=False)
+        return ScalarExpr(self.nvars, _sum_groups(groups))
 
     __rmul__ = __mul__
 
@@ -929,12 +902,12 @@ class ScalarExpr:
                 scale = u_i * power
                 groups.setdefault(low, []).append((scale, coeff))
                 groups.setdefault(high, []).append((-scale, coeff))
-        return ScalarExpr(self.nvars, _sum_groups(groups), _prune=False)
+        return ScalarExpr(self.nvars, _sum_groups(groups))
 
     # -- evaluation
 
-    def eval_exact(self, point: Sequence):
-        return self.as_ratfun().eval_exact(point)
+    def eval_exact(self, point: Sequence, margin: float = 0):
+        return self.as_ratfun().eval_exact(point, margin)
 
     def eval_numeric(self, point: Sequence | MpPoint, precision: int = 64, margin: float = 1e-6):
         """The value at `point` as an mpf of `precision` mantissa bits.

@@ -417,160 +417,6 @@ def casimir(g: LieSuperalgebra, rd: RootDatum):
 
 
 # ---------------------------------------------------------------------------
-# invariant checks (exact, brute force over basis triples)
-
-
-def validate_algebra(g: LieSuperalgebra) -> list[str]:
-    """Exhaustive exact checks of the algebra axioms; returns violations."""
-    bad: list[str] = []
-    p = g.parity
-
-    def name(i):
-        return g.basis_names[i]
-
-    for (i, j), v in g.structure.items():
-        for k, c in v.items():
-            if c and (p[i] + p[j]) % 2 != p[k]:
-                bad.append(f"parity: [{name(i)},{name(j)}] hits {name(k)}")
-
-    for i in range(g.dim):
-        for j in range(g.dim):
-            lhs = g.bracket_basis(i, j)
-            rhs = g.bracket_basis(j, i)
-            sign = -1 if p[i] and p[j] else 1
-            keys = set(lhs) | set(rhs)
-            for k in keys:
-                if lhs.get(k, Q(0)) != -sign * rhs.get(k, Q(0)):
-                    bad.append(f"skew: [{name(i)},{name(j)}] vs [{name(j)},{name(i)}]")
-                    break
-
-    for i in range(g.dim):
-        for j in range(g.dim):
-            if g.form[i][j] != ((-1) ** (p[i] * p[j])) * g.form[j][i]:
-                bad.append(f"supersymmetry: ({name(i)},{name(j)})")
-            if p[i] != p[j] and g.form[i][j] != 0:
-                bad.append(f"evenness: ({name(i)},{name(j)}) != 0")
-
-    ei = {i: {i: Q(1)} for i in range(g.dim)}
-    for i in range(g.dim):
-        for j in range(g.dim):
-            bij = g.bracket_basis(i, j)
-            for k in range(g.dim):
-                lhs = sum((c * g.form[l][k] for l, c in bij.items()), Q(0))
-                rhs = g.form_value(ei[i], g.bracket_basis(j, k))
-                if lhs != rhs:
-                    bad.append(f"invariance: ([{name(i)},{name(j)}],{name(k)})")
-
-    gram = [[g.form[i][j] for j in range(g.dim)] for i in range(g.dim)]
-    if determinant(gram) == 0:
-        bad.append("form is degenerate")
-
-    for c in g.cartan:
-        if p[c] != EVEN:
-            bad.append(f"cartan vector {name(c)} is odd")
-        for c2 in g.cartan:
-            if g.bracket_basis(c, c2):
-                bad.append(f"cartan not abelian: [{name(c)},{name(c2)}]")
-
-    return bad
-
-
-def check_jacobi(g: LieSuperalgebra) -> list[tuple[int, int, int]]:
-    """Super Jacobi over all basis triples; returns offending triples.
-
-    (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0
-    """
-    p = g.parity
-    bad = []
-    for i in range(g.dim):
-        xi = {i: Q(1)}
-        for j in range(g.dim):
-            xj = {j: Q(1)}
-            for k in range(g.dim):
-                xk = {k: Q(1)}
-                acc: Vector = {}
-                for vec, sign in (
-                    (g.bracket(xi, g.bracket(xj, xk)), (-1) ** (p[i] * p[k])),
-                    (g.bracket(xj, g.bracket(xk, xi)), (-1) ** (p[j] * p[i])),
-                    (g.bracket(xk, g.bracket(xi, xj)), (-1) ** (p[k] * p[j])),
-                ):
-                    for l, c in vec.items():
-                        s = acc.get(l, Q(0)) + sign * c
-                        if s:
-                            acc[l] = s
-                        else:
-                            acc.pop(l, None)
-                if acc:
-                    bad.append((i, j, k))
-    return bad
-
-
-def structure_constant_identity_report(g: LieSuperalgebra, rd: RootDatum) -> dict:
-    """Check the three derived identities relating opposite-root structure
-    constants to (h_a, h_b), for every root pair with C_{a,b}^{a+b} != 0.
-
-    Returns {"violations": [...], "zero_h_pairings": [...], "pairs_checked": n};
-    pairs where (h_a, h_b) = 0 are recorded, not asserted against.
-    """
-
-    def c_coeff(i: int, j: int, k: int) -> Fraction:
-        # coefficient of e_k in [e_i, e_j]
-        v = g.bracket(rd.e[i], rd.e[j])
-        ek = rd.e[k]
-        (bk, ck), = ek.items()
-        return v.get(bk, Q(0)) / ck
-
-    violations = []
-    zero_h = []
-    checked = 0
-    nroots = len(rd)
-    for i in range(nroots):
-        for j in range(nroots):
-            k = rd.add_index(i, j)
-            if k is None:
-                continue
-            c_top = c_coeff(i, j, k)
-            if c_top == 0:
-                continue
-            checked += 1
-            pa, pb = rd.roots[i].parity, rd.roots[j].parity
-            hh = g.form_value(rd.h_coroot[i], rd.h_coroot[j])
-            if hh == 0:
-                zero_h.append((rd.roots[i].functional, rd.roots[j].functional))
-            ni, nj, nk = rd.neg[i], rd.neg[j], rd.neg[k]
-            s_ab = (-1) ** (pa * pb)
-            checks = (
-                (
-                    "C(-b,a+b)^a",
-                    c_coeff(nj, k, i),
-                    s_ab * ((-1) ** pb) * sign_A(rd, nj) * hh / c_top,
-                ),
-                (
-                    "C(-a,a+b)^b",
-                    c_coeff(ni, k, j),
-                    -((-1) ** pa) * sign_A(rd, ni) * hh / c_top,
-                ),
-                (
-                    "C(-a,-b)^(-a-b)",
-                    c_coeff(ni, nj, nk),
-                    s_ab * ((-1) ** (pa + pb)) * sign_A(rd, k) * sign_A(rd, ni) * sign_A(rd, nj) * hh / c_top,
-                ),
-            )
-            for label, got, expected in checks:
-                if got != expected:
-                    violations.append(
-                        {
-                            "identity": label,
-                            "alpha": [str(c) for c in rd.roots[i].functional],
-                            "beta": [str(c) for c in rd.roots[j].functional],
-                            "got": str(got),
-                            "expected": str(expected),
-                        }
-                    )
-    return {"violations": violations, "zero_h_pairings": zero_h, "pairs_checked": checked}
-
-
-# ---------------------------------------------------------------------------
 # descriptor export
 
 

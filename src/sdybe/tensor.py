@@ -8,7 +8,7 @@ pruned; there is no epsilon pruning.  Koszul signs enter in three places:
   leg brackets       [r12, s13] = sum (-1)^{|b||a'|} [a,a'] (x) b (x) b'
                      [r12, s23] = sum a (x) [b,a'] (x) b'
                      [r13, s23] = sum (-1)^{|b||a'|} a (x) a' (x) [b,b']
-  signed 3-cycles    Alt_s and the signed transpositions (12)_s, (13)_s, (23)_s
+  signed 3-cycles    Alt_s
 
 The leg-bracket rules are the expansion of the graded commutators for tensors
 whose terms have even total parity (all zero-weight tensors here do).
@@ -22,7 +22,7 @@ record a constant operand cell (Casimir, Cartan block, off-X +-eps/2) as a
 factor of one shared constant, so they form a coefficient product only for
 two non-constant cells; `scale` uses the sum's factor path too.  Cells keep
 the order in which their first term arrived, also a cell whose partial sum
-cancels before later terms bring it back.  The permutations, `from_vectors`
+cancels before later terms bring it back.  The super twist, `from_vectors`
 and `dr` map distinct terms to distinct cells and sum nothing; two-operand
 `+` merges copies and sums only the cells both operands hold.
 """
@@ -158,33 +158,13 @@ class Tensor3(_TensorBase):
 
 
 # ---------------------------------------------------------------------------
-# twist, permutations, Alt_s
+# twist, Alt_s
 
 
 def super_twist(t: Tensor2) -> Tensor2:
     """T_s(a (x) b) = (-1)^{|a||b|} b (x) a, termwise."""
     p = t.g.parity
     return Tensor2(t.g, {(j, i): c if _koszul(p[i], p[j]) == 1 else -c for (i, j), c in t.coeffs.items()})
-
-
-_PERM_RULES = {
-    "12": lambda i, j, k, p: ((j, i, k), p[i] * p[j]),
-    "13": lambda i, j, k, p: ((k, j, i), p[i] * p[j] + p[i] * p[k] + p[j] * p[k]),
-    "23": lambda i, j, k, p: ((i, k, j), p[j] * p[k]),
-}
-
-
-def signed_permutation(t: Tensor3, which: str) -> Tensor3:
-    """The signed transpositions (12)_s, (13)_s, (23)_s on g (x) g (x) g."""
-    if which not in _PERM_RULES:
-        raise ValueError(f"permutation must be one of 12/13/23, got {which!r}")
-    rule = _PERM_RULES[which]
-    p = t.g.parity
-    out: dict = {}
-    for (i, j, k), c in t.coeffs.items():
-        key, exponent = rule(i, j, k, p)
-        out[key] = c if exponent % 2 == 0 else -c
-    return Tensor3(t.g, out)
 
 
 def alt_s(t: Tensor3) -> Tensor3:
@@ -263,21 +243,6 @@ def _leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool) -> Tensor3:
         if both_orders:
             _leg_bracket(ss, rs, mode, g, one, products, cells)
     return Tensor3.summed(g, cells)
-
-
-def bracket_12_13(r: Tensor2, s: Tensor2) -> Tensor3:
-    """[r^12, s^13] = sum (-1)^{|b||a'|} [a, a'] (x) b (x) b'."""
-    return _leg_brackets(r, s, ("12_13",), False)
-
-
-def bracket_12_23(r: Tensor2, s: Tensor2) -> Tensor3:
-    """[r^12, s^23] = sum a (x) [b, a'] (x) b'."""
-    return _leg_brackets(r, s, ("12_23",), False)
-
-
-def bracket_13_23(r: Tensor2, s: Tensor2) -> Tensor3:
-    """[r^13, s^23] = sum (-1)^{|b||a'|} a (x) a' (x) [b, b']."""
-    return _leg_brackets(r, s, ("13_23",), False)
 
 
 def yb_bracket(r: Tensor2) -> Tensor3:

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rmatrix import RMatrixSpec, _assemble, functional_equation_residual, ode_residual, shift_to_s, validate
+from .rmatrix import RMatrixSpec, _assemble, shift_to_s, validate
 from .scalars import ScalarExpr, largest_value, sample_points, singular_forms
 from .superalgebra import LieSuperalgebra, RootDatum, solve_linear
 from .tensor import (
@@ -48,7 +48,8 @@ class PreconditionError(ValueError):
 
 
 # the witness of a nonzero residual is searched at POINTS seeded points of
-# [-LATTICE, LATTICE]^rank at least MARGIN away from every singular form
+# [-LATTICE, LATTICE]^rank at least MARGIN away from every singular form;
+# `construct --at` reports a pole within MARGIN of one
 POINTS = 20
 MARGIN = 1e-6
 LATTICE = 10
@@ -240,36 +241,6 @@ def lemma_consistency_check(
             "consistent": consistent,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# coefficient-identity checks (ODE, functional equation)
-
-
-def ode_check(spec: RMatrixSpec, rd: RootDatum, cfg: VerifyConfig | None = None) -> ResidualReport:
-    """d(phi_a) + A_a (phi_a^2 - eps^2/4) d(h_a) = 0 for every root, exactly.
-
-    Cells are keyed (root index, coordinate).
-    """
-    indices = range(len(rd)) if spec.epsilon != 0 else sorted(spec.X)
-    cells = {(i, j): res for i in indices for j, res in enumerate(ode_residual(i, spec, rd))}
-    return decide_cells(cells, "phi-ode", cfg)
-
-
-def functional_equation_check(
-    spec: RMatrixSpec, rd: RootDatum, cfg: VerifyConfig | None = None
-) -> ResidualReport:
-    """The pairwise phi relation over every root pair with a + b a root, exactly.
-
-    Cells are keyed (alpha index, beta index).
-    """
-    cells = {}
-    for i in range(len(rd)):
-        for j in range(len(rd)):
-            res = functional_equation_residual(i, j, spec, rd)
-            if res is not None:
-                cells[(i, j)] = res
-    return decide_cells(cells, "functional-equation", cfg)
 
 
 # ---------------------------------------------------------------------------

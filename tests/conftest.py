@@ -4,6 +4,11 @@ The oracles here deliberately do not reuse the package's tensor machinery:
 matrix arithmetic is redone on sparse {(row, col): Fraction} dicts, and the
 graded Leibniz action is written out with explicit Koszul signs, so that sign
 conventions are checked against a second implementation.
+
+Beside them sit the checks that only tests run: the algebra axioms, the
+signed transpositions and single leg brackets, and the phi ODE and functional
+equation.  These use the package's types; the functional equation decides a
+spec without the tensor brackets that cdybe is built from.
 """
 
 from __future__ import annotations
@@ -12,8 +17,22 @@ from fractions import Fraction
 
 import pytest
 
-from sdybe.scalars import sample_points
-from sdybe.superalgebra import build_gl, build_sl, casimir, root_decomposition
+from sdybe.rmatrix import RMatrixSpec, phi
+from sdybe.scalars import ScalarExpr, sample_points
+from sdybe.superalgebra import (
+    EVEN,
+    LieSuperalgebra,
+    RootDatum,
+    Vector,
+    build_gl,
+    build_sl,
+    casimir,
+    determinant,
+    root_decomposition,
+    sign_A,
+)
+from sdybe.tensor import Tensor2, Tensor3, _leg_brackets
+from sdybe.verifier import ResidualReport, VerifyConfig, decide_cells
 
 Q = Fraction
 
@@ -152,6 +171,261 @@ def gl_matrix_of(g, vec: dict) -> dict:
         key = units[idx]
         out[key] = out.get(key, Q(0)) + c
     return {k: v for k, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# algebra axiom oracles (exact, brute force over basis triples)
+
+
+def validate_algebra(g: LieSuperalgebra) -> list[str]:
+    """Exhaustive exact checks of the algebra axioms; returns violations."""
+    bad: list[str] = []
+    p = g.parity
+
+    def name(i):
+        return g.basis_names[i]
+
+    for (i, j), v in g.structure.items():
+        for k, c in v.items():
+            if c and (p[i] + p[j]) % 2 != p[k]:
+                bad.append(f"parity: [{name(i)},{name(j)}] hits {name(k)}")
+
+    for i in range(g.dim):
+        for j in range(g.dim):
+            lhs = g.bracket_basis(i, j)
+            rhs = g.bracket_basis(j, i)
+            sign = -1 if p[i] and p[j] else 1
+            keys = set(lhs) | set(rhs)
+            for k in keys:
+                if lhs.get(k, Q(0)) != -sign * rhs.get(k, Q(0)):
+                    bad.append(f"skew: [{name(i)},{name(j)}] vs [{name(j)},{name(i)}]")
+                    break
+
+    for i in range(g.dim):
+        for j in range(g.dim):
+            if g.form[i][j] != ((-1) ** (p[i] * p[j])) * g.form[j][i]:
+                bad.append(f"supersymmetry: ({name(i)},{name(j)})")
+            if p[i] != p[j] and g.form[i][j] != 0:
+                bad.append(f"evenness: ({name(i)},{name(j)}) != 0")
+
+    ei = {i: {i: Q(1)} for i in range(g.dim)}
+    for i in range(g.dim):
+        for j in range(g.dim):
+            bij = g.bracket_basis(i, j)
+            for k in range(g.dim):
+                lhs = sum((c * g.form[l][k] for l, c in bij.items()), Q(0))
+                rhs = g.form_value(ei[i], g.bracket_basis(j, k))
+                if lhs != rhs:
+                    bad.append(f"invariance: ([{name(i)},{name(j)}],{name(k)})")
+
+    gram = [[g.form[i][j] for j in range(g.dim)] for i in range(g.dim)]
+    if determinant(gram) == 0:
+        bad.append("form is degenerate")
+
+    for c in g.cartan:
+        if p[c] != EVEN:
+            bad.append(f"cartan vector {name(c)} is odd")
+        for c2 in g.cartan:
+            if g.bracket_basis(c, c2):
+                bad.append(f"cartan not abelian: [{name(c)},{name(c2)}]")
+
+    return bad
+
+
+def check_jacobi(g: LieSuperalgebra) -> list[tuple[int, int, int]]:
+    """Super Jacobi over all basis triples; returns offending triples.
+
+    (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0
+    """
+    p = g.parity
+    bad = []
+    for i in range(g.dim):
+        xi = {i: Q(1)}
+        for j in range(g.dim):
+            xj = {j: Q(1)}
+            for k in range(g.dim):
+                xk = {k: Q(1)}
+                acc: Vector = {}
+                for vec, sign in (
+                    (g.bracket(xi, g.bracket(xj, xk)), (-1) ** (p[i] * p[k])),
+                    (g.bracket(xj, g.bracket(xk, xi)), (-1) ** (p[j] * p[i])),
+                    (g.bracket(xk, g.bracket(xi, xj)), (-1) ** (p[k] * p[j])),
+                ):
+                    for l, c in vec.items():
+                        s = acc.get(l, Q(0)) + sign * c
+                        if s:
+                            acc[l] = s
+                        else:
+                            acc.pop(l, None)
+                if acc:
+                    bad.append((i, j, k))
+    return bad
+
+
+def structure_constant_identity_report(g: LieSuperalgebra, rd: RootDatum) -> dict:
+    """Check the three derived identities relating opposite-root structure
+    constants to (h_a, h_b), for every root pair with C_{a,b}^{a+b} != 0.
+
+    Returns {"violations": [...], "zero_h_pairings": [...], "pairs_checked": n};
+    pairs where (h_a, h_b) = 0 are recorded, not asserted against.
+    """
+
+    def c_coeff(i: int, j: int, k: int) -> Fraction:
+        # coefficient of e_k in [e_i, e_j]
+        v = g.bracket(rd.e[i], rd.e[j])
+        ek = rd.e[k]
+        (bk, ck), = ek.items()
+        return v.get(bk, Q(0)) / ck
+
+    violations = []
+    zero_h = []
+    checked = 0
+    nroots = len(rd)
+    for i in range(nroots):
+        for j in range(nroots):
+            k = rd.add_index(i, j)
+            if k is None:
+                continue
+            c_top = c_coeff(i, j, k)
+            if c_top == 0:
+                continue
+            checked += 1
+            pa, pb = rd.roots[i].parity, rd.roots[j].parity
+            hh = g.form_value(rd.h_coroot[i], rd.h_coroot[j])
+            if hh == 0:
+                zero_h.append((rd.roots[i].functional, rd.roots[j].functional))
+            ni, nj, nk = rd.neg[i], rd.neg[j], rd.neg[k]
+            s_ab = (-1) ** (pa * pb)
+            checks = (
+                (
+                    "C(-b,a+b)^a",
+                    c_coeff(nj, k, i),
+                    s_ab * ((-1) ** pb) * sign_A(rd, nj) * hh / c_top,
+                ),
+                (
+                    "C(-a,a+b)^b",
+                    c_coeff(ni, k, j),
+                    -((-1) ** pa) * sign_A(rd, ni) * hh / c_top,
+                ),
+                (
+                    "C(-a,-b)^(-a-b)",
+                    c_coeff(ni, nj, nk),
+                    s_ab * ((-1) ** (pa + pb)) * sign_A(rd, k) * sign_A(rd, ni) * sign_A(rd, nj) * hh / c_top,
+                ),
+            )
+            for label, got, expected in checks:
+                if got != expected:
+                    violations.append(
+                        {
+                            "identity": label,
+                            "alpha": [str(c) for c in rd.roots[i].functional],
+                            "beta": [str(c) for c in rd.roots[j].functional],
+                            "got": str(got),
+                            "expected": str(expected),
+                        }
+                    )
+    return {"violations": violations, "zero_h_pairings": zero_h, "pairs_checked": checked}
+
+
+# ---------------------------------------------------------------------------
+# signed transpositions and single leg brackets
+
+
+_PERM_RULES = {
+    "12": lambda i, j, k, p: ((j, i, k), p[i] * p[j]),
+    "13": lambda i, j, k, p: ((k, j, i), p[i] * p[j] + p[i] * p[k] + p[j] * p[k]),
+    "23": lambda i, j, k, p: ((i, k, j), p[j] * p[k]),
+}
+
+
+def signed_permutation(t: Tensor3, which: str) -> Tensor3:
+    """The signed transpositions (12)_s, (13)_s, (23)_s on g (x) g (x) g."""
+    if which not in _PERM_RULES:
+        raise ValueError(f"permutation must be one of 12/13/23, got {which!r}")
+    rule = _PERM_RULES[which]
+    p = t.g.parity
+    out: dict = {}
+    for (i, j, k), c in t.coeffs.items():
+        key, exponent = rule(i, j, k, p)
+        out[key] = c if exponent % 2 == 0 else -c
+    return Tensor3(t.g, out)
+
+
+def bracket_12_13(r: Tensor2, s: Tensor2) -> Tensor3:
+    """[r^12, s^13] = sum (-1)^{|b||a'|} [a, a'] (x) b (x) b'."""
+    return _leg_brackets(r, s, ("12_13",), False)
+
+
+def bracket_12_23(r: Tensor2, s: Tensor2) -> Tensor3:
+    """[r^12, s^23] = sum a (x) [b, a'] (x) b'."""
+    return _leg_brackets(r, s, ("12_23",), False)
+
+
+def bracket_13_23(r: Tensor2, s: Tensor2) -> Tensor3:
+    """[r^13, s^23] = sum (-1)^{|b||a'|} a (x) a' (x) [b, b']."""
+    return _leg_brackets(r, s, ("13_23",), False)
+
+
+# ---------------------------------------------------------------------------
+# phi identities: exact residuals of the phi ODE and the functional equation
+
+
+def ode_residual(i: int, spec: RMatrixSpec, rd: RootDatum) -> list[ScalarExpr]:
+    """Per-coordinate residual of d(phi_a) + A_a (phi_a^2 - eps^2/4) d(h_a).
+
+    For eps = 0 this is the zero-coupling equation d(phi) + A phi^2 dh.
+    Identically zero componentwise for every constructed phi with a in X (and
+    for the constant branches, whose square is exactly eps^2/4).
+    """
+    f = phi(i, spec, rd)
+    a = sign_A(rd, i)
+    coeffs = rd.coroot_coords(i)
+    quad = f * f - ScalarExpr.const(rd.g.rank, spec.epsilon**2 / 4)
+    return [f.differentiate(j) + quad * (a * c) for j, c in enumerate(coeffs)]
+
+
+def functional_equation_residual(i: int, j: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr | None:
+    """A_{a+b} phi_a phi_b + (eps^2/4) A_{a+b} A_a A_b
+       - phi_{a+b} (A_a phi_b + A_b phi_a), or None if a+b is not a root."""
+    k = rd.add_index(i, j)
+    if k is None:
+        return None
+    fa, fb, fs = phi(i, spec, rd), phi(j, spec, rd), phi(k, spec, rd)
+    aa, ab, asum = sign_A(rd, i), sign_A(rd, j), sign_A(rd, k)
+    n = rd.g.rank
+    res = fa * fb * asum - fs * (fb * aa + fa * ab)
+    res = res + ScalarExpr.const(n, spec.epsilon**2 / 4 * asum * aa * ab)
+    return res
+
+
+# ---------------------------------------------------------------------------
+# phi-identity checks (ODE, functional equation), decided by decide_cells
+
+
+def ode_check(spec: RMatrixSpec, rd: RootDatum, cfg: VerifyConfig | None = None) -> ResidualReport:
+    """d(phi_a) + A_a (phi_a^2 - eps^2/4) d(h_a) = 0 for every root, exactly.
+
+    Cells are keyed (root index, coordinate).
+    """
+    indices = range(len(rd)) if spec.epsilon != 0 else sorted(spec.X)
+    cells = {(i, j): res for i in indices for j, res in enumerate(ode_residual(i, spec, rd))}
+    return decide_cells(cells, "phi-ode", cfg)
+
+
+def functional_equation_check(
+    spec: RMatrixSpec, rd: RootDatum, cfg: VerifyConfig | None = None
+) -> ResidualReport:
+    """The pairwise phi relation over every root pair with a + b a root, exactly.
+
+    Cells are keyed (alpha index, beta index).
+    """
+    cells = {}
+    for i in range(len(rd)):
+        for j in range(len(rd)):
+            res = functional_equation_residual(i, j, spec, rd)
+            if res is not None:
+                cells[(i, j)] = res
+    return decide_cells(cells, "functional-equation", cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,8 @@ from fractions import Fraction
 import pytest
 
 import sdybe.tensor as tensor_mod
-from sdybe.rmatrix import RMatrixSpec, TwoForm, constant_example, construct, functional_equation_residual, validate
+from sdybe.rmatrix import RMatrixSpec, TwoForm, constant_example, construct, validate
 from sdybe.scalars import Poly, RationalFunction
-from sdybe.superalgebra import (
-    check_jacobi,
-    structure_constant_identity_report,
-    validate_algebra,
-)
 from sdybe.tensor import Tensor2, cross_bracket, super_twist
 from sdybe.verifier import (
     VerifyConfig,
@@ -30,12 +25,20 @@ from sdybe.verifier import (
     lemma_consistency_check,
     limit_behavior_check,
     mdybe_residual,
-    ode_check,
     unitarity_residual,
     zero_weight_residual,
 )
 
-from conftest import ad_signed_oracle, ray_deviations, sampled_max_abs
+from conftest import (
+    ad_signed_oracle,
+    check_jacobi,
+    functional_equation_residual,
+    ode_check,
+    ray_deviations,
+    sampled_max_abs,
+    structure_constant_identity_report,
+    validate_algebra,
+)
 from test_tensor import _random_unitary_pieces, build_zero_weight_tensor
 
 Q = Fraction

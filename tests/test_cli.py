@@ -59,6 +59,10 @@ MALFORMED = {
     "ratfun-coth-zero": ({"D": [{"i": 0, "j": 1, "ratfun": "(coth 0 0 0 0)"}]}, "D entry 0"),
     "D-index-7": ({"D": [{"i": 0, "j": 7, "num": "1"}]}, "D"),
     "D-entry-not-object": ({"D": ["x"]}, "D entry 0"),
+    "D-diagonal": ({"D": [{"i": 1, "j": 1, "num": "1"}]}, "D"),
+    # an out-of-range X index was a validation failure with exit 1, while an
+    # out-of-range D index exited 2
+    "X-index-99": ({"X": [0, 99]}, "X"),
     # each value below was accepted: "05" read as X = {0, 5}, 2.5 truncated,
     # true taken as 1 and 0.1 as its binary fraction
     "X-string": ({"X": "05"}, "X"),
@@ -223,6 +227,22 @@ class TestConstructCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["at"] == ["1", "1", "0"] and "values" not in doc
         assert doc["pole"] == {"indices": [1, 3], "form": form}
+
+    @pytest.mark.parametrize("doc,form", [(t1_sl2(), "x0"), (t2_sl2(), "coth(x0)")], ids=["eps0", "eps1"])
+    def test_pole_margin_for_every_cell(self, tmp_path, capsys, doc, form):
+        # at eps = 0 the rational cells printed +-5*10^11 here with exit 0
+        spec = write_spec(tmp_path, "sl2.json", doc)
+        assert main(["construct", "--spec", spec, "--at", "1/1000000000000"]) == 1
+        assert json.loads(capsys.readouterr().out)["pole"]["form"] == form
+
+    def test_d_entry_below_diagonal_is_the_negated_upper_entry(self, tmp_path, capsys):
+        dumps = []
+        for i, j, num in ((1, 0, "x0 + 2*x1"), (0, 1, "-x0 - 2*x1")):
+            spec = write_spec(tmp_path, "d.json", gl21_coth(D=[{"i": i, "j": j, "num": num, "den": "x1 + 3"}]))
+            assert main(["construct", "--spec", spec]) == 0
+            dumps.append(json.loads(capsys.readouterr().out)["tensor"])
+        assert dumps[0] == dumps[1]
+        assert any("x1 + 3" in cell["coefficient"] for cell in dumps[0])
 
     def test_symbolic_dump_one_atom_per_root(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "t2.json", t2_sl2())

@@ -13,8 +13,6 @@ from sdybe.rmatrix import (
     ValidationError,
     constant_example,
     construct,
-    functional_equation_residual,
-    ode_residual,
     phi,
     phi_coupled,
     phi_zero_coupling,
@@ -26,7 +24,7 @@ from sdybe.rmatrix import (
 from sdybe.scalars import Poly, RationalFunction, ScalarExpr
 from sdybe.tensor import Tensor2, super_twist, yb_bracket
 
-from conftest import sampled_max_abs
+from conftest import functional_equation_residual, ode_residual, sampled_max_abs
 
 Q = Fraction
 

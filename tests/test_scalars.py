@@ -573,7 +573,7 @@ def test_constant_value():
 @given(st.lists(sum_exprs(), min_size=1, max_size=3), st.sampled_from(SUM_FACTORS))
 def test_equal_keys_are_equal_forms(exprs, factor):
     a = exprs[0]
-    reordered = ScalarExpr(2, dict(reversed(list(a.terms.items()))), _prune=False)
+    reordered = ScalarExpr(2, dict(reversed(list(a.terms.items()))))
     assert reordered.key() == a.key()
     # a multiple has a's monomials and denominators, and other numerators; the
     # parsed text form can store a product of factors as one factor

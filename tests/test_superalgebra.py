@@ -15,23 +15,23 @@ from sdybe.superalgebra import (
     build_gl,
     build_sl,
     casimir,
-    check_jacobi,
     root_decomposition,
     sign_A,
     solve_linear,
-    structure_constant_identity_report,
-    validate_algebra,
 )
 from sdybe.tensor import ad_action
 
 from conftest import (
     ad_signed_oracle,
+    check_jacobi,
     gl_matrix_of,
     mat_mul,
     sl_by_matrix_products,
+    structure_constant_identity_report,
     supercommutator,
     supertrace,
     unit_matrix,
+    validate_algebra,
 )
 
 Q = Fraction

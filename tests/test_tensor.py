@@ -33,19 +33,22 @@ from sdybe.tensor import (
     Tensor3,
     ad_action,
     alt_s,
-    bracket_12_13,
-    bracket_12_23,
-    bracket_13_23,
     collect,
     cross_bracket,
-    signed_permutation,
     super_twist,
     tensor_dump,
     yb_bracket,
 )
 from sdybe.verifier import decide_tensor_zero, differential_dr
 
-from conftest import ReferenceCells, reference_leg_bracket
+from conftest import (
+    ReferenceCells,
+    bracket_12_13,
+    bracket_12_23,
+    bracket_13_23,
+    reference_leg_bracket,
+    signed_permutation,
+)
 from test_scalars import SUM_FACTORS, sum_exprs
 
 Q = Fraction

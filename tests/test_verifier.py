@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -19,13 +20,12 @@ from sdybe.rmatrix import (
     ValidationError,
     constant_example,
     construct,
-    functional_equation_residual,
-    ode_residual,
     shift_to_s,
+    validate,
 )
 from sdybe.scalars import Poly, RationalFunction, ScalarExpr
 from sdybe.superalgebra import build_gl, build_sl, root_decomposition
-from sdybe.tensor import Tensor2, ad_action, cross_bracket, signed_permutation, super_twist
+from sdybe.tensor import Tensor2, ad_action, cross_bracket, super_twist
 from sdybe.verifier import (
     ALL_CHECKS,
     PreconditionError,
@@ -35,18 +35,24 @@ from sdybe.verifier import (
     decide_cells,
     differential_dr,
     dominant_vector,
-    functional_equation_check,
     lemma_consistency_check,
     limit_behavior_check,
     mdybe_lhs,
     mdybe_residual,
-    ode_check,
     run_checks,
     unitarity_residual,
     zero_weight_residual,
 )
 
-from conftest import ray_deviations, sampled_max_abs
+from conftest import (
+    functional_equation_check,
+    functional_equation_residual,
+    ode_check,
+    ode_residual,
+    ray_deviations,
+    sampled_max_abs,
+    signed_permutation,
+)
 from test_tensor import _random_unitary_pieces, basis_tensor2, build_zero_weight_tensor
 
 Q = Fraction
@@ -358,6 +364,65 @@ class TestOdeAndFunctionalChecks:
         assert survivors
         avoid = [p for f in survivors for p in f.singular_forms()]
         assert sampled_max_abs(survivors, g.rank, avoid=avoid, precision=64) < 1e-12
+
+
+def _root_labels(g, rd, i):
+    """(a, b) for the root e_a - e_b of the matrix unit E_ab."""
+    (b,) = rd.e[i]
+    name = g.basis_names[b]
+    return int(name[1]) - 1, int(name[2]) - 1
+
+
+def _partition_specs(g, rd):
+    """(X, sign choices) of every ordered set partition B_1, ..., B_k of the labels:
+    X holds e_a - e_b for a, b in one block, and a positive root e_a - e_b
+    outside X is signed + iff the block of a comes first."""
+    d = g.m + g.n
+    labels = {i: _root_labels(g, rd, i) for i in range(len(rd))}
+    out = set()
+    for k in range(1, d + 1):
+        for block in itertools.product(range(k), repeat=d):
+            if set(block) != set(range(k)):
+                continue
+            X = frozenset(i for i, (a, b) in labels.items() if block[a] == block[b])
+            signs = {i: 1 if block[labels[i][0]] < block[labels[i][1]] else -1 for i in rd.positive_indices()}
+            out.add((X, frozenset((i, v) for i, v in signs.items() if i not in X)))
+    return out
+
+
+class TestClassification:
+    """At eps = 1/2, nu = 0, D = 0, every closed symmetric X with every sign
+    pattern: validate accepts all 21 specs of d = 3, cdybe is exact-zero on
+    exactly the 13 of ordered set partitions (the Fubini number), and the
+    functional equation, which uses no tensor bracket, agrees with cdybe."""
+
+    @pytest.mark.parametrize("bundle", ["sl3", "gl21"])
+    def test_functional_equation_agrees_with_cdybe(self, request, bundle):
+        g, rd, om = request.getfixturevalue(bundle)
+        pos = rd.positive_indices()
+        closed = []
+        for k in range(len(pos) + 1):
+            for subset in itertools.combinations(pos, k):
+                X = frozenset(subset) | {rd.neg[i] for i in subset}
+                sums = (rd.add_index(i, j) for i in X for j in X)
+                if all(s is None or s in X for s in sums):
+                    closed.append(X)
+        solutions = set()
+        count = 0
+        for X in closed:
+            outside = [i for i in pos if i not in X]
+            for signs in itertools.product((1, -1), repeat=len(outside)):
+                choice = dict(zip(outside, signs))
+                spec = RMatrixSpec(X=X, nu=[0] * g.rank, D=TwoForm.zero(g.rank), epsilon=Q(1, 2), sign_choice=choice)
+                assert validate(spec, g, rd).ok
+                count += 1
+                _, cd = cdybe_residual(construct(spec, g, rd, omega=om), CFG64)
+                assert functional_equation_check(spec, rd, CFG64).is_zero == cd.is_zero
+                if cd.is_zero:
+                    solutions.add((X, frozenset(choice.items())))
+        assert count == 21
+        assert len(solutions) == 13
+        assert solutions == _partition_specs(g, rd)
 
 
 def _assert_witness(rep: dict, cell_at):
