@@ -37,7 +37,9 @@ COUNTED = {
     "ScalarExpr.__mul__": "scalars.ScalarExpr.__mul__",
     "RationalFunction.__mul__": "scalars.RationalFunction.__mul__",
     "RationalFunction.sum": "scalars.RationalFunction.sum",
+    "ScalarExpr.sum": "scalars.ScalarExpr.sum",
     "Poly.exact_div": "scalars.Poly.exact_div",
+    "LieSuperalgebra.bracket_basis": "superalgebra.LieSuperalgebra.bracket_basis",
     "Fraction.__new__": "fractions.Fraction.__new__",
 }
 
@@ -46,7 +48,7 @@ COUNTED = {
 DRIVER = """
 import cProfile, contextlib, fractions, io, json, pstats, sys
 sys.path.insert(0, sys.argv[1])
-from sdybe import cli, scalars
+from sdybe import cli, scalars, superalgebra
 jobs = json.load(open(sys.argv[2]))
 
 def one_pass():
@@ -64,7 +66,7 @@ stats = pstats.Stats(profile)
 counts = {"calls": stats.total_calls}
 for label, path in json.loads(sys.argv[3]).items():
     owner, *attrs = path.split(".")
-    fn = {"scalars": scalars, "fractions": fractions}[owner]
+    fn = {"scalars": scalars, "superalgebra": superalgebra, "fractions": fractions}[owner]
     for attr in attrs:
         fn = getattr(fn, attr)
     code = fn.__code__

@@ -115,16 +115,12 @@ class LieSuperalgebra:
     def bracket_basis(self, i: int, j: int) -> Vector:
         return self.structure.get((i, j), {})
 
-    def bracket(self, x: Vector, y: Vector) -> Vector:
-        out: Vector = {}
-        for i, cx in x.items():
-            for j, cy in y.items():
-                for k, c in self.bracket_basis(i, j).items():
-                    s = out.get(k, Q(0)) + cx * cy * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+    @cached_property
+    def bracket_partners(self) -> dict:
+        """i -> the basis indices j with [b_i, b_j] != 0, computed once per algebra."""
+        out: dict = {}
+        for i, j in self.structure:
+            out.setdefault(i, []).append(j)
         return out
 
     def form_value(self, x: Vector, y: Vector) -> Fraction:

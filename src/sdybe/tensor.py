@@ -17,10 +17,13 @@ A builder whose terms can meet in one cell (the leg brackets, Alt_s, the
 Cartan action, the r-matrix assembly) records every term as a (factor,
 coefficient) pair with `collect`, which adds the factors of one coefficient
 object, and reduces each cell once with `ScalarExpr.sum`
-(`_TensorBase.summed`); a cell that cancels is dropped.  The leg brackets
-record a constant operand cell (Casimir, Cartan block, off-X +-eps/2) as a
-factor of one shared constant, so they form a coefficient product only for
-two non-constant cells; `scale` uses the sum's factor path too.  Cells keep
+(`_TensorBase.summed`); a cell that cancels is dropped.  Alt_s and the leg
+brackets can record into a caller's accumulator (`into`), so a residual is
+summed once.  The leg brackets meet a cell only with its bracket partners
+(`LieSuperalgebra.bracket_partners`), in full-scan order, and record a
+constant operand cell (Casimir, Cartan block, off-X +-eps/2) as a factor of
+one shared constant, so they form a coefficient product only for two
+non-constant cells; `scale` uses the sum's factor path too.  Cells keep
 the order in which their first term arrived, also a cell whose partial sum
 cancels before later terms bring it back.  The super twist, `from_vectors`
 and `dr` map distinct terms to distinct cells and sum nothing; two-operand
@@ -167,15 +170,15 @@ def super_twist(t: Tensor2) -> Tensor2:
     return Tensor2(t.g, {(j, i): c if _koszul(p[i], p[j]) == 1 else -c for (i, j), c in t.coeffs.items()})
 
 
-def alt_s(t: Tensor3) -> Tensor3:
-    """Alt_s(a (x) b (x) c) = abc + (-1)^{|a|(|b|+|c|)} bca + (-1)^{|c|(|a|+|b|)} cab."""
+def alt_s(t: Tensor3, into: dict | None = None) -> Tensor3 | None:
+    """Alt_s(a (x) b (x) c) = abc + (-1)^{|a|(|b|+|c|)} bca + (-1)^{|c|(|a|+|b|)} cab; into as in `_leg_brackets`."""
     p = t.g.parity
-    cells: dict = {}
+    cells: dict = {} if into is None else into
     for (i, j, k), c in t.coeffs.items():
         collect(cells, (i, j, k), 1, c)
         collect(cells, (j, k, i), -1 if p[i] * (p[j] + p[k]) % 2 else 1, c)
         collect(cells, (k, i, j), -1 if p[k] * (p[i] + p[j]) % 2 else 1, c)
-    return Tensor3.summed(t.g, cells)
+    return Tensor3.summed(t.g, cells) if into is None else None
 
 
 # ---------------------------------------------------------------------------
@@ -187,25 +190,34 @@ def _split(t: Tensor2, one: ScalarExpr) -> list:
     return [(key, 1, c) if (k := c.constant()) is None else (key, k, one) for key, c in t.coeffs.items()]
 
 
+def _partners(g, s: list, leg: int, xs) -> dict:
+    """x -> the `_split` cells of s whose leg has a nonzero bracket with x, in s's order, for each x in xs."""
+    at: dict = {}
+    for pos, cell in enumerate(s):
+        at.setdefault(cell[0][leg], []).append((pos, cell))
+    table = g.bracket_partners
+    return {x: [cell for _, cell in sorted(p for y in table.get(x, ()) for p in at.get(y, ()))] for x in xs}
+
+
 def _leg_bracket(r: list, s: list, mode: str, g, one, products: dict, cells: dict) -> None:
     """Record the terms of one leg bracket of the `_split` cells r and s; mode is "12_13", "12_23" or "13_23".
 
-    A pair with a nonzero bracket records sign * sc * k1 * k2 against
-    base1 * base2.  That product is formed only when neither base is the
-    constant one, once per ordered pair of bases (products, keyed by their
-    ids), and is nonzero as both bases are.
+    A cell of r meets only its `_partners` in s, in the order of a full scan.
+    A pair records sign * sc * k1 * k2 against base1 * base2.  That product
+    is formed only when neither base is the constant one, once per ordered
+    pair of bases (products, keyed by their ids), and is nonzero as both are.
     """
     p = g.parity
+    r_leg, s_leg = {"12_13": (0, 0), "12_23": (1, 0), "13_23": (1, 1)}[mode]  # the legs the mode brackets
+    partners = _partners(g, s, s_leg, {key[r_leg] for key, _, _ in r})
     for (i1, j1), k1, b1 in r:
-        for (i2, j2), k2, b2 in s:
+        for (i2, j2), k2, b2 in partners[j1 if r_leg else i1]:
             if mode == "12_13":
                 basis, sign = g.bracket_basis(i1, i2), _koszul(p[j1], p[i2])
             elif mode == "12_23":
                 basis, sign = g.bracket_basis(j1, i2), 1
             else:
                 basis, sign = g.bracket_basis(j1, j2), _koszul(p[j1], p[i2])
-            if not basis:
-                continue
             if b1 is one:
                 c = b2
             elif b2 is one:
@@ -230,24 +242,30 @@ def _leg_bracket(r: list, s: list, mode: str, g, one, products: dict, cells: dic
 _MODES = ("12_13", "12_23", "13_23")
 
 
-def _leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool) -> Tensor3:
-    """The leg brackets of r and s in each mode (and of s and r when both_orders), each cell summed once."""
+def _leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool, into: dict | None = None, scale=1):
+    """The leg brackets of r and s in each mode (and of s and r when both_orders), recorded in
+    into for the caller to sum, else each cell summed once.  Constant cells ride on one shared
+    constant, scale, so a scale multiplies the brackets of constant tensors (Omega) by it while
+    every factor stays the int or Fraction of the cells.
+    """
     r._check(s)
     g = r.g
-    one = ScalarExpr.const(g.rank, 1)
+    one = ScalarExpr.const(g.rank, scale)
     rs, ss = _split(r, one), _split(s, one)
+    if scale != 1 and any(b is not one for _, _, b in rs + ss):
+        raise ValueError("only constant tensors take a scale")
     products: dict = {}
-    cells: dict = {}
+    cells: dict = {} if into is None else into
     for mode in modes:
         _leg_bracket(rs, ss, mode, g, one, products, cells)
         if both_orders:
             _leg_bracket(ss, rs, mode, g, one, products, cells)
-    return Tensor3.summed(g, cells)
+    return Tensor3.summed(g, cells) if into is None else None
 
 
-def yb_bracket(r: Tensor2) -> Tensor3:
-    """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23], each cell summed once."""
-    return _leg_brackets(r, r, _MODES, False)
+def yb_bracket(r: Tensor2, into: dict | None = None, scale=1) -> Tensor3 | None:
+    """scale * [[r, r]] = scale * ([r12, r13] + [r12, r23] + [r13, r23]); see `_leg_brackets`."""
+    return _leg_brackets(r, r, _MODES, False, into, scale)
 
 
 def cross_bracket(s: Tensor2, omega: Tensor2) -> Tensor3:

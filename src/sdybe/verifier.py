@@ -12,10 +12,15 @@ Checks:
                solutions along a dominant ray as t -> +-infinity (the
                limit is exact: `ScalarExpr.ray_limit`)
 
+run_checks builds each residual once: cdybe and mdybe are each one
+accumulator of terms, and at eps = 0 (s = r, no [[Omega, Omega]] term)
+cdybe's residual is reported as mdybe's.
+
 Zero decision policy: every residual is a dict of cells, and `decide_cells`
-decides each distinct cell form (`ScalarExpr.key`) once, exactly and
-completely (`ScalarExpr.identically_zero`, which applies the coth addition
-law), so a residual is exact-zero or nonzero; no check is numeric.
+decides each distinct cell form (`ScalarExpr.key`) once per run, through the
+one verdict memo run_checks passes to every decision, exactly and completely
+(`ScalarExpr.identically_zero`, which applies the coth addition law), so a
+residual is exact-zero or nonzero; no check is numeric.
 A nonzero residual is evaluated at seeded margin-respecting lattice points
 only to give it its witness {indices, point, value}.
 """
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .rmatrix import RMatrixSpec, _assemble, shift_to_s, validate
@@ -115,16 +120,17 @@ class ResidualReport:
         return out
 
 
-def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None) -> ResidualReport:
+def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None, *, verdicts=None) -> ResidualReport:
     """Exact zero decision for every cell of a residual, once per distinct `ScalarExpr.key`.
 
-    A nonzero residual gets a witness: its nonzero cells are evaluated at the
-    seeded lattice points, which avoid the singular forms of every cell, and
-    the cell and point of largest |value| win.
+    verdicts (`ScalarExpr.key` -> identically zero) memoizes the decided forms;
+    run_checks passes one per run.  A nonzero residual gets a witness: its
+    nonzero cells are evaluated at the seeded lattice points, which avoid the
+    singular forms of every cell, and the cell and point of largest |value| win.
     """
     cfg = cfg or VerifyConfig()
     start = time.monotonic()
-    verdicts: dict = {}  # ScalarExpr.key -> identically zero
+    verdicts = {} if verdicts is None else verdicts
     nonzero = {}
     for k, c in cells.items():
         zero = verdicts.get(form := c.key())
@@ -148,9 +154,11 @@ def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None) -> Res
     )
 
 
-def decide_tensor_zero(t: Tensor2 | Tensor3, name: str, cfg: VerifyConfig | None = None) -> ResidualReport:
+def decide_tensor_zero(
+    t: Tensor2 | Tensor3, name: str, cfg: VerifyConfig | None = None, *, verdicts=None
+) -> ResidualReport:
     """`decide_cells` on the cells of a tensor."""
-    return decide_cells(t.coeffs, name, cfg)
+    return decide_cells(t.coeffs, name, cfg, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -169,36 +177,44 @@ def differential_dr(r: Tensor2) -> Tensor3:
 
 
 def cdybe_lhs(r: Tensor2) -> Tensor3:
-    return alt_s(differential_dr(r)) + yb_bracket(r)
+    """Alt_s(dr) + [[r, r]]: the mdybe residual at eps = 0."""
+    return mdybe_lhs(r, 0, None)
 
 
-def cdybe_residual(r: Tensor2, cfg: VerifyConfig | None = None) -> tuple[Tensor3, ResidualReport]:
+def cdybe_residual(r: Tensor2, cfg: VerifyConfig | None = None, *, verdicts=None) -> tuple[Tensor3, ResidualReport]:
     lhs = cdybe_lhs(r)
-    return lhs, decide_tensor_zero(lhs, "cdybe", cfg)
+    return lhs, decide_tensor_zero(lhs, "cdybe", cfg, verdicts=verdicts)
 
 
 def unitarity_residual(
-    r: Tensor2, eps, omega: Tensor2, cfg: VerifyConfig | None = None
+    r: Tensor2, eps, omega: Tensor2, cfg: VerifyConfig | None = None, *, verdicts=None
 ) -> tuple[Tensor2, ResidualReport]:
     res = r + super_twist(r) - omega.scale(Q(eps))
-    return res, decide_tensor_zero(res, "unitarity", cfg)
+    return res, decide_tensor_zero(res, "unitarity", cfg, verdicts=verdicts)
 
 
-def zero_weight_residual(r: Tensor2 | Tensor3, cfg: VerifyConfig | None = None) -> ResidualReport:
+def zero_weight_residual(r: Tensor2 | Tensor3, cfg: VerifyConfig | None = None, *, verdicts=None) -> ResidualReport:
     """[x (x) 1 + 1 (x) x, r] for every Cartan basis vector x, keyed (x, *cell)."""
     cells = {(c, *k): v for c in r.g.cartan for k, v in ad_action({c: Q(1)}, r).coeffs.items()}
-    return decide_cells(cells, "zero-weight", cfg)
+    return decide_cells(cells, "zero-weight", cfg, verdicts=verdicts)
 
 
-def mdybe_lhs(s: Tensor2, eps, omega: Tensor2) -> Tensor3:
+def mdybe_lhs(s: Tensor2, eps, omega: Tensor2 | None) -> Tensor3:
+    """Alt_s(ds) + [[s, s]] + (eps^2/4) [[Omega, Omega]] in one accumulator; Omega is unread at eps = 0."""
     eps = Q(eps)
-    lhs = alt_s(differential_dr(s)) + yb_bracket(s)
-    return lhs + yb_bracket(omega).scale(eps * eps / 4) if eps else lhs
+    cells: dict = {}
+    alt_s(differential_dr(s), into=cells)
+    yb_bracket(s, into=cells)
+    if eps:
+        yb_bracket(omega, into=cells, scale=eps * eps / 4)
+    return Tensor3.summed(s.g, cells)
 
 
-def mdybe_residual(s: Tensor2, eps, omega: Tensor2, cfg: VerifyConfig | None = None) -> tuple[Tensor3, ResidualReport]:
+def mdybe_residual(
+    s: Tensor2, eps, omega: Tensor2, cfg: VerifyConfig | None = None, *, verdicts=None
+) -> tuple[Tensor3, ResidualReport]:
     lhs = mdybe_lhs(s, eps, omega)
-    return lhs, decide_tensor_zero(lhs, "mdybe", cfg)
+    return lhs, decide_tensor_zero(lhs, "mdybe", cfg, verdicts=verdicts)
 
 
 def lemma_consistency_check(
@@ -211,22 +227,23 @@ def lemma_consistency_check(
     unitarity: ResidualReport | None = None,
     cdybe: ResidualReport | None = None,
     mdybe: ResidualReport | None = None,
+    verdicts=None,
 ) -> ResidualReport:
     """Both sides of the equivalence must agree, and the six-term cross
     bracket of the shifted tensor with the Casimir must vanish exactly.
 
-    run_checks passes s and the unitarity, cdybe and mdybe reports it has
-    already built, so only the cross bracket is new work here; whatever is
-    not passed in is computed.
+    run_checks passes s, the unitarity, cdybe and mdybe reports it has
+    already built and its verdict memo, so only the cross bracket is new
+    work here; whatever is not passed in is computed.
     """
     start = time.monotonic()
-    unit = unitarity if unitarity is not None else unitarity_residual(r, eps, omega, cfg)[1]
+    unit = unitarity if unitarity is not None else unitarity_residual(r, eps, omega, cfg, verdicts=verdicts)[1]
     if not unit.is_zero:
         raise PreconditionError("lemma check requires generalized unitarity")
     s = s if s is not None else shift_to_s(r, eps, omega)
-    cd = cdybe if cdybe is not None else cdybe_residual(r, cfg)[1]
-    md = mdybe if mdybe is not None else mdybe_residual(s, eps, omega, cfg)[1]
-    cross_rep = decide_tensor_zero(cross_bracket(s, omega), "lemma-cross-bracket", cfg)
+    cd = cdybe if cdybe is not None else cdybe_residual(r, cfg, verdicts=verdicts)[1]
+    md = mdybe if mdybe is not None else mdybe_residual(s, eps, omega, cfg, verdicts=verdicts)[1]
+    cross_rep = decide_tensor_zero(cross_bracket(s, omega), "lemma-cross-bracket", cfg, verdicts=verdicts)
     consistent = cd.is_zero == md.is_zero
     ok = consistent and cross_rep.status == "exact-zero"
     return ResidualReport(
@@ -286,6 +303,7 @@ def limit_behavior_check(
     cfg: VerifyConfig | None = None,
     *,
     r: Tensor2 | None = None,
+    verdicts=None,
 ) -> ResidualReport:
     """Exact limits of the X = Delta family along a dominant ray.
 
@@ -294,7 +312,8 @@ def limit_behavior_check(
     sign of its slope (a, +-v), nonzero for a dominant v (`ScalarExpr.ray_limit`).
     The cells of each limit minus its constant solution, keyed
     (direction, i, j), are decided by `decide_cells`.  Without r (which
-    run_checks passes) the spec is validated and r constructed here.
+    run_checks passes, with its verdict memo) the spec is validated and r
+    constructed here.
     """
     from .rmatrix import constant_example, construct
 
@@ -311,7 +330,7 @@ def limit_behavior_check(
         for k in sorted(r.coeffs.keys() | target.keys()):
             lim = r.coeffs[k].ray_limit(ray) if k in r.coeffs else zero
             cells[(direction, *k)] = lim - target.get(k, zero)
-    rep = decide_cells(cells, "limits", cfg)
+    rep = decide_cells(cells, "limits", cfg, verdicts=verdicts)
     rep.seconds = time.monotonic() - start
     rep.details = {"dominant_vector": list(v)}
     return rep
@@ -360,27 +379,34 @@ def run_checks(
     if not vrep.ok or set(checks) <= {"validate"}:
         return vrep.ok, reports, extras
 
-    # r and each residual are built and decided once; the lemma reuses them
+    # r and each residual are built and decided once, each form through one
+    # verdict memo; the lemma reuses them
     eps = spec.epsilon
     lemma = "lemma" in checks
+    verdicts: dict = {}
     omega = casimir(g, rd)
     r = _assemble(spec, g, rd, omega=omega)
-    unit = unitarity_residual(r, eps, omega, cfg)[1] if lemma or "unitarity" in checks else None
-    cd = cdybe_residual(r, cfg)[1] if lemma or "cdybe" in checks else None
-    s = shift_to_s(r, eps, omega) if lemma or "mdybe" in checks else None
-    md = mdybe_residual(s, eps, omega, cfg)[1] if s is not None else None
+    unit = unitarity_residual(r, eps, omega, cfg, verdicts=verdicts)[1] if lemma or "unitarity" in checks else None
+    cd = cdybe_residual(r, cfg, verdicts=verdicts)[1] if lemma or "cdybe" in checks else None
+    s = md = None
+    if lemma or "mdybe" in checks:
+        s = shift_to_s(r, eps, omega)
+        # at eps = 0 s has r's cells and there is no [[Omega, Omega]] term: the residual is cdybe's
+        md = replace(cd, name="mdybe") if eps == 0 and cd else mdybe_residual(s, eps, omega, cfg, verdicts=verdicts)[1]
     if "unitarity" in checks:
         reports.append(unit)
     if "zero-weight" in checks:
-        reports.append(zero_weight_residual(r, cfg))
+        reports.append(zero_weight_residual(r, cfg, verdicts=verdicts))
     if "cdybe" in checks:
         reports.append(cd)
     if "mdybe" in checks:
         reports.append(md)
     if lemma:
-        reports.append(lemma_consistency_check(r, eps, omega, cfg, s=s, unitarity=unit, cdybe=cd, mdybe=md))
+        reports.append(
+            lemma_consistency_check(r, eps, omega, cfg, s=s, unitarity=unit, cdybe=cd, mdybe=md, verdicts=verdicts)
+        )
     if "limits" in checks:
-        reports.append(limit_behavior_check(spec, g, rd, cfg, r=r))
+        reports.append(limit_behavior_check(spec, g, rd, cfg, r=r, verdicts=verdicts))
 
     ok = all(rep.is_zero for rep in reports)
     return ok, reports, extras

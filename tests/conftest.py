@@ -5,9 +5,9 @@ matrix arithmetic is redone on sparse {(row, col): Fraction} dicts, and the
 graded Leibniz action is written out with explicit Koszul signs, so that sign
 conventions are checked against a second implementation.
 
-Beside them sit the checks that only tests run: the algebra axioms, the
-signed transpositions and single leg brackets, and the phi ODE and functional
-equation.  These use the package's types; the functional equation decides a
+Beside them sit the checks that only tests run: the bracket of two vectors
+and the algebra axioms, the signed transpositions, the single leg brackets
+and the full-scan leg brackets, and the phi ODE and functional equation.  These use the package's types; the functional equation decides a
 spec without the tensor brackets that cdybe is built from.
 """
 
@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+import sdybe.tensor as tensor_mod
 from sdybe.rmatrix import RMatrixSpec, phi
 from sdybe.scalars import ScalarExpr, sample_points
 from sdybe.superalgebra import (
@@ -177,6 +178,20 @@ def gl_matrix_of(g, vec: dict) -> dict:
 # algebra axiom oracles (exact, brute force over basis triples)
 
 
+def bracket(g: LieSuperalgebra, x: Vector, y: Vector) -> Vector:
+    """[x, y] of two sparse vectors, from the structure constants."""
+    out: Vector = {}
+    for i, cx in x.items():
+        for j, cy in y.items():
+            for k, c in g.bracket_basis(i, j).items():
+                s = out.get(k, Q(0)) + cx * cy * c
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+    return out
+
+
 def validate_algebra(g: LieSuperalgebra) -> list[str]:
     """Exhaustive exact checks of the algebra axioms; returns violations."""
     bad: list[str] = []
@@ -247,9 +262,9 @@ def check_jacobi(g: LieSuperalgebra) -> list[tuple[int, int, int]]:
                 xk = {k: Q(1)}
                 acc: Vector = {}
                 for vec, sign in (
-                    (g.bracket(xi, g.bracket(xj, xk)), (-1) ** (p[i] * p[k])),
-                    (g.bracket(xj, g.bracket(xk, xi)), (-1) ** (p[j] * p[i])),
-                    (g.bracket(xk, g.bracket(xi, xj)), (-1) ** (p[k] * p[j])),
+                    (bracket(g, xi, bracket(g, xj, xk)), (-1) ** (p[i] * p[k])),
+                    (bracket(g, xj, bracket(g, xk, xi)), (-1) ** (p[j] * p[i])),
+                    (bracket(g, xk, bracket(g, xi, xj)), (-1) ** (p[k] * p[j])),
                 ):
                     for l, c in vec.items():
                         s = acc.get(l, Q(0)) + sign * c
@@ -272,7 +287,7 @@ def structure_constant_identity_report(g: LieSuperalgebra, rd: RootDatum) -> dic
 
     def c_coeff(i: int, j: int, k: int) -> Fraction:
         # coefficient of e_k in [e_i, e_j]
-        v = g.bracket(rd.e[i], rd.e[j])
+        v = bracket(g, rd.e[i], rd.e[j])
         ek = rd.e[k]
         (bk, ck), = ek.items()
         return v.get(bk, Q(0)) / ck
@@ -364,6 +379,55 @@ def bracket_12_23(r: Tensor2, s: Tensor2) -> Tensor3:
 def bracket_13_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^13, s^23] = sum (-1)^{|b||a'|} a (x) a' (x) [b, b']."""
     return _leg_brackets(r, s, ("13_23",), False)
+
+
+def full_scan_leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool) -> Tensor3:
+    """`tensor._leg_brackets` by the full scan: every cell of r meets every cell of s.
+
+    The reference for the partner-indexed pairing: a pair whose bracket is
+    zero is skipped, and the others record the same terms in the same order.
+    """
+    g = r.g
+    one = ScalarExpr.const(g.rank, 1)
+    rs, ss = tensor_mod._split(r, one), tensor_mod._split(s, one)
+    products: dict = {}
+    cells: dict = {}
+    for mode in modes:
+        for left, right in ((rs, ss), (ss, rs)) if both_orders else ((rs, ss),):
+            _full_scan_leg_bracket(left, right, mode, g, one, products, cells)
+    return Tensor3.summed(g, cells)
+
+
+def _full_scan_leg_bracket(r: list, s: list, mode: str, g, one, products: dict, cells: dict) -> None:
+    p = g.parity
+    for (i1, j1), k1, b1 in r:
+        for (i2, j2), k2, b2 in s:
+            if mode == "12_13":
+                basis, sign = g.bracket_basis(i1, i2), tensor_mod._koszul(p[j1], p[i2])
+            elif mode == "12_23":
+                basis, sign = g.bracket_basis(j1, i2), 1
+            else:
+                basis, sign = g.bracket_basis(j1, j2), tensor_mod._koszul(p[j1], p[i2])
+            if not basis:
+                continue
+            if b1 is one:
+                c = b2
+            elif b2 is one:
+                c = b1
+            else:
+                c = products.get((id(b1), id(b2)))
+                if c is None:
+                    c = products[id(b1), id(b2)] = b1 * b2
+            k = k1 if k2 == 1 else k2 if k1 == 1 else k1 * k2
+            for idx, sc in basis.items():
+                if mode == "12_13":
+                    key = (idx, j1, j2)
+                elif mode == "12_23":
+                    key = (i1, idx, j2)
+                else:
+                    key = (i1, i2, idx)
+                f = sign * sc
+                tensor_mod.collect(cells, key, k if f == 1 else k * f, c)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from sdybe.tensor import ad_action
 
 from conftest import (
     ad_signed_oracle,
+    bracket,
     check_jacobi,
     gl_matrix_of,
     mat_mul,
@@ -128,9 +129,9 @@ class TestBuildSl:
         f = g.basis_names.index("E21")
         h1 = g.basis_names.index("H1")
         # h = E11 - E22 = 2 H1
-        assert g.bracket({h1: Q(2)}, {e: Q(1)}) == {e: Q(2)}
-        assert g.bracket({h1: Q(2)}, {f: Q(1)}) == {f: Q(-2)}
-        assert g.bracket({e: Q(1)}, {f: Q(1)}) == {h1: Q(2)}
+        assert bracket(g, {h1: Q(2)}, {e: Q(1)}) == {e: Q(2)}
+        assert bracket(g, {h1: Q(2)}, {f: Q(1)}) == {f: Q(-2)}
+        assert bracket(g, {e: Q(1)}, {f: Q(1)}) == {h1: Q(2)}
 
 
 @pytest.mark.parametrize("build", [build_gl, build_sl])
@@ -192,7 +193,7 @@ class TestRoots:
             if root.positive:
                 assert rd.pairing[i] == 1
             # [e_a, e_{-a}] = (e_a, e_{-a}) h_a
-            lhs = g.bracket(rd.e[i], rd.e[j])
+            lhs = bracket(g, rd.e[i], rd.e[j])
             expected = {k: rd.pairing[i] * v for k, v in rd.h_coroot[i].items()}
             assert lhs == expected
             # (h_a, x) = a(x) on the Cartan
@@ -200,7 +201,7 @@ class TestRoots:
                 assert g.form_value(rd.h_coroot[i], {c: Q(1)}) == root.functional[k]
             # [x, e_a] = a(x) e_a
             for k, c in enumerate(g.cartan):
-                got = g.bracket({c: Q(1)}, rd.e[i])
+                got = bracket(g, {c: Q(1)}, rd.e[i])
                 expected_vec = {b: root.functional[k] * v for b, v in rd.e[i].items() if root.functional[k] * v}
                 assert got == expected_vec
 

@@ -43,6 +43,7 @@ from sdybe.verifier import decide_tensor_zero, differential_dr
 
 from conftest import (
     ReferenceCells,
+    bracket,
     bracket_12_13,
     bracket_12_23,
     bracket_13_23,
@@ -305,7 +306,7 @@ class TestDisplayOracles:
             return -dcells.get((j, i), ScalarExpr.zero(n))
 
         def br(x, y):
-            return g.bracket(x, y)
+            return bracket(g, x, y)
 
         acc: dict[str, Tensor3] = {k: Tensor3.zero(g) for k in ("s12o13", "o12s13", "s12o23", "o12s23", "s13o23", "o13s23")}
         for a in roots:
@@ -375,18 +376,18 @@ class TestDisplayOracles:
             for b in roots:
                 eb, enb, fb = rd.e[b], rd.e[rd.neg[b]], phis[b]
                 koszul = Q((-1) ** (pa * rd.roots[b].parity))
-                exp_1213 += triple_from_vectors(g, g.bracket(ea, eb), ena, enb, fa * fb * koszul)
-                exp_1223 += triple_from_vectors(g, ea, g.bracket(ena, eb), enb, fa * fb)
-                exp_1323 += triple_from_vectors(g, ea, eb, g.bracket(ena, enb), fa * fb * koszul)
+                exp_1213 += triple_from_vectors(g, bracket(g, ea, eb), ena, enb, fa * fb * koszul)
+                exp_1223 += triple_from_vectors(g, ea, bracket(g, ena, eb), enb, fa * fb)
+                exp_1323 += triple_from_vectors(g, ea, eb, bracket(g, ena, enb), fa * fb * koszul)
             for i in range(n):
                 for j in range(n):
                     dij = D(i, j)
-                    exp_1213 += triple_from_vectors(g, g.bracket(hvec[i], ea), hvec[j], ena, dij * fa)
-                    exp_1213 += triple_from_vectors(g, g.bracket(ea, hvec[i]), ena, hvec[j], dij * fa)
-                    exp_1223 += triple_from_vectors(g, hvec[i], g.bracket(hvec[j], ea), ena, dij * fa)
-                    exp_1223 += triple_from_vectors(g, ea, g.bracket(ena, hvec[i]), hvec[j], dij * fa)
-                    exp_1323 += triple_from_vectors(g, hvec[i], ea, g.bracket(hvec[j], ena), dij * fa)
-                    exp_1323 += triple_from_vectors(g, ea, hvec[i], g.bracket(ena, hvec[j]), dij * fa)
+                    exp_1213 += triple_from_vectors(g, bracket(g, hvec[i], ea), hvec[j], ena, dij * fa)
+                    exp_1213 += triple_from_vectors(g, bracket(g, ea, hvec[i]), ena, hvec[j], dij * fa)
+                    exp_1223 += triple_from_vectors(g, hvec[i], bracket(g, hvec[j], ea), ena, dij * fa)
+                    exp_1223 += triple_from_vectors(g, ea, bracket(g, ena, hvec[i]), hvec[j], dij * fa)
+                    exp_1323 += triple_from_vectors(g, hvec[i], ea, bracket(g, hvec[j], ena), dij * fa)
+                    exp_1323 += triple_from_vectors(g, ea, hvec[i], bracket(g, ena, hvec[j]), dij * fa)
 
         assert (bracket_12_13(r, r) - exp_1213).is_zero()
         assert (bracket_12_23(r, r) - exp_1223).is_zero()

@@ -23,9 +23,19 @@ from sdybe.rmatrix import (
     shift_to_s,
     validate,
 )
-from sdybe.scalars import Poly, RationalFunction, ScalarExpr
+from sdybe.scalars import Poly, RationalFunction, ScalarExpr, to_sexpr
 from sdybe.superalgebra import build_gl, build_sl, root_decomposition
-from sdybe.tensor import Tensor2, ad_action, cross_bracket, super_twist
+from sdybe.tensor import (
+    _MODES,
+    Tensor2,
+    _leg_brackets,
+    ad_action,
+    alt_s,
+    cross_bracket,
+    super_twist,
+    tensor_dump,
+    yb_bracket,
+)
 from sdybe.verifier import (
     ALL_CHECKS,
     PreconditionError,
@@ -45,6 +55,7 @@ from sdybe.verifier import (
 )
 
 from conftest import (
+    full_scan_leg_brackets,
     functional_equation_check,
     functional_equation_residual,
     ode_check,
@@ -725,11 +736,13 @@ class TestComputeOnce:
         else:
             spec = _bad_signs_spec(rd)
         yb = _count_calls(monkeypatch, "yb_bracket")
+        cross = _count_calls(monkeypatch, "cross_bracket")
         decide = _count_calls(monkeypatch, "decide_tensor_zero")
         ok, reports, _ = run_checks(g, rd, spec, checks=self.CHECKS, cfg=CFG64)
         # unitarity, cdybe, mdybe and the cross bracket, each decided once;
-        # at eps = 0 mdybe has no [[Omega, Omega]] term to build
-        assert (len(yb), len(decide)) == (2 if kind == "eps0" else 3, 4)
+        # at eps = 0 mdybe is cdybe's residual, so [[r, r]] is built and
+        # decided once, and there is no [[Omega, Omega]] term
+        assert (len(yb), len(cross), len(decide)) == ((1, 1, 3) if kind == "eps0" else (3, 1, 4))
         monkeypatch.undo()
 
         r = construct(spec, g, rd, omega=om)
@@ -757,10 +770,21 @@ class TestComputeOnce:
     def test_lemma_alone_still_builds_residuals_once(self, sl2, monkeypatch):
         g, rd, _ = sl2
         yb = _count_calls(monkeypatch, "yb_bracket")
+        cross = _count_calls(monkeypatch, "cross_bracket")
         decide = _count_calls(monkeypatch, "decide_tensor_zero")
         ok, reports, _ = run_checks(g, rd, full_spec(rd, eps=Q(1)), checks=("lemma",), cfg=CFG64)
         assert ok and [rep.name for rep in reports] == ["lemma"]
-        assert (len(yb), len(decide)) == (3, 4)
+        assert (len(yb), len(cross), len(decide)) == (3, 1, 4)
+
+    @pytest.mark.parametrize("checks", [("mdybe",), ("cdybe", "mdybe")])
+    def test_mdybe_at_eps0_is_cdybe_when_both_run(self, gl21, monkeypatch, checks):
+        """Called without cdybe (or the lemma), mdybe at eps = 0 builds its own residual."""
+        g, rd, _ = gl21
+        yb = _count_calls(monkeypatch, "yb_bracket")
+        decide = _count_calls(monkeypatch, "decide_tensor_zero")
+        ok, reports, _ = run_checks(g, rd, full_spec(rd, nu=[1, 2, 3]), checks=checks, cfg=CFG64)
+        assert ok and [rep.name for rep in reports] == list(checks)
+        assert (len(yb), len(decide)) == (1, 1)
 
     @pytest.mark.parametrize(
         "checks,names",
@@ -807,21 +831,26 @@ class TestComputeOnce:
             limit_behavior_check(too_long, g, rd, CFG64)
 
 
+# the algebras and specs of the per-form tests
+KIND_BUNDLES = [(b, kind) for b in ("gl21", "sl3", "gl22") for kind in ("coth", "rational", "bad-signs")]
+
+
+def _kind_spec(rd, kind):
+    """X = all with nu_k = k/(2k+1) at eps = 1/3 (coth) or eps = 0 (rational), or `_bad_signs_spec`."""
+    if kind == "bad-signs":
+        return _bad_signs_spec(rd)
+    nu = [Q(k, 2 * k + 1) for k in range(1, rd.g.rank + 1)]
+    return full_spec(rd, eps=Q(1, 3) if kind == "coth" else Q(0), nu=nu)
+
+
 class TestOneDecisionPerForm:
     """decide_cells decides each distinct cell form once, with the verdicts of deciding every cell."""
 
-    @pytest.fixture(scope="class", params=[
-        (b, kind) for b in ("gl21", "sl3", "gl22") for kind in ("coth", "rational", "bad-signs")
-    ], ids=lambda p: f"{p[0]}-{p[1]}")
+    @pytest.fixture(scope="class", params=KIND_BUNDLES, ids=lambda p: f"{p[0]}-{p[1]}")
     def residuals(self, request):
         bundle, kind = request.param
         g, rd, om = request.getfixturevalue(bundle)
-        n = g.rank
-        if kind == "bad-signs":
-            spec = _bad_signs_spec(rd)
-        else:
-            nu = [Q(k, 2 * k + 1) for k in range(1, n + 1)]
-            spec = full_spec(rd, eps=Q(1, 3) if kind == "coth" else Q(0), nu=nu)
+        spec = _kind_spec(rd, kind)
         eps = spec.epsilon
         r = construct(spec, g, rd, omega=om)
         s = shift_to_s(r, eps, om)
@@ -868,6 +897,119 @@ class TestOneDecisionPerForm:
         cells[moved] = cells[moved] + ScalarExpr.const(n, Q(1, 10**20))
         assert [m for m, *_ in cells[moved].key()] == [m for m, *_ in next(iter(cells.values())).key()]
         rep = decide_cells(cells, "perturbed", VerifyConfig(precision=128))
+        assert rep.status == "nonzero" and rep.witness["indices"] == list(moved)
+        assert abs(rep.witness["value"] - 1e-20) < 1e-30
+
+
+class TestOneAccumulatorPerResidual:
+    """The partner-indexed leg brackets and the one-accumulator residuals give the
+    cells of the full scan and of the tensor sums they replace."""
+
+    @pytest.fixture(scope="class", params=KIND_BUNDLES, ids=lambda p: f"{p[0]}-{p[1]}")
+    def tensors(self, request):
+        bundle, kind = request.param
+        g, rd, om = request.getfixturevalue(bundle)
+        spec = _kind_spec(rd, kind)
+        r = construct(spec, g, rd, omega=om)
+        return spec.epsilon, r, shift_to_s(r, spec.epsilon, om), om
+
+    def test_indexed_leg_brackets_match_the_full_scan(self, tensors):
+        """Same keys in the same order and the same coefficients, mode by mode and all modes at once."""
+        _, *operands = tensors
+        for modes in [(mode,) for mode in _MODES] + [_MODES]:
+            for a, b in itertools.product(operands, repeat=2):
+                for both_orders in (False, True):
+                    got = _leg_brackets(a, b, modes, both_orders).coeffs
+                    want = full_scan_leg_brackets(a, b, modes, both_orders).coeffs
+                    assert list(got) == list(want)
+                    assert [to_sexpr(c) for c in got.values()] == [to_sexpr(c) for c in want.values()]
+
+    def test_fused_residuals_equal_the_tensor_sums(self, tensors):
+        eps, r, s, om = tensors
+        cdybe_sum = alt_s(differential_dr(r)) + yb_bracket(r)
+        mdybe_sum = alt_s(differential_dr(s)) + yb_bracket(s) + yb_bracket(om).scale(eps * eps / 4)
+        assert tensor_dump(cdybe_lhs(r)) == tensor_dump(cdybe_sum)
+        assert tensor_dump(mdybe_lhs(s, eps, om)) == tensor_dump(mdybe_sum)
+
+    def test_only_constant_tensors_take_a_scale(self, tensors):
+        _, *operands = tensors
+        for t in operands:
+            if all(c.constant() is not None for c in t.coeffs.values()):
+                assert tensor_dump(yb_bracket(t, scale=Q(2, 3))) == tensor_dump(yb_bracket(t).scale(Q(2, 3)))
+            else:
+                with pytest.raises(ValueError, match="constant"):
+                    yb_bracket(t, scale=2)
+
+
+class TestOneMemoPerRun:
+    """run_checks decides each distinct cell form once across all of its residuals."""
+
+    @pytest.mark.parametrize("bundle,kind", KIND_BUNDLES, ids=[f"{b}-{k}" for b, k in KIND_BUNDLES])
+    def test_one_decision_per_form_per_run(self, request, monkeypatch, bundle, kind):
+        g, rd, om = request.getfixturevalue(bundle)
+        spec = _kind_spec(rd, kind)
+        calls = []
+        original = ScalarExpr.identically_zero
+        monkeypatch.setattr(ScalarExpr, "identically_zero", lambda c: calls.append(c.key()) or original(c))
+        _, shared, _ = run_checks(g, rd, spec, cfg=CFG64)
+        monkeypatch.undo()
+        assert [rep.name for rep in shared] == [c for c in ALL_CHECKS if c != "limits"]
+        eps = spec.epsilon
+        r = construct(spec, g, rd, omega=om)
+        s = shift_to_s(r, eps, om)
+        residuals = [
+            r + super_twist(r) - om.scale(eps),
+            cdybe_lhs(r),
+            mdybe_lhs(s, eps, om),
+            cross_bracket(s, om),
+        ] + [ad_action({c: Q(1)}, r) for c in g.cartan]
+        assert len(calls) == len(set(calls)) == len({c.key() for t in residuals for c in t.coeffs.values()})
+        # every cell a form of its own: each is decided on its own
+        monkeypatch.setattr(ScalarExpr, "key", lambda c: object())
+        _, alone, _ = run_checks(g, rd, spec, cfg=CFG64)
+        monkeypatch.undo()
+        assert [_without_seconds(rep.as_dict()) for rep in shared] == [_without_seconds(rep.as_dict()) for rep in alone]
+        statuses = {rep.name: rep.status for rep in shared}
+        assert statuses["cdybe"] == statuses["mdybe"] == ("nonzero" if kind == "bad-signs" else "exact-zero")
+
+    def test_sign_injected_mdybe_at_eps0_is_cdybe(self, gl21, monkeypatch):
+        """Wrong Koszul signs in the leg brackets: at eps = 0 both residuals fail with one witness.
+
+        The super twist keeps its true signs, so generalized unitarity, the
+        lemma's precondition, still holds.
+        """
+        g, rd, om = gl21
+        spec = full_spec(rd, nu=[1, 2, 3])
+        true_koszul, true_twist = tensor_mod._koszul, verifier_mod.super_twist
+
+        def twist(t):
+            with monkeypatch.context() as mp:
+                mp.setattr(tensor_mod, "_koszul", true_koszul)
+                return true_twist(t)
+
+        monkeypatch.setattr(verifier_mod, "super_twist", twist)
+        monkeypatch.setattr(tensor_mod, "_koszul", lambda p, q: 1)
+        ok, reports, _ = run_checks(g, rd, spec, cfg=CFG64)
+        standalone = mdybe_residual(shift_to_s(construct(spec, g, rd, omega=om), 0, om), 0, om, CFG64)[1]
+        statuses = {rep.name: rep for rep in reports}
+        cd, md, lemma = statuses["cdybe"], statuses["mdybe"], statuses["lemma"]
+        assert not ok and statuses["unitarity"].status == "exact-zero"
+        assert cd.status == md.status == "nonzero" and cd.witness is not None
+        assert md.witness == cd.witness == standalone.witness
+        assert lemma.details["consistent"] and lemma.details["mdybe_status"] == "nonzero"
+
+    def test_a_shared_memo_keeps_the_perturbed_cell(self, gl22):
+        """A memo that has decided a form exact-zero still sees a cell moved by 10^-20 as nonzero."""
+        g, rd, om = gl22
+        n = g.rank
+        r = construct(full_spec(rd, eps=Q(1, 3), nu=[Q(k, 2 * k + 1) for k in range(1, n + 1)]), g, rd, omega=om)
+        cells = dict(cdybe_lhs(r).coeffs)
+        verdicts: dict = {}
+        assert decide_cells(cells, "cdybe", CFG64, verdicts=verdicts).status == "exact-zero"
+        assert verdicts and all(verdicts.values())
+        moved = list(cells)[len(cells) // 2]
+        cells[moved] = cells[moved] + ScalarExpr.const(n, Q(1, 10**20))
+        rep = decide_cells(cells, "perturbed", VerifyConfig(precision=128), verdicts=verdicts)
         assert rep.status == "nonzero" and rep.witness["indices"] == list(moved)
         assert abs(rep.witness["value"] - 1e-20) < 1e-30
 
