@@ -39,7 +39,16 @@ from bench_pairs import export_parent  # noqa: E402
 
 SEEDS = (1, 2, 3)
 PRECISIONS = (64, 128)
-RATIONAL_D = ('(ratfun "2*x0" "x1 + 3")', '(ratfun "x0" "x0^2 + 1")', '(ratfun "1" "x0*x1")')
+# each a list of D entries (i, j, ratfun); a spec runs on the algebras whose rank has room for its indices
+RATIONAL_D = (
+    ((0, 1, '(ratfun "2*x0" "x1 + 3")'),),
+    ((0, 1, '(ratfun "x0" "x0^2 + 1")'),),
+    ((0, 1, '(ratfun "1" "x0*x1")'),),
+    # entries equal up to non-unit rational factors (closed: D_12 = -D_02 over x0 - x1,
+    # D_12 = D_02 over x0 + x1), so the leg brackets share bases with int ratios other than +-1
+    ((0, 1, '(ratfun "1" "2*x0 - 2*x1")'), (0, 2, '(ratfun "-3" "x0 - x1")'), (1, 2, '(ratfun "3" "x0 - x1")')),
+    ((0, 1, '(ratfun "2/3" "x0 + x1")'), (0, 2, '(ratfun "-1/2" "x0 + x1")'), (1, 2, '(ratfun "-1/2" "x0 + x1")')),
+)
 RATIONAL_D_ALGEBRAS = (("gl", 2, 1), ("sl", 3, 0))
 RATIONAL_D_EPSILONS = ("0", "1/3")
 
@@ -137,13 +146,16 @@ def rational_d_specs(outdir: str) -> list[tuple[str, str]]:
     for family, m, n in RATIONAL_D_ALGEBRAS:
         rank = m + n if family == "gl" else m + n - 1
         for eps in RATIONAL_D_EPSILONS:
-            for ratfun in RATIONAL_D:
+            for entries in RATIONAL_D:
+                if max(j for _, j, _ in entries) >= rank:
+                    continue
                 doc = {"algebra": family, "m": m, "n": n, "epsilon": eps, "nu": ["0"] * rank, "X": "all",
-                       "D": [{"i": 0, "j": 1, "ratfun": ratfun}]}
+                       "D": [{"i": i, "j": j, "ratfun": ratfun} for i, j, ratfun in entries]}
                 path = os.path.join(outdir, f"{len(specs):02d}.json")
                 with open(path, "w") as fh:
                     json.dump(doc, fh, indent=1, sort_keys=True)
-                specs.append((f"{workloads.label((family, m, n))} eps {eps} D01 {ratfun}", path))
+                shown = " ".join(f"D{i}{j} {ratfun}" for i, j, ratfun in entries)
+                specs.append((f"{workloads.label((family, m, n))} eps {eps} {shown}", path))
     return specs
 
 

@@ -19,10 +19,11 @@ There is one sum path.  `RationalFunction.sum` and `ScalarExpr.sum` take
 (factor, term) pairs with int or Fraction factors: numerators over one
 denominator add into one coefficient dict, the groups meet over the lcm of
 their denominators, and the total is reduced once (a zero total is never
-divided).  `+` and `-` are two-term calls of these, and the tensor builders
-sum each cell through them.  A sum keeps its monomials in the order their
-first terms arrive.  A product tries each factor of its merged denominator
-once against the product of the numerators.
+divided); when every coefficient is a constant, `ScalarExpr.sum` adds the
+values as numbers instead.  `+` and `-` are two-term calls of these, and the
+tensor builders sum each cell through them.  A sum keeps its monomials in the
+order their first terms arrive.  A product tries each factor of its merged
+denominator once against the product of the numerators.
 
 A coth atom is coth(u) for an affine-linear form u with rational coefficients.
 Atoms are sign-canonicalized (first nonzero coefficient of (u_0..u_{N-1}, const)
@@ -780,6 +781,29 @@ class ScalarExpr:
             sorted((mono, c.num.key(), tuple([(f._fid, m) for f, m in c.den])) for mono, c in self.terms.items())
         )
 
+    def primitive(self) -> tuple:
+        """(content, form) of a nonzero expression: self = content * P, where P's numerator
+        coefficients, in canonical order, are coprime ints and the first is positive.  Equal
+        forms mean representations equal up to a rational factor, as equal `key`s mean
+        identical ones.  Computed apart from `key`.
+        """
+        shape = []
+        values: list = []
+        for mono in sorted(self.terms):
+            c = self.terms[mono]
+            num = c.num.key()
+            shape.append((mono, tuple([m for m, _ in num]), tuple([(f._fid, m) for f, m in c.den])))
+            values += [v for _, v in num]
+        if len(values) == 1:
+            return values[0], (tuple(shape), (1,))
+        lcm = math.lcm(*[v.denominator for v in values])
+        if lcm != 1:
+            values = [v.numerator * (lcm // v.denominator) for v in values]
+        g = math.gcd(*values)
+        if values[0] < 0:
+            g = -g
+        return (g if lcm == 1 else Q(g, lcm)), (tuple(shape), tuple([v // g for v in values]))
+
     def identically_zero(self) -> bool:
         """Exact and complete zero test; applies the coth addition law.
 
@@ -847,7 +871,11 @@ class ScalarExpr:
 
         A factor is an int or a Fraction.  Monomials keep the order in which
         the terms first bring them; a monomial whose sum cancels is dropped.
+        When every coefficient is a constant, the values add as numbers.
         """
+        constants = _constant_sums(nvars, pairs)
+        if constants is not None:
+            return ScalarExpr(nvars, constants)
         groups: dict[AtomMono, list] = {}
         for factor, term in pairs:
             for mono, c in term.terms.items():
@@ -974,6 +1002,21 @@ def _sum_groups(groups: dict) -> dict:
         if c.num.terms:
             out[mono] = c
     return out
+
+
+def _constant_sums(nvars: int, pairs: Sequence[tuple]) -> dict | None:
+    """`_sum_groups` of the (factor, term) pairs when every coefficient is a constant, else None."""
+    zero = (0,) * nvars
+    acc: dict = {}
+    for factor, term in pairs:
+        for mono, c in term.terms.items():
+            num = c.num.terms
+            if c.den or len(num) != 1 or zero not in num:
+                return None
+            v = num[zero] if factor == 1 else factor * num[zero]
+            s = acc.get(mono)
+            acc[mono] = v if s is None else s + v
+    return {m: RationalFunction._reduced(Poly(nvars, {zero: v}, _prune=False), ()) for m, v in _pruned(acc).items()}
 
 
 def _mono_mul(m1: AtomMono, m2: AtomMono) -> AtomMono:

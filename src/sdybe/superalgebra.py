@@ -56,15 +56,6 @@ def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
     return [aug[i][n] for i in range(n)]
 
 
-def invert_matrix(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Q(1) if i == j else Q(0) for i in range(n)]
-        cols.append(solve_linear(matrix, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def determinant(matrix: list[list[Fraction]]) -> Fraction:
     n = len(matrix)
     m = [row[:] for row in matrix]
@@ -135,9 +126,14 @@ class LieSuperalgebra:
         return [[self.form[i][j] for j in self.cartan] for i in self.cartan]
 
     @cached_property
-    def cartan_gram_inverse(self) -> list[list[Fraction]]:
-        """The inverse Cartan Gram matrix, computed once per algebra."""
-        return [[_coeff(v) for v in row] for row in invert_matrix(self.cartan_gram())]
+    def cartan_gram_inverse(self) -> list[list[int]]:
+        """The inverse Cartan Gram matrix in closed form, with s_i = +1 on even rows and -1 on odd:
+        diag(s_i) on gl(m|n), and s_a delta_ab + s_{d-1} on sl(m|n) (d = m + n)."""
+        d = self.m + self.n
+        s = [1 if i < self.m else -1 for i in range(d)]
+        if self.family == "gl":
+            return [[s[a] if a == b else 0 for b in range(d)] for a in range(d)]
+        return [[s[a] * (a == b) + s[-1] for b in range(d - 1)] for a in range(d - 1)]
 
 
 def build_gl(m: int, n: int) -> LieSuperalgebra:
@@ -376,7 +372,7 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
     coroots: list[Vector] = []
     pairings: list[Fraction] = []
     for i, r in enumerate(roots):
-        coeffs = [_coeff(sum(a * w for a, w in zip(row, r.functional))) for row in gram_inv]
+        coeffs = [sum(a * w for a, w in zip(row, r.functional)) for row in gram_inv]
         coroots.append({c: coeffs[k] for k, c in enumerate(cartan) if coeffs[k]})
         pairings.append(g.form_value(vectors[i], vectors[neg[i]]))
 

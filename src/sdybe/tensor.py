@@ -17,13 +17,15 @@ A builder whose terms can meet in one cell (the leg brackets, Alt_s, the
 Cartan action, the r-matrix assembly) records every term as a (factor,
 coefficient) pair with `collect`, which adds the factors of one coefficient
 object, and reduces each cell once with `ScalarExpr.sum`
-(`_TensorBase.summed`); a cell that cancels is dropped.  Alt_s and the leg
+(`_TensorBase.summed`).  A cell whose factors add to 0 in `collect` is
+dropped without a sum, and so is a cell whose sum cancels.  Alt_s and the leg
 brackets can record into a caller's accumulator (`into`), so a residual is
 summed once.  The leg brackets meet a cell only with its bracket partners
-(`LieSuperalgebra.bracket_partners`), in full-scan order, and record a
-constant operand cell (Casimir, Cartan block, off-X +-eps/2) as a factor of
-one shared constant, so they form a coefficient product only for two
-non-constant cells; `scale` uses the sum's factor path too.  Cells keep
+(`LieSuperalgebra.bracket_partners`), in full-scan order.  Within one call,
+operand cells equal up to a rational factor share one base (`_split`), so
+every cell is an int times a base, a pair records an int factor against the
+product of two bases, formed once per pair of bases, and the terms of equal
+cells merge in `collect`; `scale` rides on one operand's bases.  Cells keep
 the order in which their first term arrived, also a cell whose partial sum
 cancels before later terms bring it back.  The super twist, `from_vectors`
 and `dr` map distinct terms to distinct cells and sum nothing; two-operand
@@ -31,6 +33,9 @@ and `dr` map distinct terms to distinct cells and sum nothing; two-operand
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction as Q
 
 from .scalars import MpPoint, ScalarExpr, _coeff, singular_forms, to_sexpr
 from .superalgebra import EVEN, LieSuperalgebra, Vector
@@ -85,6 +90,8 @@ class _TensorBase:
         """The tensor whose cells are the sums of the terms `collect` recorded in cells."""
         out = {}
         for key, terms in cells.items():
+            if not any(f for f, _ in terms.values()):  # every recorded term cancelled in `collect`
+                continue
             c = ScalarExpr.sum(g.rank, terms.values())
             if c.terms:
                 out[key] = c
@@ -185,9 +192,36 @@ def alt_s(t: Tensor3, into: dict | None = None) -> Tensor3 | None:
 # leg brackets
 
 
-def _split(t: Tensor2, one: ScalarExpr) -> list:
-    """[(cell, k, base)]: a constant cell is k times the shared one, any other 1 times itself."""
-    return [(key, 1, c) if (k := c.constant()) is None else (key, k, one) for key, c in t.coeffs.items()]
+def _split(t: Tensor2, scale=1) -> list:
+    """[(cell, k, base)] in t.coeffs order: each cell is the int k times the base of its group.
+
+    The cells of one `ScalarExpr.primitive` form, the cells equal up to a
+    rational factor, make a group.  Its base is that form's expression times
+    the group's content, the gcd of its cells' contents signed as its first
+    cell's, times scale.  With scale 1, a group whose cells have one content
+    has its first cell as base.
+    """
+    split = []
+    groups: dict = {}  # form -> [first cell, its content, gcd of content numerators, lcm of denominators]
+    for key, c in t.coeffs.items():
+        content, form = c.primitive()
+        group = groups.get(form)
+        if group is None:
+            groups[form] = [c, content, content.numerator, content.denominator]
+        else:
+            group[2] = math.gcd(group[2], content.numerator)
+            group[3] = math.lcm(group[3], content.denominator)
+        split.append((key, content, form))
+    bases = {}  # form -> (base, numerator and denominator of the group's content)
+    for form, (first, q, num, den) in groups.items():
+        num = abs(num) if q > 0 else -abs(num)
+        f = _coeff(Q(num, den) * scale / q)
+        bases[form] = (first if f == 1 else ScalarExpr.sum(t.g.rank, ((f, first),)), num, den)
+    out = []
+    for key, q, form in split:
+        base, num, den = bases[form]
+        out.append((key, (q.numerator // num) * (den // q.denominator), base))
+    return out
 
 
 def _partners(g, s: list, leg: int, xs) -> dict:
@@ -199,18 +233,21 @@ def _partners(g, s: list, leg: int, xs) -> dict:
     return {x: [cell for _, cell in sorted(p for y in table.get(x, ()) for p in at.get(y, ()))] for x in xs}
 
 
-def _leg_bracket(r: list, s: list, mode: str, g, one, products: dict, cells: dict) -> None:
+def _leg_bracket(r: list, s: list, mode: str, g, products: dict, cells: dict) -> None:
     """Record the terms of one leg bracket of the `_split` cells r and s; mode is "12_13", "12_23" or "13_23".
 
     A cell of r meets only its `_partners` in s, in the order of a full scan.
-    A pair records sign * sc * k1 * k2 against base1 * base2.  That product
-    is formed only when neither base is the constant one, once per ordered
-    pair of bases (products, keyed by their ids), and is nonzero as both are.
+    A pair records the int sign * sc * k1 * k2 against base1 * base2.  That
+    product is formed once per ordered pair of bases (products[id(base1)][id(base2)]),
+    is the other base when one is the constant 1, and is nonzero as both are.
     """
     p = g.parity
     r_leg, s_leg = {"12_13": (0, 0), "12_23": (1, 0), "13_23": (1, 1)}[mode]  # the legs the mode brackets
     partners = _partners(g, s, s_leg, {key[r_leg] for key, _, _ in r})
     for (i1, j1), k1, b1 in r:
+        row = products.get(id(b1))
+        if row is None:
+            row = products[id(b1)] = {}
         for (i2, j2), k2, b2 in partners[j1 if r_leg else i1]:
             if mode == "12_13":
                 basis, sign = g.bracket_basis(i1, i2), _koszul(p[j1], p[i2])
@@ -218,16 +255,10 @@ def _leg_bracket(r: list, s: list, mode: str, g, one, products: dict, cells: dic
                 basis, sign = g.bracket_basis(j1, i2), 1
             else:
                 basis, sign = g.bracket_basis(j1, j2), _koszul(p[j1], p[i2])
-            if b1 is one:
-                c = b2
-            elif b2 is one:
-                c = b1
-            else:
-                c = products.get((id(b1), id(b2)))
-                if c is None:
-                    c = products[id(b1), id(b2)] = b1 * b2
-            # multiplied only by what is not 1: each Fraction product makes a new Fraction
-            k = k1 if k2 == 1 else k2 if k1 == 1 else k1 * k2
+            c = row.get(id(b2))
+            if c is None:
+                c = row[id(b2)] = b2 if b1.constant() == 1 else b1 if b2.constant() == 1 else b1 * b2
+            k = sign * k1 * k2
             for idx, sc in basis.items():
                 if mode == "12_13":
                     key = (idx, j1, j2)
@@ -235,8 +266,7 @@ def _leg_bracket(r: list, s: list, mode: str, g, one, products: dict, cells: dic
                     key = (i1, idx, j2)
                 else:
                     key = (i1, i2, idx)
-                f = sign * sc
-                collect(cells, key, k if f == 1 else k * f, c)
+                collect(cells, key, k * sc, c)
 
 
 _MODES = ("12_13", "12_23", "13_23")
@@ -244,22 +274,24 @@ _MODES = ("12_13", "12_23", "13_23")
 
 def _leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool, into: dict | None = None, scale=1):
     """The leg brackets of r and s in each mode (and of s and r when both_orders), recorded in
-    into for the caller to sum, else each cell summed once.  Constant cells ride on one shared
-    constant, scale, so a scale multiplies the brackets of constant tensors (Omega) by it while
-    every factor stays the int or Fraction of the cells.
+    into for the caller to sum, else each cell summed once.
+
+    Every cell enters as an int times the base of its group (`_split`); scale
+    rides on r's bases only, so it multiplies every bracket once and every
+    recorded factor is an int.  Only constant tensors (Omega) take a scale.
     """
     r._check(s)
     g = r.g
-    one = ScalarExpr.const(g.rank, scale)
-    rs, ss = _split(r, one), _split(s, one)
-    if scale != 1 and any(b is not one for _, _, b in rs + ss):
+    if scale != 1 and any(c.constant() is None for t in (r, s) for c in t.coeffs.values()):
         raise ValueError("only constant tensors take a scale")
+    rs = _split(r, scale)
+    ss = rs if s is r and scale == 1 else _split(s)
     products: dict = {}
     cells: dict = {} if into is None else into
     for mode in modes:
-        _leg_bracket(rs, ss, mode, g, one, products, cells)
+        _leg_bracket(rs, ss, mode, g, products, cells)
         if both_orders:
-            _leg_bracket(ss, rs, mode, g, one, products, cells)
+            _leg_bracket(ss, rs, mode, g, products, cells)
     return Tensor3.summed(g, cells) if into is None else None
 
 

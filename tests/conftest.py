@@ -31,6 +31,7 @@ from sdybe.superalgebra import (
     determinant,
     root_decomposition,
     sign_A,
+    solve_linear,
 )
 from sdybe.tensor import Tensor2, Tensor3, _leg_brackets
 from sdybe.verifier import ResidualReport, VerifyConfig, decide_cells
@@ -119,6 +120,14 @@ def supercommutator(a: dict, b: dict, pa: int, pb: int) -> dict:
 
 def supertrace(mat: dict, m: int) -> Fraction:
     return sum((v if r < m else -v) for (r, c), v in mat.items() if r == c) or Q(0)
+
+
+def invert_matrix(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The inverse by Gaussian elimination, column by column: the oracle of the closed-form
+    `LieSuperalgebra.cartan_gram_inverse`."""
+    n = len(matrix)
+    cols = [solve_linear(matrix, [Q(int(i == j)) for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def _stored(value):
@@ -381,53 +390,35 @@ def bracket_13_23(r: Tensor2, s: Tensor2) -> Tensor3:
     return _leg_brackets(r, s, ("13_23",), False)
 
 
-def full_scan_leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool) -> Tensor3:
-    """`tensor._leg_brackets` by the full scan: every cell of r meets every cell of s.
+def full_scan_leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool, scale=1) -> Tensor3:
+    """scale times `tensor._leg_brackets` by the full scan, without its shared bases.
 
-    The reference for the partner-indexed pairing: a pair whose bracket is
-    zero is skipped, and the others record the same terms in the same order.
+    The reference for the partner-indexed pairing and the int factors on
+    shared bases: every cell of r meets every cell of s, a pair whose
+    bracket is zero is skipped, and each other pair records the product of
+    its two cell values with the Fraction factor scale * sign * sc.
     """
     g = r.g
-    one = ScalarExpr.const(g.rank, 1)
-    rs, ss = tensor_mod._split(r, one), tensor_mod._split(s, one)
-    products: dict = {}
+    p = g.parity
+    scale = Fraction(scale)
     cells: dict = {}
     for mode in modes:
-        for left, right in ((rs, ss), (ss, rs)) if both_orders else ((rs, ss),):
-            _full_scan_leg_bracket(left, right, mode, g, one, products, cells)
+        for left, right in ((r, s), (s, r)) if both_orders else ((r, s),):
+            for (i1, j1), c1 in left.coeffs.items():
+                for (i2, j2), c2 in right.coeffs.items():
+                    if mode == "12_13":
+                        basis, sign = g.bracket_basis(i1, i2), tensor_mod._koszul(p[j1], p[i2])
+                    elif mode == "12_23":
+                        basis, sign = g.bracket_basis(j1, i2), 1
+                    else:
+                        basis, sign = g.bracket_basis(j1, j2), tensor_mod._koszul(p[j1], p[i2])
+                    if not basis:
+                        continue
+                    c = c1 * c2
+                    for idx, sc in basis.items():
+                        key = {"12_13": (idx, j1, j2), "12_23": (i1, idx, j2), "13_23": (i1, i2, idx)}[mode]
+                        tensor_mod.collect(cells, key, scale * sign * sc, c)
     return Tensor3.summed(g, cells)
-
-
-def _full_scan_leg_bracket(r: list, s: list, mode: str, g, one, products: dict, cells: dict) -> None:
-    p = g.parity
-    for (i1, j1), k1, b1 in r:
-        for (i2, j2), k2, b2 in s:
-            if mode == "12_13":
-                basis, sign = g.bracket_basis(i1, i2), tensor_mod._koszul(p[j1], p[i2])
-            elif mode == "12_23":
-                basis, sign = g.bracket_basis(j1, i2), 1
-            else:
-                basis, sign = g.bracket_basis(j1, j2), tensor_mod._koszul(p[j1], p[i2])
-            if not basis:
-                continue
-            if b1 is one:
-                c = b2
-            elif b2 is one:
-                c = b1
-            else:
-                c = products.get((id(b1), id(b2)))
-                if c is None:
-                    c = products[id(b1), id(b2)] = b1 * b2
-            k = k1 if k2 == 1 else k2 if k1 == 1 else k1 * k2
-            for idx, sc in basis.items():
-                if mode == "12_13":
-                    key = (idx, j1, j2)
-                elif mode == "12_23":
-                    key = (i1, idx, j2)
-                else:
-                    key = (i1, i2, idx)
-                f = sign * sc
-                tensor_mod.collect(cells, key, k if f == 1 else k * f, c)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from sdybe.scalars import (
     Poly,
     RationalFunction,
     ScalarExpr,
+    _sum_groups,
     from_sexpr,
     largest_value,
     make_atom,
@@ -518,6 +519,33 @@ def test_scalar_sum_matches_fold_and_values(pairs):
 @given(expr_pairs(linear_only=True))
 def test_scalar_sum_is_the_folds_canonical_form(pairs):
     assert to_sexpr(ScalarExpr.sum(2, pairs)) == to_sexpr(fold(pairs, ScalarExpr.zero(2)))
+
+
+@st.composite
+def constant_coefficient_exprs(draw):
+    """A constant plus constant multiples of coth atoms over two coordinates."""
+    e = ScalarExpr.const(2, draw(small_fraction))
+    for _ in range(draw(st.integers(0, 3))):
+        c0, c1 = draw(small_fraction), draw(small_fraction)
+        if c0 or c1:
+            e = e + ScalarExpr.const(2, draw(small_fraction)) * ScalarExpr.coth([c0, c1])
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr_pairs(), st.lists(st.tuples(st.sampled_from(SUM_FACTORS), constant_coefficient_exprs()), max_size=6))
+def test_constant_coefficient_sums_match_the_general_path(mixed, pairs):
+    """Constant coefficients added as numbers give the per-monomial RationalFunction sums, stored alike."""
+    for terms in (pairs, pairs + [(-f, e) for f, e in pairs[:2]], mixed + pairs):
+        groups: dict = {}
+        for factor, term in terms:
+            for mono, c in term.terms.items():
+                groups.setdefault(mono, []).append((factor, c))
+        stored = [
+            [(mono, [(m, v, type(v)) for m, v in c.num.terms.items()], [(f.key(), k) for f, k in c.den]) for mono, c in t]
+            for t in (ScalarExpr.sum(2, terms).terms.items(), _sum_groups(groups).items())
+        ]
+        assert stored[0] == stored[1]
 
 
 REDUCIBLE = Poly(2, {(1, 1): 1})  # x0*x1: a stored factor that is not prime

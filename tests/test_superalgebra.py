@@ -9,12 +9,10 @@ import pytest
 
 import sdybe.superalgebra as superalgebra_mod
 from sdybe import cli
-from sdybe.rmatrix import constant_example
 from sdybe.superalgebra import (
     DegenerateFormError,
     build_gl,
     build_sl,
-    casimir,
     root_decomposition,
     sign_A,
     solve_linear,
@@ -26,6 +24,7 @@ from conftest import (
     bracket,
     check_jacobi,
     gl_matrix_of,
+    invert_matrix,
     mat_mul,
     sl_by_matrix_products,
     structure_constant_identity_report,
@@ -331,14 +330,13 @@ class TestIntegerRootData:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == DESCRIPTOR_SHA256[(family, m, n)]
 
-    def test_gram_solved_once_per_algebra(self, monkeypatch):
-        # coroots, the Casimir and both constant solutions share one inverse
-        calls = []
-        original = superalgebra_mod.solve_linear
-        monkeypatch.setattr(superalgebra_mod, "solve_linear", lambda *a: calls.append(a) or original(*a))
-        g = build_sl(4, 0)
-        rd = root_decomposition(g)
-        casimir(g, rd)
-        constant_example(g, rd, 1, which="r")
-        constant_example(g, rd, 1, which="Tsr")
-        assert len(calls) == g.rank  # one solve per column of the inverse
+    @pytest.mark.parametrize(
+        "family,m,n",
+        [("gl", m, d - m) for d in range(2, 7) for m in range(d + 1)]
+        + [("sl", m, d - m) for d in range(2, 7) for m in range(d + 1) if 2 * m != d],
+    )
+    def test_closed_form_gram_inverse(self, family, m, n):
+        """The closed-form inverse is the Gaussian-elimination inverse on every gl(m|n) and
+        sl(m|n) with m + n <= 6, sl taken with m > n and with m < n."""
+        g = (build_gl if family == "gl" else build_sl)(m, n)
+        assert g.cartan_gram_inverse == invert_matrix(g.cartan_gram())

@@ -26,11 +26,12 @@ from sdybe.scalars import (
     largest_value,
     sample_points,
 )
-from sdybe.superalgebra import DegenerateFormError, build_sl, invert_matrix, sign_A, solve_linear
+from sdybe.superalgebra import DegenerateFormError, build_gl, build_sl, sign_A, solve_linear
 from sdybe.tensor import (
     OddActorError,
     Tensor2,
     Tensor3,
+    _leg_brackets,
     ad_action,
     alt_s,
     collect,
@@ -47,6 +48,8 @@ from conftest import (
     bracket_12_13,
     bracket_12_23,
     bracket_13_23,
+    full_scan_leg_brackets,
+    invert_matrix,
     reference_leg_bracket,
     signed_permutation,
 )
@@ -751,3 +754,37 @@ class TestOneReductionPerCell:
         assert ours.max_abs == theirs.max_abs
         assert tuple(ours.witness["indices"]) in returned
         assert ours.witness["indices"] != theirs.witness["indices"]
+
+
+# cells of the split-free oracle test: shared shapes times rational contents, on gl(2|1)
+_GL21 = build_gl(2, 1)
+_SHAPES = (
+    ScalarExpr.const(3, 1),
+    ScalarExpr.from_ratfun(RationalFunction(Poly.const(3, 1), [(Poly.linear([1, -1, 0]), 1)])),
+    ScalarExpr.from_ratfun(RationalFunction(Poly.linear([0, 2, 0], 1), [(Poly.linear([0, 1, 1]), 1)])),
+    ScalarExpr.coth([1, -1, 0]) + ScalarExpr.coord(3, 2),
+    ScalarExpr.coth([0, 1, -1], Q(1, 2)) * ScalarExpr.coth([1, 0, 1]),
+)
+_CONTENTS = (Q(1, 2), -3, Q(2, 3), 1, -1, 2)
+
+
+@st.composite
+def shared_shape_tensors(draw):
+    """A Tensor2 on gl(2|1) whose cells are contents times a few shared shapes."""
+    keys = draw(st.lists(st.tuples(st.integers(0, _GL21.dim - 1), st.integers(0, _GL21.dim - 1)),
+                         min_size=1, max_size=8, unique=True))
+    return Tensor2(_GL21, {
+        key: ScalarExpr.sum(3, [(draw(st.sampled_from(_CONTENTS)), draw(st.sampled_from(_SHAPES)))]) for key in keys
+    })
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_shape_tensors(), shared_shape_tensors(), st.sampled_from([(m,) for m in MODES] + [MODES]), st.booleans())
+def test_shared_bases_match_the_split_free_full_scan(r, s, modes, both_orders):
+    """Int factors on shared bases give the cells, in the order, of each pair's own product."""
+    got = _leg_brackets(r, s, modes, both_orders)
+    want = full_scan_leg_brackets(r, s, modes, both_orders)
+    assert tensor_dump(got) == tensor_dump(want)
+    assert list(got.coeffs) == list(want.coeffs)
+    same = _leg_brackets(r, r, modes, both_orders)
+    assert tensor_dump(same) == tensor_dump(full_scan_leg_brackets(r, r, modes, both_orders))

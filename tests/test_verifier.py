@@ -28,6 +28,7 @@ from sdybe.superalgebra import build_gl, build_sl, root_decomposition
 from sdybe.tensor import (
     _MODES,
     Tensor2,
+    Tensor3,
     _leg_brackets,
     ad_action,
     alt_s,
@@ -930,6 +931,30 @@ class TestOneAccumulatorPerResidual:
         mdybe_sum = alt_s(differential_dr(s)) + yb_bracket(s) + yb_bracket(om).scale(eps * eps / 4)
         assert tensor_dump(cdybe_lhs(r)) == tensor_dump(cdybe_sum)
         assert tensor_dump(mdybe_lhs(s, eps, om)) == tensor_dump(mdybe_sum)
+
+    def test_cancelled_cells_skip_the_sum(self, tensors, monkeypatch):
+        """The cross bracket's cells, equal up to int factors on shared bases, all cancel in
+        `collect`, so summing them calls `ScalarExpr.sum` for none."""
+        _, _, s, om = tensors
+        cells: dict = {}
+        _leg_brackets(s, om, _MODES, True, into=cells)
+        factors = [f for terms in cells.values() for f, _ in terms.values()]
+        assert cells and all(f.__class__ is int for f in factors) and not any(factors)
+        calls = []
+        original = ScalarExpr.sum
+        monkeypatch.setattr(ScalarExpr, "sum", staticmethod(lambda n, pairs: calls.append(pairs) or original(n, pairs)))
+        assert Tensor3.summed(s.g, cells).is_zero() and not calls
+        monkeypatch.undo()
+        assert full_scan_leg_brackets(s, om, _MODES, True).is_zero()
+
+    def test_omega_scale_is_applied_once(self, tensors):
+        """The Omega-by-Omega term at eps^2/4 (eps = 1 for the eps = 0 specs) is the full
+        scan's Fraction recording at that scale, not at its square."""
+        eps, _, _, om = tensors
+        scale = Q(eps or 1) ** 2 / 4
+        got = yb_bracket(om, scale=scale)
+        assert tensor_dump(got) == tensor_dump(full_scan_leg_brackets(om, om, _MODES, False, scale))
+        assert got.coeffs and tensor_dump(got) != tensor_dump(full_scan_leg_brackets(om, om, _MODES, False, scale**2))
 
     def test_only_constant_tensors_take_a_scale(self, tensors):
         _, *operands = tensors
