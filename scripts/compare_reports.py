@@ -18,7 +18,10 @@ difference, naming the spec and the path of the field with both values
 The workloads give D only as constants, so no workload reaches a product
 with a non-constant numerator.  A fixed set of rational-D specs
 (`RATIONAL_D`: gl(2|1) and sl(3), eps = 0 and 1/3, X = all) runs through
-`verify` and symbolic `construct` on both sides as well.
+`verify` and symbolic `construct` on both sides as well, and so does
+`sdybe algebra` for every gl(m|n) and sl(m|n) with 2 <= m + n <= 9
+(`DESCRIPTOR_SIZES`), whose descriptors are compared field by field and
+then byte for byte.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ RATIONAL_D = (
 )
 RATIONAL_D_ALGEBRAS = (("gl", 2, 1), ("sl", 3, 0))
 RATIONAL_D_EPSILONS = ("0", "1/3")
+DESCRIPTOR_SIZES = range(2, 10)  # m + n of the algebras whose `sdybe algebra` output is compared
 
 # runs in a fresh interpreter: argv[1] is a src/ directory, argv[2] a JSON list
 # of `sdybe` argument lists; prints the list of exit codes as JSON
@@ -168,8 +172,21 @@ def rational_d_runs(specs: list[tuple[str, str]], out) -> list[tuple[str, list[s
     return jobs
 
 
-def diff_runs(name: str, make_jobs, parent_dir: str, work: str) -> tuple[int, list[str]]:
-    """(runs compared, differences) of the jobs make_jobs(out) gives, run on each side."""
+def descriptor_runs(out) -> list[tuple[str, list[str]]]:
+    """(label, argv) of `sdybe algebra` on every gl(m|n) and sl(m|n), m != n, with m + n in DESCRIPTOR_SIZES."""
+    jobs: list = []
+    for d in DESCRIPTOR_SIZES:
+        for m in range(d + 1):
+            for family in ("gl", "sl"):
+                if family == "gl" or 2 * m != d:
+                    argv = ["algebra", "--family", family, "--m", str(m), "--n", str(d - m)]
+                    jobs.append((workloads.label((family, m, d - m)), argv + ["--out", out(len(jobs))]))
+    return jobs
+
+
+def diff_runs(name: str, make_jobs, parent_dir: str, work: str, exact: bool = False) -> tuple[int, list[str]]:
+    """(runs compared, differences) of the jobs make_jobs(out) gives, run on each side; with
+    exact, output files whose fields agree must also agree byte for byte (1 and true differ)."""
     codes: dict = {}
     for side, checkout in (("parent", parent_dir), ("change", ROOT)):
         jobs = make_jobs(lambda n, side=side: os.path.join(work, f"{side}-{n:03d}.json"))
@@ -180,8 +197,19 @@ def diff_runs(name: str, make_jobs, parent_dir: str, work: str) -> tuple[int, li
         if codes["parent"][n] != codes["change"][n]:
             diffs.append(f"{where}: exit code {codes['parent'][n]} -> {codes['change'][n]}")
         old, new = (read_report(os.path.join(work, f"{side}-{n:03d}.json")) for side in ("parent", "change"))
-        diffs += [f"{where}: {d}" for d in field_diffs(old, new)]
+        found = [f"{where}: {d}" for d in field_diffs(old, new)]
+        if exact and not found:
+            old, new = (_bytes(os.path.join(work, f"{side}-{n:03d}.json")) for side in ("parent", "change"))
+            found = [] if old == new else [f"{where}: bytes differ"]
+        diffs += found
     return len(jobs), diffs
+
+
+def _bytes(path: str) -> bytes | None:
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def compare(workload: str, seed: int, parent_dir: str, work: str) -> tuple[int, int, list[str]]:
@@ -213,6 +241,11 @@ def main(argv=None) -> int:
     specs, total = specs + len(rational), total + ran
     diffs += found
     print(f"rational-D: {len(rational)} specs, {ran} runs, {len(found)} differences", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="compare-reports-") as work:
+        ran, found = diff_runs("algebra", descriptor_runs, parent_dir, work, exact=True)
+    total += ran
+    diffs += found
+    print(f"algebra: {ran} descriptors, {len(found)} differences", file=sys.stderr)
     for line in diffs:
         print(line)
     verdict = "differ" if diffs else "match"

@@ -22,7 +22,6 @@ from .scalars import (  # noqa: F401
 from .superalgebra import (  # noqa: F401
     DegenerateFormError,
     LieSuperalgebra,
-    NonDiagonalizableError,
     Root,
     RootDatum,
     build_gl,

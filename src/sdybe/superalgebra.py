@@ -1,14 +1,16 @@
 """Concrete matrix Lie superalgebras with invariant form and root data.
 
 Algebras are gl(m|n) (matrix units, supercommutator, supertrace form) and its
-supertraceless subalgebra sl(m|n) for m != n, both built from the closed-form
-matrix-unit rules.  Elements are sparse vectors {basis index: Fraction}.  All
-arithmetic is exact; structure constants, form entries, root functionals and
-coroots are int where they are integral.
+supertraceless subalgebra sl(m|n) for m != n, both built by one construction
+from the closed-form matrix-unit rules.  Elements are sparse vectors
+{basis index: Fraction}.  All arithmetic is exact; structure constants, form
+entries, root functionals and coroots are int where they are integral.
 
-Root data follow the normalization [e_a, e_{-a}] = (e_a, e_{-a}) h_a with
-(e_a, e_{-a}) = 1 for positive roots, and the sign bookkeeping
-A_a = (-1)^{|a|} for positive a, A_a = 1 for negative a.
+The root data are read off the units: the off-diagonal E_ij spans the root
+space of e_i - e_j, positive iff i < j.  They follow the normalization
+[e_a, e_{-a}] = (e_a, e_{-a}) h_a with (e_a, e_{-a}) = 1 for positive roots,
+and the sign bookkeeping A_a = (-1)^{|a|} for positive a, A_a = 1 for
+negative a.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ Vector = dict  # basis index -> Fraction
 
 class DegenerateFormError(ValueError):
     """The invariant bilinear form is degenerate for the requested algebra."""
-
-
-class NonDiagonalizableError(ValueError):
-    """The Cartan does not act diagonally on the given basis."""
 
 
 # ---------------------------------------------------------------------------
@@ -54,26 +52,6 @@ def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
-
-
-def determinant(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Q(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -136,125 +114,90 @@ class LieSuperalgebra:
         return [[s[a] * (a == b) + s[-1] for b in range(d - 1)] for a in range(d - 1)]
 
 
-def build_gl(m: int, n: int) -> LieSuperalgebra:
-    """gl(m|n): matrix units E_ij, supercommutator, supertrace form.
+def _units(family: str, d: int) -> list[tuple[int, int]]:
+    """The matrix unit (i, j) at each basis index, row by row: every E_ij on gl(m|n); on
+    sl(m|n) the off-diagonal E_ij, then h_t at (t, t) for t < d - 1, as h_t brackets like
+    E_tt (Id is central)."""
+    if family == "gl":
+        return [(i, j) for i in range(d) for j in range(d)]
+    return [(i, j) for i in range(d) for j in range(d) if i != j] + [(t, t) for t in range(d - 1)]
 
-    Rows/columns 1..m are even, m+1..m+n odd; |E_ij| = |i| + |j| mod 2;
-    the Cartan is spanned by the diagonal units.
+
+def _build(family: str, m: int, n: int) -> LieSuperalgebra:
+    """gl(m|n) or sl(m|n) from the matrix-unit rules on the `_units` basis.
+
+    Rows 1..m are even, m+1..m+n odd, s_i = +1 on even rows and -1 on odd;
+    |E_ij| = |i| + |j| mod 2.  On sl(m|n), m != n, h_t = E_tt - s_t/(m-n) Id.
+    Brackets and form are
+
+      [E_ij, E_kl] = d_jk E_il - (-1)^{|E_ij||E_kl|} d_li E_kj,    (E_ij, E_kl) = d_jk d_il s_i,
+
+    where on sl a diagonal bracket sum_x c_x E_xx (supertraceless) is written
+    as sum_t (c_t - c_{d-1}) h_t, and (h_a, h_b) = s_a d_ab - s_a s_b/(m-n).
     """
     if m < 0 or n < 0:
         raise ValueError(f"m and n must be non-negative, got m = {m}, n = {n}")
-    if m + n < 2:
-        raise ValueError("need m + n >= 2")
-    d = m + n
-    units = [(i, j) for i in range(d) for j in range(d)]
-    index = {u: k for k, u in enumerate(units)}
-    row_parity = [EVEN if i < m else ODD for i in range(d)]
-    parity = tuple((row_parity[i] + row_parity[j]) % 2 for i, j in units)
-    names = tuple(f"E{i + 1}{j + 1}" for i, j in units)
-
-    structure: dict = {}
-    for a, (i, j) in enumerate(units):
-        for b, (k, l) in enumerate(units):
-            out: Vector = {}
-            if j == k:
-                out[index[(i, l)]] = out.get(index[(i, l)], 0) + 1
-            if l == i:
-                sign = -1 if parity[a] and parity[b] else 1
-                key = index[(k, j)]
-                out[key] = out.get(key, 0) - sign
-            out = {kk: vv for kk, vv in out.items() if vv}
-            if out:
-                structure[(a, b)] = out
-
-    s = [1 if i < m else -1 for i in range(d)]
-    form = tuple(tuple(s[i] if (j == k and i == l) else 0 for (k, l) in units) for (i, j) in units)
-    cartan = tuple(index[(i, i)] for i in range(d))
-    return LieSuperalgebra(
-        dim=d * d,
-        parity=parity,
-        structure=structure,
-        form=form,
-        cartan=cartan,
-        basis_names=names,
-        family="gl",
-        m=m,
-        n=n,
-    )
-
-
-def build_sl(m: int, n: int) -> LieSuperalgebra:
-    """sl(m|n), m != n: supertraceless matrices with the restricted str form.
-
-    Basis: off-diagonal units E_ij plus the supertraceless diagonals
-    h_t = E_tt - s_t/(m-n) * Id for t < m+n-1, where s_i = +1 on even rows
-    and -1 on odd ones.  The brackets follow the matrix-unit rules
-
-      [E_ij, E_kl] = d_jk E_il - (-1)^{|E_ij||E_kl|} d_li E_kj
-      [h_t, E_kl]  = (d_tk - d_tl) E_kl,    [h_a, h_b] = 0
-
-    with a diagonal bracket sum_x c_x E_xx (supertraceless) written as
-    sum_t (c_t - c_{d-1}) h_t, and the form those of the supertrace,
-    (E_ij, E_kl) = d_jk d_il s_i and (h_a, h_b) = s_a d_ab - s_a s_b/(m-n).
-    """
-    if m < 0 or n < 0:
-        raise ValueError(f"m and n must be non-negative, got m = {m}, n = {n}")
-    if m == n:
+    if family == "sl" and m == n:
         raise DegenerateFormError("the supertrace form degenerates on sl(n|n)")
     if m + n < 2:
         raise ValueError("need m + n >= 2")
     d = m + n
     s = [1 if i < m else -1 for i in range(d)]
-    units = [(i, j) for i in range(d) for j in range(d) if i != j]
-    index = {u: k for k, u in enumerate(units)}
-    h0 = len(units)  # index of h_0
-    dim = h0 + d - 1
-    parity = tuple([int(s[i] != s[j]) for i, j in units] + [EVEN] * (d - 1))
+    units = _units(family, d)
+    index = {u: a for a, u in enumerate(units)}
+    dim = len(units)
+    h0 = dim - (d - 1)  # sl: index of h_0
+    parity = tuple(int(s[i] != s[j]) for i, j in units)
 
     def bracket(a: int, b: int) -> Vector:
-        if a >= h0 and b >= h0:
-            return {}
-        if a >= h0 or b >= h0:
-            t, u, sign = (a - h0, b, 1) if a >= h0 else (b - h0, a, -1)
-            k, l = units[u]
-            c = sign * ((t == k) - (t == l))
-            return {u: c} if c else {}
         (i, j), (k, l) = units[a], units[b]
+        if j != k and l != i:
+            return {}
         sign = -1 if parity[a] and parity[b] else 1
-        if j == k and l == i:
-            diag = [0] * d
-            diag[i] += 1
-            diag[j] -= sign
-            return {h0 + t: diag[t] - diag[-1] for t in range(d - 1) if diag[t] != diag[-1]}
-        out: Vector = {}
-        if j == k:
-            out[index[(i, l)]] = 1
-        if l == i:
-            out[index[(k, j)]] = -sign
-        return out
+        if l != i:
+            return {index[i, l]: 1}
+        if j != k:
+            return {index[k, j]: -sign}
+        if i == j:
+            return {}
+        if family == "gl":  # [E_ij, E_ji] = E_ii - sign E_jj
+            return {index[i, i]: 1, index[j, j]: -sign}
+        c = [0] * d
+        c[i], c[j] = 1, -sign
+        return {h0 + t: c[t] - c[-1] for t in range(d - 1) if c[t] != c[-1]}
 
     structure = {(a, b): v for a in range(dim) for b in range(dim) if (v := bracket(a, b))}
     form = [[0] * dim for _ in range(dim)]
     for a, (i, j) in enumerate(units):
-        form[a][index[(j, i)]] = s[i]
-    for x in range(d - 1):
-        for y in range(d - 1):
-            form[h0 + x][h0 + y] = _coeff(s[x] * (x == y) - Q(s[x] * s[y], m - n))
-    # E_ij pairs only with E_ji, so the form is nondegenerate iff its Cartan block is
-    if determinant([row[h0:] for row in form[h0:]]) == 0:
-        raise DegenerateFormError("restricted supertrace form is degenerate")
-
+        form[a][index[j, i]] = s[i]
+    if family == "sl":
+        for x in range(d - 1):
+            for y in range(d - 1):
+                form[h0 + x][h0 + y] = _coeff(form[h0 + x][h0 + y] - Q(s[x] * s[y], m - n))
+    unit_name = "E{}{}" if d < 10 else "E{},{}"
     return LieSuperalgebra(
         dim=dim,
         parity=parity,
         structure=structure,
         form=tuple(map(tuple, form)),
-        cartan=tuple(range(h0, dim)),
-        basis_names=tuple([f"E{i + 1}{j + 1}" for i, j in units] + [f"H{t + 1}" for t in range(d - 1)]),
-        family="sl",
+        cartan=tuple(index[t, t] for t in range(d if family == "gl" else d - 1)),
+        basis_names=tuple(
+            f"H{i + 1}" if family == "sl" and i == j else unit_name.format(i + 1, j + 1) for i, j in units
+        ),
+        family=family,
         m=m,
         n=n,
     )
+
+
+def build_gl(m: int, n: int) -> LieSuperalgebra:
+    """gl(m|n): every matrix unit E_ij, supercommutator, supertrace form; the Cartan is spanned by the diagonal units."""
+    return _build("gl", m, n)
+
+
+def build_sl(m: int, n: int) -> LieSuperalgebra:
+    """sl(m|n), m != n: the off-diagonal E_ij and h_t = E_tt - s_t/(m-n) Id, t < m+n-1, with the restricted form."""
+    return _build("sl", m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -316,57 +259,26 @@ def sign_A(rd: RootDatum, i: int) -> int:
 
 
 def root_decomposition(g: LieSuperalgebra) -> RootDatum:
-    """Split the non-Cartan part into one-dimensional simultaneous ad-eigenspaces.
+    """The root data read off the matrix units.
 
-    Positivity is lexicographic in the Cartan coordinates of the functional
-    (the distinguished Borel for matrix-unit bases).  For each positive root
-    the opposite vector is rescaled so that (e_a, e_{-a}) = 1, and coroots
-    solve (h_a, x) = a(x): the inverse Cartan Gram matrix times a.
+    Each off-diagonal unit E_ij spans the root space of e_i - e_j (restricted
+    to the Cartan, where h_t acts as E_tt), positive iff i < j: positivity is
+    lexicographic in the Cartan coordinates (the distinguished Borel).  For a
+    positive root a = e_i - e_j, e_a = E_ij and e_{-a} = E_ji / s_i, so that
+    (e_a, e_{-a}) = 1; coroots solve (h_a, x) = a(x): the inverse Cartan Gram
+    matrix times a.
     """
     cartan = list(g.cartan)
-    non_cartan = [b for b in range(g.dim) if b not in g.cartan]
-    weight_of: dict[int, tuple] = {}
-    for b in non_cartan:
-        weight = []
-        for c in cartan:
-            v = g.bracket_basis(c, b)
-            extra = {k for k in v if k != b and v[k]}
-            if extra:
-                raise NonDiagonalizableError(f"[{g.basis_names[c]}, {g.basis_names[b]}] not diagonal")
-            weight.append(v.get(b, 0))
-        if all(w == 0 for w in weight):
-            raise NonDiagonalizableError(f"non-Cartan basis vector {g.basis_names[b]} has zero weight")
-        weight_of[b] = tuple(weight)
-
-    spaces: dict[tuple, list[int]] = {}
-    for b, w in weight_of.items():
-        spaces.setdefault(w, []).append(b)
-    for w, vs in spaces.items():
-        if len(vs) != 1:
-            raise NonDiagonalizableError(f"root space of weight {w} has dimension {len(vs)}")
-        if tuple(-c for c in w) not in spaces:
-            raise NonDiagonalizableError(f"root {w} has no opposite")
-
-    ordered = sorted(spaces, reverse=True)  # lex-descending: positives first
-    roots: list[Root] = []
-    vectors: list[Vector] = []
-    for w in ordered:
-        b = spaces[w][0]
-        positive = next(c for c in w if c != 0) > 0
-        roots.append(Root(functional=w, parity=g.parity[b], positive=positive))
-        vectors.append({b: Q(1)})
-
+    units = _units(g.family, g.m + g.n)
+    found = sorted(  # (functional, basis index, i, j) of each E_ij, i != j, lex-descending: positives first
+        ((tuple((t == i) - (t == j) for t in range(g.rank)), b, i, j) for b, (i, j) in enumerate(units) if i != j),
+        reverse=True,
+    )
+    roots = [Root(functional=w, parity=g.parity[b], positive=i < j) for w, b, i, j in found]
+    # e_a = E_ij for i < j; for i > j, E_ij / s_j = s_j E_ij
+    vectors = [{b: Q(1) if i < j else Q(1 if j < g.m else -1)} for _, b, i, j in found]
     index = {r.functional: i for i, r in enumerate(roots)}
     neg = [index[tuple(-c for c in roots[i].functional)] for i in range(len(roots))]
-
-    # normalize (e_a, e_{-a}) = 1 for positive a by rescaling e_{-a}
-    for i, r in enumerate(roots):
-        if r.positive:
-            j = neg[i]
-            val = g.form_value(vectors[i], vectors[j])
-            if val == 0:
-                raise DegenerateFormError(f"form does not pair root {r.functional} with its opposite")
-            vectors[j] = {k: v / val for k, v in vectors[j].items()}
 
     gram_inv = g.cartan_gram_inverse
     coroots: list[Vector] = []

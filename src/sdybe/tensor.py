@@ -224,26 +224,32 @@ def _split(t: Tensor2, scale=1) -> list:
     return out
 
 
-def _partners(g, s: list, leg: int, xs) -> dict:
-    """x -> the `_split` cells of s whose leg has a nonzero bracket with x, in s's order, for each x in xs."""
-    at: dict = {}
-    for pos, cell in enumerate(s):
-        at.setdefault(cell[0][leg], []).append((pos, cell))
-    table = g.bracket_partners
-    return {x: [cell for _, cell in sorted(p for y in table.get(x, ()) for p in at.get(y, ()))] for x in xs}
+class _Partners(dict):
+    """x -> the `_split` cells of s whose leg has a nonzero bracket with x, in s's order; s is
+    indexed by leg once, and the list of each x is built on its first lookup."""
+
+    def __init__(self, g, s: list, leg: int):
+        self.table, self.at = g.bracket_partners, {}
+        for pos, cell in enumerate(s):
+            self.at.setdefault(cell[0][leg], []).append((pos, cell))
+
+    def __missing__(self, x):
+        cells = self[x] = [cell for _, cell in sorted(p for y in self.table.get(x, ()) for p in self.at.get(y, ()))]
+        return cells
 
 
-def _leg_bracket(r: list, s: list, mode: str, g, products: dict, cells: dict) -> None:
-    """Record the terms of one leg bracket of the `_split` cells r and s; mode is "12_13", "12_23" or "13_23".
+def _leg_bracket(r: list, s: tuple, mode: str, g, products: dict, cells: dict) -> None:
+    """Record the terms of one leg bracket of the `_split` cells r and those of s, given as the
+    `_Partners` of its legs 0 and 1; mode is "12_13", "12_23" or "13_23".
 
-    A cell of r meets only its `_partners` in s, in the order of a full scan.
+    A cell of r meets only its partners in s, in the order of a full scan.
     A pair records the int sign * sc * k1 * k2 against base1 * base2.  That
     product is formed once per ordered pair of bases (products[id(base1)][id(base2)]),
     is the other base when one is the constant 1, and is nonzero as both are.
     """
     p = g.parity
     r_leg, s_leg = {"12_13": (0, 0), "12_23": (1, 0), "13_23": (1, 1)}[mode]  # the legs the mode brackets
-    partners = _partners(g, s, s_leg, {key[r_leg] for key, _, _ in r})
+    partners = s[s_leg]
     for (i1, j1), k1, b1 in r:
         row = products.get(id(b1))
         if row is None:
@@ -286,12 +292,13 @@ def _leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool, into: dict |
         raise ValueError("only constant tensors take a scale")
     rs = _split(r, scale)
     ss = rs if s is r and scale == 1 else _split(s)
+    legs = {id(t): (_Partners(g, t, 0), _Partners(g, t, 1)) for t in ((ss, rs) if both_orders else (ss,))}
     products: dict = {}
     cells: dict = {} if into is None else into
     for mode in modes:
-        _leg_bracket(rs, ss, mode, g, products, cells)
+        _leg_bracket(rs, legs[id(ss)], mode, g, products, cells)
         if both_orders:
-            _leg_bracket(ss, rs, mode, g, products, cells)
+            _leg_bracket(ss, legs[id(rs)], mode, g, products, cells)
     return Tensor3.summed(g, cells) if into is None else None
 
 

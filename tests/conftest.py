@@ -28,7 +28,6 @@ from sdybe.superalgebra import (
     build_gl,
     build_sl,
     casimir,
-    determinant,
     root_decomposition,
     sign_A,
     solve_linear,
@@ -130,31 +129,53 @@ def invert_matrix(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+def determinant(matrix: list[list[Fraction]]) -> Fraction:
+    """The determinant by Gaussian elimination: the nondegeneracy check of `validate_algebra`."""
+    n = len(matrix)
+    m = [row[:] for row in matrix]
+    det = Q(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = Q(1) / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] * inv
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
 def _stored(value):
     value = Q(value)
     return value.numerator if value.denominator == 1 else value
 
 
-def sl_by_matrix_products(m: int, n: int) -> tuple[dict, tuple]:
-    """sl(m|n) structure constants and form from explicit matrix products.
+def by_matrix_products(family: str, m: int, n: int) -> tuple[dict, tuple]:
+    """gl(m|n) or sl(m|n) structure constants and form from explicit matrix products.
 
-    The basis and its order are those of `build_sl`: off-diagonal units,
-    then h_t = E_tt - s_t/(m-n) Id.  Each bracket is a supercommutator of
-    basis matrices, its diagonal part written in the h_t, and each form entry
+    The basis and its order are those of `build_gl` and `build_sl`: on gl
+    every unit E_ij, row by row; on sl the off-diagonal units, then
+    h_t = E_tt - s_t/(m-n) Id.  Each bracket is a supercommutator of basis
+    matrices, on sl its diagonal part written in the h_t, and each form entry
     a supertrace of a product, so the closed-form rules are checked against
     the construction they replace, inner key order included.
     """
     d = m + n
     s = [Q(1) if i < m else Q(-1) for i in range(d)]
-    mats, parity, offdiag = [], [], {}
+    mats, parity, units = [], [], {}
     for i in range(d):
         for j in range(d):
-            if i != j:
-                offdiag[(i, j)] = len(mats)
+            if i != j or family == "gl":
+                units[(i, j)] = len(mats)
                 mats.append(unit_matrix(i, j))
                 parity.append(int((i < m) != (j < m)))
     h0 = len(mats)
-    for t in range(d - 1):
+    for t in range(d - 1 if family == "sl" else 0):
         mat = {(k, k): -s[t] / (m - n) for k in range(d)}
         mat[(t, t)] += 1
         mats.append({k: v for k, v in mat.items() if v})
@@ -163,9 +184,10 @@ def sl_by_matrix_products(m: int, n: int) -> tuple[dict, tuple]:
     for a in range(len(mats)):
         for b in range(len(mats)):
             res = supercommutator(mats[a], mats[b], parity[a], parity[b])
-            out = {offdiag[k]: _stored(v) for k, v in res.items() if k[0] != k[1]}
-            diag = [res.get((k, k), Q(0)) for k in range(d)]
-            out.update({h0 + t: _stored(diag[t] - diag[-1]) for t in range(d - 1) if diag[t] != diag[-1]})
+            out = {units[k]: _stored(v) for k, v in res.items() if family == "gl" or k[0] != k[1]}
+            if family == "sl":
+                diag = [res.get((k, k), Q(0)) for k in range(d)]
+                out.update({h0 + t: _stored(diag[t] - diag[-1]) for t in range(d - 1) if diag[t] != diag[-1]})
             if out:
                 structure[(a, b)] = out
     form = tuple(tuple(_stored(supertrace(mat_mul(x, y), m)) for y in mats) for x in mats)

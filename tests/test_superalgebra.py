@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import sdybe.superalgebra as superalgebra_mod
 from sdybe import cli
 from sdybe.superalgebra import (
     DegenerateFormError,
@@ -22,11 +21,11 @@ from sdybe.tensor import ad_action
 from conftest import (
     ad_signed_oracle,
     bracket,
+    by_matrix_products,
     check_jacobi,
     gl_matrix_of,
     invert_matrix,
     mat_mul,
-    sl_by_matrix_products,
     structure_constant_identity_report,
     supercommutator,
     supertrace,
@@ -105,22 +104,22 @@ class TestBuildSl:
             build_sl(1, 1)
 
     @pytest.mark.parametrize(
-        "m,n", [(2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (1, 2), (2, 1), (3, 1), (3, 2), (2, 3), (4, 1)]
+        "family,m,n",
+        [
+            pytest.param("sl", m, n, id=f"{m}-{n}")
+            for m, n in [(2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (1, 2), (2, 1), (3, 1), (3, 2), (2, 3), (4, 1)]
+        ]
+        + [pytest.param("gl", m, n, id=f"gl-{m}-{n}") for m, n in [(2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]],
     )
-    def test_closed_form_matches_matrix_products(self, m, n):
-        g = build_sl(m, n)
-        structure, form = sl_by_matrix_products(m, n)
+    def test_closed_form_matches_matrix_products(self, family, m, n):
+        g = (build_gl if family == "gl" else build_sl)(m, n)
+        structure, form = by_matrix_products(family, m, n)
         # inner key order too: it is the order in which leg brackets meet their terms
         assert [(k, list(v.items())) for k, v in g.structure.items()] == [
             (k, list(v.items())) for k, v in structure.items()
         ]
         assert g.form == form
         assert [type(v) for row in g.form for v in row] == [type(v) for row in form for v in row]
-
-    def test_degenerate_form_rejected(self, monkeypatch):
-        monkeypatch.setattr(superalgebra_mod, "determinant", lambda rows: Q(0))
-        with pytest.raises(DegenerateFormError):
-            build_sl(3, 0)
 
     def test_sl2_textbook_relations(self):
         g = build_sl(2, 0)
@@ -145,6 +144,19 @@ def test_negative_size_rejected(build, m, n):
 def test_zero_even_block_stays_legal(build, m, n, dim):
     g = build(m, n)
     assert g.dim == dim and all(g.parity[i] == 0 for i in g.cartan)
+
+
+@pytest.mark.parametrize(
+    "build,m,n", [(build_gl, 10, 1), (build_gl, 5, 5), (build_sl, 14, 0), (build_sl, 6, 4), (build_gl, 5, 4), (build_sl, 9, 0)]
+)
+def test_basis_names_unambiguous(build, m, n):
+    # from ten rows on, units are named E{i},{j}: E{i}{j} names E_{1,11} and E_{11,1} alike
+    g = build(m, n)
+    d = m + n
+    name = "E{},{}" if d >= 10 else "E{}{}"
+    units = {g.basis_names.index(name.format(i + 1, j + 1)) for i in range(d) for j in range(d) if i != j}
+    assert len(set(g.basis_names)) == g.dim
+    assert units == set(range(g.dim)) - set(g.cartan)
 
 
 class TestAxioms:
@@ -184,9 +196,20 @@ class TestRoots:
         assert len(rd.roots) == 2
         assert all(r.parity == 0 for r in rd.roots)
 
-    @pytest.mark.parametrize("bundle", ["sl2", "sl3", "gl21", "sl21"])
-    def test_normalization_postconditions(self, bundle, request):
-        g, rd, _ = request.getfixturevalue(bundle)
+    @pytest.mark.parametrize(
+        "family,m,n",
+        [
+            pytest.param(family, m, d - m, id=f"{family}{m}{d - m or ''}")
+            for family in ("gl", "sl")
+            for d in range(2, 7)
+            for m in range(d + 1)
+            if family == "gl" or 2 * m != d
+        ],
+    )
+    def test_normalization_postconditions(self, family, m, n):
+        """On every gl(m|n) and sl(m|n) with m + n <= 6, sl taken with m > n and with m < n."""
+        g = (build_gl if family == "gl" else build_sl)(m, n)
+        rd = root_decomposition(g)
         for i, root in enumerate(rd.roots):
             j = rd.neg[i]
             if root.positive:
@@ -203,13 +226,23 @@ class TestRoots:
                 got = bracket(g, {c: Q(1)}, rd.e[i])
                 expected_vec = {b: root.functional[k] * v for b, v in rd.e[i].items() if root.functional[k] * v}
                 assert got == expected_vec
+        # each non-Cartan basis vector is the vector of exactly one root, whose functional
+        # is the weight read from its brackets with the Cartan
+        assert len(rd) == g.dim - g.rank
+        for b in sorted(set(range(g.dim)) - set(g.cartan)):
+            images = [g.bracket_basis(c, b) for c in g.cartan]
+            assert all(set(v) <= {b} for v in images), g.basis_names[b]
+            weight = tuple(v.get(b, 0) for v in images)
+            owners = [i for i, e in enumerate(rd.e) if set(e) == {b}]
+            assert any(weight) and len(owners) == 1, g.basis_names[b]
+            assert rd.roots[owners[0]].functional == weight
 
     def test_root_spaces_one_dimensional_small_members(self):
         cases = [(build_gl, 2, 0), (build_gl, 2, 1), (build_gl, 3, 1), (build_gl, 2, 2),
                  (build_sl, 2, 0), (build_sl, 3, 0), (build_sl, 2, 1), (build_sl, 3, 1)]
         for builder, m, n in cases:
             g = builder(m, n)
-            rd = root_decomposition(g)  # raises if any space is not 1-dim
+            rd = root_decomposition(g)
             assert len(rd.roots) == len({r.functional for r in rd.roots})
 
     def test_root_ordering_deterministic(self, gl21):
