@@ -39,6 +39,8 @@ COUNTED = {
     "RationalFunction.sum": "scalars.RationalFunction.sum",
     "ScalarExpr.sum": "scalars.ScalarExpr.sum",
     "Poly.exact_div": "scalars.Poly.exact_div",
+    "ScalarExpr.eval_numeric": "scalars.ScalarExpr.eval_numeric",
+    "ScalarExpr.ray_limit": "scalars.ScalarExpr.ray_limit",
     "LieSuperalgebra.bracket_basis": "superalgebra.LieSuperalgebra.bracket_basis",
     "Fraction.__new__": "fractions.Fraction.__new__",
 }

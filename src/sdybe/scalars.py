@@ -19,11 +19,11 @@ There is one sum path.  `RationalFunction.sum` and `ScalarExpr.sum` take
 (factor, term) pairs with int or Fraction factors: numerators over one
 denominator add into one coefficient dict, the groups meet over the lcm of
 their denominators, and the total is reduced once (a zero total is never
-divided); when every coefficient is a constant, `ScalarExpr.sum` adds the
-values as numbers instead.  `+` and `-` are two-term calls of these, and the
-tensor builders sum each cell through them.  A sum keeps its monomials in the
-order their first terms arrive.  A product tries each factor of its merged
-denominator once against the product of the numerators.
+divided); when every coefficient is a constant, `ScalarExpr.sum` and `*` add
+and multiply the values as numbers.  `+`, `-` and `* number` are calls of
+these, and the tensor builders sum each cell through them.  A sum keeps its
+monomials in the order their first terms arrive.  A product tries each factor
+of its merged denominator once against the product of the numerators.
 
 A coth atom is coth(u) for an affine-linear form u with rational coefficients.
 Atoms are sign-canonicalized (first nonzero coefficient of (u_0..u_{N-1}, const)
@@ -134,7 +134,7 @@ def _coeff(value):
     """A coefficient in stored form: int when integral, else Fraction."""
     if value.__class__ is int:
         return value
-    value = Q(value)
+    value = value if value.__class__ is Q else Q(value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -557,7 +557,7 @@ class RationalFunction:
 
     @classmethod
     def const(cls, nvars: int, value) -> RationalFunction:
-        return cls(Poly.const(nvars, value))
+        return cls._reduced(Poly.const(nvars, value), ())
 
     @property
     def nvars(self) -> int:
@@ -678,7 +678,7 @@ def make_atom(coeffs: Sequence, const=0) -> tuple[Atom, int]:
     coth is odd, so coth(u) = sign * coth(|u|) where |u| has its first
     nonzero entry (coordinates first, then constant) positive.
     """
-    entries = [Q(c) for c in coeffs] + [Q(const)]
+    entries = [c if c.__class__ is Q else Q(c) for c in (*coeffs, const)]
     sign = 0
     for c in entries:
         if c != 0:
@@ -732,10 +732,7 @@ class ScalarExpr:
 
     @classmethod
     def const(cls, nvars: int, value) -> ScalarExpr:
-        rf = RationalFunction.const(nvars, value)
-        if rf.is_zero():
-            return cls.zero(nvars)
-        return cls(nvars, {(): rf})
+        return cls(nvars, _number_terms(nvars, {(): _coeff(value)}))
 
     @classmethod
     def coord(cls, nvars: int, index: int) -> ScalarExpr:
@@ -766,11 +763,7 @@ class ScalarExpr:
         """The int or Fraction value of a constant expression, else None."""
         if not self.terms:
             return 0
-        rf = self.terms.get(())
-        if len(self.terms) > 1 or rf is None or rf.den or len(rf.num.terms) > 1:
-            return None
-        ((mono, value),) = rf.num.terms.items()
-        return None if any(mono) else value
+        return _number(self.terms[()]) if len(self.terms) == 1 and () in self.terms else None
 
     def key(self) -> tuple:
         """Hashable canonical representation, like `Poly.key`: sorted (atom monomial,
@@ -900,7 +893,14 @@ class ScalarExpr:
         return ScalarExpr.sum(self.nvars, ((1, self), (-1, other)))
 
     def __mul__(self, other) -> ScalarExpr:
+        """The product; a number rides the sum's factor path, and constant coefficients multiply as numbers."""
+        if other.__class__ in (int, Q):
+            other = _coeff(other)
+            return ScalarExpr.sum(self.nvars, ((other, self),)) if other else ScalarExpr.zero(self.nvars)
         other = self._coerce(other)
+        constants = _constant_products(self.nvars, self.terms, other.terms)
+        if constants is not None:
+            return ScalarExpr(self.nvars, constants)
         if len(self.terms) == 1 == len(other.terms):  # one product, nonzero: nothing to sum
             ((m1, c1),), ((m2, c2),) = self.terms.items(), other.terms.items()
             return ScalarExpr(self.nvars, {_mono_mul(m1, m2): c1 * c2})
@@ -963,19 +963,22 @@ class ScalarExpr:
         """The limit of the expression at t*w as t -> +infinity, for constant coefficients.
 
         coth(c.x + d) at x = t*w tends to the sign of its slope c.w; a zero
-        slope leaves coth(d), which has no rational limit, so PoleError.
+        slope leaves coth(d), which has no rational limit, so PoleError.  Slopes
+        are taken in ints (c cleared of denominators), coefficients as numbers.
         """
-        acc = Q(0)
+        acc = 0
         for mono, coeff in self.terms.items():
-            if coeff.den or not coeff.num.is_const():
+            value = _number(coeff)
+            if value is None:
                 raise ValueError("ray_limit needs constant coefficients")
-            value = coeff.num.const_value()
             for atom, power in mono:
-                entries = atom_entries(atom)
-                slope = sum(c * x for c, x in zip(entries[:-1], w))
+                coords = atom_entries(atom)[:-1]
+                lcm = math.lcm(*[c.denominator for c in coords])
+                slope = sum(c.numerator * (lcm // c.denominator) * x for c, x in zip(coords, w))
                 if slope == 0:
                     raise PoleError(f"coth({poly_to_str(atom_form_poly(atom))})", w)
-                value *= (1 if slope > 0 else -1) ** power
+                if slope < 0 and power % 2:
+                    value = -value
             acc += value
         return ScalarExpr.const(self.nvars, acc)
 
@@ -1004,19 +1007,47 @@ def _sum_groups(groups: dict) -> dict:
     return out
 
 
+def _number(c: RationalFunction):
+    """The int or Fraction value of a constant coefficient, else None."""
+    if c.den or len(c.num.terms) != 1:
+        return None
+    ((mono, value),) = c.num.terms.items()
+    return None if any(mono) else value
+
+
+def _number_terms(nvars: int, acc: dict) -> dict:
+    """{monomial: coefficient} of the numbers in acc, in stored form; zeros dropped."""
+    zero = (0,) * nvars
+    return {m: RationalFunction._reduced(Poly(nvars, {zero: v}, _prune=False), ()) for m, v in _pruned(acc).items()}
+
+
 def _constant_sums(nvars: int, pairs: Sequence[tuple]) -> dict | None:
     """`_sum_groups` of the (factor, term) pairs when every coefficient is a constant, else None."""
-    zero = (0,) * nvars
     acc: dict = {}
     for factor, term in pairs:
         for mono, c in term.terms.items():
-            num = c.num.terms
-            if c.den or len(num) != 1 or zero not in num:
+            v = _number(c)
+            if v is None:
                 return None
-            v = num[zero] if factor == 1 else factor * num[zero]
+            v = v if factor == 1 else v * factor
             s = acc.get(mono)
             acc[mono] = v if s is None else s + v
-    return {m: RationalFunction._reduced(Poly(nvars, {zero: v}, _prune=False), ()) for m, v in _pruned(acc).items()}
+    return _number_terms(nvars, acc)
+
+
+def _constant_products(nvars: int, a: dict, b: dict) -> dict | None:
+    """The terms of the product of the terms a and b when every coefficient is a constant, else None:
+    the numbers multiply and add per atom monomial, in the order of first appearance."""
+    left, right = ([(m, _number(c)) for m, c in t.items()] for t in (a, b))
+    if any(v is None for _, v in left + right):
+        return None
+    acc: dict = {}
+    for m1, v1 in left:
+        for m2, v2 in right:
+            m = _mono_mul(m1, m2)
+            s = acc.get(m)
+            acc[m] = v1 * v2 if s is None else s + v1 * v2
+    return _number_terms(nvars, acc)
 
 
 def _mono_mul(m1: AtomMono, m2: AtomMono) -> AtomMono:
@@ -1086,13 +1117,15 @@ def largest_value(exprs: dict, points: Sequence, *, precision: int, margin: floa
     """(key, point, value) of the largest |value| of exprs over points.
 
     Points are scanned in order and keys in insertion order; the first
-    maximum wins, so the result is deterministic.
+    maximum wins, so the result is deterministic.  A constant is evaluated
+    at the first point only: a later point could only tie its value.
     """
+    varying = {key: f for key, f in exprs.items() if f.constant() is None}
     best = None
     max_abs = 0
-    for pt in points:
+    for n, pt in enumerate(points):
         at = MpPoint(pt, precision, margin)
-        for key, f in exprs.items():
+        for key, f in (varying if n else exprs).items():
             v = f.eval_numeric(at)
             if best is None or abs(v) > max_abs:
                 max_abs = abs(v)

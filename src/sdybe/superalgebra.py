@@ -149,10 +149,8 @@ def _build(family: str, m: int, n: int) -> LieSuperalgebra:
     h0 = dim - (d - 1)  # sl: index of h_0
     parity = tuple(int(s[i] != s[j]) for i, j in units)
 
-    def bracket(a: int, b: int) -> Vector:
+    def bracket(a: int, b: int) -> Vector:  # units a = E_ij and b = E_kl with k = j or l = i
         (i, j), (k, l) = units[a], units[b]
-        if j != k and l != i:
-            return {}
         sign = -1 if parity[a] and parity[b] else 1
         if l != i:
             return {index[i, l]: 1}
@@ -166,7 +164,12 @@ def _build(family: str, m: int, n: int) -> LieSuperalgebra:
         c[i], c[j] = 1, -sign
         return {h0 + t: c[t] - c[-1] for t in range(d - 1) if c[t] != c[-1]}
 
-    structure = {(a, b): v for a in range(dim) for b in range(dim) if (v := bracket(a, b))}
+    # only units sharing an index bracket: E_kl with k = j (row j of `rows`) or l = i (column i of `cols`)
+    rows = [[b for b, (k, _) in enumerate(units) if k == t] for t in range(d)]
+    cols = [[b for b, (_, l) in enumerate(units) if l == t] for t in range(d)]
+    structure = {
+        (a, b): v for a, (i, j) in enumerate(units) for b in sorted({*rows[j], *cols[i]}) if (v := bracket(a, b))
+    }
     form = [[0] * dim for _ in range(dim)]
     for a, (i, j) in enumerate(units):
         form[a][index[j, i]] = s[i]

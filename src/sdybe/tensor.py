@@ -157,8 +157,11 @@ class Tensor2(_TensorBase):
 
     @classmethod
     def from_vectors(cls, g: LieSuperalgebra, x: Vector, y: Vector, coeff=1) -> Tensor2:
-        coeff = coeff if isinstance(coeff, ScalarExpr) else ScalarExpr.const(g.rank, coeff)
-        return cls(g, {(i, j): coeff * (ci * cj) for i, ci in x.items() for j, cj in y.items()})
+        """coeff * x (x) y; a number or a constant coeff makes constant cells directly."""
+        value = coeff.constant() if isinstance(coeff, ScalarExpr) else coeff
+        if value is None:
+            return cls(g, {(i, j): coeff * (ci * cj) for i, ci in x.items() for j, cj in y.items()})
+        return cls.from_constant_cells(g, {(i, j): value * ci * cj for i, ci in x.items() for j, cj in y.items()})
 
 
 class Tensor3(_TensorBase):

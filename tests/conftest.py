@@ -19,7 +19,16 @@ import pytest
 
 import sdybe.tensor as tensor_mod
 from sdybe.rmatrix import RMatrixSpec, phi
-from sdybe.scalars import ScalarExpr, sample_points
+from sdybe.scalars import (
+    PoleError,
+    Poly,
+    RationalFunction,
+    ScalarExpr,
+    _mono_mul,
+    _sum_groups,
+    atom_entries,
+    sample_points,
+)
 from sdybe.superalgebra import (
     EVEN,
     LieSuperalgebra,
@@ -629,3 +638,38 @@ def ray_deviations(r, target_plus, target_minus, v, eps, *, scales=(10, 20, 40),
             devs.append(max(float(abs(vals.get(k, 0) - target_vals.get(k, 0))) for k in vals.keys() | target_vals.keys()))
         out[direction] = devs
     return out
+
+
+# ---------------------------------------------------------------------------
+# general-path oracles for the number paths of products and ray limits
+
+
+def reference_product(a: ScalarExpr, b) -> ScalarExpr:
+    """a * b by the general path: every pair of terms through `RationalFunction.__mul__`,
+    each atom monomial's products through `_sum_groups`.  A number b enters as a
+    constant coefficient built by the `RationalFunction` constructor."""
+    if not isinstance(b, ScalarExpr):
+        b = ScalarExpr(a.nvars, {(): RationalFunction(Poly.const(a.nvars, b))} if b else {})
+    groups: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            groups.setdefault(_mono_mul(m1, m2), []).append((1, c1 * c2))
+    return ScalarExpr(a.nvars, _sum_groups(groups))
+
+
+def reference_ray_limit(f: ScalarExpr, w) -> Fraction:
+    """The limit of f at t*w, t -> +infinity, for constant coefficients, in Fractions: each coth
+    atom tends to the sign of its slope sum(c_i * w_i), raised to its power; PoleError on a
+    zero slope, ValueError on a coefficient that is not constant."""
+    total = Q(0)
+    for mono, coeff in f.terms.items():
+        if coeff.den or not coeff.num.is_const():
+            raise ValueError("not a constant coefficient")
+        value = coeff.num.const_value()
+        for atom, power in mono:
+            slope = sum((Q(c) * Q(x) for c, x in zip(atom_entries(atom)[:-1], w)), Q(0))
+            if slope == 0:
+                raise PoleError(f"coth atom {atom}", w)
+            value *= (1 if slope > 0 else -1) ** power
+        total += value
+    return total

@@ -33,7 +33,7 @@ from sdybe.scalars import (
 from sdybe.tensor import tensor_dump
 from sdybe.verifier import VerifyConfig, decide_cells, run_checks
 
-from conftest import sampled_max_abs
+from conftest import reference_product, reference_ray_limit, sampled_max_abs
 
 Q = Fraction
 
@@ -546,6 +546,50 @@ def test_constant_coefficient_sums_match_the_general_path(mixed, pairs):
             for t in (ScalarExpr.sum(2, terms).terms.items(), _sum_groups(groups).items())
         ]
         assert stored[0] == stored[1]
+
+
+NUMBERS = st.sampled_from([0, 1, -1]) | small_fraction
+RAYS = st.tuples(st.integers(-3, 3), st.integers(-3, 3)) | st.tuples(small_fraction, small_fraction)
+
+
+@st.composite
+def constant_coefficient_products(draw):
+    """A constant-coefficient expression, or the product of two, so atoms also come in powers."""
+    e = draw(constant_coefficient_exprs())
+    return e * draw(constant_coefficient_exprs()) if draw(st.booleans()) else e
+
+
+def assert_same_form(got: ScalarExpr, expected: ScalarExpr):
+    assert got.key() == expected.key() and list(got.terms) == list(expected.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(constant_coefficient_products(), RAYS)
+@example(ScalarExpr.coth([1, -1]) * 2 + 1, (1, 1))  # a zero slope
+def test_ray_limit_matches_the_fraction_definition(f, w):
+    try:
+        expected = reference_ray_limit(f, w)
+    except PoleError:
+        with pytest.raises(PoleError, match="coth"):
+            f.ray_limit(w)
+    else:
+        assert_same_form(f.ray_limit(w), ScalarExpr.const(2, expected))
+    if f.terms:  # every coefficient over x0 + x1: not constant
+        with pytest.raises(ValueError, match="constant coefficients"):
+            (f * inv_linear([Q(1), Q(1)])).ray_limit(w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sum_exprs() | constant_coefficient_products(), NUMBERS)
+def test_number_product_is_the_general_products_form(f, q):
+    assert_same_form(f * q, reference_product(f, q))
+    assert_same_form(q * f, reference_product(f, q))
+
+
+@settings(max_examples=80, deadline=None)
+@given(constant_coefficient_products(), constant_coefficient_products())
+def test_constant_product_is_the_general_products_form(a, b):
+    assert_same_form(a * b, reference_product(a, b))
 
 
 REDUCIBLE = Poly(2, {(1, 1): 1})  # x0*x1: a stored factor that is not prime

@@ -544,6 +544,17 @@ POLE_FORMS = {
 }
 
 
+def _scanned_witness(cells: dict, pts, precision: int):
+    """(key, point, value) of the first largest |value|, every cell evaluated at every point."""
+    best, max_abs = None, 0.0
+    for pt in pts:
+        for key, c in cells.items():
+            v = c.eval_numeric(pt, precision=precision)
+            if best is None or abs(v) > max_abs:
+                best, max_abs = (key, pt, v), abs(v)
+    return best
+
+
 class TestSharedEvaluation:
     """Tensor.evaluate and largest_value share one MpPoint per point."""
 
@@ -557,13 +568,46 @@ class TestSharedEvaluation:
         for pt in pts:
             shared = t.evaluate(pt, precision=precision)
             assert shared == {k: c.eval_numeric(pt, precision=precision) for k, c in t.coeffs.items()}
-        best, max_abs = None, 0.0
-        for pt in pts:
-            for key, c in t.coeffs.items():
-                v = c.eval_numeric(pt, precision=precision)
-                if best is None or abs(v) > max_abs:
-                    best, max_abs = (key, pt, v), float(abs(v))
-        assert largest_value(t.coeffs, pts, precision=precision, margin=1e-6) == best
+        assert largest_value(t.coeffs, pts, precision=precision, margin=1e-6) == _scanned_witness(t.coeffs, pts, precision)
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    @pytest.mark.parametrize("bundle", ["gl21", "sl3"])
+    def test_constants_are_evaluated_at_the_first_point_only(self, bundle, precision, request, monkeypatch):
+        g, _, _, _, t = _coth_and_rational(bundle, request)
+        _, _, omega = request.getfixturevalue(bundle)
+        pts = sample_points(g.rank, 6, seed=3, avoid=t.singular_forms(), lattice=6)
+        # Omega's constant cells, scaled past some values of r, between r's coth and rational cells
+        mixed = {}
+        for (key, c), (okey, o) in zip(t.coeffs.items(), omega.coeffs.items()):
+            mixed["r", *key], mixed["omega", *okey] = c, o * Q(7, 3)
+        # a coth cell whose first maximum |value| comes after the first point, above its value there
+        f, vals = next(
+            (f, vals)
+            for f in t.coeffs.values()
+            if f.atoms()
+            for vals in [[f.eval_numeric(pt, precision=precision) for pt in pts]]
+            if max(abs(v) for v in vals) > abs(vals[0])
+        )
+        top = max(range(len(pts)), key=lambda k: (abs(vals[k]), -k))
+        exact = [Q(v.man_exp[0]) * Q(2) ** v.man_exp[1] for v in (abs(vals[0]), abs(vals[top]))]
+        cases = [
+            (mixed, None),
+            # a constant tying the later maximum: the first point's constant stays the witness
+            ({"constant": ScalarExpr.const(g.rank, exact[1]), "coth": f}, ("constant", pts[0], abs(vals[top]))),
+            # negative control: a constant above the coth cell at the first point, below its maximum
+            ({"constant": ScalarExpr.const(g.rank, sum(exact) / 2), "coth": f}, ("coth", pts[top], vals[top])),
+        ]
+        for cells, expected in cases:
+            assert any(c.constant() is not None for c in cells.values())
+            scanned = _scanned_witness(cells, pts, precision)
+            assert expected is None or scanned == expected
+            calls = []
+            evaluate = ScalarExpr.eval_numeric
+            monkeypatch.setattr(ScalarExpr, "eval_numeric", lambda c, *a, **k: calls.append(c) or evaluate(c, *a, **k))
+            assert largest_value(cells, pts, precision=precision, margin=1e-6) == scanned
+            monkeypatch.undo()
+            varying = [c for c in cells.values() if c.constant() is None]
+            assert len(calls) == len(cells) + (len(pts) - 1) * len(varying)
 
     @pytest.mark.parametrize("bundle", ["gl21", "sl3"])
     def test_values_belong_to_their_point(self, bundle, request):
