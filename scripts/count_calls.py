@@ -43,6 +43,8 @@ COUNTED = {
     "ScalarExpr.ray_limit": "scalars.ScalarExpr.ray_limit",
     "LieSuperalgebra.bracket_basis": "superalgebra.LieSuperalgebra.bracket_basis",
     "Fraction.__new__": "fractions.Fraction.__new__",
+    "Fraction._mul": "fractions.Fraction._mul",
+    "Fraction._add": "fractions.Fraction._add",
 }
 
 # runs in a fresh interpreter: argv[1] is a src/ directory, argv[2] a JSON list

@@ -196,11 +196,10 @@ def validate(spec: RMatrixSpec, g: LieSuperalgebra, rd: RootDatum) -> Validation
 # coefficient functions
 
 
-def root_linear_form(i: int, spec: RMatrixSpec, rd: RootDatum) -> tuple[list[Fraction], Fraction]:
-    """(alpha, lambda - nu) as (coordinate coefficients, constant)."""
-    coeffs = rd.coroot_coords(i)
-    shift = -sum(c * v for c, v in zip(coeffs, spec.nu))
-    return coeffs, shift
+def root_linear_form(i: int, spec: RMatrixSpec, rd: RootDatum) -> tuple[tuple, Fraction]:
+    """(alpha, lambda - nu) as (coordinate coefficients, constant); the constant is 0 at nu = 0."""
+    coeffs = rd.coroot_table[i]
+    return coeffs, -sum(c * v for c, v in zip(coeffs, spec.nu)) if any(spec.nu) else 0
 
 
 def phi_zero_coupling(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:

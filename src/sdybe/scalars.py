@@ -8,7 +8,9 @@ Coefficients are functions of N linear coordinates x0..x{N-1}.  Three layers:
                     Fraction, so most arithmetic stays on ints
   RationalFunction  numerator Poly over a product of monic denominator factors;
                     reduced by exact division so num/den share no stored factor
-  ScalarExpr        polynomial in coth atoms with RationalFunction coefficients
+  ScalarExpr        polynomial in coth atoms; a coefficient is a number (int
+                    when integral, else Fraction) or a non-constant
+                    RationalFunction, so each value has one stored form
 
 Every denominator factor is interned: made monic once, given an integer id
 from a process-wide table keyed by its canonical form, and its key cached on
@@ -19,20 +21,23 @@ There is one sum path.  `RationalFunction.sum` and `ScalarExpr.sum` take
 (factor, term) pairs with int or Fraction factors: numerators over one
 denominator add into one coefficient dict, the groups meet over the lcm of
 their denominators, and the total is reduced once (a zero total is never
-divided); when every coefficient is a constant, `ScalarExpr.sum` and `*` add
-and multiply the values as numbers.  `+`, `-` and `* number` are calls of
-these, and the tensor builders sum each cell through them.  A sum keeps its
-monomials in the order their first terms arrive.  A product tries each factor
-of its merged denominator once against the product of the numerators.
+divided).  Number coefficients add as ints over the lcm of their
+denominators, one Fraction per atom monomial (`_number_sums`), and a number
+is lifted to a RationalFunction only where it meets one in a monomial.  `+`,
+`-`, `*` and `* number` are calls of these, and the tensor builders sum each
+cell through them.  A sum keeps its monomials in the order their first terms
+arrive.  A product tries each factor of its merged denominator once against
+the product of the numerators.
 
 A coth atom is coth(u) for an affine-linear form u with rational coefficients.
 Atoms are sign-canonicalized (first nonzero coefficient of (u_0..u_{N-1}, const)
 made positive via coth(-u) = -coth(u)), so expressions whose arguments differ
 only by sign share an atom.  An atom is an int id into a process-wide table
-that holds the canonical Fraction tuple and the form as a Poly.  Ids follow
-the order in which a process first met each form, so all output (s-expression
-term and factor order) and every numeric product follows the Fraction tuples,
-never the ids.  Both tables take new entries under a lock.
+that holds the canonical Fraction tuple, the form as a Poly, and the form
+cleared of denominators (int coordinates, int constant, their lcm).  Ids
+follow the order in which a process first met each form, so all output
+(s-expression term and factor order) and every numeric product follows the
+Fraction tuples, never the ids.  Both tables take new entries under a lock.
 
 Zero is decided exactly and completely (`ScalarExpr.identically_zero`): the
 coth addition law is applied by exponential substitution, which turns the
@@ -184,15 +189,9 @@ class Poly:
     # -- constructors
 
     @classmethod
-    def zero(cls, nvars: int) -> Poly:
-        return cls(nvars, {})
-
-    @classmethod
     def const(cls, nvars: int, value) -> Poly:
         value = _coeff(value)
-        if value == 0:
-            return cls.zero(nvars)
-        return cls(nvars, {(0,) * nvars: value}, _prune=False)
+        return cls(nvars, {(0,) * nvars: value} if value else None, _prune=False)
 
     @classmethod
     def var(cls, nvars: int, index: int) -> Poly:
@@ -231,9 +230,6 @@ class Poly:
     def lead_mono(self) -> Mono:
         return max(self.terms, key=_grlex)
 
-    def lead_coeff(self) -> Fraction:
-        return Q(self.terms[self.lead_mono()])
-
     def key(self) -> tuple:
         """Hashable canonical form (sorted term list), computed once."""
         if self._key is None:
@@ -268,7 +264,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = _coeff(other)
             if other == 0:
-                return Poly.zero(self.nvars)
+                return Poly(self.nvars)
             return Poly(self.nvars, _pruned({m: c * other for m, c in self.terms.items()}), _prune=False)
         self._check(other)
         if len(other.terms) == 1 and not any(next(iter(other.terms))):
@@ -303,7 +299,7 @@ class Poly:
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
-            return Poly.zero(self.nvars)
+            return Poly(self.nvars)
         lt_m = divisor.lead_mono()
         lt_c = divisor.terms[lt_m]
         rem = dict(self.terms)
@@ -481,7 +477,7 @@ class RationalFunction:
                 if f.is_const():
                     num = num * (Q(1) / f.const_value()) ** mult
                     continue
-                lc = f.lead_coeff()
+                lc = Q(f.terms[f.lead_mono()])
                 if lc != 1:
                     f = f * (Q(1) / lc)
                     num = num * (Q(1) / lc) ** mult
@@ -553,7 +549,7 @@ class RationalFunction:
 
     @classmethod
     def zero(cls, nvars: int) -> RationalFunction:
-        return cls(Poly.zero(nvars))
+        return cls(Poly(nvars))
 
     @classmethod
     def const(cls, nvars: int, value) -> RationalFunction:
@@ -625,7 +621,7 @@ class RationalFunction:
         prod_all = Poly.const(self.nvars, 1)
         for f, _ in self.den:
             prod_all = prod_all * f
-        correction = Poly.zero(self.nvars)
+        correction = Poly(self.nvars)
         for f, m in self.den:
             df = f.diff(index)
             if df.is_zero():
@@ -667,8 +663,10 @@ class RationalFunction:
 Atom = int  # id into _ATOMS, whose entry holds the form (c_0, ..., c_{N-1}, const)
 AtomMono = tuple  # ((atom, power), ...) sorted by atom id, powers positive
 
-# interned coth atoms: id -> (sign-canonical Fraction tuple, the form as a Poly)
+# interned coth atoms: id -> (sign-canonical Fraction tuple, the form as a Poly), and
+# id -> (the form cleared of denominators: int coordinates, then the int constant; their lcm)
 _ATOMS: list[tuple[tuple, Poly]] = []
+_CLEARED: list[tuple[tuple, int]] = []
 _ATOM_IDS: dict[tuple, int] = {}
 
 
@@ -695,7 +693,9 @@ def make_atom(coeffs: Sequence, const=0) -> tuple[Atom, int]:
             atom = _ATOM_IDS.get(entries)
             if atom is None:
                 atom = len(_ATOMS)
+                lcm = math.lcm(*[c.denominator for c in entries])
                 _ATOMS.append((entries, Poly.linear(entries[:-1], entries[-1])))
+                _CLEARED.append((tuple([c.numerator * (lcm // c.denominator) for c in entries]), lcm))
                 _ATOM_IDS[entries] = atom
     return atom, sign
 
@@ -713,9 +713,10 @@ def atom_form_poly(atom: Atom) -> Poly:
 class ScalarExpr:
     """Polynomial in coth atoms over the rational-function field.
 
-    terms maps an atom monomial ((atom, power), ...) to a nonzero
-    RationalFunction coefficient; the empty monomial holds the coth-free part.
-    All operations are pure; values are immutable after construction.
+    terms maps an atom monomial ((atom, power), ...) to a nonzero coefficient:
+    an int or Fraction when it is constant, else a RationalFunction.  The
+    empty monomial holds the coth-free part.  All operations are pure; values
+    are immutable after construction.
     """
 
     __slots__ = ("nvars", "terms")
@@ -732,7 +733,8 @@ class ScalarExpr:
 
     @classmethod
     def const(cls, nvars: int, value) -> ScalarExpr:
-        return cls(nvars, _number_terms(nvars, {(): _coeff(value)}))
+        value = _coeff(value)
+        return cls(nvars, {(): value} if value else {})
 
     @classmethod
     def coord(cls, nvars: int, index: int) -> ScalarExpr:
@@ -740,15 +742,13 @@ class ScalarExpr:
 
     @classmethod
     def from_ratfun(cls, rf: RationalFunction) -> ScalarExpr:
-        if rf.is_zero():
-            return cls.zero(rf.nvars)
-        return cls(rf.nvars, {(): rf})
+        c = _stored(rf)
+        return cls(rf.nvars, {(): c} if c else {})
 
     @classmethod
     def coth(cls, coeffs: Sequence, const=0) -> ScalarExpr:
         atom, sign = make_atom(coeffs, const)
-        nvars = len(coeffs)
-        return cls(nvars, {((atom, 1),): RationalFunction.const(nvars, sign)})
+        return cls(len(coeffs), {((atom, 1),): sign})
 
     # -- structure
 
@@ -763,30 +763,40 @@ class ScalarExpr:
         """The int or Fraction value of a constant expression, else None."""
         if not self.terms:
             return 0
-        return _number(self.terms[()]) if len(self.terms) == 1 and () in self.terms else None
+        c = self.terms.get(())
+        return c if len(self.terms) == 1 and c.__class__ is not RationalFunction else None
 
     def key(self) -> tuple:
-        """Hashable canonical representation, like `Poly.key`: sorted (atom monomial,
-        numerator key, (factor id, multiplicity) pairs).  Equal keys mean identical
-        representations; one value can have two (a reducible denominator factor).
+        """Hashable canonical representation, like `Poly.key`: sorted (atom monomial, numerator
+        key, (factor id, multiplicity) pairs), a number as (atom monomial, numerator, denominator).
+        Equal keys mean identical representations; one value can have two (a reducible
+        denominator factor).
         """
-        return tuple(
-            sorted((mono, c.num.key(), tuple([(f._fid, m) for f, m in c.den])) for mono, c in self.terms.items())
-        )
+        out = []
+        for m, c in self.terms.items():
+            if c.__class__ is RationalFunction:
+                out.append((m, c.num.key(), tuple([(f._fid, k) for f, k in c.den])))
+            else:
+                out.append((m, c.numerator, c.denominator))
+        return tuple(sorted(out))
 
     def primitive(self) -> tuple:
-        """(content, form) of a nonzero expression: self = content * P, where P's numerator
-        coefficients, in canonical order, are coprime ints and the first is positive.  Equal
-        forms mean representations equal up to a rational factor, as equal `key`s mean
+        """(content, form) of a nonzero expression: self = content * P, where P's number and
+        numerator coefficients, in canonical order, are coprime ints and the first is positive.
+        Equal forms mean representations equal up to a rational factor, as equal `key`s mean
         identical ones.  Computed apart from `key`.
         """
         shape = []
         values: list = []
         for mono in sorted(self.terms):
             c = self.terms[mono]
-            num = c.num.key()
-            shape.append((mono, tuple([m for m, _ in num]), tuple([(f._fid, m) for f, m in c.den])))
-            values += [v for _, v in num]
+            if c.__class__ is RationalFunction:
+                num = c.num.key()
+                shape.append((mono, tuple([m for m, _ in num]), tuple([(f._fid, m) for f, m in c.den])))
+                values += [v for _, v in num]
+            else:
+                shape.append((mono,))
+                values.append(c)
         if len(values) == 1:
             return values[0], (tuple(shape), (1,))
         lcm = math.lcm(*[v.denominator for v in values])
@@ -808,7 +818,7 @@ class ScalarExpr:
         polynomial is.  The substitution is a ring homomorphism, so this is
         sound.  The x_i and e^{2 x_i / L} are algebraically independent (Ax,
         Ann. Math. 93, 1971) and e^{2/L} is transcendental (Lindemann), so it
-        is also complete.
+        is also complete.  P and M come from each atom's cleared int form.
         """
         if not self.terms:
             return True
@@ -816,13 +826,14 @@ class ScalarExpr:
         if not atoms:
             return False
         nexp = self.nvars + 1  # y_0..y_{N-1}, t
-        lcm = math.lcm(*(c.denominator for atom in atoms for c in atom_entries(atom)))
+        lcm = math.lcm(*[_CLEARED[atom][1] for atom in atoms])
         factors = {}  # atom -> (P + M, P - M, highest power of the atom)
         for atom in atoms:
-            p, m = (tuple(max(sign * int(c * lcm), 0) for c in atom_entries(atom)) for sign in (1, -1))
+            form = [v * (lcm // _CLEARED[atom][1]) for v in _CLEARED[atom][0]]
+            p, m = tuple([v if v > 0 else 0 for v in form]), tuple([-v if v < 0 else 0 for v in form])
             top = max(dict(mono).get(atom, 0) for mono in self.terms)
             factors[atom] = (Poly(nexp, {p: 1, m: 1}, _prune=False), Poly(nexp, {p: 1, m: -1}, _prune=False), top)
-        numerator: dict[Mono, list] = {}  # (y, t) monomial -> its (int, coefficient) terms
+        cleared_terms = []  # (coefficient, its cleared polynomial in (y, t))
         for mono, coeff in self.terms.items():
             powers = dict(mono)
             cleared = Poly.const(nexp, 1)
@@ -830,14 +841,21 @@ class ScalarExpr:
                 k = powers.get(atom, 0)
                 for f in [plus] * k + [minus] * (top - k):
                     cleared = cleared * f
+            cleared_terms.append((coeff, cleared))
+        sums = _number_sums(cleared_terms)
+        if sums is not None:
+            return not sums
+        numerator: dict[Mono, list] = {}  # (y, t) monomial -> its (int, coefficient) terms
+        for coeff, cleared in cleared_terms:
             for m, c in cleared.terms.items():
                 numerator.setdefault(m, []).append((c, coeff))
-        return all(RationalFunction.sum(terms).is_zero() for terms in numerator.values())
+        return not any(_sum_group(self.nvars, terms) for terms in numerator.values())
 
     def as_ratfun(self) -> RationalFunction:
         if not self.is_rational():
             raise NotRationalError("expression contains coth atoms")
-        return self.terms.get((), RationalFunction.zero(self.nvars))
+        c = self.terms.get((), 0)
+        return c if c.__class__ is RationalFunction else RationalFunction.const(self.nvars, c)
 
     def atoms(self) -> set[Atom]:
         return {a for m in self.terms for a, _ in m}
@@ -864,11 +882,11 @@ class ScalarExpr:
 
         A factor is an int or a Fraction.  Monomials keep the order in which
         the terms first bring them; a monomial whose sum cancels is dropped.
-        When every coefficient is a constant, the values add as numbers.
+        When every coefficient is a number, the sum is `_number_sums`'.
         """
-        constants = _constant_sums(nvars, pairs)
-        if constants is not None:
-            return ScalarExpr(nvars, constants)
+        numbers = _number_sums(pairs)
+        if numbers is not None:
+            return ScalarExpr(nvars, numbers)
         groups: dict[AtomMono, list] = {}
         for factor, term in pairs:
             for mono, c in term.terms.items():
@@ -877,7 +895,7 @@ class ScalarExpr:
                     groups[mono] = [(factor, c)]
                 else:
                     group.append((factor, c))
-        return ScalarExpr(nvars, _sum_groups(groups))
+        return ScalarExpr(nvars, _sum_groups(nvars, groups))
 
     def __add__(self, other) -> ScalarExpr:
         other = self._coerce(other)
@@ -893,22 +911,25 @@ class ScalarExpr:
         return ScalarExpr.sum(self.nvars, ((1, self), (-1, other)))
 
     def __mul__(self, other) -> ScalarExpr:
-        """The product; a number rides the sum's factor path, and constant coefficients multiply as numbers."""
+        """The product; a number rides the sum's factor path, as does a number coefficient against
+        any other, and two number-coefficient expressions multiply through `_number_sums`."""
         if other.__class__ in (int, Q):
             other = _coeff(other)
             return ScalarExpr.sum(self.nvars, ((other, self),)) if other else ScalarExpr.zero(self.nvars)
         other = self._coerce(other)
-        constants = _constant_products(self.nvars, self.terms, other.terms)
-        if constants is not None:
-            return ScalarExpr(self.nvars, constants)
-        if len(self.terms) == 1 == len(other.terms):  # one product, nonzero: nothing to sum
-            ((m1, c1),), ((m2, c2),) = self.terms.items(), other.terms.items()
-            return ScalarExpr(self.nvars, {_mono_mul(m1, m2): c1 * c2})
+        a, b = self.terms, other.terms
+        if RationalFunction not in map(type, a.values()) and RationalFunction not in map(type, b.values()):
+            # the sum of c1 * (b shifted by m1)
+            rows = ((c1, ScalarExpr(self.nvars, {_mono_mul(m1, m2): c2 for m2, c2 in b.items()})) for m1, c1 in a.items())
+            return ScalarExpr(self.nvars, _number_sums(rows))
+        if len(a) == 1 == len(b):  # one product, nonzero: nothing to sum
+            ((m1, c1),), ((m2, c2),) = a.items(), b.items()
+            return ScalarExpr(self.nvars, {_mono_mul(m1, m2): _times(c1, c2)})
         groups: dict[AtomMono, list] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                groups.setdefault(_mono_mul(m1, m2), []).append((1, c1 * c2))
-        return ScalarExpr(self.nvars, _sum_groups(groups))
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                groups.setdefault(_mono_mul(m1, m2), []).append((1, _times(c1, c2)))
+        return ScalarExpr(self.nvars, _sum_groups(self.nvars, groups))
 
     __rmul__ = __mul__
 
@@ -916,8 +937,7 @@ class ScalarExpr:
         """Exact partial derivative; d coth(u) = (1 - coth(u)^2) du."""
         groups: dict[AtomMono, list] = {}
         for mono, coeff in self.terms.items():
-            dc = coeff.diff(index)
-            if dc.num.terms:
+            if coeff.__class__ is RationalFunction and (dc := coeff.diff(index)).num.terms:
                 groups.setdefault(mono, []).append((1, dc))
             for k, (atom, power) in enumerate(mono):
                 u_i = atom_entries(atom)[index]
@@ -930,7 +950,7 @@ class ScalarExpr:
                 scale = u_i * power
                 groups.setdefault(low, []).append((scale, coeff))
                 groups.setdefault(high, []).append((-scale, coeff))
-        return ScalarExpr(self.nvars, _sum_groups(groups))
+        return ScalarExpr(self.nvars, _sum_groups(self.nvars, groups))
 
     # -- evaluation
 
@@ -953,28 +973,25 @@ class ScalarExpr:
             at.coth(atom)
         acc = at.ctx.mpf(0)
         for mono, coeff in self.terms.items():
-            t = at.mpf(coeff.eval_exact(at.point, at.margin))
+            t = at.mpf(coeff.eval_exact(at.point, at.margin) if coeff.__class__ is RationalFunction else coeff)
             for atom, power in _shown(mono):
                 t *= at.coth(atom) ** power
             acc += t
         return acc
 
     def ray_limit(self, w: Sequence) -> ScalarExpr:
-        """The limit of the expression at t*w as t -> +infinity, for constant coefficients.
+        """The limit of the expression at t*w as t -> +infinity, for number coefficients.
 
         coth(c.x + d) at x = t*w tends to the sign of its slope c.w; a zero
         slope leaves coth(d), which has no rational limit, so PoleError.  Slopes
-        are taken in ints (c cleared of denominators), coefficients as numbers.
+        are taken on each atom's cleared int coordinates.
         """
         acc = 0
-        for mono, coeff in self.terms.items():
-            value = _number(coeff)
-            if value is None:
+        for mono, value in self.terms.items():
+            if value.__class__ is RationalFunction:
                 raise ValueError("ray_limit needs constant coefficients")
             for atom, power in mono:
-                coords = atom_entries(atom)[:-1]
-                lcm = math.lcm(*[c.denominator for c in coords])
-                slope = sum(c.numerator * (lcm // c.denominator) * x for c, x in zip(coords, w))
+                slope = sum([c * x for c, x in zip(_CLEARED[atom][0][:-1], w)])
                 if slope == 0:
                     raise PoleError(f"coth({poly_to_str(atom_form_poly(atom))})", w)
                 if slope < 0 and power % 2:
@@ -986,8 +1003,9 @@ class ScalarExpr:
         """Denominator factors and coth arguments, as polynomials."""
         forms: dict[tuple, Poly] = {}
         for coeff in self.terms.values():
-            for f, _ in coeff.den:
-                forms[f.key()] = f
+            if coeff.__class__ is RationalFunction:
+                for f, _ in coeff.den:
+                    forms[f.key()] = f
         for atom in self.atoms():
             p = atom_form_poly(atom)
             forms[p.key()] = p
@@ -997,57 +1015,84 @@ class ScalarExpr:
         return f"ScalarExpr({to_sexpr(self)})"
 
 
-def _sum_groups(groups: dict) -> dict:
-    """{monomial: RationalFunction.sum of its (factor, coefficient) terms}, zero sums dropped."""
+def _stored(rf: RationalFunction):
+    """rf as a stored coefficient: its int or Fraction value when constant (0 when zero), else rf."""
+    terms = rf.num.terms
+    if rf.den or len(terms) > 1 or any(next(iter(terms), ())):
+        return rf
+    return next(iter(terms.values()), 0)
+
+
+def _number_sums(pairs: Iterable[tuple]) -> dict | None:
+    """{key: sum(factor * term.terms[key])} over (factor, term) pairs, a term a ScalarExpr or a
+    Poly, when every factor and coefficient is a number, else None.  The products add as ints
+    over the lcm of their denominators, one Fraction per key at the end; keys keep the order of
+    their first terms, and a key whose sum cancels is dropped."""
+    acc: dict = {}
+    lcm = 1
+    for factor, term in pairs:
+        if factor.__class__ is int:
+            fn, fd = factor, 1
+        elif factor.__class__ is Q:
+            fn, fd = factor.numerator, factor.denominator
+        else:
+            return None
+        for key, c in term.terms.items():
+            if c.__class__ is int:
+                n, d = fn * c, fd
+            elif c.__class__ is Q:
+                n, d = fn * c.numerator, fd * c.denominator
+            else:
+                return None
+            if d != lcm:
+                if lcm % d:
+                    grow = d // math.gcd(lcm, d)
+                    lcm *= grow
+                    for k in acc:
+                        acc[k] *= grow
+                n *= lcm // d
+            s = acc.get(key)
+            acc[key] = n if s is None else s + n
+    return {k: Q(n, lcm) if n % lcm else n // lcm for k, n in acc.items() if n}
+
+
+def _times(c1, c2):
+    """c1 * c2 as a stored coefficient, for nonzero c1 and c2; a number scales a numerator."""
+    if c1.__class__ is not RationalFunction:
+        c1, c2 = c2, c1
+    if c1.__class__ is not RationalFunction:
+        return _coeff(c1 * c2)
+    if c2.__class__ is not RationalFunction:
+        return RationalFunction._reduced(c1.num * c2, c1.den)
+    return _stored(c1 * c2)
+
+
+def _sum_group(nvars: int, terms: list):
+    """sum(factor * c for factor, c in terms) as a stored coefficient, 0 when it cancels.
+
+    A coefficient c is a number or a RationalFunction, constant or not.  The
+    numbers add as numbers, and their total is lifted to a RationalFunction
+    only beside one.
+    """
+    numbers = [f * c for f, c in terms if c.__class__ is not RationalFunction]
+    if not numbers:
+        c = RationalFunction.sum(terms)
+        return c if c.den else _stored(c)
+    number = _coeff(sum(numbers))
+    ratfuns = [t for t in terms if t[1].__class__ is RationalFunction]
+    if ratfuns and number:
+        ratfuns.append((1, RationalFunction.const(nvars, number)))
+    return _stored(RationalFunction.sum(ratfuns)) if ratfuns else number
+
+
+def _sum_groups(nvars: int, groups: dict) -> dict:
+    """{monomial: `_sum_group` of its (factor, coefficient) terms}, zero sums dropped."""
     out = {}
     for mono, terms in groups.items():
-        c = RationalFunction.sum(terms)
-        if c.num.terms:
+        c = _sum_group(nvars, terms)
+        if c:
             out[mono] = c
     return out
-
-
-def _number(c: RationalFunction):
-    """The int or Fraction value of a constant coefficient, else None."""
-    if c.den or len(c.num.terms) != 1:
-        return None
-    ((mono, value),) = c.num.terms.items()
-    return None if any(mono) else value
-
-
-def _number_terms(nvars: int, acc: dict) -> dict:
-    """{monomial: coefficient} of the numbers in acc, in stored form; zeros dropped."""
-    zero = (0,) * nvars
-    return {m: RationalFunction._reduced(Poly(nvars, {zero: v}, _prune=False), ()) for m, v in _pruned(acc).items()}
-
-
-def _constant_sums(nvars: int, pairs: Sequence[tuple]) -> dict | None:
-    """`_sum_groups` of the (factor, term) pairs when every coefficient is a constant, else None."""
-    acc: dict = {}
-    for factor, term in pairs:
-        for mono, c in term.terms.items():
-            v = _number(c)
-            if v is None:
-                return None
-            v = v if factor == 1 else v * factor
-            s = acc.get(mono)
-            acc[mono] = v if s is None else s + v
-    return _number_terms(nvars, acc)
-
-
-def _constant_products(nvars: int, a: dict, b: dict) -> dict | None:
-    """The terms of the product of the terms a and b when every coefficient is a constant, else None:
-    the numbers multiply and add per atom monomial, in the order of first appearance."""
-    left, right = ([(m, _number(c)) for m, c in t.items()] for t in (a, b))
-    if any(v is None for _, v in left + right):
-        return None
-    acc: dict = {}
-    for m1, v1 in left:
-        for m2, v2 in right:
-            m = _mono_mul(m1, m2)
-            s = acc.get(m)
-            acc[m] = v1 * v2 if s is None else s + v1 * v2
-    return _number_terms(nvars, acc)
 
 
 def _mono_mul(m1: AtomMono, m2: AtomMono) -> AtomMono:
@@ -1143,19 +1188,16 @@ def largest_value(exprs: dict, points: Sequence, *, precision: int, margin: floa
 #   ratfun := '(' 'ratfun' '"NUM"' '"DEN"' ')' | RAT
 
 
-def _ratfun_sexpr(rf: RationalFunction) -> str:
-    if not rf.den and rf.num.is_const():
-        return str(rf.num.const_value()) if not rf.num.is_zero() else "0"
-    return f'(ratfun "{poly_to_str(rf.num)}" "{poly_to_str(rf.den_poly())}")'
-
-
 def to_sexpr(f: ScalarExpr) -> str:
     if f.symbolically_zero():
         return "0"
     parts = []
     for mono in sorted(f.terms, key=_shown_key):
-        rf = f.terms[mono]
-        head = _ratfun_sexpr(rf)
+        c = f.terms[mono]
+        if c.__class__ is RationalFunction:
+            head = f'(ratfun "{poly_to_str(c.num)}" "{poly_to_str(c.den_poly())}")'
+        else:
+            head = str(c)
         if not mono:
             parts.append(head)
             continue

@@ -235,6 +235,7 @@ class RootDatum:
     pairing: list[Fraction]
     neg: list[int] = field(default_factory=list)
     index: dict = field(default_factory=dict)
+    coroot_table: list = field(default_factory=list)  # each root's `coroot_coords`, as a tuple
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -244,8 +245,7 @@ class RootDatum:
 
     def coroot_coords(self, i: int) -> list[Fraction]:
         """h_alpha in Cartan-basis coordinates: the linear form (alpha, .)."""
-        h = self.h_coroot[i]
-        return [h.get(c, Q(0)) for c in self.g.cartan]
+        return list(self.coroot_table[i])
 
     def add_index(self, i: int, j: int) -> int | None:
         """Index of root_i + root_j if it is a root, else None."""
@@ -285,13 +285,17 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
 
     gram_inv = g.cartan_gram_inverse
     coroots: list[Vector] = []
+    table: list[tuple] = []
     pairings: list[Fraction] = []
     for i, r in enumerate(roots):
         coeffs = [sum(a * w for a, w in zip(row, r.functional)) for row in gram_inv]
         coroots.append({c: coeffs[k] for k, c in enumerate(cartan) if coeffs[k]})
+        table.append(tuple(coeffs))
         pairings.append(g.form_value(vectors[i], vectors[neg[i]]))
 
-    return RootDatum(g=g, roots=roots, e=vectors, h_coroot=coroots, pairing=pairings, neg=neg, index=index)
+    return RootDatum(
+        g=g, roots=roots, e=vectors, h_coroot=coroots, pairing=pairings, neg=neg, index=index, coroot_table=table
+    )
 
 
 def cartan_casimir_cells(g: LieSuperalgebra, scale=1) -> dict:

@@ -7,7 +7,9 @@ conventions are checked against a second implementation.
 
 Beside them sit the checks that only tests run: the bracket of two vectors
 and the algebra axioms, the signed transpositions, the single leg brackets
-and the full-scan leg brackets, and the phi ODE and functional equation.  These use the package's types; the functional equation decides a
+and the full-scan leg brackets, the phi ODE and functional equation, and the
+general-path references for number coefficients (every number lifted to a
+RationalFunction).  These use the package's types; the functional equation decides a
 spec without the tensor brackets that cdybe is built from.
 """
 
@@ -25,8 +27,9 @@ from sdybe.scalars import (
     RationalFunction,
     ScalarExpr,
     _mono_mul,
-    _sum_groups,
+    _shown_key,
     atom_entries,
+    poly_to_str,
     sample_points,
 )
 from sdybe.superalgebra import (
@@ -641,20 +644,102 @@ def ray_deviations(r, target_plus, target_minus, v, eps, *, scales=(10, 20, 40),
 
 
 # ---------------------------------------------------------------------------
-# general-path oracles for the number paths of products and ray limits
+# general-path oracles for the number coefficients: every number is lifted to a
+# RationalFunction, and sums and products take the RationalFunction path
+
+
+def lifted(c, nvars: int) -> RationalFunction:
+    """A stored coefficient as a RationalFunction; a number through the constructor."""
+    return c if isinstance(c, RationalFunction) else RationalFunction(Poly.const(nvars, c))
+
+
+def as_stored(nvars: int, coeffs: dict) -> ScalarExpr:
+    """The expression with the RationalFunction coefficients {monomial: rf}: zeros dropped, and a
+    constant as its value, an int when integral."""
+    terms = {}
+    for mono, rf in coeffs.items():
+        if rf.is_zero():
+            continue
+        if not rf.den and rf.num.is_const():
+            value = rf.num.const_value()
+            rf = value.numerator if value.denominator == 1 else value
+        terms[mono] = rf
+    return ScalarExpr(nvars, terms)
+
+
+def _reference_groups(nvars: int, groups: dict) -> ScalarExpr:
+    return as_stored(nvars, {mono: RationalFunction.sum(terms) for mono, terms in groups.items()})
+
+
+def reference_sum(nvars: int, pairs) -> ScalarExpr:
+    """sum(factor * term): each atom monomial's lifted coefficients through `RationalFunction.sum`."""
+    groups: dict = {}
+    for factor, term in pairs:
+        for mono, c in term.terms.items():
+            groups.setdefault(mono, []).append((factor, lifted(c, nvars)))
+    return _reference_groups(nvars, groups)
 
 
 def reference_product(a: ScalarExpr, b) -> ScalarExpr:
-    """a * b by the general path: every pair of terms through `RationalFunction.__mul__`,
-    each atom monomial's products through `_sum_groups`.  A number b enters as a
-    constant coefficient built by the `RationalFunction` constructor."""
+    """a * b: every pair of lifted coefficients through `RationalFunction.__mul__`, each atom
+    monomial's products through `RationalFunction.sum`.  A number b is a constant coefficient."""
     if not isinstance(b, ScalarExpr):
-        b = ScalarExpr(a.nvars, {(): RationalFunction(Poly.const(a.nvars, b))} if b else {})
+        b = ScalarExpr(a.nvars, {(): b} if b else {})
     groups: dict = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            groups.setdefault(_mono_mul(m1, m2), []).append((1, c1 * c2))
-    return ScalarExpr(a.nvars, _sum_groups(groups))
+            groups.setdefault(_mono_mul(m1, m2), []).append((1, lifted(c1, a.nvars) * lifted(c2, a.nvars)))
+    return _reference_groups(a.nvars, groups)
+
+
+def reference_differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
+    """d f / d x_index: `RationalFunction.diff` of each lifted coefficient, and
+    d coth(u)^p = p coth(u)^(p-1) (1 - coth(u)^2) du for each atom."""
+    groups: dict = {}
+    for mono, c in f.terms.items():
+        rf = lifted(c, f.nvars)
+        if not rf.diff(index).is_zero():
+            groups.setdefault(mono, []).append((1, rf.diff(index)))
+        for k, (atom, power) in enumerate(mono):
+            u = atom_entries(atom)[index]
+            if u:
+                rest = dict(mono)
+                rest[atom] -= 1
+                low = tuple(sorted((a, p) for a, p in rest.items() if p))
+                groups.setdefault(low, []).append((u * power, rf))
+                groups.setdefault(_mono_mul(low, ((atom, 2),)), []).append((-u * power, rf))
+    return _reference_groups(f.nvars, groups)
+
+
+def reference_sexpr(f: ScalarExpr) -> str:
+    """The s-expression of f with lifted coefficients: a constant prints as its value, any other
+    coefficient as (ratfun "NUM" "DEN")."""
+    parts = []
+    for mono in sorted(f.terms, key=_shown_key):
+        rf = lifted(f.terms[mono], f.nvars)
+        if not rf.den and rf.num.is_const():
+            head = str(rf.num.const_value())
+        else:
+            head = f'(ratfun "{poly_to_str(rf.num)}" "{poly_to_str(rf.den_poly())}")'
+        factors = []
+        for atom, power in sorted(mono, key=lambda ap: atom_entries(ap[0])):
+            a = "(coth " + " ".join(str(c) for c in atom_entries(atom)) + ")"
+            factors.append(a if power == 1 else f"(^ {a} {power})")
+        parts.append(f"(* {head} {' '.join(factors)})" if factors else head)
+    if not parts:
+        return "0"
+    return parts[0] if len(parts) == 1 else f"(+ {' '.join(parts)})"
+
+
+def stored_form(f: ScalarExpr) -> list:
+    """Monomials and coefficients of f in their stored order: a number with its type, a
+    RationalFunction as its numerator terms (each value with its type) and denominator factors."""
+    return [
+        (m, ([(n, v, type(v)) for n, v in c.num.terms.items()], [(g.key(), k) for g, k in c.den]))
+        if isinstance(c, RationalFunction)
+        else (m, (c, type(c)))
+        for m, c in f.terms.items()
+    ]
 
 
 def reference_ray_limit(f: ScalarExpr, w) -> Fraction:
@@ -662,7 +747,8 @@ def reference_ray_limit(f: ScalarExpr, w) -> Fraction:
     atom tends to the sign of its slope sum(c_i * w_i), raised to its power; PoleError on a
     zero slope, ValueError on a coefficient that is not constant."""
     total = Q(0)
-    for mono, coeff in f.terms.items():
+    for mono, c in f.terms.items():
+        coeff = lifted(c, f.nvars)
         if coeff.den or not coeff.num.is_const():
             raise ValueError("not a constant coefficient")
         value = coeff.num.const_value()

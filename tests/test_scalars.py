@@ -21,7 +21,6 @@ from sdybe.scalars import (
     Poly,
     RationalFunction,
     ScalarExpr,
-    _sum_groups,
     from_sexpr,
     largest_value,
     make_atom,
@@ -33,7 +32,16 @@ from sdybe.scalars import (
 from sdybe.tensor import tensor_dump
 from sdybe.verifier import VerifyConfig, decide_cells, run_checks
 
-from conftest import reference_product, reference_ray_limit, sampled_max_abs
+from conftest import (
+    lifted,
+    reference_differentiate,
+    reference_product,
+    reference_ray_limit,
+    reference_sexpr,
+    reference_sum,
+    sampled_max_abs,
+    stored_form,
+)
 
 Q = Fraction
 
@@ -508,10 +516,9 @@ def test_scalar_sum_matches_fold_and_values(pairs):
     assert list(total.terms) == [m for m in dict.fromkeys(m for _, e in pairs for m in e.terms) if m in total.terms]
     # atoms as indeterminates: each monomial's coefficient sums on its own
     for mono in {m for _, e in pairs for m in e.terms}:
-        coeff = total.terms.get(mono, RationalFunction.zero(2))
+        coeff = lifted(total.terms.get(mono, 0), 2)
         assert_reduced(coeff)
-        zero = RationalFunction.zero(2)
-        for pt, expected in exact_values(pairs, lambda e, pt: e.terms.get(mono, zero).eval_exact(pt)):
+        for pt, expected in exact_values(pairs, lambda e, pt: lifted(e.terms.get(mono, 0), 2).eval_exact(pt)):
             assert coeff.eval_exact(pt) == expected
 
 
@@ -535,17 +542,13 @@ def constant_coefficient_exprs(draw):
 @settings(max_examples=60, deadline=None)
 @given(expr_pairs(), st.lists(st.tuples(st.sampled_from(SUM_FACTORS), constant_coefficient_exprs()), max_size=6))
 def test_constant_coefficient_sums_match_the_general_path(mixed, pairs):
-    """Constant coefficients added as numbers give the per-monomial RationalFunction sums, stored alike."""
+    """Constant coefficients added as numbers give the per-monomial sums of the lifted coefficients,
+    stored alike: the same values and types of numbers, the same RationalFunctions."""
     for terms in (pairs, pairs + [(-f, e) for f, e in pairs[:2]], mixed + pairs):
-        groups: dict = {}
-        for factor, term in terms:
-            for mono, c in term.terms.items():
-                groups.setdefault(mono, []).append((factor, c))
-        stored = [
-            [(mono, [(m, v, type(v)) for m, v in c.num.terms.items()], [(f.key(), k) for f, k in c.den]) for mono, c in t]
-            for t in (ScalarExpr.sum(2, terms).terms.items(), _sum_groups(groups).items())
-        ]
-        assert stored[0] == stored[1]
+        got, expected = ScalarExpr.sum(2, terms), reference_sum(2, terms)
+        assert_same_form(got, expected)
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in expected.terms.values()]
+        assert stored_form(got) == stored_form(expected)
 
 
 NUMBERS = st.sampled_from([0, 1, -1]) | small_fraction
@@ -590,6 +593,66 @@ def test_number_product_is_the_general_products_form(f, q):
 @given(constant_coefficient_products(), constant_coefficient_products())
 def test_constant_product_is_the_general_products_form(a, b):
     assert_same_form(a * b, reference_product(a, b))
+
+
+@st.composite
+def mixed_pairs(draw):
+    """(factor, expression) pairs with number and RationalFunction coefficients on shared atom
+    monomials; optionally two rational terms on one monomial that add up to a number q."""
+    exprs = draw(st.lists(sum_exprs() | constant_coefficient_products(), min_size=1, max_size=3))
+    pairs = [(draw(st.sampled_from(SUM_FACTORS)), e) for e in exprs]
+    if draw(st.booleans()):
+        # u/f + (q f - u)/f = q
+        f, u, q = draw(st.sampled_from(LINEAR_FACTORS)), draw(polys(max_terms=2, max_exp=1)), draw(small_fraction)
+        mono = draw(st.sampled_from([ScalarExpr.const(2, 1)] + SUM_ATOMS))
+        for num in (u, f * q - u):
+            pairs.append((1, ScalarExpr.from_ratfun(RationalFunction(num, [(f, 1)])) * mono))
+    return draw(st.permutations(pairs))
+
+
+def assert_stored(f: ScalarExpr):
+    """Every coefficient in its one stored form: a nonzero int, a Fraction that is not integral, or
+    a RationalFunction that is not constant."""
+    for c in f.terms.values():
+        if isinstance(c, RationalFunction):
+            assert c.den or not c.num.is_const()
+        else:
+            assert c and (type(c) is int or (type(c) is Q and c.denominator != 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_pairs(), NUMBERS, st.integers(0, 1), RAYS)
+def test_mixed_coefficients_match_the_lifted_general_path(pairs, q, index, w):
+    """Sum, products, negation and derivative against the general path on lifted coefficients, in
+    form, stored types and s-expression; exact values and ray limits against theirs."""
+    total = ScalarExpr.sum(2, pairs)
+    a, b = pairs[0][1], pairs[-1][1]
+    cases = [
+        (total, reference_sum(2, pairs)),
+        (a * b, reference_product(a, b)),
+        (total * q, reference_product(total, q)),
+        (-total, reference_sum(2, [(-1, total)])),
+        (total.differentiate(index), reference_differentiate(total, index)),
+    ]
+    rational = [c for c in total.terms.values() if isinstance(c, RationalFunction)]
+    if rational:  # c * (1/c) = 1: a product of RationalFunctions that is a number
+        inverse = ScalarExpr.from_ratfun(RationalFunction(rational[0].den_poly(), [(rational[0].num, 1)]))
+        cases.append((total * inverse, reference_product(total, inverse)))
+    for got, expected in cases:
+        assert_stored(got)
+        assert_same_form(got, expected)
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in expected.terms.values()]
+        assert to_sexpr(got) == reference_sexpr(expected)
+    coth_free = ScalarExpr(2, {m: c for m, c in total.terms.items() if not m})
+    for pt, value in exact_values(pairs, lambda e, pt: lifted(e.terms.get((), 0), 2).eval_exact(pt)):
+        assert coth_free.eval_exact(pt) == value
+    try:
+        limit = reference_ray_limit(total, w)
+    except (ValueError, PoleError) as exc:
+        with pytest.raises(type(exc)):
+            total.ray_limit(w)
+    else:
+        assert_same_form(total.ray_limit(w), ScalarExpr.const(2, limit))
 
 
 REDUCIBLE = Poly(2, {(1, 1): 1})  # x0*x1: a stored factor that is not prime
@@ -643,6 +706,7 @@ def test_constant_value():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(sum_exprs(), min_size=1, max_size=3), st.sampled_from(SUM_FACTORS))
+@example([ScalarExpr.coth([1, 0]) * Q(1, 2), ScalarExpr.coth([1, 0]) * Q(1, 3)], Q(2, 3))  # one numerator, two numbers
 def test_equal_keys_are_equal_forms(exprs, factor):
     a = exprs[0]
     reordered = ScalarExpr(2, dict(reversed(list(a.terms.items()))))
