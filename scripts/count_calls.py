@@ -42,6 +42,9 @@ COUNTED = {
     "ScalarExpr.eval_numeric": "scalars.ScalarExpr.eval_numeric",
     "ScalarExpr.ray_limit": "scalars.ScalarExpr.ray_limit",
     "LieSuperalgebra.bracket_basis": "superalgebra.LieSuperalgebra.bracket_basis",
+    "RootDatum.add_index": "superalgebra.RootDatum.add_index",
+    "make_atom": "scalars.make_atom",
+    "Fraction.__hash__": "fractions.Fraction.__hash__",
     "Fraction.__new__": "fractions.Fraction.__new__",
     "Fraction._mul": "fractions.Fraction._mul",
     "Fraction._add": "fractions.Fraction._add",

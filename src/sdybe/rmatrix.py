@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Poly, RationalFunction, ScalarExpr, from_sexpr, poly_from_str, to_sexpr
+from .scalars import Poly, RationalFunction, ScalarExpr, _coeff, from_sexpr, make_atom, poly_from_str, to_sexpr
 from .superalgebra import LieSuperalgebra, RootDatum, cartan_casimir_cells, casimir
 from .tensor import Tensor2, collect_tensor
 
@@ -82,7 +82,7 @@ class TwoForm:
     def closedness_residuals(self) -> list[tuple[tuple[int, int, int], RationalFunction]]:
         """dD components: d_i D_jk + d_j D_ki + d_k D_ij for i < j < k, nonzero only."""
         out = []
-        n = self.nvars
+        n = self.nvars if self.entries else 0  # a zero D is closed
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
@@ -127,9 +127,22 @@ class ValidationReport:
         return {"ok": self.ok, "failures": self.failures}
 
 
+def _closed(X: set, rd: RootDatum) -> bool:
+    """X is closed under negation and root addition iff it holds every e_a - e_b with a, b
+    in one block of the labels that its roots join: |X| = sum of b(b - 1) over block sizes b."""
+    block = list(range(rd.g.m + rd.g.n))  # each label's block, named by one of its labels
+    for i in X:
+        a, b = rd.labels[i]
+        a, b = block[a], block[b]
+        if a != b:  # at most d - 1 merges of O(d) each
+            block = [a if c == b else c for c in block]
+    return len(X) == sum(k * (k - 1) for k in map(block.count, set(block)))
+
+
 def validate(spec: RMatrixSpec, g: LieSuperalgebra, rd: RootDatum) -> ValidationReport:
     """Exact hypothesis checks: X closure (addition and negation), D shape,
-    D closedness, nu dimension, and sign-choice completeness for eps != 0."""
+    D closedness, nu dimension, and sign-choice completeness for eps != 0.
+    A closed X passes through its blocks (`_closed`); an open one is scanned for its witnesses."""
     failures: list[dict] = []
     n = g.rank
     nroots = len(rd)
@@ -139,7 +152,8 @@ def validate(spec: RMatrixSpec, g: LieSuperalgebra, rd: RootDatum) -> Validation
             failures.append({"reason": f"X contains invalid root index {i}"})
     X = {i for i in spec.X if 0 <= i < nroots}
 
-    for i in X:
+    scan = () if _closed(X, rd) else X
+    for i in scan:
         if rd.neg[i] not in X:
             failures.append(
                 {
@@ -147,7 +161,7 @@ def validate(spec: RMatrixSpec, g: LieSuperalgebra, rd: RootDatum) -> Validation
                     "witness": {"root": [str(c) for c in rd.roots[i].functional]},
                 }
             )
-    for i in X:
+    for i in scan:
         for j in X:
             k = rd.add_index(i, j)
             if k is not None and k not in X:
@@ -227,8 +241,8 @@ def phi_coupled(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:
     if i in spec.X:
         scale = ((-1) ** root.parity) * rd.pairing[i] * eps / 2
         coeffs, shift = root_linear_form(i, spec, rd)
-        atom = ScalarExpr.coth([scale * c for c in coeffs], scale * shift)
-        return atom * (eps / 2)
+        atom, sign = make_atom([scale * c for c in coeffs], scale * shift)
+        return ScalarExpr(n, {((atom, 1),): _coeff(sign * eps / 2)})
     pos = i if root.positive else rd.neg[i]
     if pos not in spec.sign_choice:
         raise MissingSignChoiceError(f"no sign choice for positive root index {pos}")
@@ -297,14 +311,17 @@ def constant_example(g: LieSuperalgebra, rd: RootDatum, eps, which: str = "r") -
         raise ValueError("constant example needs a nonzero coupling")
     if which not in ("r", "Tsr"):
         raise ValueError("which must be 'r' or 'Tsr'")
-    cells: dict = {}
-    collect_tensor(cells, Tensor2.from_constant_cells(g, cartan_casimir_cells(g, eps / 2)))
-    for i in rd.positive_indices():
-        if which == "r":
-            collect_tensor(cells, Tensor2.from_vectors(g, rd.e[rd.neg[i]], rd.e[i], eps))
-        else:
-            collect_tensor(cells, Tensor2.from_vectors(g, rd.e[i], rd.e[rd.neg[i]], eps * (-1) ** rd.roots[i].parity))
-    return Tensor2.summed(g, cells)
+    return Tensor2.from_constant_cells(g, _constant_cells(g, rd, eps, which))
+
+
+def _constant_cells(g: LieSuperalgebra, rd: RootDatum, eps: Fraction, which: str) -> dict:
+    """The nonzero cells of `constant_example` as numbers, {(i, j): value}."""
+    cells = cartan_casimir_cells(g, eps / 2)
+    for i in rd.positive_indices():  # each root vector is one off-diagonal unit: no two cells meet
+        x, y = (rd.e[rd.neg[i]], rd.e[i]) if which == "r" else (rd.e[i], rd.e[rd.neg[i]])
+        value = eps if which == "r" else eps * (-1) ** rd.roots[i].parity
+        cells.update({(bx, by): value * cx * cy for bx, cx in x.items() for by, cy in y.items()})
+    return cells
 
 
 def shift_to_s(r: Tensor2, eps, omega: Tensor2) -> Tensor2:

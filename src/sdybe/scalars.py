@@ -664,7 +664,7 @@ Atom = int  # id into _ATOMS, whose entry holds the form (c_0, ..., c_{N-1}, con
 AtomMono = tuple  # ((atom, power), ...) sorted by atom id, powers positive
 
 # interned coth atoms: id -> (sign-canonical Fraction tuple, the form as a Poly), and
-# id -> (the form cleared of denominators: int coordinates, then the int constant; their lcm)
+# id -> (the form cleared of denominators: int coordinates, then the int constant; their lcm), its _ATOM_IDS key
 _ATOMS: list[tuple[tuple, Poly]] = []
 _CLEARED: list[tuple[tuple, int]] = []
 _ATOM_IDS: dict[tuple, int] = {}
@@ -674,29 +674,30 @@ def make_atom(coeffs: Sequence, const=0) -> tuple[Atom, int]:
     """Canonicalize the affine form of a coth atom; returns (atom, sign).
 
     coth is odd, so coth(u) = sign * coth(|u|) where |u| has its first
-    nonzero entry (coordinates first, then constant) positive.
+    nonzero entry (coordinates first, then constant) positive.  The lookup hashes
+    the cleared ints and their lcm; only a new atom builds its Fraction tuple.
     """
-    entries = [c if c.__class__ is Q else Q(c) for c in (*coeffs, const)]
+    entries = [c if c.__class__ is int or c.__class__ is Q else Q(c) for c in (*coeffs, const)]
+    lcm = math.lcm(*[c.denominator for c in entries])
+    cleared = [c.numerator * (lcm // c.denominator) for c in entries]
     sign = 0
-    for c in entries:
+    for c in cleared:
         if c != 0:
             sign = 1 if c > 0 else -1
             break
     if sign == 0:
         raise ZeroDivisionError("coth of identically zero argument")
-    if sign < 0:
-        entries = [-c for c in entries]
-    entries = tuple(entries)
-    atom = _ATOM_IDS.get(entries)
+    key = (tuple(cleared if sign > 0 else [-c for c in cleared]), lcm)
+    atom = _ATOM_IDS.get(key)
     if atom is None:
         with _INTERN_LOCK:
-            atom = _ATOM_IDS.get(entries)
+            atom = _ATOM_IDS.get(key)
             if atom is None:
                 atom = len(_ATOMS)
-                lcm = math.lcm(*[c.denominator for c in entries])
+                entries = tuple([Q(c, lcm) for c in key[0]])
                 _ATOMS.append((entries, Poly.linear(entries[:-1], entries[-1])))
-                _CLEARED.append((tuple([c.numerator * (lcm // c.denominator) for c in entries]), lcm))
-                _ATOM_IDS[entries] = atom
+                _CLEARED.append(key)
+                _ATOM_IDS[key] = atom
     return atom, sign
 
 

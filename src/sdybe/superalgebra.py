@@ -4,13 +4,14 @@ Algebras are gl(m|n) (matrix units, supercommutator, supertrace form) and its
 supertraceless subalgebra sl(m|n) for m != n, both built by one construction
 from the closed-form matrix-unit rules.  Elements are sparse vectors
 {basis index: Fraction}.  All arithmetic is exact; structure constants, form
-entries, root functionals and coroots are int where they are integral.
+entries, root functionals, root vectors, pairings and coroots are int where
+they are integral.
 
 The root data are read off the units: the off-diagonal E_ij spans the root
-space of e_i - e_j, positive iff i < j.  They follow the normalization
-[e_a, e_{-a}] = (e_a, e_{-a}) h_a with (e_a, e_{-a}) = 1 for positive roots,
-and the sign bookkeeping A_a = (-1)^{|a|} for positive a, A_a = 1 for
-negative a.
+space of e_i - e_j, positive iff i < j, and (i, j) is the root's label.  They
+follow the normalization [e_a, e_{-a}] = (e_a, e_{-a}) h_a with
+(e_a, e_{-a}) = 1 for positive roots, and the sign bookkeeping
+A_a = (-1)^{|a|} for positive a, A_a = 1 for negative a.
 """
 
 from __future__ import annotations
@@ -30,28 +31,6 @@ Vector = dict  # basis index -> Fraction
 
 class DegenerateFormError(ValueError):
     """The invariant bilinear form is degenerate for the requested algebra."""
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra helpers
-
-
-def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve matrix @ x = rhs over Fraction; raises DegenerateFormError if singular."""
-    n = len(matrix)
-    aug = [[Q(v) for v in row] + [Q(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise DegenerateFormError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +70,6 @@ class LieSuperalgebra:
         for i, j in self.structure:
             out.setdefault(i, []).append(j)
         return out
-
-    def form_value(self, x: Vector, y: Vector) -> Fraction:
-        acc = Q(0)
-        for i, cx in x.items():
-            row = self.form[i]
-            for j, cy in y.items():
-                acc += cx * cy * row[j]
-        return acc
-
-    def cartan_gram(self) -> list[list[Fraction]]:
-        return [[self.form[i][j] for j in self.cartan] for i in self.cartan]
 
     @cached_property
     def cartan_gram_inverse(self) -> list[list[int]]:
@@ -225,16 +193,18 @@ class RootDatum:
     serialized r-matrix specs.  For every root i: e[i] is the root vector,
     h_coroot[i] the Cartan element with (h_i, x) = root_i(x), pairing[i] the
     value (e_i, e_{-i}), neg[i] the index of the opposite root, and
-    index[functional] the index of the root with that functional.
+    labels[i] the matrix unit (a, b) of the root e_a - e_b;
+    label_index[(a, b)] is the index of that root.
     """
 
     g: LieSuperalgebra
     roots: list[Root]
     e: list[Vector]
     h_coroot: list[Vector]
-    pairing: list[Fraction]
+    pairing: list[int]
     neg: list[int] = field(default_factory=list)
-    index: dict = field(default_factory=dict)
+    labels: list = field(default_factory=list)
+    label_index: dict = field(default_factory=dict)
     coroot_table: list = field(default_factory=list)  # each root's `coroot_coords`, as a tuple
 
     def __len__(self) -> int:
@@ -248,9 +218,11 @@ class RootDatum:
         return list(self.coroot_table[i])
 
     def add_index(self, i: int, j: int) -> int | None:
-        """Index of root_i + root_j if it is a root, else None."""
-        a, b = self.roots[i].functional, self.roots[j].functional
-        return self.index.get(tuple(x + y for x, y in zip(a, b)))
+        """Index of root_i + root_j if it is a root, else None: (a, b) + (b, e) = (a, e)."""
+        (a, b), (c, e) = self.labels[i], self.labels[j]
+        if b == c:
+            return self.label_index.get((a, e))
+        return self.label_index.get((c, b)) if e == a else None
 
 
 def sign_A(rd: RootDatum, i: int) -> int:
@@ -268,10 +240,12 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
     to the Cartan, where h_t acts as E_tt), positive iff i < j: positivity is
     lexicographic in the Cartan coordinates (the distinguished Borel).  For a
     positive root a = e_i - e_j, e_a = E_ij and e_{-a} = E_ji / s_i, so that
-    (e_a, e_{-a}) = 1; coroots solve (h_a, x) = a(x): the inverse Cartan Gram
-    matrix times a.
+    (e_a, e_{-a}) = 1 and (e_{-a}, e_a) = s_i s_j.  Coroots solve
+    (h_a, x) = a(x): the coroot of e_i - e_j is column i minus column j of the
+    inverse Cartan Gram matrix.
     """
     cartan = list(g.cartan)
+    s = [1 if t < g.m else -1 for t in range(g.m + g.n)]
     units = _units(g.family, g.m + g.n)
     found = sorted(  # (functional, basis index, i, j) of each E_ij, i != j, lex-descending: positives first
         ((tuple((t == i) - (t == j) for t in range(g.rank)), b, i, j) for b, (i, j) in enumerate(units) if i != j),
@@ -279,23 +253,16 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
     )
     roots = [Root(functional=w, parity=g.parity[b], positive=i < j) for w, b, i, j in found]
     # e_a = E_ij for i < j; for i > j, E_ij / s_j = s_j E_ij
-    vectors = [{b: Q(1) if i < j else Q(1 if j < g.m else -1)} for _, b, i, j in found]
-    index = {r.functional: i for i, r in enumerate(roots)}
-    neg = [index[tuple(-c for c in roots[i].functional)] for i in range(len(roots))]
+    vectors = [{b: 1 if i < j else s[j]} for _, b, i, j in found]
+    pairings = [1 if i < j else s[i] * s[j] for _, _, i, j in found]
+    labels = [(i, j) for _, _, i, j in found]
+    label_index = {u: k for k, u in enumerate(labels)}
+    neg = [label_index[j, i] for i, j in labels]
 
-    gram_inv = g.cartan_gram_inverse
-    coroots: list[Vector] = []
-    table: list[tuple] = []
-    pairings: list[Fraction] = []
-    for i, r in enumerate(roots):
-        coeffs = [sum(a * w for a, w in zip(row, r.functional)) for row in gram_inv]
-        coroots.append({c: coeffs[k] for k, c in enumerate(cartan) if coeffs[k]})
-        table.append(tuple(coeffs))
-        pairings.append(g.form_value(vectors[i], vectors[neg[i]]))
-
-    return RootDatum(
-        g=g, roots=roots, e=vectors, h_coroot=coroots, pairing=pairings, neg=neg, index=index, coroot_table=table
-    )
+    gram_inv = [row + [0] for row in g.cartan_gram_inverse]  # column d - 1: e_{d-1} is 0 on the sl Cartan
+    table = [tuple([row[i] - row[j] for row in gram_inv]) for _, _, i, j in found]
+    coroots: list[Vector] = [{c: coeffs[k] for k, c in enumerate(cartan) if coeffs[k]} for coeffs in table]
+    return RootDatum(g, roots, vectors, coroots, pairings, neg, labels, label_index, coroot_table=table)
 
 
 def cartan_casimir_cells(g: LieSuperalgebra, scale=1) -> dict:
@@ -323,7 +290,7 @@ def casimir(g: LieSuperalgebra, rd: RootDatum):
         for bi, ci in rd.e[i].items():
             for bj, cj in rd.e[rd.neg[i]].items():
                 key = (bi, bj)
-                cells[key] = cells.get(key, Q(0)) + a * ci * cj
+                cells[key] = cells.get(key, 0) + a * ci * cj
     return tensor.Tensor2.from_constant_cells(g, cells)
 
 

@@ -22,19 +22,19 @@ one verdict memo run_checks passes to every decision, exactly and completely
 (`ScalarExpr.identically_zero`, which applies the coth addition law), so a
 residual is exact-zero or nonzero; no check is numeric.
 A nonzero residual is evaluated at seeded margin-respecting lattice points
-only to give it its witness {indices, point, value}.
+only to give it its witness {indices, point, value}; one whose nonzero cells
+are all constants draws no point (point None).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .rmatrix import RMatrixSpec, _assemble, shift_to_s, validate
 from .scalars import ScalarExpr, largest_value, sample_points, singular_forms
-from .superalgebra import LieSuperalgebra, RootDatum, solve_linear
+from .superalgebra import LieSuperalgebra, RootDatum
 from .tensor import (
     Tensor2,
     Tensor3,
@@ -127,6 +127,8 @@ def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None, *, ver
     run_checks passes one per run.  A nonzero residual gets a witness: its
     nonzero cells are evaluated at the seeded lattice points, which avoid the
     singular forms of every cell, and the cell and point of largest |value| win.
+    When every nonzero cell is a constant, no point is drawn: the witness
+    point is None and points_used 0.
     """
     cfg = cfg or VerifyConfig()
     start = time.monotonic()
@@ -140,16 +142,18 @@ def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None, *, ver
             nonzero[k] = c
     if not nonzero:
         return ResidualReport(name=name, status="exact-zero", seconds=time.monotonic() - start)
-    nvars = next(iter(nonzero.values())).nvars
-    avoid = singular_forms(cells.values())
-    pts = sample_points(nvars, POINTS, seed=cfg.seed, avoid=avoid, margin=MARGIN, lattice=LATTICE)
-    key, pt, v = largest_value(nonzero, pts, precision=cfg.precision, margin=MARGIN)
+    pts = []  # none when every nonzero cell is a constant: no value depends on a point
+    if any(c.constant() is None for c in nonzero.values()):
+        nvars = next(iter(nonzero.values())).nvars
+        avoid = singular_forms(cells.values())
+        pts = sample_points(nvars, POINTS, seed=cfg.seed, avoid=avoid, margin=MARGIN, lattice=LATTICE)
+    key, pt, v = largest_value(nonzero, pts or [()], precision=cfg.precision, margin=MARGIN)
     return ResidualReport(
         name=name,
         status="nonzero",
         max_abs=float(abs(v)),
         points_used=len(pts),
-        witness={"indices": list(key), "point": list(pt), "value": float(v)},
+        witness={"indices": list(key), "point": list(pt) if pts else None, "value": float(v)},
         seconds=time.monotonic() - start,
     )
 
@@ -267,23 +271,24 @@ def lemma_consistency_check(
 def dominant_vector(rd: RootDatum) -> tuple[int, ...]:
     """A lattice point with (a, v) >= 1 for every positive root a.
 
-    Solves (a_k, v) = 1 over Q for the simple roots a_k (the positive roots
-    that are no sum of two positive roots).  On gl the centre leaves one
-    direction free; it meets every Cartan coordinate, so pinning the leading
-    coordinate to 0 fixes it.  Every positive root is a sum of simple roots,
-    so scaling v to clear its denominators keeps (a, v) >= 1.
+    Solves (a_k, v) = 1 along the simple roots e_k - e_{k+1} (s_i = +1 on even
+    rows, -1 on odd) by forward substitution: v_{k+1} = s_{k+1}(s_k v_k - 1),
+    with v_0 = 0 on gl, whose centre leaves it free.  On sl v_k = p_k v_0 + q_k,
+    p_k = s_0 s_k, and the dense last row s_{d-2} v_{d-2} + s_{d-1} sum(v) = 1
+    fixes v_0.  Positive roots are sums of simple roots, so scaling v to clear
+    its denominator keeps (a, v) >= 1.
     """
-    n = rd.g.rank
-    pos = [rd.roots[i].functional for i in rd.positive_indices()]
-    sums = {tuple(x + y for x, y in zip(a, b)) for a in pos for b in pos}
-    rows = [rd.coroot_coords(i) for i, a in zip(rd.positive_indices(), pos) if a not in sums]
-    rhs = [Q(1)] * len(rows)
-    for k in range(n - len(rows)):
-        rows.append([Q(int(j == k)) for j in range(n)])
-        rhs.append(Q(0))
-    v = solve_linear(rows, rhs)
-    scale = math.lcm(*(x.denominator for x in v))
-    return tuple(int(x * scale) for x in v)
+    g = rd.g
+    s = [1 if i < g.m else -1 for i in range(g.m + g.n)]
+    q = [0]
+    for k in range(g.rank - 1):
+        q.append(s[k + 1] * (s[k] * q[k] - 1))
+    if g.family == "gl":
+        return tuple(q)
+    p = [s[0] * x for x in s[:-1]]
+    last = len(q) - 1
+    v0 = Q(1 - s[last] * q[last] - s[-1] * sum(q), s[last] * p[last] + s[-1] * sum(p))
+    return tuple(int((a * v0 + b) * v0.denominator) for a, b in zip(p, q))
 
 
 def limits_applicable(spec: RMatrixSpec, rd: RootDatum) -> bool:
@@ -310,26 +315,28 @@ def limit_behavior_check(
     r(t v) must tend to the twisted constant solution as t -> +infinity and
     to the untwisted one as t -> -infinity.  Each coth atom of r tends to the
     sign of its slope (a, +-v), nonzero for a dominant v (`ScalarExpr.ray_limit`).
-    The cells of each limit minus its constant solution, keyed
-    (direction, i, j), are decided by `decide_cells`.  Without r (which
+    Each limit minus its constant solution is taken on numbers; its nonzero
+    cells, keyed (direction, i, j), are decided by `decide_cells`.  Without r (which
     run_checks passes, with its verdict memo) the spec is validated and r
     constructed here.
     """
-    from .rmatrix import constant_example, construct
+    from .rmatrix import _constant_cells, construct
 
     start = time.monotonic()
     if not limits_applicable(spec, rd):
         raise PreconditionError("limit check needs eps != 0, X = all roots, nu = 0 and D = 0")
     r = r if r is not None else construct(spec, g, rd)
     v = dominant_vector(rd)
-    zero = ScalarExpr.zero(g.rank)
+    n = g.rank
     cells = {}
     for direction, which in ((1, "Tsr"), (-1, "r")):
-        target = constant_example(g, rd, spec.epsilon, which=which).coeffs
+        target = _constant_cells(g, rd, spec.epsilon, which)
         ray = tuple(direction * x for x in v)
         for k in sorted(r.coeffs.keys() | target.keys()):
-            lim = r.coeffs[k].ray_limit(ray) if k in r.coeffs else zero
-            cells[(direction, *k)] = lim - target.get(k, zero)
+            lim = r.coeffs[k].ray_limit(ray).constant() if k in r.coeffs else 0
+            aim = target.get(k, 0)
+            if lim != aim:  # a cell at its target is exact-zero and is left out
+                cells[(direction, *k)] = ScalarExpr.const(n, lim - aim)
     rep = decide_cells(cells, "limits", cfg, verdicts=verdicts)
     rep.seconds = time.monotonic() - start
     rep.details = {"dominant_vector": list(v)}

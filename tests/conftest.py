@@ -6,15 +6,17 @@ graded Leibniz action is written out with explicit Koszul signs, so that sign
 conventions are checked against a second implementation.
 
 Beside them sit the checks that only tests run: the bracket of two vectors
-and the algebra axioms, the signed transpositions, the single leg brackets
-and the full-scan leg brackets, the phi ODE and functional equation, and the
-general-path references for number coefficients (every number lifted to a
-RationalFunction).  These use the package's types; the functional equation decides a
+and the algebra axioms, the Fraction Gauss solve, the pair-by-pair X closure
+scan and the Gauss-solved dominant vector, the signed transpositions, the
+single leg brackets and the full-scan leg brackets, the phi ODE and
+functional equation, and the general-path references for number
+coefficients (every number lifted to a RationalFunction).  These use the package's types; the functional equation decides a
 spec without the tensor brackets that cdybe is built from.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,7 @@ from sdybe.scalars import (
 )
 from sdybe.superalgebra import (
     EVEN,
+    DegenerateFormError,
     LieSuperalgebra,
     RootDatum,
     Vector,
@@ -42,7 +45,6 @@ from sdybe.superalgebra import (
     casimir,
     root_decomposition,
     sign_A,
-    solve_linear,
 )
 from sdybe.tensor import Tensor2, Tensor3, _leg_brackets
 from sdybe.verifier import ResidualReport, VerifyConfig, decide_cells
@@ -131,6 +133,39 @@ def supercommutator(a: dict, b: dict, pa: int, pb: int) -> dict:
 
 def supertrace(mat: dict, m: int) -> Fraction:
     return sum((v if r < m else -v) for (r, c), v in mat.items() if r == c) or Q(0)
+
+
+def form_value(g: LieSuperalgebra, x: Vector, y: Vector) -> Fraction:
+    """(x, y) for the invariant form of g."""
+    acc = Q(0)
+    for i, cx in x.items():
+        row = g.form[i]
+        for j, cy in y.items():
+            acc += cx * cy * row[j]
+    return acc
+
+
+def cartan_gram(g: LieSuperalgebra) -> list[list[Fraction]]:
+    """The form on the Cartan basis."""
+    return [[g.form[i][j] for j in g.cartan] for i in g.cartan]
+
+
+def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve matrix @ x = rhs over Fraction; raises DegenerateFormError if singular."""
+    n = len(matrix)
+    aug = [[Q(v) for v in row] + [Q(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise DegenerateFormError("singular linear system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
 
 
 def invert_matrix(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -272,7 +307,7 @@ def validate_algebra(g: LieSuperalgebra) -> list[str]:
             bij = g.bracket_basis(i, j)
             for k in range(g.dim):
                 lhs = sum((c * g.form[l][k] for l, c in bij.items()), Q(0))
-                rhs = g.form_value(ei[i], g.bracket_basis(j, k))
+                rhs = form_value(g, ei[i], g.bracket_basis(j, k))
                 if lhs != rhs:
                     bad.append(f"invariance: ([{name(i)},{name(j)}],{name(k)})")
 
@@ -349,7 +384,7 @@ def structure_constant_identity_report(g: LieSuperalgebra, rd: RootDatum) -> dic
                 continue
             checked += 1
             pa, pb = rd.roots[i].parity, rd.roots[j].parity
-            hh = g.form_value(rd.h_coroot[i], rd.h_coroot[j])
+            hh = form_value(g, rd.h_coroot[i], rd.h_coroot[j])
             if hh == 0:
                 zero_h.append((rd.roots[i].functional, rd.roots[j].functional))
             ni, nj, nk = rd.neg[i], rd.neg[j], rd.neg[k]
@@ -453,6 +488,60 @@ def full_scan_leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool, sca
                         key = {"12_13": (idx, j1, j2), "12_23": (i1, idx, j2), "13_23": (i1, i2, idx)}[mode]
                         tensor_mod.collect(cells, key, scale * sign * sc, c)
     return Tensor3.summed(g, cells)
+
+
+# ---------------------------------------------------------------------------
+# root data oracles: X closure pair by pair, and the dominant vector by a Gauss solve
+
+
+def reference_closure_failures(spec: RMatrixSpec, rd: RootDatum) -> list[dict]:
+    """The X closure failures of `validate` by its negation and pair loops run on every X,
+    with negatives and root sums found on the functionals: the reference of the block test."""
+    nroots = len(rd)
+    index = {r.functional: k for k, r in enumerate(rd.roots)}
+    failures: list[dict] = []
+    X = {i for i in spec.X if 0 <= i < nroots}
+
+    for i in X:
+        if index[tuple(-c for c in rd.roots[i].functional)] not in X:
+            failures.append(
+                {
+                    "reason": "X not closed under negation",
+                    "witness": {"root": [str(c) for c in rd.roots[i].functional]},
+                }
+            )
+    for i in X:
+        for j in X:
+            k = index.get(tuple(x + y for x, y in zip(rd.roots[i].functional, rd.roots[j].functional)))
+            if k is not None and k not in X:
+                failures.append(
+                    {
+                        "reason": "X not closed under root addition",
+                        "witness": {
+                            "alpha": [str(c) for c in rd.roots[i].functional],
+                            "beta": [str(c) for c in rd.roots[j].functional],
+                            "sum": [str(c) for c in rd.roots[k].functional],
+                        },
+                    }
+                )
+    return failures
+
+
+def reference_dominant_vector(rd: RootDatum) -> tuple[int, ...]:
+    """(a_k, v) = 1 solved by Gaussian elimination for the simple roots a_k, the positive
+    roots that are no sum of two positive roots, with v_0 = 0 on gl; scaled to clear
+    denominators."""
+    n = rd.g.rank
+    pos = [rd.roots[i].functional for i in rd.positive_indices()]
+    sums = {tuple(x + y for x, y in zip(a, b)) for a in pos for b in pos}
+    rows = [rd.coroot_coords(i) for i, a in zip(rd.positive_indices(), pos) if a not in sums]
+    rhs = [Q(1)] * len(rows)
+    for k in range(n - len(rows)):
+        rows.append([Q(int(j == k)) for j in range(n)])
+        rhs.append(Q(0))
+    v = solve_linear(rows, rhs)
+    scale = math.lcm(*(x.denominator for x in v))
+    return tuple(int(x * scale) for x in v)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ from sdybe.rmatrix import (
     validate,
 )
 from sdybe.scalars import Poly, RationalFunction, ScalarExpr
+from sdybe.superalgebra import build_gl, build_sl, root_decomposition
 from sdybe.tensor import Tensor2, super_twist, yb_bracket
 
-from conftest import functional_equation_residual, ode_residual, sampled_max_abs
+from conftest import functional_equation_residual, ode_residual, reference_closure_failures, sampled_max_abs
 
 Q = Fraction
 
@@ -69,6 +70,21 @@ class TestValidate:
         report = validate(spec, g, rd)
         assert not report.ok
         assert any("addition" in f["reason"] for f in report.failures)
+
+    @pytest.mark.parametrize("family,m,n", [("sl", 3, 0), ("gl", 2, 1), ("sl", 4, 0), ("gl", 3, 1), ("gl", 2, 2)])
+    def test_closure_matches_the_pair_scan_on_every_X(self, family, m, n):
+        """validate's report equals the pair-by-pair reference on every subset X of the roots;
+        the closed X are the set partitions of the labels (Bell numbers 5 and 15)."""
+        g = (build_gl if family == "gl" else build_sl)(m, n)
+        rd = root_decomposition(g)
+        closed = 0
+        for bits in range(2 ** len(rd)):
+            X = frozenset(i for i in range(len(rd)) if bits >> i & 1)
+            spec = RMatrixSpec(X=X, nu=[0] * g.rank, D=TwoForm.zero(g.rank))
+            failures = reference_closure_failures(spec, rd)
+            assert validate(spec, g, rd).as_dict() == {"ok": not failures, "failures": failures}, sorted(X)
+            closed += not failures
+        assert closed == {3: 5, 4: 15}[m + n]
 
     def test_nonclosed_D_fails_with_witness(self, gl21):
         g, rd, _ = gl21

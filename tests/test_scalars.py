@@ -732,7 +732,9 @@ def table_sizes() -> tuple[int, int, int]:
 def assert_one_id_per_key():
     assert sorted(scalars._FACTOR_IDS.values()) == list(range(len(scalars._FACTOR_IDS)))
     assert len(scalars._ATOM_IDS) == len(scalars._ATOMS)
-    assert all(scalars._ATOM_IDS[entries] == atom for atom, (entries, _) in enumerate(scalars._ATOMS))
+    assert all(scalars._ATOM_IDS[key] == atom for atom, key in enumerate(scalars._CLEARED))
+    assert all(entries == tuple(Q(c, lcm) for c in cleared)
+               for (entries, _), (cleared, lcm) in zip(scalars._ATOMS, scalars._CLEARED))
 
 
 class TestInternTables:

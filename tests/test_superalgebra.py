@@ -10,11 +10,11 @@ import pytest
 from sdybe import cli
 from sdybe.superalgebra import (
     DegenerateFormError,
+    _units,
     build_gl,
     build_sl,
     root_decomposition,
     sign_A,
-    solve_linear,
 )
 from sdybe.tensor import ad_action
 
@@ -22,10 +22,13 @@ from conftest import (
     ad_signed_oracle,
     bracket,
     by_matrix_products,
+    cartan_gram,
     check_jacobi,
+    form_value,
     gl_matrix_of,
     invert_matrix,
     mat_mul,
+    solve_linear,
     structure_constant_identity_report,
     supercommutator,
     supertrace,
@@ -220,7 +223,7 @@ class TestRoots:
             assert lhs == expected
             # (h_a, x) = a(x) on the Cartan
             for k, c in enumerate(g.cartan):
-                assert g.form_value(rd.h_coroot[i], {c: Q(1)}) == root.functional[k]
+                assert form_value(g, rd.h_coroot[i], {c: Q(1)}) == root.functional[k]
             # [x, e_a] = a(x) e_a
             for k, c in enumerate(g.cartan):
                 got = bracket(g, {c: Q(1)}, rd.e[i])
@@ -327,6 +330,39 @@ def _stored_exactly(value) -> bool:
     return type(value) is int if Q(value).denominator == 1 else type(value) is Fraction
 
 
+class TestRootLabels:
+    """Each root e_a - e_b carries the label (a, b) of its matrix unit, and root sums follow labels."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[("sl", 2, 0), ("sl", 3, 0), ("gl", 1, 1), ("gl", 2, 1), ("sl", 2, 1), ("gl", 3, 1), ("gl", 2, 2),
+                ("gl", 6, 4), ("sl", 7, 4)],
+        ids=lambda a: f"{a[0]}{a[1]}{a[2]}",
+    )
+    def algebra(self, request):
+        family, m, n = request.param
+        g = (build_gl if family == "gl" else build_sl)(m, n)
+        return g, root_decomposition(g)
+
+    def test_labels_match_functionals_and_units(self, algebra):
+        g, rd = algebra
+        units = _units(g.family, g.m + g.n)
+        assert rd.label_index == {u: i for i, u in enumerate(rd.labels)}
+        assert len(rd.label_index) == len(rd) == (g.m + g.n) * (g.m + g.n - 1)
+        for i, (a, b) in enumerate(rd.labels):
+            assert rd.roots[i].functional == tuple((t == a) - (t == b) for t in range(g.rank))
+            assert rd.roots[i].positive == (a < b)
+            assert [units[k] for k in rd.e[i]] == [(a, b)]
+            assert rd.labels[rd.neg[i]] == (b, a)
+
+    def test_add_index_matches_functional_scan(self, algebra):
+        _, rd = algebra
+        index = {r.functional: k for k, r in enumerate(rd.roots)}
+        for i, a in enumerate(rd.roots):
+            for j, b in enumerate(rd.roots):
+                assert rd.add_index(i, j) == index.get(tuple(x + y for x, y in zip(a.functional, b.functional))), (i, j)
+
+
 class TestIntegerRootData:
     """The integer root tables against brute force and the Gram system."""
 
@@ -346,7 +382,7 @@ class TestIntegerRootData:
 
     def test_coroots_solve_the_gram_system(self, algebra):
         _, g, rd = algebra
-        gram = g.cartan_gram()
+        gram = cartan_gram(g)
         for i, r in enumerate(rd.roots):
             assert rd.coroot_coords(i) == solve_linear(gram, list(r.functional))
 
@@ -355,6 +391,7 @@ class TestIntegerRootData:
         values = [c for v in g.structure.values() for c in v.values()]
         values += [c for r in rd.roots for c in r.functional]
         values += [c for h in rd.h_coroot for c in h.values()]
+        values += [c for v in rd.e for c in v.values()] + list(rd.pairing)
         values += [c for row in g.cartan_gram_inverse for c in row]
         assert values and all(_stored_exactly(c) for c in values)
 
@@ -373,4 +410,4 @@ class TestIntegerRootData:
         """The closed-form inverse is the Gaussian-elimination inverse on every gl(m|n) and
         sl(m|n) with m + n <= 6, sl taken with m > n and with m < n."""
         g = (build_gl if family == "gl" else build_sl)(m, n)
-        assert g.cartan_gram_inverse == invert_matrix(g.cartan_gram())
+        assert g.cartan_gram_inverse == invert_matrix(cartan_gram(g))

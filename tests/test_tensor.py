@@ -26,7 +26,7 @@ from sdybe.scalars import (
     largest_value,
     sample_points,
 )
-from sdybe.superalgebra import DegenerateFormError, build_gl, build_sl, sign_A, solve_linear
+from sdybe.superalgebra import DegenerateFormError, build_gl, build_sl, sign_A
 from sdybe.tensor import (
     OddActorError,
     Tensor2,
@@ -48,11 +48,13 @@ from conftest import (
     bracket_12_13,
     bracket_12_23,
     bracket_13_23,
+    cartan_gram,
     full_scan_leg_brackets,
     invert_matrix,
     lifted,
     reference_leg_bracket,
     signed_permutation,
+    solve_linear,
     stored_form,
 )
 from test_scalars import SUM_FACTORS, sum_exprs
@@ -100,7 +102,7 @@ def random_tensor3(g, rng, cells=4):
 
 def dual_cartan(g):
     """{h^i} with (h_i, h^j) = delta, as vectors over the basis."""
-    inv = invert_matrix(g.cartan_gram())
+    inv = invert_matrix(cartan_gram(g))
     cartan = list(g.cartan)
     return [
         {cartan[l]: inv[l][k] for l in range(len(cartan)) if inv[l][k]}

@@ -62,6 +62,7 @@ from conftest import (
     ode_check,
     ode_residual,
     ray_deviations,
+    reference_dominant_vector,
     sampled_max_abs,
     signed_permutation,
 )
@@ -378,19 +379,12 @@ class TestOdeAndFunctionalChecks:
         assert sampled_max_abs(survivors, g.rank, avoid=avoid, precision=64) < 1e-12
 
 
-def _root_labels(g, rd, i):
-    """(a, b) for the root e_a - e_b of the matrix unit E_ab."""
-    (b,) = rd.e[i]
-    name = g.basis_names[b]
-    return int(name[1]) - 1, int(name[2]) - 1
-
-
 def _partition_specs(g, rd):
     """(X, sign choices) of every ordered set partition B_1, ..., B_k of the labels:
     X holds e_a - e_b for a, b in one block, and a positive root e_a - e_b
     outside X is signed + iff the block of a comes first."""
     d = g.m + g.n
-    labels = {i: _root_labels(g, rd, i) for i in range(len(rd))}
+    labels = dict(enumerate(rd.labels))
     out = set()
     for k in range(1, d + 1):
         for block in itertools.product(range(k), repeat=d):
@@ -438,14 +432,20 @@ class TestClassification:
 
 
 def _assert_witness(rep: dict, cell_at):
-    """The one witness shape: a nonzero cell, a point and its value there."""
+    """The one witness shape: a nonzero cell, a point and its value there; a residual whose
+    nonzero cells are all constant draws no point, and its witness point is None."""
     assert rep["status"] == "nonzero"
     w = rep["witness"]
     assert set(w) == {"indices", "point", "value"}
-    assert rep["points_used"] == 20 and rep["max_abs"] == abs(w["value"])
+    assert rep["max_abs"] == abs(w["value"])
     cell = cell_at(tuple(w["indices"]))
     assert not cell.identically_zero()
-    assert float(cell.eval_numeric(w["point"], precision=128)) == w["value"]
+    if w["point"] is None:
+        assert rep["points_used"] == 0 and cell.constant() is not None
+        assert float(cell.constant()) == w["value"]
+    else:
+        assert rep["points_used"] == 20
+        assert float(cell.eval_numeric(w["point"], precision=128)) == w["value"]
 
 
 class TestSingleWitness:
@@ -572,6 +572,16 @@ class TestLimits:
         for i in rd.positive_indices():
             assert sum(c * x for c, x in zip(rd.coroot_coords(i), v)) >= 1
 
+    @pytest.mark.parametrize("d", range(2, 12))
+    def test_dominant_vector_matches_the_gauss_solve(self, d):
+        """Forward substitution along the simple roots gives the vector of the Gaussian
+        elimination over the simple coroots on every gl(m|n) and sl(m|n) with m + n = d."""
+        for family in ("gl", "sl"):
+            for m in range(d + 1):
+                if family == "gl" or 2 * m != d:
+                    rd = root_decomposition((build_gl if family == "gl" else build_sl)(m, d - m))
+                    assert dominant_vector(rd) == reference_dominant_vector(rd), (family, m, d - m)
+
     @pytest.mark.parametrize("family,m,n", [("gl", 4, 3), ("sl", 8, 0)])
     def test_limits_at_rank_seven(self, family, m, n):
         # rank 7 puts any lattice search for the dominant vector out of reach
@@ -602,6 +612,8 @@ class TestLimits:
         assert rep.witness["indices"] == [1, *cell]
         assert abs(rep.witness["value"] - 1e-20) < 1e-30
         assert rep.details == {"dominant_vector": list(dominant_vector(rd))}
+        # every limits cell is a constant: the witness depends on no point, so none is drawn
+        assert rep.points_used == 0 and rep.witness["point"] is None
 
     @pytest.mark.parametrize("bundle", ["sl2", "gl21", "sl3"])
     def test_a_cell_with_flipped_sign_is_nonzero(self, request, bundle):
