@@ -11,8 +11,9 @@ controls included) are written once from this checkout's
 source, verifies every spec once to fill its caches and once more under
 cProfile, with the arguments perfbench uses.  Prints, per side, the calls of
 the profiled pass as cProfile counts them (C builtins included) and the
-calls of each function in COUNTED.  A fixed seed gives the same counts on
-every run.
+calls of each function in COUNTED; for a cached function (one with
+`__wrapped__`) these are the runs of the function it wraps, that is, cache
+misses.  A fixed seed gives the same counts on every run.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ COUNTED = {
     "Fraction.__new__": "fractions.Fraction.__new__",
     "Fraction._mul": "fractions.Fraction._mul",
     "Fraction._add": "fractions.Fraction._add",
+    "_build": "superalgebra._build",
+    "root_decomposition": "superalgebra.root_decomposition",
+    "casimir": "superalgebra.casimir",
+    "build_parser": "cli.build_parser",
 }
 
 # runs in a fresh interpreter: argv[1] is a src/ directory, argv[2] a JSON list
@@ -73,10 +78,10 @@ stats = pstats.Stats(profile)
 counts = {"calls": stats.total_calls}
 for label, path in json.loads(sys.argv[3]).items():
     owner, *attrs = path.split(".")
-    fn = {"scalars": scalars, "superalgebra": superalgebra, "fractions": fractions}[owner]
+    fn = {"cli": cli, "scalars": scalars, "superalgebra": superalgebra, "fractions": fractions}[owner]
     for attr in attrs:
         fn = getattr(fn, attr)
-    code = fn.__code__
+    code = getattr(fn, "__wrapped__", fn).__code__  # a cached function: count its real runs
     entry = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
     counts[label] = entry[1] if entry else 0
 print(json.dumps(counts))

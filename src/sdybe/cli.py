@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .rmatrix import parse_sizes, spec_from_json
@@ -167,7 +168,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `sdybe` parser, built on first use and shared by every later `main` call."""
     parser = argparse.ArgumentParser(
         prog="sdybe",
         description="Construct and verify zero-weight super dynamical r-matrices.",

@@ -80,15 +80,17 @@ class TwoForm:
         return not self.entries
 
     def closedness_residuals(self) -> list[tuple[tuple[int, int, int], RationalFunction]]:
-        """dD components: d_i D_jk + d_j D_ki + d_k D_ij for i < j < k, nonzero only."""
+        """dD components: d_i D_jk + d_j D_ki + d_k D_ij for i < j < k, nonzero only.
+
+        Only a triple holding both indices of a nonzero entry can have a
+        nonzero component, so only those triples are visited, in sorted order.
+        """
+        triples = {tuple(sorted((a, b, c))) for a, b in self.entries for c in range(self.nvars) if c != a and c != b}
         out = []
-        n = self.nvars if self.entries else 0  # a zero D is closed
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    res = self.entry(j, k).diff(i) + self.entry(k, i).diff(j) + self.entry(i, j).diff(k)
-                    if not res.is_zero():
-                        out.append(((i, j, k), res))
+        for i, j, k in sorted(triples):
+            res = self.entry(j, k).diff(i) + self.entry(k, i).diff(j) + self.entry(i, j).diff(k)
+            if not res.is_zero():
+                out.append(((i, j, k), res))
         return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 from .scalars import _coeff
 
@@ -37,13 +37,16 @@ class DegenerateFormError(ValueError):
 # the algebra container
 
 
-@dataclass
+@dataclass(eq=False)
 class LieSuperalgebra:
     """Basis-indexed Lie superalgebra with invariant form.
 
     structure[(i, j)] is the sparse expansion of [b_i, b_j]; form[i][j] is
     (b_i, b_j); cartan lists the indices of the Cartan basis (even, abelian).
-    Immutable after construction by convention.
+    `build_gl` and `build_sl` return one shared instance per size for the
+    life of the process, so it is immutable: no caller may change it or
+    anything it holds.  Equality and hashing are by identity, the keys of
+    the `root_decomposition` and `casimir` caches.
     """
 
     dim: int
@@ -91,8 +94,10 @@ def _units(family: str, d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(d) if i != j] + [(t, t) for t in range(d - 1)]
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 or True is not served the algebra built for 2 or 1
 def _build(family: str, m: int, n: int) -> LieSuperalgebra:
-    """gl(m|n) or sl(m|n) from the matrix-unit rules on the `_units` basis.
+    """gl(m|n) or sl(m|n) from the matrix-unit rules on the `_units` basis, built once per
+    (family, m, n) in a process and shared; a size it rejects raises again on every call.
 
     Rows 1..m are even, m+1..m+n odd, s_i = +1 on even rows and -1 on odd;
     |E_ij| = |i| + |j| mod 2.  On sl(m|n), m != n, h_t = E_tt - s_t/(m-n) Id.
@@ -162,12 +167,16 @@ def _build(family: str, m: int, n: int) -> LieSuperalgebra:
 
 
 def build_gl(m: int, n: int) -> LieSuperalgebra:
-    """gl(m|n): every matrix unit E_ij, supercommutator, supertrace form; the Cartan is spanned by the diagonal units."""
+    """gl(m|n): every matrix unit E_ij, supercommutator, supertrace form; the Cartan is spanned by the diagonal units.
+
+    Every call with the same sizes returns the same shared instance: do not mutate it."""
     return _build("gl", m, n)
 
 
 def build_sl(m: int, n: int) -> LieSuperalgebra:
-    """sl(m|n), m != n: the off-diagonal E_ij and h_t = E_tt - s_t/(m-n) Id, t < m+n-1, with the restricted form."""
+    """sl(m|n), m != n: the off-diagonal E_ij and h_t = E_tt - s_t/(m-n) Id, t < m+n-1, with the restricted form.
+
+    Every call with the same sizes returns the same shared instance: do not mutate it."""
     return _build("sl", m, n)
 
 
@@ -184,7 +193,7 @@ class Root:
     positive: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class RootDatum:
     """Roots of g with normalized root vectors and coroots.
 
@@ -194,7 +203,9 @@ class RootDatum:
     h_coroot[i] the Cartan element with (h_i, x) = root_i(x), pairing[i] the
     value (e_i, e_{-i}), neg[i] the index of the opposite root, and
     labels[i] the matrix unit (a, b) of the root e_a - e_b;
-    label_index[(a, b)] is the index of that root.
+    label_index[(a, b)] is the index of that root.  `root_decomposition`
+    shares one datum per algebra, so it and its lists are never mutated;
+    equality and hashing are by identity.
     """
 
     g: LieSuperalgebra
@@ -233,8 +244,10 @@ def sign_A(rd: RootDatum, i: int) -> int:
     return 1
 
 
+@cache
 def root_decomposition(g: LieSuperalgebra) -> RootDatum:
-    """The root data read off the matrix units.
+    """The root data read off the matrix units, read once per algebra and shared by every
+    caller for the life of the process: do not mutate it.
 
     Each off-diagonal unit E_ij spans the root space of e_i - e_j (restricted
     to the Cartan, where h_t acts as E_tt), positive iff i < j: positivity is
@@ -276,11 +289,13 @@ def cartan_casimir_cells(g: LieSuperalgebra, scale=1) -> dict:
     }
 
 
+@cache
 def casimir(g: LieSuperalgebra, rd: RootDatum):
     """The invariant element of g (x) g for the form.
 
     Omega = sum_k x_k (x) x^k  +  sum_a A_a e_a (x) e_{-a}, with {x^k} the
-    form-dual Cartan basis.
+    form-dual Cartan basis.  Built once per root datum and shared by every
+    caller for the life of the process: do not mutate it.
     """
     from . import tensor
 

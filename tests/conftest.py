@@ -7,11 +7,12 @@ conventions are checked against a second implementation.
 
 Beside them sit the checks that only tests run: the bracket of two vectors
 and the algebra axioms, the Fraction Gauss solve, the pair-by-pair X closure
-scan and the Gauss-solved dominant vector, the signed transpositions, the
-single leg brackets and the full-scan leg brackets, the phi ODE and
-functional equation, and the general-path references for number
-coefficients (every number lifted to a RationalFunction).  These use the package's types; the functional equation decides a
-spec without the tensor brackets that cdybe is built from.
+scan and the Gauss-solved dominant vector, the full-scan D closedness, the
+signed transpositions, the single leg brackets and the full-scan leg
+brackets, the phi ODE and functional equation, and the general-path
+references for number coefficients (every number lifted to a
+RationalFunction).  These use the package's types; the functional equation
+decides a spec without the tensor brackets that cdybe is built from.
 """
 
 from __future__ import annotations
@@ -542,6 +543,24 @@ def reference_dominant_vector(rd: RootDatum) -> tuple[int, ...]:
     v = solve_linear(rows, rhs)
     scale = math.lcm(*(x.denominator for x in v))
     return tuple(int(x * scale) for x in v)
+
+
+# ---------------------------------------------------------------------------
+# D closedness by the full triple scan
+
+
+def full_scan_closedness_residuals(D) -> list[tuple[tuple[int, int, int], RationalFunction]]:
+    """dD components d_i D_jk + d_j D_ki + d_k D_ij over every i < j < k, nonzero only: the
+    reference of `TwoForm.closedness_residuals`, which visits only the triples of nonzero entries."""
+    out = []
+    n = D.nvars
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                res = D.entry(j, k).diff(i) + D.entry(k, i).diff(j) + D.entry(i, j).diff(k)
+                if not res.is_zero():
+                    out.append(((i, j, k), res))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import sdybe
+from sdybe import cli
 from sdybe.cli import main
 
 Q = Fraction
@@ -315,3 +317,81 @@ class TestRoundTrip:
         out = tmp_path / "rep.json"
         assert main(["verify", "--spec", spec, "--checks", "validate,cdybe,unitarity,zero-weight", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["passed"]
+
+
+class TestParserReuse:
+    """`main` parses with one parser, built on its first call."""
+
+    def test_build_parser_runs_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert main(["algebra", "--family", "sl", "--m", "2", "--n", "0"]) == 0
+            assert main(["algebra", "--family", "gl", "--m", "1", "--n", "1"]) == 0
+        capsys.readouterr()
+        assert cli.build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["verify", "--spec", "SPEC", "--checks", "nonsense"], ["--version"], ["algebra", "--family", "so"]],
+        ids=["usage", "unknown-check", "version", "bad-choice"],
+    )
+    def test_second_call_exits_as_the_first(self, tmp_path, capsys, argv):
+        argv = [write_spec(tmp_path, "t1.json", t1_sl2()) if a == "SPEC" else a for a in argv]
+        cli.build_parser.cache_clear()
+        outcomes = []
+        for _ in range(2):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] in (2, ("exit", 0), ("exit", 2))
+        assert outcomes[0][1] or outcomes[0][2]
+
+
+def _without_seconds(doc):
+    if isinstance(doc, dict):
+        return {k: _without_seconds(v) for k, v in doc.items() if k != "seconds"}
+    if isinstance(doc, list):
+        return [_without_seconds(v) for v in doc]
+    return doc
+
+
+def test_shared_setup_leaks_no_state_between_specs(tmp_path):
+    """One process verifies the seed-1 bench specs of every workload forward, then in reverse;
+    each report, less its `seconds`, is the report a fresh process writes for that spec alone."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    specs = [
+        s for name in sorted(workloads.WORKLOADS) for s in workloads.generate(name, 1, str(tmp_path / name))
+    ]
+
+    def report(out):
+        with open(out) as fh:
+            return _without_seconds(json.load(fh))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sdybe.__file__)))
+    fresh = {}
+    for start in range(0, len(specs), 2):  # two fresh processes at a time
+        batch = [(k, str(tmp_path / f"fresh-{k}.json")) for k in range(start, min(start + 2, len(specs)))]
+        procs = [
+            subprocess.Popen([sys.executable, "-m", "sdybe.cli", *specs[k].argv(1, out)], env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            for k, out in batch
+        ]
+        for (k, out), proc in zip(batch, procs):
+            proc.wait()
+            fresh[k] = (proc.returncode, report(out))
+
+    for order in (range(len(specs)), reversed(range(len(specs)))):
+        for k in order:
+            out = str(tmp_path / "shared.json")
+            with open(os.devnull, "w") as sink, contextlib.redirect_stderr(sink):
+                code = main(specs[k].argv(1, out))
+            assert (code, report(out)) == fresh[k], specs[k].name

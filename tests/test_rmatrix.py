@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,13 @@ from sdybe.scalars import Poly, RationalFunction, ScalarExpr
 from sdybe.superalgebra import build_gl, build_sl, root_decomposition
 from sdybe.tensor import Tensor2, super_twist, yb_bracket
 
-from conftest import functional_equation_residual, ode_residual, reference_closure_failures, sampled_max_abs
+from conftest import (
+    full_scan_closedness_residuals,
+    functional_equation_residual,
+    ode_residual,
+    reference_closure_failures,
+    sampled_max_abs,
+)
 
 Q = Fraction
 
@@ -422,3 +429,64 @@ class TestSpecJson:
         with pytest.raises(ValueError, match="^D entry 0: ") as info:
             spec_from_json({**base, "D": [{"i": 0, "j": 1, "ratfun": "(coth 1 0 0)"}]}, g, rd)
         assert isinstance(info.value.__cause__, NotRationalError)
+
+
+class TestClosednessResiduals:
+    """`TwoForm.closedness_residuals` visits only the triples holding both indices of a nonzero
+    entry; the full triple scan in conftest is its reference, witness order included."""
+
+    @staticmethod
+    def _poly(rng, n) -> Poly:
+        """A random polynomial of degree at most 2 with small rational coefficients."""
+        p = Poly.const(n, Q(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 3)):
+            term = Poly.const(n, rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(1, 2)):
+                term = term * Poly.var(n, rng.randrange(n))
+            p = p + term
+        return p
+
+    def _form(self, rng, n, kind: str) -> TwoForm:
+        """open: random entries, sometimes over a linear denominator; exact: da for a random
+        polynomial 1-form a (closed); constant: random numbers (closed).  Sparse forms touch
+        one or two pairs (exact: one or two components of a), dense ones all of them."""
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        sparse = rng.random() < 0.5
+        if kind == "exact":
+            support = rng.sample(range(n), rng.randint(1, 2)) if sparse else range(n)
+            a = {k: self._poly(rng, n) for k in support}
+            zero = Poly.const(n, 0)
+            upper = {
+                (i, j): RationalFunction(a.get(j, zero).diff(i) - a.get(i, zero).diff(j)) for i, j in pairs
+            }
+            return TwoForm(n, upper)
+        chosen = rng.sample(pairs, min(len(pairs), rng.randint(1, 2))) if sparse else pairs
+        if kind == "constant":
+            return TwoForm(n, {ij: RationalFunction(Poly.const(n, Q(rng.randint(-5, 5), 2))) for ij in chosen})
+        upper = {}
+        for ij in chosen:
+            num = self._poly(rng, n)
+            den = [(Poly.linear([rng.randint(0, 2) for _ in range(n)], 1), 1)] if rng.random() < 0.3 else []
+            upper[ij] = RationalFunction(num, den)
+        return TwoForm(n, upper)
+
+    @pytest.mark.parametrize("kind", ["open", "exact", "constant"])
+    def test_matches_full_triple_scan(self, kind):
+        rng = random.Random(f"closedness-{kind}")
+        nonzero = 0
+        for _ in range(60):
+            d = self._form(rng, rng.randint(2, 6), kind)
+            out = d.closedness_residuals()
+            assert [(t, str(res)) for t, res in out] == [
+                (t, str(res)) for t, res in full_scan_closedness_residuals(d)
+            ]
+            nonzero += bool(out)
+        if kind == "open":
+            assert nonzero > 20  # most random forms are not closed
+        else:
+            assert nonzero == 0
+
+    def test_one_entry_visits_its_triples_only(self):
+        d = TwoForm(6, {(1, 4): RationalFunction(Poly.var(6, 0) * Poly.var(6, 5))})
+        assert [t for t, _ in d.closedness_residuals()] == [(0, 1, 4), (1, 4, 5)]
+        assert [t for t, _ in full_scan_closedness_residuals(d)] == [(0, 1, 4), (1, 4, 5)]

@@ -13,6 +13,7 @@ from sdybe.superalgebra import (
     _units,
     build_gl,
     build_sl,
+    casimir,
     root_decomposition,
     sign_A,
 )
@@ -160,6 +161,41 @@ def test_basis_names_unambiguous(build, m, n):
     units = {g.basis_names.index(name.format(i + 1, j + 1)) for i in range(d) for j in range(d) if i != j}
     assert len(set(g.basis_names)) == g.dim
     assert units == set(range(g.dim)) - set(g.cartan)
+
+
+class TestSharedSetup:
+    """One algebra, root datum and Casimir per (family, m, n) in a process, shared by every caller."""
+
+    def test_one_algebra_per_size(self):
+        assert build_gl(2, 1) is build_gl(2, 1)
+        assert build_sl(3, 0) is build_sl(3, 0)
+        algebras = [build_gl(2, 1), build_gl(1, 2), build_gl(3, 0), build_sl(2, 1), build_sl(3, 0)]
+        assert len({id(g) for g in algebras}) == len(algebras)
+        sizes = [(g.family, g.m, g.n) for g in algebras]
+        assert sizes == [("gl", 2, 1), ("gl", 1, 2), ("gl", 3, 0), ("sl", 2, 1), ("sl", 3, 0)]
+
+    def test_sizes_of_another_type_are_not_served_a_cached_algebra(self):
+        g = build_gl(1, 1)
+        with pytest.raises(TypeError):
+            build_gl(1.0, 1)
+        assert build_gl(True, 1) is not g
+
+    def test_root_datum_and_casimir_shared(self):
+        g = build_gl(2, 1)
+        rd = root_decomposition(g)
+        assert rd is root_decomposition(g) and rd.g is g
+        assert casimir(g, rd) is casimir(g, rd)
+        other = build_sl(2, 1)
+        assert root_decomposition(other) is not rd
+        assert casimir(other, root_decomposition(other)) is not casimir(g, rd)
+
+    def test_rejected_sizes_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DegenerateFormError):
+                build_sl(2, 2)
+            for build, m, n in ((build_gl, 1, 0), (build_sl, 0, 1), (build_gl, 0, 0)):
+                with pytest.raises(ValueError, match="m \\+ n >= 2"):
+                    build(m, n)
 
 
 class TestAxioms:
