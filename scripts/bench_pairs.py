@@ -15,8 +15,10 @@ The output keeps the layout of BENCH_5.json: per workload a set of pairs
 with, for every end-to-end metric, each side's runs, median and inclusive
 quartiles, the pairs the change won strictly, the median ratio
 (change / parent) and the parent's IQR.  An existing --out file is updated
-in place: only the named workload is replaced, and the file is rewritten
-after every pair, so an interrupted run keeps what it measured.
+in place: the new set is added after the named workload's earlier sets
+when they have the same parent and run length (else it replaces them), and
+the file is rewritten after every pair, so an interrupted run keeps what it
+measured.
 """
 
 from __future__ import annotations
@@ -138,9 +140,12 @@ def main(argv=None) -> int:
         "inclusive quartiles over each side's runs; change_wins counts pairs the change won strictly."
     )
     doc["machine"] = args.machine
+    entry = doc.setdefault("workloads", {}).get(args.workload, {})
+    if doc.get("parent_commit") != commit[:7] or entry.get("seconds") != seconds:
+        entry = {"seconds": seconds}
     doc["parent_commit"] = commit[:7]
-    doc.setdefault("workloads", {})
-    entry = doc["workloads"][args.workload] = {"seconds": seconds}
+    doc["workloads"][args.workload] = entry
+    earlier = entry.get("sets", [])
 
     def save():
         with open(args.out, "w") as fh:
@@ -153,10 +158,10 @@ def main(argv=None) -> int:
         order = ("parent", "change") if k % 2 else ("change", "parent")
         for side in order:
             runs[side].append(run_once(sides[side], args.workload, seed, seconds, 0))
-        entry["sets"] = [summarise(seeds, runs["parent"], runs["change"], metrics)]
+        entry["sets"] = earlier + [summarise(seeds, runs["parent"], runs["change"], metrics)]
         save()
         p, c = (runs[side][-1]["metrics"]["wall_s"]["value"] for side in ("parent", "change"))
-        wins = entry["sets"][0]["end_to_end"]["wall_s"]["change_wins"]
+        wins = entry["sets"][-1]["end_to_end"]["wall_s"]["change_wins"]
         print(f"{args.workload} pair {k} (seed {seed}): wall_s parent {p:.3f}, change {c:.3f}; wins {wins}",
               file=sys.stderr)
     if args.traced_seed is not None:

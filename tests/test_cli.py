@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -359,39 +360,43 @@ def _without_seconds(doc):
     return doc
 
 
-def test_shared_setup_leaks_no_state_between_specs(tmp_path):
+def _clear_shared_setup():
+    """Empty the per-process set-up caches, as a fresh process starts."""
+    from sdybe import superalgebra
+
+    for fn in (superalgebra._build, superalgebra.root_decomposition, superalgebra.casimir, cli.build_parser):
+        fn.cache_clear()
+
+
+def test_shared_setup_leaks_no_state_between_specs(tmp_path, monkeypatch):
     """One process verifies the seed-1 bench specs of every workload forward, then in reverse;
-    each report, less its `seconds`, is the report a fresh process writes for that spec alone."""
+    each report, less its `seconds`, is the report of a run that starts from empty set-up caches."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.path.insert(0, os.path.join(root, "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
+    loader = importlib.util.spec_from_file_location("workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look their module up there
+    loader.loader.exec_module(workloads)
     specs = [
         s for name in sorted(workloads.WORKLOADS) for s in workloads.generate(name, 1, str(tmp_path / name))
     ]
+    out = str(tmp_path / "report.json")
 
-    def report(out):
+    def run(spec):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stderr(sink):
+            code = main(spec.argv(1, out))
         with open(out) as fh:
-            return _without_seconds(json.load(fh))
+            return code, _without_seconds(json.load(fh))
 
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sdybe.__file__)))
-    fresh = {}
-    for start in range(0, len(specs), 2):  # two fresh processes at a time
-        batch = [(k, str(tmp_path / f"fresh-{k}.json")) for k in range(start, min(start + 2, len(specs)))]
-        procs = [
-            subprocess.Popen([sys.executable, "-m", "sdybe.cli", *specs[k].argv(1, out)], env=env,
-                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            for k, out in batch
-        ]
-        for (k, out), proc in zip(batch, procs):
-            proc.wait()
-            fresh[k] = (proc.returncode, report(out))
-
+    reference = []
+    for spec in specs:
+        _clear_shared_setup()
+        reference.append(run(spec))
     for order in (range(len(specs)), reversed(range(len(specs)))):
         for k in order:
-            out = str(tmp_path / "shared.json")
-            with open(os.devnull, "w") as sink, contextlib.redirect_stderr(sink):
-                code = main(specs[k].argv(1, out))
-            assert (code, report(out)) == fresh[k], specs[k].name
+            assert run(specs[k]) == reference[k], specs[k].name
+
+    # the in-process reference against the CLI entry point in a fresh process, on the last spec
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sdybe.__file__)))
+    done = subprocess.run([sys.executable, "-m", "sdybe.cli", *specs[-1].argv(1, out)], env=env, capture_output=True)
+    with open(out) as fh:
+        assert (done.returncode, _without_seconds(json.load(fh))) == reference[-1]
