@@ -21,7 +21,10 @@ with a non-constant numerator.  A fixed set of rational-D specs
 `verify` and symbolic `construct` on both sides as well, and so does
 `sdybe algebra` for every gl(m|n) and sl(m|n) with 2 <= m + n <= 9
 (`DESCRIPTOR_SIZES`), whose descriptors are compared field by field and
-then byte for byte.
+then byte for byte.  The usage errors of `SELECTION_ERRORS` (unknown
+checks, `--checks limits` on a spec it does not apply to, `--precision 53`
+on `verify` and `construct`) run on both sides too, and their exit codes
+are compared.
 """
 
 from __future__ import annotations
@@ -55,6 +58,18 @@ RATIONAL_D = (
 RATIONAL_D_ALGEBRAS = (("gl", 2, 1), ("sl", 3, 0))
 RATIONAL_D_EPSILONS = ("0", "1/3")
 DESCRIPTOR_SIZES = range(2, 10)  # m + n of the algebras whose `sdybe algebra` output is compared
+# the spec of the usage-error runs: X = all at eps = 0, where limits does not apply
+SELECTION_SPEC = {"algebra": "sl", "m": 3, "n": 0, "epsilon": "0", "nu": ["0", "0"], "X": "all"}
+SELECTION_ERRORS = (  # each exits 2 with no report
+    ["verify", "--checks", "bogus"],
+    ["verify", "--checks", "cdybe,bogus"],
+    ["verify", "--checks", ","],
+    ["verify", "--checks", "limits"],
+    ["verify", "--checks", "validate,limits"],
+    ["verify", "--precision", "53"],
+    ["construct", "--precision", "53"],
+    ["construct", "--at", "1/2,1/3", "--precision", "53"],
+)
 
 # runs in a fresh interpreter: argv[1] is a src/ directory, argv[2] a JSON list
 # of `sdybe` argument lists; prints the list of exit codes as JSON
@@ -184,6 +199,14 @@ def descriptor_runs(out) -> list[tuple[str, list[str]]]:
     return jobs
 
 
+def selection_runs(path: str, out) -> list[tuple[str, list[str]]]:
+    """(label, argv) of each of SELECTION_ERRORS on the spec file at path."""
+    return [
+        (" ".join(args), [args[0], "--spec", path, *args[1:], "--out", out(n)])
+        for n, args in enumerate(SELECTION_ERRORS)
+    ]
+
+
 def diff_runs(name: str, make_jobs, parent_dir: str, work: str, exact: bool = False) -> tuple[int, list[str]]:
     """(runs compared, differences) of the jobs make_jobs(out) gives, run on each side; with
     exact, output files whose fields agree must also agree byte for byte (1 and true differ)."""
@@ -246,6 +269,14 @@ def main(argv=None) -> int:
     total += ran
     diffs += found
     print(f"algebra: {ran} descriptors, {len(found)} differences", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="compare-reports-") as work:
+        path = os.path.join(work, "selection.json")
+        with open(path, "w") as fh:
+            json.dump(SELECTION_SPEC, fh)
+        ran, found = diff_runs("selection", lambda out: selection_runs(path, out), parent_dir, work)
+    total += ran
+    diffs += found
+    print(f"selection errors: {ran} runs, {len(found)} differences", file=sys.stderr)
     for line in diffs:
         print(line)
     verdict = "differ" if diffs else "match"

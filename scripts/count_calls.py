@@ -35,6 +35,7 @@ from bench_pairs import export_parent  # noqa: E402
 # label -> the function's owner and attribute in the package's side
 COUNTED = {
     "identically_zero": "scalars.ScalarExpr.identically_zero",
+    "ScalarExpr.primitive": "scalars.ScalarExpr.primitive",
     "ScalarExpr.__mul__": "scalars.ScalarExpr.__mul__",
     "RationalFunction.__mul__": "scalars.RationalFunction.__mul__",
     "RationalFunction.sum": "scalars.RationalFunction.sum",

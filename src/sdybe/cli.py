@@ -25,15 +25,9 @@ from functools import cache
 from . import __version__
 from .rmatrix import parse_sizes, spec_from_json
 from .scalars import PoleError
-from .superalgebra import (
-    DegenerateFormError,
-    build_gl,
-    build_sl,
-    export_descriptor,
-    root_decomposition,
-)
+from .superalgebra import build_gl, build_sl, export_descriptor, root_decomposition
 from .tensor import tensor_dump
-from .verifier import ALL_CHECKS, MARGIN, MIN_PRECISION, VerifyConfig, limits_applicable, run_checks
+from .verifier import ALL_CHECKS, MARGIN, PreconditionError, VerifyConfig, run_checks
 
 Q = Fraction
 
@@ -56,23 +50,42 @@ def _build_algebra(family: str, m: int, n: int):
 
 
 def _load_spec(path: str):
-    with open(path) as fh:
-        doc = json.load(fh)
-    for key in ("algebra", "m", "n"):
-        if key not in doc:
-            raise ValueError(f"spec file is missing the {key!r} field")
-    g = _build_algebra(doc["algebra"], *parse_sizes(doc))
-    rd = root_decomposition(g)
-    spec = spec_from_json(doc, g, rd)
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    return doc, g, rd, spec, digest
+    """(g, rd, spec, header) of a spec file, header the report's {spec_digest, algebra,
+    tool_version}; None after printing the error of a bad spec."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        for key in ("algebra", "m", "n"):
+            if key not in doc:
+                raise ValueError(f"spec file is missing the {key!r} field")
+        g = _build_algebra(doc["algebra"], *parse_sizes(doc))
+        rd = root_decomposition(g)
+        spec = spec_from_json(doc, g, rd)
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError and DegenerateFormError are ValueErrors
+        print(f"error: bad spec: {exc}", file=sys.stderr)
+        return None
+    header = {
+        "spec_digest": hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest(),
+        "algebra": {"family": g.family, "m": g.m, "n": g.n},
+        "tool_version": __version__,
+    }
+    return g, rd, spec, header
+
+
+def _config(precision: int, seed: int = 0) -> VerifyConfig | None:
+    """The numeric settings, or None after printing why they are refused."""
+    try:
+        return VerifyConfig(precision=precision, seed=seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_algebra(args) -> int:
     try:
         g = _build_algebra(args.family, args.m, args.n)
         rd = root_decomposition(g)
-    except (DegenerateFormError, ValueError) as exc:
+    except ValueError as exc:  # DegenerateFormError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(export_descriptor(g, rd), args.out)
@@ -82,25 +95,15 @@ def cmd_algebra(args) -> int:
 def cmd_construct(args) -> int:
     from .rmatrix import ValidationError, construct
 
-    if args.precision < MIN_PRECISION:
-        print(f"error: precision must be at least {MIN_PRECISION} bits, got {args.precision}", file=sys.stderr)
+    if _config(args.precision) is None or (loaded := _load_spec(args.spec)) is None:
         return 2
-    try:
-        _, g, rd, spec, digest = _load_spec(args.spec)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, DegenerateFormError) as exc:
-        print(f"error: bad spec: {exc}", file=sys.stderr)
-        return 2
+    g, rd, spec, doc = loaded
     try:
         r = construct(spec, g, rd)
     except ValidationError as exc:
         print(f"error: spec fails validation: {exc}", file=sys.stderr)
-        _emit({"spec_digest": digest, "validation": exc.report.as_dict()}, args.out)
+        _emit({"spec_digest": doc["spec_digest"], "validation": exc.report.as_dict()}, args.out)
         return 1
-    doc = {
-        "spec_digest": digest,
-        "algebra": {"family": g.family, "m": g.m, "n": g.n},
-        "tool_version": __version__,
-    }
     if args.at is None:
         doc["tensor"] = tensor_dump(r)
     else:
@@ -134,33 +137,16 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        raw, g, rd, spec, digest = _load_spec(args.spec)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, DegenerateFormError) as exc:
-        print(f"error: bad spec: {exc}", file=sys.stderr)
+    if (loaded := _load_spec(args.spec)) is None or (cfg := _config(args.precision, args.seed)) is None:
         return 2
+    g, rd, spec, doc = loaded
     checks = tuple(c.strip() for c in args.checks.split(",")) if args.checks else None
-    bad = [c for c in checks or () if c not in ALL_CHECKS]
-    if bad:
-        print(f"error: unknown checks {bad}; available: {', '.join(ALL_CHECKS)}", file=sys.stderr)
-        return 2
-    if checks and "limits" in checks and not limits_applicable(spec, rd):
-        print("error: limits check needs eps != 0, X = all, nu = 0, D = 0", file=sys.stderr)
-        return 2
     try:
-        cfg = VerifyConfig(precision=args.precision, seed=args.seed)
-    except ValueError as exc:
+        ok, reports, extras = run_checks(g, rd, spec, checks=checks, cfg=cfg)
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ok, reports, extras = run_checks(g, rd, spec, checks=checks, cfg=cfg)
-    doc = {
-        "spec_digest": digest,
-        "algebra": {"family": g.family, "m": g.m, "n": g.n},
-        "tool_version": __version__,
-        "config": cfg.as_dict(),
-        "checks": [rep.as_dict() for rep in reports],
-        "passed": ok,
-    }
+    doc.update(config=cfg.as_dict(), checks=[rep.as_dict() for rep in reports], passed=ok)
     doc.update(extras)
     _emit(doc, args.out)
     for rep in reports:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import Poly, RationalFunction, ScalarExpr, _coeff, from_sexpr, make_atom, poly_from_str, to_sexpr
-from .superalgebra import LieSuperalgebra, RootDatum, cartan_casimir_cells, casimir
+from .superalgebra import LieSuperalgebra, RootDatum, cartan_casimir_cells, casimir, sign_A
 from .tensor import Tensor2, collect_tensor
 
 Q = Fraction
@@ -219,10 +219,10 @@ def root_linear_form(i: int, spec: RMatrixSpec, rd: RootDatum) -> tuple[tuple, F
 
 
 def phi_zero_coupling(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:
-    """(-1)^{|a|} (e_a, e_{-a}) / (a, lambda - nu)."""
+    """(-1)^{|a|} (e_a, e_{-a}) / (a, lambda - nu); the numerator is A_a (`sign_A`)."""
     n = rd.g.rank
     coeffs, shift = root_linear_form(i, spec, rd)
-    num = Poly.const(n, ((-1) ** rd.roots[i].parity) * rd.pairing[i])
+    num = Poly.const(n, sign_A(rd, i))
     den = Poly.linear(coeffs, shift)
     return ScalarExpr.from_ratfun(RationalFunction(num, [(den, 1)]))
 
@@ -230,7 +230,7 @@ def phi_zero_coupling(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:
 def phi_coupled(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:
     """The phi table for nonzero coupling.
 
-    a in X:               (eps/2) coth((-1)^{|a|}(e_a,e_{-a})(eps/2)(a, l-nu))
+    a in X:               (eps/2) coth(A_a (eps/2)(a, l-nu)),  A_a = (-1)^{|a|}(e_a,e_{-a})
     a not in X, negative: s * eps/2
     a not in X, positive: -s * (-1)^{|a|} * eps/2
     with s the per-pair sign choice recorded on the positive representative.
@@ -241,7 +241,7 @@ def phi_coupled(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:
     n = rd.g.rank
     root = rd.roots[i]
     if i in spec.X:
-        scale = ((-1) ** root.parity) * rd.pairing[i] * eps / 2
+        scale = sign_A(rd, i) * eps / 2
         coeffs, shift = root_linear_form(i, spec, rd)
         atom, sign = make_atom([scale * c for c in coeffs], scale * shift)
         return ScalarExpr(n, {((atom, 1),): _coeff(sign * eps / 2)})

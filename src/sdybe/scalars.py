@@ -767,26 +767,17 @@ class ScalarExpr:
         c = self.terms.get(())
         return c if len(self.terms) == 1 and c.__class__ is not RationalFunction else None
 
-    def key(self) -> tuple:
-        """Hashable canonical representation, like `Poly.key`: sorted (atom monomial, numerator
-        key, (factor id, multiplicity) pairs), a number as (atom monomial, numerator, denominator).
-        Equal keys mean identical representations; one value can have two (a reducible
+    def primitive(self) -> tuple:
+        """(content, form) of the expression: self = content * P, where P's number and
+        numerator coefficients, in canonical order, are coprime ints and the first is positive;
+        zero is (0, ()).
+        The form is hashable and canonical: atom monomials sorted, each numerator by its sorted
+        terms and each denominator by its (factor id, multiplicity) pairs.  Equal forms mean
+        representations equal up to a rational factor; one value can have two (a reducible
         denominator factor).
         """
-        out = []
-        for m, c in self.terms.items():
-            if c.__class__ is RationalFunction:
-                out.append((m, c.num.key(), tuple([(f._fid, k) for f, k in c.den])))
-            else:
-                out.append((m, c.numerator, c.denominator))
-        return tuple(sorted(out))
-
-    def primitive(self) -> tuple:
-        """(content, form) of a nonzero expression: self = content * P, where P's number and
-        numerator coefficients, in canonical order, are coprime ints and the first is positive.
-        Equal forms mean representations equal up to a rational factor, as equal `key`s mean
-        identical ones.  Computed apart from `key`.
-        """
+        if not self.terms:
+            return 0, ()
         shape = []
         values: list = []
         for mono in sorted(self.terms):

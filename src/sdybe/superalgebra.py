@@ -42,7 +42,8 @@ class LieSuperalgebra:
     """Basis-indexed Lie superalgebra with invariant form.
 
     structure[(i, j)] is the sparse expansion of [b_i, b_j]; form[i][j] is
-    (b_i, b_j); cartan lists the indices of the Cartan basis (even, abelian).
+    (b_i, b_j); cartan lists the indices of the Cartan basis (even, abelian);
+    row_signs[i] is s_i, +1 on the even rows 1..m and -1 on the odd ones.
     `build_gl` and `build_sl` return one shared instance per size for the
     life of the process, so it is immutable: no caller may change it or
     anything it holds.  Equality and hashing are by identity, the keys of
@@ -58,6 +59,7 @@ class LieSuperalgebra:
     family: str = ""
     m: int = 0
     n: int = 0
+    row_signs: tuple[int, ...] = ()
 
     @property
     def rank(self) -> int:
@@ -78,8 +80,7 @@ class LieSuperalgebra:
     def cartan_gram_inverse(self) -> list[list[int]]:
         """The inverse Cartan Gram matrix in closed form, with s_i = +1 on even rows and -1 on odd:
         diag(s_i) on gl(m|n), and s_a delta_ab + s_{d-1} on sl(m|n) (d = m + n)."""
-        d = self.m + self.n
-        s = [1 if i < self.m else -1 for i in range(d)]
+        s, d = self.row_signs, self.m + self.n
         if self.family == "gl":
             return [[s[a] if a == b else 0 for b in range(d)] for a in range(d)]
         return [[s[a] * (a == b) + s[-1] for b in range(d - 1)] for a in range(d - 1)]
@@ -115,7 +116,7 @@ def _build(family: str, m: int, n: int) -> LieSuperalgebra:
     if m + n < 2:
         raise ValueError("need m + n >= 2")
     d = m + n
-    s = [1 if i < m else -1 for i in range(d)]
+    s = tuple(1 if i < m else -1 for i in range(d))
     units = _units(family, d)
     index = {u: a for a, u in enumerate(units)}
     dim = len(units)
@@ -163,6 +164,7 @@ def _build(family: str, m: int, n: int) -> LieSuperalgebra:
         family=family,
         m=m,
         n=n,
+        row_signs=s,
     )
 
 
@@ -200,9 +202,10 @@ class RootDatum:
     Roots are ordered by lexicographically decreasing functional, so positive
     roots come first; this ordering is the stable index space used by
     serialized r-matrix specs.  For every root i: e[i] is the root vector,
-    h_coroot[i] the Cartan element with (h_i, x) = root_i(x), pairing[i] the
-    value (e_i, e_{-i}), neg[i] the index of the opposite root, and
-    labels[i] the matrix unit (a, b) of the root e_a - e_b;
+    coroot_table[i] the Cartan-basis coordinates of the coroot h_i, the
+    element with (h_i, x) = root_i(x), pairing[i] the value (e_i, e_{-i}),
+    neg[i] the index of the opposite root, and labels[i] the matrix unit
+    (a, b) of the root e_a - e_b;
     label_index[(a, b)] is the index of that root.  `root_decomposition`
     shares one datum per algebra, so it and its lists are never mutated;
     equality and hashing are by identity.
@@ -211,22 +214,17 @@ class RootDatum:
     g: LieSuperalgebra
     roots: list[Root]
     e: list[Vector]
-    h_coroot: list[Vector]
     pairing: list[int]
     neg: list[int] = field(default_factory=list)
     labels: list = field(default_factory=list)
     label_index: dict = field(default_factory=dict)
-    coroot_table: list = field(default_factory=list)  # each root's `coroot_coords`, as a tuple
+    coroot_table: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.roots)
 
     def positive_indices(self) -> list[int]:
         return [i for i, r in enumerate(self.roots) if r.positive]
-
-    def coroot_coords(self, i: int) -> list[Fraction]:
-        """h_alpha in Cartan-basis coordinates: the linear form (alpha, .)."""
-        return list(self.coroot_table[i])
 
     def add_index(self, i: int, j: int) -> int | None:
         """Index of root_i + root_j if it is a root, else None: (a, b) + (b, e) = (a, e)."""
@@ -257,8 +255,7 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
     (h_a, x) = a(x): the coroot of e_i - e_j is column i minus column j of the
     inverse Cartan Gram matrix.
     """
-    cartan = list(g.cartan)
-    s = [1 if t < g.m else -1 for t in range(g.m + g.n)]
+    s = g.row_signs
     units = _units(g.family, g.m + g.n)
     found = sorted(  # (functional, basis index, i, j) of each E_ij, i != j, lex-descending: positives first
         ((tuple((t == i) - (t == j) for t in range(g.rank)), b, i, j) for b, (i, j) in enumerate(units) if i != j),
@@ -274,8 +271,7 @@ def root_decomposition(g: LieSuperalgebra) -> RootDatum:
 
     gram_inv = [row + [0] for row in g.cartan_gram_inverse]  # column d - 1: e_{d-1} is 0 on the sl Cartan
     table = [tuple([row[i] - row[j] for row in gram_inv]) for _, _, i, j in found]
-    coroots: list[Vector] = [{c: coeffs[k] for k, c in enumerate(cartan) if coeffs[k]} for coeffs in table]
-    return RootDatum(g, roots, vectors, coroots, pairings, neg, labels, label_index, coroot_table=table)
+    return RootDatum(g, roots, vectors, pairings, neg, labels, label_index, coroot_table=table)
 
 
 def cartan_casimir_cells(g: LieSuperalgebra, scale=1) -> dict:
@@ -338,7 +334,7 @@ def export_descriptor(g: LieSuperalgebra, rd: RootDatum | None = None) -> dict:
                 "parity": r.parity,
                 "positive": r.positive,
                 "vector": {str(b): str(c) for b, c in sorted(rd.e[i].items())},
-                "coroot": {str(b): str(c) for b, c in sorted(rd.h_coroot[i].items())},
+                "coroot": {str(b): str(c) for b, c in sorted(zip(g.cartan, rd.coroot_table[i])) if c},
                 "pairing": str(rd.pairing[i]),
                 "negative_index": rd.neg[i],
             }

@@ -16,8 +16,12 @@ run_checks builds each residual once: cdybe and mdybe are each one
 accumulator of terms, and at eps = 0 (s = r, no [[Omega, Omega]] term)
 cdybe's residual is reported as mdybe's.
 
+run_checks is the one place that selects the checks and builds their
+inputs: the lemma and limits take the tensors and reports it built.
+
 Zero decision policy: every residual is a dict of cells, and `decide_cells`
-decides each distinct cell form (`ScalarExpr.key`) once per run, through the
+decides each distinct cell form (`ScalarExpr.primitive`: cells equal up to a
+rational factor share one) once per run, through the
 one verdict memo run_checks passes to every decision, exactly and completely
 (`ScalarExpr.identically_zero`, which applies the coth addition law), so a
 residual is exact-zero or nonzero; no check is numeric.
@@ -32,7 +36,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .rmatrix import RMatrixSpec, _assemble, shift_to_s, validate
+from .rmatrix import RMatrixSpec, _assemble, _constant_cells, shift_to_s, validate
 from .scalars import ScalarExpr, largest_value, sample_points, singular_forms
 from .superalgebra import LieSuperalgebra, RootDatum
 from .tensor import (
@@ -121,10 +125,11 @@ class ResidualReport:
 
 
 def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None, *, verdicts=None) -> ResidualReport:
-    """Exact zero decision for every cell of a residual, once per distinct `ScalarExpr.key`.
+    """Exact zero decision for every cell of a residual, once per distinct `ScalarExpr.primitive` form.
 
-    verdicts (`ScalarExpr.key` -> identically zero) memoizes the decided forms;
-    run_checks passes one per run.  A nonzero residual gets a witness: its
+    verdicts (primitive form -> identically zero) memoizes the decided forms,
+    which a nonzero rational factor leaves zero or nonzero; run_checks passes
+    one per run.  A nonzero residual gets a witness: its
     nonzero cells are evaluated at the seeded lattice points, which avoid the
     singular forms of every cell, and the cell and point of largest |value| win.
     When every nonzero cell is a constant, no point is drawn: the witness
@@ -135,7 +140,7 @@ def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None, *, ver
     verdicts = {} if verdicts is None else verdicts
     nonzero = {}
     for k, c in cells.items():
-        zero = verdicts.get(form := c.key())
+        zero = verdicts.get(form := c.primitive()[1])
         if zero is None:
             zero = verdicts[form] = c.identically_zero()
         if not zero:
@@ -222,42 +227,35 @@ def mdybe_residual(
 
 
 def lemma_consistency_check(
-    r: Tensor2,
-    eps,
+    s: Tensor2,
     omega: Tensor2,
+    unitarity: ResidualReport,
+    cdybe: ResidualReport,
+    mdybe: ResidualReport,
     cfg: VerifyConfig | None = None,
     *,
-    s: Tensor2 | None = None,
-    unitarity: ResidualReport | None = None,
-    cdybe: ResidualReport | None = None,
-    mdybe: ResidualReport | None = None,
     verdicts=None,
 ) -> ResidualReport:
     """Both sides of the equivalence must agree, and the six-term cross
-    bracket of the shifted tensor with the Casimir must vanish exactly.
+    bracket of the shifted tensor s with the Casimir must vanish exactly.
 
-    run_checks passes s, the unitarity, cdybe and mdybe reports it has
-    already built and its verdict memo, so only the cross bracket is new
-    work here; whatever is not passed in is computed.
+    The unitarity, cdybe and mdybe reports are those run_checks built for
+    r and s, so only the cross bracket is new work here.
     """
     start = time.monotonic()
-    unit = unitarity if unitarity is not None else unitarity_residual(r, eps, omega, cfg, verdicts=verdicts)[1]
-    if not unit.is_zero:
+    if not unitarity.is_zero:
         raise PreconditionError("lemma check requires generalized unitarity")
-    s = s if s is not None else shift_to_s(r, eps, omega)
-    cd = cdybe if cdybe is not None else cdybe_residual(r, cfg, verdicts=verdicts)[1]
-    md = mdybe if mdybe is not None else mdybe_residual(s, eps, omega, cfg, verdicts=verdicts)[1]
     cross_rep = decide_tensor_zero(cross_bracket(s, omega), "lemma-cross-bracket", cfg, verdicts=verdicts)
-    consistent = cd.is_zero == md.is_zero
+    consistent = cdybe.is_zero == mdybe.is_zero
     ok = consistent and cross_rep.status == "exact-zero"
     return ResidualReport(
         name="lemma",
         status="exact-zero" if ok else "nonzero",
         seconds=time.monotonic() - start,
-        witness=None if ok else {"cdybe": cd.as_dict(), "mdybe": md.as_dict(), "cross": cross_rep.as_dict()},
+        witness=None if ok else {"cdybe": cdybe.as_dict(), "mdybe": mdybe.as_dict(), "cross": cross_rep.as_dict()},
         details={
-            "cdybe_status": cd.status,
-            "mdybe_status": md.status,
+            "cdybe_status": cdybe.status,
+            "mdybe_status": mdybe.status,
             "cross_bracket_status": cross_rep.status,
             "consistent": consistent,
         },
@@ -279,7 +277,7 @@ def dominant_vector(rd: RootDatum) -> tuple[int, ...]:
     its denominator keeps (a, v) >= 1.
     """
     g = rd.g
-    s = [1 if i < g.m else -1 for i in range(g.m + g.n)]
+    s = g.row_signs
     q = [0]
     for k in range(g.rank - 1):
         q.append(s[k + 1] * (s[k] * q[k] - 1))
@@ -302,13 +300,7 @@ def limits_applicable(spec: RMatrixSpec, rd: RootDatum) -> bool:
 
 
 def limit_behavior_check(
-    spec: RMatrixSpec,
-    g: LieSuperalgebra,
-    rd: RootDatum,
-    cfg: VerifyConfig | None = None,
-    *,
-    r: Tensor2 | None = None,
-    verdicts=None,
+    r: Tensor2, rd: RootDatum, eps, cfg: VerifyConfig | None = None, *, verdicts=None
 ) -> ResidualReport:
     """Exact limits of the X = Delta family along a dominant ray.
 
@@ -316,21 +308,16 @@ def limit_behavior_check(
     to the untwisted one as t -> -infinity.  Each coth atom of r tends to the
     sign of its slope (a, +-v), nonzero for a dominant v (`ScalarExpr.ray_limit`).
     Each limit minus its constant solution is taken on numbers; its nonzero
-    cells, keyed (direction, i, j), are decided by `decide_cells`.  Without r (which
-    run_checks passes, with its verdict memo) the spec is validated and r
-    constructed here.
+    cells, keyed (direction, i, j), are decided by `decide_cells`.  r is the
+    r-matrix of a spec that `limits_applicable` admits, as run_checks passes it.
     """
-    from .rmatrix import _constant_cells, construct
-
     start = time.monotonic()
-    if not limits_applicable(spec, rd):
-        raise PreconditionError("limit check needs eps != 0, X = all roots, nu = 0 and D = 0")
-    r = r if r is not None else construct(spec, g, rd)
+    g = r.g
     v = dominant_vector(rd)
     n = g.rank
     cells = {}
     for direction, which in ((1, "Tsr"), (-1, "r")):
-        target = _constant_cells(g, rd, spec.epsilon, which)
+        target = _constant_cells(g, rd, eps, which)
         ray = tuple(direction * x for x in v)
         for k in sorted(r.coeffs.keys() | target.keys()):
             lim = r.coeffs[k].ray_limit(ray).constant() if k in r.coeffs else 0
@@ -359,7 +346,9 @@ def run_checks(
     """Run the selected residual checks; returns (all passed, reports, extras).
 
     checks defaults to every check that applies to the spec: all of them,
-    less `limits` where `limits_applicable` is false.
+    less `limits` where `limits_applicable` is false.  An empty selection, an
+    unknown name or `limits` on a spec it does not apply to raises
+    PreconditionError before the spec is validated.
     """
     # imported at call time: the per-layer benchmark wraps casimir on its
     # own module
@@ -367,6 +356,12 @@ def run_checks(
 
     if checks is None:
         checks = tuple(c for c in ALL_CHECKS if c != "limits" or limits_applicable(spec, rd))
+    if not checks:
+        raise PreconditionError("no checks selected")
+    if bad := [c for c in checks if c not in ALL_CHECKS]:
+        raise PreconditionError(f"unknown checks {bad}; available: {', '.join(ALL_CHECKS)}")
+    if "limits" in checks and not limits_applicable(spec, rd):
+        raise PreconditionError("limits check needs eps != 0, X = all, nu = 0, D = 0")
     reports: list[ResidualReport] = []
     extras: dict = {}
 
@@ -409,11 +404,9 @@ def run_checks(
     if "mdybe" in checks:
         reports.append(md)
     if lemma:
-        reports.append(
-            lemma_consistency_check(r, eps, omega, cfg, s=s, unitarity=unit, cdybe=cd, mdybe=md, verdicts=verdicts)
-        )
+        reports.append(lemma_consistency_check(s, omega, unit, cd, md, cfg, verdicts=verdicts))
     if "limits" in checks:
-        reports.append(limit_behavior_check(spec, g, rd, cfg, r=r, verdicts=verdicts))
+        reports.append(limit_behavior_check(r, rd, eps, cfg, verdicts=verdicts))
 
     ok = all(rep.is_zero for rep in reports)
     return ok, reports, extras

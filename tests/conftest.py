@@ -146,6 +146,11 @@ def form_value(g: LieSuperalgebra, x: Vector, y: Vector) -> Fraction:
     return acc
 
 
+def coroot(rd: RootDatum, i: int) -> Vector:
+    """The coroot h_i as a Cartan vector, read off its coordinates `RootDatum.coroot_table[i]`."""
+    return {c: x for c, x in zip(rd.g.cartan, rd.coroot_table[i]) if x}
+
+
 def cartan_gram(g: LieSuperalgebra) -> list[list[Fraction]]:
     """The form on the Cartan basis."""
     return [[g.form[i][j] for j in g.cartan] for i in g.cartan]
@@ -385,7 +390,7 @@ def structure_constant_identity_report(g: LieSuperalgebra, rd: RootDatum) -> dic
                 continue
             checked += 1
             pa, pb = rd.roots[i].parity, rd.roots[j].parity
-            hh = form_value(g, rd.h_coroot[i], rd.h_coroot[j])
+            hh = form_value(g, coroot(rd, i), coroot(rd, j))
             if hh == 0:
                 zero_h.append((rd.roots[i].functional, rd.roots[j].functional))
             ni, nj, nk = rd.neg[i], rd.neg[j], rd.neg[k]
@@ -445,19 +450,29 @@ def signed_permutation(t: Tensor3, which: str) -> Tensor3:
     return Tensor3(t.g, out)
 
 
+def mode_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool, into: dict | None = None, scale=1):
+    """`tensor._leg_brackets` with `tensor._MODES` narrowed to modes for the call."""
+    saved = tensor_mod._MODES
+    tensor_mod._MODES = tuple(modes)
+    try:
+        return _leg_brackets(r, s, both_orders, into, scale)
+    finally:
+        tensor_mod._MODES = saved
+
+
 def bracket_12_13(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^12, s^13] = sum (-1)^{|b||a'|} [a, a'] (x) b (x) b'."""
-    return _leg_brackets(r, s, ("12_13",), False)
+    return mode_brackets(r, s, ("12_13",), False)
 
 
 def bracket_12_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^12, s^23] = sum a (x) [b, a'] (x) b'."""
-    return _leg_brackets(r, s, ("12_23",), False)
+    return mode_brackets(r, s, ("12_23",), False)
 
 
 def bracket_13_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^13, s^23] = sum (-1)^{|b||a'|} a (x) a' (x) [b, b']."""
-    return _leg_brackets(r, s, ("13_23",), False)
+    return mode_brackets(r, s, ("13_23",), False)
 
 
 def full_scan_leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool, scale=1) -> Tensor3:
@@ -535,7 +550,7 @@ def reference_dominant_vector(rd: RootDatum) -> tuple[int, ...]:
     n = rd.g.rank
     pos = [rd.roots[i].functional for i in rd.positive_indices()]
     sums = {tuple(x + y for x, y in zip(a, b)) for a in pos for b in pos}
-    rows = [rd.coroot_coords(i) for i, a in zip(rd.positive_indices(), pos) if a not in sums]
+    rows = [rd.coroot_table[i] for i, a in zip(rd.positive_indices(), pos) if a not in sums]
     rhs = [Q(1)] * len(rows)
     for k in range(n - len(rows)):
         rows.append([Q(int(j == k)) for j in range(n)])
@@ -576,7 +591,7 @@ def ode_residual(i: int, spec: RMatrixSpec, rd: RootDatum) -> list[ScalarExpr]:
     """
     f = phi(i, spec, rd)
     a = sign_A(rd, i)
-    coeffs = rd.coroot_coords(i)
+    coeffs = rd.coroot_table[i]
     quad = f * f - ScalarExpr.const(rd.g.rank, spec.epsilon**2 / 4)
     return [f.differentiate(j) + quad * (a * c) for j, c in enumerate(coeffs)]
 

@@ -201,10 +201,10 @@ class TestAcceptance:
                 spec = RMatrixSpec(
                     X=full_X(rd), nu=[0] * g.rank, D=TwoForm.zero(g.rank), epsilon=1
                 )
-                rep = limit_behavior_check(spec, g, rd, VerifyConfig(precision=128, seed=0))
+                r = construct(spec, g, rd)
+                rep = limit_behavior_check(r, rd, spec.epsilon, VerifyConfig(precision=128, seed=0))
                 assert rep.status == "exact-zero", g.family
                 targets = (constant_example(g, rd, 1, which=w) for w in ("Tsr", "r"))
-                r = construct(spec, g, rd)
                 for seq in ray_deviations(r, *targets, dominant_vector(rd), 1).values():
                     assert seq[-1] < 1e-15
                     assert seq[0] > seq[1] > seq[2]

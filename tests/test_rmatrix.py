@@ -132,7 +132,7 @@ class TestPhiZeroCoupling:
         spec = RMatrixSpec(X=full_X(rd), nu=[0, 0, 0], D=TwoForm.zero(3))
         i = next(i for i in rd.positive_indices() if rd.roots[i].parity == 1)
         f = phi_zero_coupling(i, spec, rd)
-        coeffs = rd.coroot_coords(i)
+        coeffs = rd.coroot_table[i]
         expected = ScalarExpr.from_ratfun(
             RationalFunction(Poly.const(3, -1), [(Poly.linear(coeffs), 1)])
         )
@@ -156,7 +156,7 @@ class TestPhiCoupled:
         spec = RMatrixSpec(X=full_X(rd), nu=[0], D=TwoForm.zero(1), epsilon=eps)
         i = rd.positive_indices()[0]
         f = phi_coupled(i, spec, rd)
-        expected = ScalarExpr.coth([eps / 2 * c for c in rd.coroot_coords(i)]) * (eps / 2)
+        expected = ScalarExpr.coth([eps / 2 * c for c in rd.coroot_table[i]]) * (eps / 2)
         assert (f - expected).symbolically_zero()
 
     def test_constant_branches(self, gl21):

@@ -563,7 +563,13 @@ def constant_coefficient_products(draw):
 
 
 def assert_same_form(got: ScalarExpr, expected: ScalarExpr):
-    assert got.key() == expected.key() and list(got.terms) == list(expected.terms)
+    """`stored_form`s equal up to the order of each numerator's terms: the same atom monomials in
+    the same order, the same numbers with their types, the same numerator terms and denominators."""
+
+    def form(f):
+        return [(m, (sorted(c[0]), c[1]) if isinstance(c[0], list) else c) for m, c in stored_form(f)]
+
+    assert form(got) == form(expected)
 
 
 @settings(max_examples=80, deadline=None)
@@ -708,16 +714,20 @@ def test_constant_value():
 @given(st.lists(sum_exprs(), min_size=1, max_size=3), st.sampled_from(SUM_FACTORS))
 @example([ScalarExpr.coth([1, 0]) * Q(1, 2), ScalarExpr.coth([1, 0]) * Q(1, 3)], Q(2, 3))  # one numerator, two numbers
 def test_equal_keys_are_equal_forms(exprs, factor):
+    """Expressions of one primitive form differ only by the ratio of their contents."""
     a = exprs[0]
     reordered = ScalarExpr(2, dict(reversed(list(a.terms.items()))))
-    assert reordered.key() == a.key()
+    assert reordered.primitive() == a.primitive()
     # a multiple has a's monomials and denominators, and other numerators; the
     # parsed text form can store a product of factors as one factor
-    forms = exprs + [reordered, ScalarExpr.sum(2, [(factor, a)]), from_sexpr(to_sexpr(a), 2)]
+    multiple = ScalarExpr.sum(2, [(factor, a)])
+    assert not a.terms or multiple.primitive()[1] == a.primitive()[1]
+    forms = exprs + [reordered, multiple, from_sexpr(to_sexpr(a), 2)]
     for x in forms:
         for y in forms:
-            if x.key() == y.key():
-                assert to_sexpr(x) == to_sexpr(y)
+            (cx, fx), (cy, fy) = x.primitive(), y.primitive()
+            if fx == fy and y.terms:
+                assert to_sexpr(x) == to_sexpr(ScalarExpr.sum(2, [(Q(cx) / cy, y)]))
 
 
 def test_scalar_sum_of_nothing_is_zero():

@@ -25,6 +25,7 @@ from conftest import (
     by_matrix_products,
     cartan_gram,
     check_jacobi,
+    coroot,
     form_value,
     gl_matrix_of,
     invert_matrix,
@@ -255,11 +256,11 @@ class TestRoots:
                 assert rd.pairing[i] == 1
             # [e_a, e_{-a}] = (e_a, e_{-a}) h_a
             lhs = bracket(g, rd.e[i], rd.e[j])
-            expected = {k: rd.pairing[i] * v for k, v in rd.h_coroot[i].items()}
+            expected = {k: rd.pairing[i] * v for k, v in coroot(rd, i).items()}
             assert lhs == expected
             # (h_a, x) = a(x) on the Cartan
             for k, c in enumerate(g.cartan):
-                assert form_value(g, rd.h_coroot[i], {c: Q(1)}) == root.functional[k]
+                assert form_value(g, coroot(rd, i), {c: Q(1)}) == root.functional[k]
             # [x, e_a] = a(x) e_a
             for k, c in enumerate(g.cartan):
                 got = bracket(g, {c: Q(1)}, rd.e[i])
@@ -420,13 +421,13 @@ class TestIntegerRootData:
         _, g, rd = algebra
         gram = cartan_gram(g)
         for i, r in enumerate(rd.roots):
-            assert rd.coroot_coords(i) == solve_linear(gram, list(r.functional))
+            assert list(rd.coroot_table[i]) == solve_linear(gram, list(r.functional))
 
     def test_integral_values_are_int(self, algebra):
         _, g, rd = algebra
         values = [c for v in g.structure.values() for c in v.values()]
         values += [c for r in rd.roots for c in r.functional]
-        values += [c for h in rd.h_coroot for c in h.values()]
+        values += [c for h in rd.coroot_table for c in h]
         values += [c for v in rd.e for c in v.values()] + list(rd.pairing)
         values += [c for row in g.cartan_gram_inverse for c in row]
         assert values and all(_stored_exactly(c) for c in values)

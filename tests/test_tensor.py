@@ -31,7 +31,6 @@ from sdybe.tensor import (
     OddActorError,
     Tensor2,
     Tensor3,
-    _leg_brackets,
     ad_action,
     alt_s,
     collect,
@@ -52,6 +51,7 @@ from conftest import (
     full_scan_leg_brackets,
     invert_matrix,
     lifted,
+    mode_brackets,
     reference_leg_bracket,
     signed_permutation,
     solve_linear,
@@ -439,7 +439,7 @@ class TestAltSOnDifferential:
         g, rd, _ = gl21
         n = g.rank
         odd_i = next(i for i in rd.positive_indices() if rd.roots[i].parity == 1)
-        coeffs = rd.coroot_coords(odd_i)
+        coeffs = rd.coroot_table[odd_i]
         phi = ScalarExpr.from_ratfun(
             RationalFunction(Poly.const(n, 1), [(Poly.linear(coeffs, 0), 1)])
         )
@@ -509,7 +509,7 @@ def _independent_value(f: ScalarExpr, point, precision: int):
 def _point_on(rd, hyperplanes, n):
     """A rational point on every (root index, nu) hyperplane (a, x - nu) = 0,
     with the remaining coordinates pinned to values off the other hyperplanes."""
-    rows = [list(rd.coroot_coords(i)) for i, _ in hyperplanes]
+    rows = [list(rd.coroot_table[i]) for i, _ in hyperplanes]
     rhs = [sum(c * v for c, v in zip(rows[k], nu)) for k, (_, nu) in enumerate(hyperplanes)]
     for k in range(n):
         if len(rows) == n:
@@ -825,9 +825,9 @@ def shared_shape_tensors(draw):
 @given(shared_shape_tensors(), shared_shape_tensors(), st.sampled_from([(m,) for m in MODES] + [MODES]), st.booleans())
 def test_shared_bases_match_the_split_free_full_scan(r, s, modes, both_orders):
     """Int factors on shared bases give the cells, in the order, of each pair's own product."""
-    got = _leg_brackets(r, s, modes, both_orders)
+    got = mode_brackets(r, s, modes, both_orders)
     want = full_scan_leg_brackets(r, s, modes, both_orders)
     assert tensor_dump(got) == tensor_dump(want)
     assert list(got.coeffs) == list(want.coeffs)
-    same = _leg_brackets(r, r, modes, both_orders)
+    same = mode_brackets(r, r, modes, both_orders)
     assert tensor_dump(same) == tensor_dump(full_scan_leg_brackets(r, r, modes, both_orders))

@@ -57,6 +57,7 @@ from sdybe.verifier import (
 
 from conftest import (
     full_scan_leg_brackets,
+    mode_brackets,
     functional_equation_check,
     functional_equation_residual,
     ode_check,
@@ -277,11 +278,9 @@ class TestMdybe:
 class TestLemma:
     def test_coupled_family_consistent(self, sl2, gl21):
         for bundle in (sl2, gl21):
-            g, rd, om = bundle
-            spec = full_spec(rd, eps=Q(1))
-            r = construct(spec, g, rd, omega=om)
-            rep = lemma_consistency_check(r, 1, om, CFG64)
-            assert rep.is_zero
+            g, rd, _ = bundle
+            ok, (rep,), _ = run_checks(g, rd, full_spec(rd, eps=Q(1)), checks=("lemma",), cfg=CFG64)
+            assert ok and rep.is_zero
             assert rep.details["cross_bracket_status"] == "exact-zero"
             assert rep.details["consistent"]
 
@@ -300,8 +299,12 @@ class TestLemma:
         g, rd, om = sl2
         e = g.basis_names.index("E12")
         r = basis_tensor2(g, e, e)
+        s = shift_to_s(r, 1, om)
+        unit = unitarity_residual(r, 1, om, CFG64)[1]
+        cd, md = cdybe_residual(r, CFG64)[1], mdybe_residual(s, 1, om, CFG64)[1]
+        assert unit.status == "nonzero"
         with pytest.raises(PreconditionError):
-            lemma_consistency_check(r, 1, om, CFG64)
+            lemma_consistency_check(s, om, unit, cd, md, CFG64)
 
 
 class TestComponentOrbits:
@@ -490,7 +493,8 @@ class TestSingleWitness:
         r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
         e12, e13 = g.basis_names.index("E12"), g.basis_names.index("E13")
         s = Tensor2(g, {(e12, e13): ScalarExpr.coth([Q(1), Q(0)])})
-        rep = lemma_consistency_check(r, 1, om, self.CFG, s=s)
+        unit, cd = unitarity_residual(r, 1, om, self.CFG)[1], cdybe_residual(r, self.CFG)[1]
+        rep = lemma_consistency_check(s, om, unit, cd, mdybe_residual(s, 1, om, self.CFG)[1], self.CFG)
         assert rep.status == "nonzero" and rep.details["cross_bracket_status"] == "nonzero"
         _assert_witness(rep.witness["cross"], cross_bracket(s, om).coeffs.__getitem__)
 
@@ -537,13 +541,13 @@ class TestLimits:
         _, rd, _ = gl21
         v = dominant_vector(rd)
         for i in rd.positive_indices():
-            assert sum(c * x for c, x in zip(rd.coroot_coords(i), v)) >= 1
+            assert sum(c * x for c, x in zip(rd.coroot_table[i], v)) >= 1
 
     def test_coth_asymptote_at_t40(self, sl2):
         _, rd, _ = sl2
         v = dominant_vector(rd)
         i = rd.positive_indices()[0]
-        arg = Q(1, 2) * 40 * sum(c * x for c, x in zip(rd.coroot_coords(i), v))
+        arg = Q(1, 2) * 40 * sum(c * x for c, x in zip(rd.coroot_table[i], v))
         val = ScalarExpr.coth([Q(1)]).eval_numeric([arg], precision=128)
         assert abs(float(val) - 1.0) < 1e-15
 
@@ -551,7 +555,7 @@ class TestLimits:
         for bundle in (sl2, gl21):
             g, rd, _ = bundle
             spec = full_spec(rd, eps=Q(1))
-            rep = limit_behavior_check(spec, g, rd, VerifyConfig(precision=128, seed=0))
+            rep = limit_behavior_check(construct(spec, g, rd), rd, spec.epsilon, VerifyConfig(precision=128, seed=0))
             assert rep.as_dict() | {"seconds": 0} == {
                 "name": "limits", "status": "exact-zero", "max_abs": None, "tolerance": None,
                 "points_used": 0, "witness": None, "seconds": 0,
@@ -561,8 +565,8 @@ class TestLimits:
 
     def test_precondition(self, sl2):
         g, rd, _ = sl2
-        with pytest.raises(PreconditionError):
-            limit_behavior_check(full_spec(rd), g, rd)  # eps = 0
+        with pytest.raises(PreconditionError, match="limits check needs"):
+            run_checks(g, rd, full_spec(rd), checks=("limits",))  # eps = 0
 
     @pytest.mark.parametrize("family,m,n", [("sl", 3, 0), ("sl", 2, 1), ("gl", 3, 3), ("sl", 6, 0)])
     def test_dominant_vector_strictly_dominant(self, family, m, n):
@@ -570,7 +574,7 @@ class TestLimits:
         v = dominant_vector(rd)
         assert all(isinstance(x, int) for x in v)
         for i in rd.positive_indices():
-            assert sum(c * x for c, x in zip(rd.coroot_coords(i), v)) >= 1
+            assert sum(c * x for c, x in zip(rd.coroot_table[i], v)) >= 1
 
     @pytest.mark.parametrize("d", range(2, 12))
     def test_dominant_vector_matches_the_gauss_solve(self, d):
@@ -590,7 +594,7 @@ class TestLimits:
         assert g.rank == 7
         start = time.monotonic()
         spec = full_spec(rd, eps=Q(1, 2))
-        rep = limit_behavior_check(spec, g, rd, VerifyConfig(precision=128, seed=0))
+        rep = limit_behavior_check(construct(spec, g, rd), rd, spec.epsilon, VerifyConfig(precision=128, seed=0))
         assert time.monotonic() - start < 30
         assert rep.status == "exact-zero"
         _assert_ray_converges(spec, g, rd)
@@ -606,7 +610,7 @@ class TestLimits:
         moved[cell] = moved[cell] + ScalarExpr.const(g.rank, Q(1, 10**20))
         moved = Tensor2(g, moved)
         _assert_ray_converges(spec, g, rd, moved)
-        rep = limit_behavior_check(spec, g, rd, VerifyConfig(precision=128), r=moved)
+        rep = limit_behavior_check(moved, rd, spec.epsilon, VerifyConfig(precision=128))
         assert rep.status == "nonzero"
         # both directions are off by the same amount; the first maximum wins
         assert rep.witness["indices"] == [1, *cell]
@@ -625,7 +629,7 @@ class TestLimits:
         cell = next(k for k in sorted(r.coeffs) if r.coeffs[k].ray_limit(v).terms)
         flipped = dict(r.coeffs)
         flipped[cell] = -flipped[cell]
-        rep = limit_behavior_check(spec, g, rd, CFG64, r=Tensor2(g, flipped))
+        rep = limit_behavior_check(Tensor2(g, flipped), rd, spec.epsilon, CFG64)
         assert rep.status == "nonzero" and rep.witness["indices"][1:] == list(cell)
 
     def test_ladder_statuses_are_exact(self):
@@ -760,13 +764,9 @@ class TestComputeOnce:
 
         r = construct(spec, g, rd, omega=om)
         s = shift_to_s(r, spec.epsilon, om)
-        standalone = [
-            unitarity_residual(r, spec.epsilon, om, CFG64)[1],
-            zero_weight_residual(r, CFG64),
-            cdybe_residual(r, CFG64)[1],
-            mdybe_residual(s, spec.epsilon, om, CFG64)[1],
-            lemma_consistency_check(r, spec.epsilon, om, CFG64),
-        ]
+        unit, cd = unitarity_residual(r, spec.epsilon, om, CFG64)[1], cdybe_residual(r, CFG64)[1]
+        md = mdybe_residual(s, spec.epsilon, om, CFG64)[1]
+        standalone = [unit, zero_weight_residual(r, CFG64), cd, md, lemma_consistency_check(s, om, unit, cd, md, CFG64)]
         assert reports[0].name == "validate" and reports[0].status == "exact-zero"
         assert [_without_seconds(rep.as_dict()) for rep in reports[1:]] == [
             _without_seconds(rep.as_dict()) for rep in standalone
@@ -833,15 +833,18 @@ class TestComputeOnce:
             construct(spec, g, rd)
 
     def test_standalone_limits_still_validates(self, gl21, monkeypatch):
+        """limits selected alone: run_checks validates the spec once before it builds r."""
         g, rd, _ = gl21
         calls = _count_validate(monkeypatch)
-        assert limit_behavior_check(full_spec(rd, eps=Q(1)), g, rd, CFG64).status == "exact-zero"
+        ok, reports, _ = run_checks(g, rd, full_spec(rd, eps=Q(1)), checks=("limits",), cfg=CFG64)
+        assert ok and [(rep.name, rep.status) for rep in reports] == [("limits", "exact-zero")]
         assert calls == ["validate"]
         # nu = 0 with one coordinate too many: limits applies, validate refuses it
         too_long = full_spec(rd, eps=Q(1), nu=[0] * (g.rank + 1))
         assert verifier_mod.limits_applicable(too_long, rd)
-        with pytest.raises(ValidationError, match="nu has 4 coordinates"):
-            limit_behavior_check(too_long, g, rd, CFG64)
+        ok, reports, extras = run_checks(g, rd, too_long, checks=("limits",), cfg=CFG64)
+        assert not ok and reports == []
+        assert [f["reason"] for f in extras["validation"]["failures"]] == ["nu has 4 coordinates, expected 3"]
 
 
 # the algebras and specs of the per-form tests
@@ -854,6 +857,33 @@ def _kind_spec(rd, kind):
         return _bad_signs_spec(rd)
     nu = [Q(k, 2 * k + 1) for k in range(1, rd.g.rank + 1)]
     return full_spec(rd, eps=Q(1, 3) if kind == "coth" else Q(0), nu=nu)
+
+
+def _form(c: ScalarExpr) -> tuple:
+    """The memo key of `decide_cells`: c's `ScalarExpr.primitive` form."""
+    return c.primitive()[1]
+
+
+def _each_cell_alone(monkeypatch):
+    """Every cell a form of its own within `decide_cells`: the memo's key never repeats, so
+    each cell is decided on its own.  `primitive` is patched only inside decide_cells, as the
+    leg brackets also group their operand cells by it."""
+    decide = verifier_mod.decide_cells
+
+    def alone(*args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(ScalarExpr, "primitive", lambda c: (1, object()))
+            return decide(*args, **kwargs)
+
+    monkeypatch.setattr(verifier_mod, "decide_cells", alone)
+
+
+def _count_decisions(monkeypatch) -> list:
+    """The forms `ScalarExpr.identically_zero` is called on, in order."""
+    calls = []
+    original = ScalarExpr.identically_zero
+    monkeypatch.setattr(ScalarExpr, "identically_zero", lambda c: calls.append(_form(c)) or original(c))
+    return calls
 
 
 class TestOneDecisionPerForm:
@@ -878,15 +908,12 @@ class TestOneDecisionPerForm:
         kind, tensors = residuals
         statuses = {}
         for name, t in tensors.items():
-            calls = []
-            original = ScalarExpr.identically_zero
-            monkeypatch.setattr(ScalarExpr, "identically_zero", lambda c: calls.append(c.key()) or original(c))
+            calls = _count_decisions(monkeypatch)
             shared = decide_cells(t.coeffs, name, CFG64)
             monkeypatch.undo()
-            assert len(calls) == len(set(calls)) == len({c.key() for c in t.coeffs.values()})
-            # every cell a form of its own: each is decided on its own
-            monkeypatch.setattr(ScalarExpr, "key", lambda c: object())
-            alone = decide_cells(t.coeffs, name, CFG64)
+            assert len(calls) == len(set(calls)) == len({_form(c) for c in t.coeffs.values()})
+            _each_cell_alone(monkeypatch)
+            alone = verifier_mod.decide_cells(t.coeffs, name, CFG64)
             monkeypatch.undo()
             assert _without_seconds(shared.as_dict()) == _without_seconds(alone.as_dict())
             statuses[name] = shared.status
@@ -895,6 +922,24 @@ class TestOneDecisionPerForm:
         if kind == "bad-signs":
             assert statuses["cdybe"] == statuses["mdybe"] == "nonzero"
 
+    def test_rational_multiples_share_one_decision(self, gl21, monkeypatch):
+        """c, 2c and -c have one primitive form: one `identically_zero` call, one verdict for all three."""
+        g, rd, om = gl21
+        n = g.rank
+        r = construct(full_spec(rd, eps=Q(1, 3), nu=[Q(k, 2 * k + 1) for k in range(1, n + 1)]), g, rd, omega=om)
+        # a cdybe cell with coth atoms: zero only by the addition law
+        zero = next(c for c in cdybe_lhs(r).coeffs.values() if c.atoms())
+        for c, status in ((zero, "exact-zero"), (ScalarExpr.coth([1, 0, 0]) + 1, "nonzero")):
+            cells = {(0, 0, 0): c, (0, 0, 1): ScalarExpr.sum(n, [(2, c)]), (0, 0, 2): -c}
+            assert len({_form(x) for x in cells.values()}) == 1
+            calls = _count_decisions(monkeypatch)
+            verdicts: dict = {}
+            rep = decide_cells(cells, "multiples", CFG64, verdicts=verdicts)
+            monkeypatch.undo()
+            assert len(calls) == 1 and list(verdicts.values()) == [status == "exact-zero"]
+            assert rep.status == status
+            assert [x.identically_zero() for x in cells.values()] == [status == "exact-zero"] * 3
+
     def test_a_perturbed_cell_of_a_shared_form_is_the_witness(self, gl22):
         """Cells of one form, one of them moved by 10^-20: only that cell is nonzero."""
         g, rd, om = gl22
@@ -902,13 +947,13 @@ class TestOneDecisionPerForm:
         r = construct(full_spec(rd, eps=Q(1, 3), nu=[Q(k, 2 * k + 1) for k in range(1, n + 1)]), g, rd, omega=om)
         forms: dict = {}
         for k, c in cdybe_lhs(r).coeffs.items():
-            forms.setdefault(c.key(), {})[k] = c
+            forms.setdefault(_form(c), {})[k] = c
         # a form with a coth-free term, so the perturbation changes a numerator only
-        cells = next(group for form, group in forms.items() if len(group) > 2 and form[0][0] == ())
+        cells = next(group for (shape, _), group in forms.items() if len(group) > 2 and shape[0][0] == ())
         assert decide_cells(cells, "shared", CFG64).status == "exact-zero"
         moved = list(cells)[len(cells) // 2]
         cells[moved] = cells[moved] + ScalarExpr.const(n, Q(1, 10**20))
-        assert [m for m, *_ in cells[moved].key()] == [m for m, *_ in next(iter(cells.values())).key()]
+        assert sorted(cells[moved].terms) == sorted(next(iter(cells.values())).terms)
         rep = decide_cells(cells, "perturbed", VerifyConfig(precision=128))
         assert rep.status == "nonzero" and rep.witness["indices"] == list(moved)
         assert abs(rep.witness["value"] - 1e-20) < 1e-30
@@ -932,7 +977,7 @@ class TestOneAccumulatorPerResidual:
         for modes in [(mode,) for mode in _MODES] + [_MODES]:
             for a, b in itertools.product(operands, repeat=2):
                 for both_orders in (False, True):
-                    got = _leg_brackets(a, b, modes, both_orders).coeffs
+                    got = mode_brackets(a, b, modes, both_orders).coeffs
                     want = full_scan_leg_brackets(a, b, modes, both_orders).coeffs
                     assert list(got) == list(want)
                     assert [to_sexpr(c) for c in got.values()] == [to_sexpr(c) for c in want.values()]
@@ -949,7 +994,7 @@ class TestOneAccumulatorPerResidual:
         `collect`, so summing them calls `ScalarExpr.sum` for none."""
         _, _, s, om = tensors
         cells: dict = {}
-        _leg_brackets(s, om, _MODES, True, into=cells)
+        _leg_brackets(s, om, True, into=cells)
         factors = [f for terms in cells.values() for f, _ in terms.values()]
         assert cells and all(f.__class__ is int for f in factors) and not any(factors)
         calls = []
@@ -985,9 +1030,7 @@ class TestOneMemoPerRun:
     def test_one_decision_per_form_per_run(self, request, monkeypatch, bundle, kind):
         g, rd, om = request.getfixturevalue(bundle)
         spec = _kind_spec(rd, kind)
-        calls = []
-        original = ScalarExpr.identically_zero
-        monkeypatch.setattr(ScalarExpr, "identically_zero", lambda c: calls.append(c.key()) or original(c))
+        calls = _count_decisions(monkeypatch)
         _, shared, _ = run_checks(g, rd, spec, cfg=CFG64)
         monkeypatch.undo()
         assert [rep.name for rep in shared] == [c for c in ALL_CHECKS if c != "limits"]
@@ -1000,9 +1043,8 @@ class TestOneMemoPerRun:
             mdybe_lhs(s, eps, om),
             cross_bracket(s, om),
         ] + [ad_action({c: Q(1)}, r) for c in g.cartan]
-        assert len(calls) == len(set(calls)) == len({c.key() for t in residuals for c in t.coeffs.values()})
-        # every cell a form of its own: each is decided on its own
-        monkeypatch.setattr(ScalarExpr, "key", lambda c: object())
+        assert len(calls) == len(set(calls)) == len({_form(c) for t in residuals for c in t.coeffs.values()})
+        _each_cell_alone(monkeypatch)
         _, alone, _ = run_checks(g, rd, spec, cfg=CFG64)
         monkeypatch.undo()
         assert [_without_seconds(rep.as_dict()) for rep in shared] == [_without_seconds(rep.as_dict()) for rep in alone]
@@ -1060,6 +1102,29 @@ class TestVerifyConfig:
 
 
 class TestRunChecks:
+    @pytest.mark.parametrize(
+        "eps,checks,message",
+        [
+            (Q(1), (), "no checks selected"),
+            (Q(1), [], "no checks selected"),
+            (Q(1), ("bogus",), r"unknown checks \['bogus'\]"),
+            (Q(1), ("cdybe", "bogus"), r"unknown checks \['bogus'\]"),
+            (Q(0), ("limits",), "limits check needs"),
+        ],
+    )
+    def test_bad_selection_raises_before_any_report(self, sl21, monkeypatch, eps, checks, message):
+        """No vacuous pass: a selection that runs no check, or names one that does not exist or
+        does not apply, raises before the spec is validated or r is built."""
+        g, rd, _ = sl21
+        spec = full_spec(rd, eps=eps)
+        assert validate(spec, g, rd).ok
+        calls = _count_validate(monkeypatch)
+        assembled = []
+        monkeypatch.setattr(verifier_mod, "_assemble", lambda *args, **kwargs: assembled.append(args))
+        with pytest.raises(PreconditionError, match=message):
+            run_checks(g, rd, spec, checks=checks, cfg=CFG64)
+        assert calls == [] and assembled == []
+
     def test_validation_short_circuits(self, gl21):
         g, rd, _ = gl21
         bad = RMatrixSpec(
