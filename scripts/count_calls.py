@@ -54,6 +54,8 @@ COUNTED = {
     "root_decomposition": "superalgebra.root_decomposition",
     "casimir": "superalgebra.casimir",
     "build_parser": "cli.build_parser",
+    "cross_bracket": "tensor.cross_bracket",
+    "_leg_bracket": "tensor._leg_bracket",
 }
 
 # runs in a fresh interpreter: argv[1] is a src/ directory, argv[2] a JSON list
@@ -61,7 +63,7 @@ COUNTED = {
 DRIVER = """
 import cProfile, contextlib, fractions, io, json, pstats, sys
 sys.path.insert(0, sys.argv[1])
-from sdybe import cli, scalars, superalgebra
+from sdybe import cli, scalars, superalgebra, tensor
 jobs = json.load(open(sys.argv[2]))
 
 def one_pass():
@@ -79,7 +81,7 @@ stats = pstats.Stats(profile)
 counts = {"calls": stats.total_calls}
 for label, path in json.loads(sys.argv[3]).items():
     owner, *attrs = path.split(".")
-    fn = {"cli": cli, "scalars": scalars, "superalgebra": superalgebra, "fractions": fractions}[owner]
+    fn = {"cli": cli, "scalars": scalars, "superalgebra": superalgebra, "tensor": tensor, "fractions": fractions}[owner]
     for attr in attrs:
         fn = getattr(fn, attr)
     code = getattr(fn, "__wrapped__", fn).__code__  # a cached function: count its real runs

@@ -281,9 +281,9 @@ def _leg_bracket(r: list, s: tuple, mode: str, g, products: dict, cells: dict) -
 _MODES = ("12_13", "12_23", "13_23")
 
 
-def _leg_brackets(r: Tensor2, s: Tensor2, both_orders: bool, into: dict | None = None, scale=1):
-    """The leg brackets of r and s in each of `_MODES` (and of s and r when both_orders), recorded in
-    into for the caller to sum, else each cell summed once.
+def _leg_brackets(r: Tensor2, s: Tensor2, into: dict | None = None, scale=1):
+    """The leg brackets of r and s in each of `_MODES`, recorded in into for the caller to sum,
+    else each cell summed once.
 
     Every cell enters as an int times the base of its group (`_split`); scale
     rides on r's bases only, so it multiplies every bracket once and every
@@ -295,24 +295,29 @@ def _leg_brackets(r: Tensor2, s: Tensor2, both_orders: bool, into: dict | None =
         raise ValueError("only constant tensors take a scale")
     rs = _split(r, scale)
     ss = rs if s is r and scale == 1 else _split(s)
-    legs = {id(t): (_Partners(g, t, 0), _Partners(g, t, 1)) for t in ((ss, rs) if both_orders else (ss,))}
+    partners = (_Partners(g, ss, 0), _Partners(g, ss, 1))
     products: dict = {}
     cells: dict = {} if into is None else into
     for mode in _MODES:
-        _leg_bracket(rs, legs[id(ss)], mode, g, products, cells)
-        if both_orders:
-            _leg_bracket(ss, legs[id(rs)], mode, g, products, cells)
+        _leg_bracket(rs, partners, mode, g, products, cells)
     return Tensor3.summed(g, cells) if into is None else None
 
 
 def yb_bracket(r: Tensor2, into: dict | None = None, scale=1) -> Tensor3 | None:
     """scale * [[r, r]] = scale * ([r12, r13] + [r12, r23] + [r13, r23]); see `_leg_brackets`."""
-    return _leg_brackets(r, r, False, into, scale)
+    return _leg_brackets(r, r, into, scale)
 
 
 def cross_bracket(s: Tensor2, omega: Tensor2) -> Tensor3:
-    """[s12,w13] + [w12,s13] + [s12,w23] + [w12,s23] + [s13,w23] + [w13,s23], each cell summed once."""
-    return _leg_brackets(s, omega, True)
+    """[s12,w13] + [s12,w23] + [s13,w23] + [w12,s13] + [w12,s23] + [w13,s23], each cell summed once.
+
+    The oracle of the lemma's cross bracket, which the lemma itself reads
+    off the unitarity residual (`verifier.lemma_consistency_check`).
+    """
+    cells: dict = {}
+    _leg_brackets(s, omega, into=cells)
+    _leg_brackets(omega, s, into=cells)
+    return Tensor3.summed(s.g, cells)
 
 
 # ---------------------------------------------------------------------------

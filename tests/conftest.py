@@ -450,29 +450,29 @@ def signed_permutation(t: Tensor3, which: str) -> Tensor3:
     return Tensor3(t.g, out)
 
 
-def mode_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool, into: dict | None = None, scale=1):
+def mode_brackets(r: Tensor2, s: Tensor2, modes, into: dict | None = None, scale=1):
     """`tensor._leg_brackets` with `tensor._MODES` narrowed to modes for the call."""
     saved = tensor_mod._MODES
     tensor_mod._MODES = tuple(modes)
     try:
-        return _leg_brackets(r, s, both_orders, into, scale)
+        return _leg_brackets(r, s, into, scale)
     finally:
         tensor_mod._MODES = saved
 
 
 def bracket_12_13(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^12, s^13] = sum (-1)^{|b||a'|} [a, a'] (x) b (x) b'."""
-    return mode_brackets(r, s, ("12_13",), False)
+    return mode_brackets(r, s, ("12_13",))
 
 
 def bracket_12_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^12, s^23] = sum a (x) [b, a'] (x) b'."""
-    return mode_brackets(r, s, ("12_23",), False)
+    return mode_brackets(r, s, ("12_23",))
 
 
 def bracket_13_23(r: Tensor2, s: Tensor2) -> Tensor3:
     """[r^13, s^23] = sum (-1)^{|b||a'|} a (x) a' (x) [b, b']."""
-    return mode_brackets(r, s, ("13_23",), False)
+    return mode_brackets(r, s, ("13_23",))
 
 
 def full_scan_leg_brackets(r: Tensor2, s: Tensor2, modes, both_orders: bool, scale=1) -> Tensor3:

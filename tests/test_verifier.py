@@ -24,7 +24,7 @@ from sdybe.rmatrix import (
     validate,
 )
 from sdybe.scalars import Poly, RationalFunction, ScalarExpr, to_sexpr
-from sdybe.superalgebra import build_gl, build_sl, root_decomposition
+from sdybe.superalgebra import build_gl, build_sl, casimir, root_decomposition
 from sdybe.tensor import (
     _MODES,
     Tensor2,
@@ -275,6 +275,12 @@ class TestMdybe:
         assert (mdybe_lhs(s, 0, om) - cdybe_lhs(s)).is_zero()
 
 
+# every gl(m|n), and every sl(m|n) with m != n, with 2 <= m + n <= 4
+SMALL_ALGEBRAS = [("gl", m, d - m) for d in (2, 3, 4) for m in range(d + 1)] + [
+    ("sl", m, d - m) for d in (2, 3, 4) for m in range(d + 1) if 2 * m != d
+]
+
+
 class TestLemma:
     def test_coupled_family_consistent(self, sl2, gl21):
         for bundle in (sl2, gl21):
@@ -295,16 +301,34 @@ class TestLemma:
                 assert (s + super_twist(s)).is_zero()
                 assert cross_bracket(s, om).is_zero(), (g.family, trial)
 
+    @pytest.mark.parametrize("family,m,n", SMALL_ALGEBRAS, ids=[f"{f}{m}{n}" for f, m, n in SMALL_ALGEBRAS])
+    def test_cross_bracket_vanishes_on_a_basis_of_the_super_skew_tensors(self, family, m, n):
+        """The proof behind the lemma's cross bracket status.
+
+        cross(s, Omega) is linear in s over the coefficients and takes no
+        derivative, so it vanishes on every even super-skew s once it
+        vanishes on the basis a (x) b - T_s(a (x) b), |a| = |b|.  The
+        negative control: a (x) b alone, which is not skew, leaves cells.
+        """
+        g = (build_gl if family == "gl" else build_sl)(m, n)
+        om = casimir(g, root_decomposition(g))
+        pairs = [(a, b) for a in range(g.dim) for b in range(a, g.dim) if g.parity[a] == g.parity[b]]
+        left = 0
+        for a, b in pairs:
+            t = basis_tensor2(g, a, b)
+            assert not cross_bracket(t - super_twist(t), om).coeffs, (a, b)
+            left += bool(cross_bracket(t, om).coeffs)
+        assert left > 0
+
     def test_precondition_enforced(self, sl2):
         g, rd, om = sl2
         e = g.basis_names.index("E12")
         r = basis_tensor2(g, e, e)
-        s = shift_to_s(r, 1, om)
         unit = unitarity_residual(r, 1, om, CFG64)[1]
-        cd, md = cdybe_residual(r, CFG64)[1], mdybe_residual(s, 1, om, CFG64)[1]
+        cd, md = cdybe_residual(r, CFG64)[1], mdybe_residual(shift_to_s(r, 1, om), 1, om, CFG64)[1]
         assert unit.status == "nonzero"
         with pytest.raises(PreconditionError):
-            lemma_consistency_check(s, om, unit, cd, md, CFG64)
+            lemma_consistency_check(unit, cd, md)
 
 
 class TestComponentOrbits:
@@ -487,16 +511,39 @@ class TestSingleWitness:
         lhs, rep = mdybe_residual(s, 1, om, self.CFG)
         _assert_witness(rep.as_dict(), lhs.coeffs.__getitem__)
 
-    def test_lemma_cross_bracket(self, sl3):
-        # a unitary r passes the precondition; the s handed in is not skew
+    def test_lemma_refuses_a_non_unitary_r(self, gl21):
+        # the doubled coth cell breaks unitarity, even where cdybe and mdybe agree
+        g, rd, om = gl21
+        r = self._doubled_coth_cell(gl21)
+        unit = unitarity_residual(r, 1, om, self.CFG)[1]
+        cd, md = cdybe_residual(r, self.CFG)[1], mdybe_residual(shift_to_s(r, 1, om), 1, om, self.CFG)[1]
+        assert unit.status == "nonzero" and cd.status == md.status == "nonzero"
+        with pytest.raises(PreconditionError, match="unitarity"):
+            lemma_consistency_check(unit, cd, md)
+
+    def test_lemma_inconsistent_pair(self, sl3):
+        # a unitary r passes the precondition; a nonzero mdybe report against its
+        # exact-zero cdybe report is a disagreement, with both reports and the cross status as witness
         g, rd, om = sl3
         r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
-        e12, e13 = g.basis_names.index("E12"), g.basis_names.index("E13")
-        s = Tensor2(g, {(e12, e13): ScalarExpr.coth([Q(1), Q(0)])})
         unit, cd = unitarity_residual(r, 1, om, self.CFG)[1], cdybe_residual(r, self.CFG)[1]
-        rep = lemma_consistency_check(s, om, unit, cd, mdybe_residual(s, 1, om, self.CFG)[1], self.CFG)
-        assert rep.status == "nonzero" and rep.details["cross_bracket_status"] == "nonzero"
-        _assert_witness(rep.witness["cross"], cross_bracket(s, om).coeffs.__getitem__)
+        e12, e13 = g.basis_names.index("E12"), g.basis_names.index("E13")
+        bad = Tensor2(g, {(e12, e13): ScalarExpr.coth([Q(1), Q(0)])})
+        md = mdybe_residual(bad, 1, om, self.CFG)[1]
+        assert unit.is_zero and cd.is_zero and md.status == "nonzero"
+        rep = lemma_consistency_check(unit, cd, md)
+        assert rep.status == "nonzero"
+        assert rep.details == {
+            "cdybe_status": "exact-zero", "mdybe_status": "nonzero",
+            "cross_bracket_status": "exact-zero", "consistent": False,
+        }
+        assert set(rep.witness) == {"cdybe", "mdybe", "cross"}
+        assert rep.witness["cdybe"] == cd.as_dict() and rep.witness["mdybe"] == md.as_dict()
+        _assert_witness(rep.witness["mdybe"], mdybe_lhs(bad, 1, om).coeffs.__getitem__)
+        assert rep.witness["cross"] == {
+            "name": "lemma-cross-bracket", "status": "exact-zero", "max_abs": None, "tolerance": None,
+            "points_used": 0, "witness": None, "seconds": 0.0,
+        }
 
     def test_phi_ode(self, gl21):
         # a constant branch of sign 2 squares to eps^2, not eps^2/4
@@ -754,19 +801,21 @@ class TestComputeOnce:
             spec = _bad_signs_spec(rd)
         yb = _count_calls(monkeypatch, "yb_bracket")
         cross = _count_calls(monkeypatch, "cross_bracket")
+        shift = _count_calls(monkeypatch, "shift_to_s")
         decide = _count_calls(monkeypatch, "decide_tensor_zero")
         ok, reports, _ = run_checks(g, rd, spec, checks=self.CHECKS, cfg=CFG64)
-        # unitarity, cdybe, mdybe and the cross bracket, each decided once;
-        # at eps = 0 mdybe is cdybe's residual, so [[r, r]] is built and
-        # decided once, and there is no [[Omega, Omega]] term
-        assert (len(yb), len(cross), len(decide)) == ((1, 1, 3) if kind == "eps0" else (3, 1, 4))
+        # unitarity, cdybe and mdybe, each decided once, and no cross bracket:
+        # the lemma reads it off unitarity; at eps = 0 mdybe is cdybe's
+        # residual, so s is not formed, [[r, r]] is built and decided once,
+        # and there is no [[Omega, Omega]] term
+        assert (len(yb), len(cross), len(shift), len(decide)) == ((1, 0, 0, 2) if kind == "eps0" else (3, 0, 1, 3))
         monkeypatch.undo()
 
         r = construct(spec, g, rd, omega=om)
         s = shift_to_s(r, spec.epsilon, om)
         unit, cd = unitarity_residual(r, spec.epsilon, om, CFG64)[1], cdybe_residual(r, CFG64)[1]
         md = mdybe_residual(s, spec.epsilon, om, CFG64)[1]
-        standalone = [unit, zero_weight_residual(r, CFG64), cd, md, lemma_consistency_check(s, om, unit, cd, md, CFG64)]
+        standalone = [unit, zero_weight_residual(r, CFG64), cd, md, lemma_consistency_check(unit, cd, md)]
         assert reports[0].name == "validate" and reports[0].status == "exact-zero"
         assert [_without_seconds(rep.as_dict()) for rep in reports[1:]] == [
             _without_seconds(rep.as_dict()) for rep in standalone
@@ -787,7 +836,7 @@ class TestComputeOnce:
         decide = _count_calls(monkeypatch, "decide_tensor_zero")
         ok, reports, _ = run_checks(g, rd, full_spec(rd, eps=Q(1)), checks=("lemma",), cfg=CFG64)
         assert ok and [rep.name for rep in reports] == ["lemma"]
-        assert (len(yb), len(cross), len(decide)) == (3, 1, 4)
+        assert (len(yb), len(cross), len(decide)) == (3, 0, 3)
 
     @pytest.mark.parametrize("checks", [("mdybe",), ("cdybe", "mdybe")])
     def test_mdybe_at_eps0_is_cdybe_when_both_run(self, gl21, monkeypatch, checks):
@@ -901,7 +950,6 @@ class TestOneDecisionPerForm:
             "cdybe": cdybe_lhs(r),
             "mdybe": mdybe_lhs(s, eps, om),
             "unitarity": r + super_twist(r) - om.scale(eps),
-            "cross": cross_bracket(s, om),
         }
 
     def test_verdicts_equal_per_cell_decisions(self, residuals, monkeypatch):
@@ -976,11 +1024,10 @@ class TestOneAccumulatorPerResidual:
         _, *operands = tensors
         for modes in [(mode,) for mode in _MODES] + [_MODES]:
             for a, b in itertools.product(operands, repeat=2):
-                for both_orders in (False, True):
-                    got = mode_brackets(a, b, modes, both_orders).coeffs
-                    want = full_scan_leg_brackets(a, b, modes, both_orders).coeffs
-                    assert list(got) == list(want)
-                    assert [to_sexpr(c) for c in got.values()] == [to_sexpr(c) for c in want.values()]
+                got = mode_brackets(a, b, modes).coeffs
+                want = full_scan_leg_brackets(a, b, modes, False).coeffs
+                assert list(got) == list(want)
+                assert [to_sexpr(c) for c in got.values()] == [to_sexpr(c) for c in want.values()]
 
     def test_fused_residuals_equal_the_tensor_sums(self, tensors):
         eps, r, s, om = tensors
@@ -994,7 +1041,8 @@ class TestOneAccumulatorPerResidual:
         `collect`, so summing them calls `ScalarExpr.sum` for none."""
         _, _, s, om = tensors
         cells: dict = {}
-        _leg_brackets(s, om, True, into=cells)
+        _leg_brackets(s, om, into=cells)
+        _leg_brackets(om, s, into=cells)
         factors = [f for terms in cells.values() for f, _ in terms.values()]
         assert cells and all(f.__class__ is int for f in factors) and not any(factors)
         calls = []
@@ -1041,7 +1089,6 @@ class TestOneMemoPerRun:
             r + super_twist(r) - om.scale(eps),
             cdybe_lhs(r),
             mdybe_lhs(s, eps, om),
-            cross_bracket(s, om),
         ] + [ad_action({c: Q(1)}, r) for c in g.cartan]
         assert len(calls) == len(set(calls)) == len({_form(c) for t in residuals for c in t.coeffs.values()})
         _each_cell_alone(monkeypatch)
