@@ -11,9 +11,10 @@ controls included) are written once from this checkout's
 source, verifies every spec once to fill its caches and once more under
 cProfile, with the arguments perfbench uses.  Prints, per side, the calls of
 the profiled pass as cProfile counts them (C builtins included) and the
-calls of each function in COUNTED; for a cached function (one with
-`__wrapped__`) these are the runs of the function it wraps, that is, cache
-misses.  A fixed seed gives the same counts on every run.
+calls of each function in COUNTED, or `-` where that side's source lacks
+the function; for a cached function (one with `__wrapped__`) these are the
+runs of the function it wraps, that is, cache misses.  A fixed seed gives
+the same counts on every run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from bench_pairs import export_parent  # noqa: E402
 # label -> the function's owner and attribute in the package's side
 COUNTED = {
     "identically_zero": "scalars.ScalarExpr.identically_zero",
-    "ScalarExpr.primitive": "scalars.ScalarExpr.primitive",
+    "_content_form": "scalars._content_form",
+    "_number_sums": "scalars._number_sums",
     "ScalarExpr.__mul__": "scalars.ScalarExpr.__mul__",
     "RationalFunction.__mul__": "scalars.RationalFunction.__mul__",
     "RationalFunction.sum": "scalars.RationalFunction.sum",
@@ -83,7 +85,10 @@ for label, path in json.loads(sys.argv[3]).items():
     owner, *attrs = path.split(".")
     fn = {"cli": cli, "scalars": scalars, "superalgebra": superalgebra, "tensor": tensor, "fractions": fractions}[owner]
     for attr in attrs:
-        fn = getattr(fn, attr)
+        fn = getattr(fn, attr, None)
+    if fn is None:  # not in this side's source
+        counts[label] = None
+        continue
     code = getattr(fn, "__wrapped__", fn).__code__  # a cached function: count its real runs
     entry = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
     counts[label] = entry[1] if entry else 0
@@ -119,7 +124,7 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}, one warm pass of {len(specs)} specs; parent {commit[:7]}")
     print(f"{'':28}{'parent':>12}{'change':>12}")
     for label in counts["parent"]:
-        print(f"{label:28}{counts['parent'][label]:>12,}{counts['change'][label]:>12,}")
+        print(f"{label:28}" + "".join(f"{'-' if v is None else format(v, ','):>12}" for v in (counts["parent"][label], counts["change"][label])))
     return 0
 
 

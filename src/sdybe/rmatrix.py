@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Poly, RationalFunction, ScalarExpr, _coeff, from_sexpr, make_atom, poly_from_str, to_sexpr
+from .scalars import Poly, RationalFunction, ScalarExpr, from_sexpr, poly_from_str, to_sexpr
 from .superalgebra import LieSuperalgebra, RootDatum, cartan_casimir_cells, casimir, sign_A
 from .tensor import Tensor2, collect_tensor
 
@@ -215,7 +215,7 @@ def validate(spec: RMatrixSpec, g: LieSuperalgebra, rd: RootDatum) -> Validation
 def root_linear_form(i: int, spec: RMatrixSpec, rd: RootDatum) -> tuple[tuple, Fraction]:
     """(alpha, lambda - nu) as (coordinate coefficients, constant); the constant is 0 at nu = 0."""
     coeffs = rd.coroot_table[i]
-    return coeffs, -sum(c * v for c, v in zip(coeffs, spec.nu)) if any(spec.nu) else 0
+    return coeffs, -sum([c * v for c, v in zip(coeffs, spec.nu) if c and v]) if any(spec.nu) else 0
 
 
 def phi_zero_coupling(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:
@@ -241,10 +241,8 @@ def phi_coupled(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:
     n = rd.g.rank
     root = rd.roots[i]
     if i in spec.X:
-        scale = sign_A(rd, i) * eps / 2
-        coeffs, shift = root_linear_form(i, spec, rd)
-        atom, sign = make_atom([scale * c for c in coeffs], scale * shift)
-        return ScalarExpr(n, {((atom, 1),): _coeff(sign * eps / 2)})
+        half = eps / 2
+        return ScalarExpr.coth(*root_linear_form(i, spec, rd), scale=half if sign_A(rd, i) == 1 else -half) * half
     pos = i if root.positive else rd.neg[i]
     if pos not in spec.sign_choice:
         raise MissingSignChoiceError(f"no sign choice for positive root index {pos}")

@@ -8,9 +8,10 @@ Coefficients are functions of N linear coordinates x0..x{N-1}.  Three layers:
                     Fraction, so most arithmetic stays on ints
   RationalFunction  numerator Poly over a product of monic denominator factors;
                     reduced by exact division so num/den share no stored factor
-  ScalarExpr        polynomial in coth atoms; a coefficient is a number (int
-                    when integral, else Fraction) or a non-constant
-                    RationalFunction, so each value has one stored form
+  ScalarExpr        polynomial in coth atoms, stored as content times form: a
+                    rational content and a primitive form whose number and
+                    numerator coefficients are coprime ints, the first positive,
+                    so expressions equal up to a rational factor share one form
 
 Every denominator factor is interned: made monic once, given an integer id
 from a process-wide table keyed by its canonical form, and its key cached on
@@ -21,12 +22,15 @@ There is one sum path.  `RationalFunction.sum` and `ScalarExpr.sum` take
 (factor, term) pairs with int or Fraction factors: numerators over one
 denominator add into one coefficient dict, the groups meet over the lcm of
 their denominators, and the total is reduced once (a zero total is never
-divided).  Number coefficients add as ints over the lcm of their
-denominators, one Fraction per atom monomial (`_number_sums`), and a number
-is lifted to a RationalFunction only where it meets one in a monomial.  `+`,
-`-`, `*` and `* number` are calls of these, and the tensor builders sum each
-cell through them.  A sum keeps its monomials in the order their first terms
-arrive.  A product tries each factor of its merged denominator once against
+divided).  A `ScalarExpr` sum brings each factor times its term's content
+onto one lcm per sum, so the forms add with int factors: int entries as ints
+(`_number_sums`), no Fraction made before the sum's content, and
+RationalFunction entries through `RationalFunction.sum`.  A product
+multiplies the two contents once and the two forms, int forms as ints; a
+number scales the content only.  `_content_form` is the one place a content
+is split off a result and its form made primitive.  `+`, `-`, `*` and
+`* number` are calls of these, and the tensor builders sum each cell through
+them.  A product tries each factor of its merged denominator once against
 the product of the numerators.
 
 A coth atom is coth(u) for an affine-linear form u with rational coefficients.
@@ -39,14 +43,15 @@ follow the order in which a process first met each form, so all output
 (s-expression term and factor order) and every numeric product follows the
 Fraction tuples, never the ids.  Both tables take new entries under a lock.
 
-Zero is decided exactly and completely (`ScalarExpr.identically_zero`): the
-coth addition law is applied by exponential substitution, which turns the
-expression into a polynomial in exponential variables over the
-rational-function field.  Limits along a ray are exact too
-(`ScalarExpr.ray_limit`).  Seeded numeric sampling (`sample_points`,
-`largest_value`) only locates the witness of a nonzero residual for
-`verifier.decide_cells`, the one zero decision of every residual check.  A
-numeric value is evaluated exactly and rounded once; mpmath computes only coth.
+Zero is decided exactly and completely on the form
+(`ScalarExpr.identically_zero`): the coth addition law is applied by
+exponential substitution, which turns the expression into a polynomial in
+exponential variables over the rational-function field.  Limits along a ray
+are exact too (`ScalarExpr.ray_limit`).  Seeded numeric sampling
+(`sample_points`, `largest_value`) only locates the witness of a nonzero
+residual for `verifier.decide_cells`, the one zero decision of every residual
+check.  A numeric value is evaluated exactly and rounded once, content times
+entry formed first; mpmath computes only coth.
 """
 
 from __future__ import annotations
@@ -172,11 +177,12 @@ def _pruned(acc: dict) -> dict:
 class Poly:
     """Sparse multivariate polynomial over Q; coefficients are int or Fraction.
 
-    `_key` caches the canonical form; `_fid` is the interned factor id, set
-    only once the polynomial is a monic denominator factor.
+    `_key` caches the canonical form and `_hash` its hash, set on the first
+    hash; `_fid` is the interned factor id, set only once the polynomial is a
+    monic denominator factor.
     """
 
-    __slots__ = ("nvars", "terms", "_key", "_fid")
+    __slots__ = ("nvars", "terms", "_key", "_fid", "_hash")
 
     def __init__(self, nvars: int, terms: dict | None = None, _prune: bool = True):
         self.nvars = nvars
@@ -240,7 +246,11 @@ class Poly:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, self.key()))
+        try:
+            return self._hash
+        except AttributeError:  # not hashed yet
+            self._hash = hash((self.nvars, self.key()))
+            return self._hash
 
     # -- arithmetic
 
@@ -670,16 +680,23 @@ _CLEARED: list[tuple[tuple, int]] = []
 _ATOM_IDS: dict[tuple, int] = {}
 
 
-def make_atom(coeffs: Sequence, const=0) -> tuple[Atom, int]:
-    """Canonicalize the affine form of a coth atom; returns (atom, sign).
+def make_atom(coeffs: Sequence, const=0, scale=1) -> tuple[Atom, int]:
+    """Canonicalize the affine form u = scale * (coeffs . x + const) of a coth atom; returns (atom, sign).
 
     coth is odd, so coth(u) = sign * coth(|u|) where |u| has its first
     nonzero entry (coordinates first, then constant) positive.  The lookup hashes
     the cleared ints and their lcm; only a new atom builds its Fraction tuple.
+    A scale p/q needs no Fraction product: with the entries cleared to ints U
+    over their lcm L, u is cleared to p U / h over q L / h, h = gcd(p gcd(U), q L).
     """
     entries = [c if c.__class__ is int or c.__class__ is Q else Q(c) for c in (*coeffs, const)]
     lcm = math.lcm(*[c.denominator for c in entries])
     cleared = [c.numerator * (lcm // c.denominator) for c in entries]
+    if scale != 1:
+        p, q = (scale, 1) if scale.__class__ is int else (scale.numerator, scale.denominator)
+        h = math.gcd(p * math.gcd(*cleared), q * lcm)
+        cleared = [p * c // h for c in cleared]
+        lcm = q * lcm // h
     sign = 0
     for c in cleared:
         if c != 0:
@@ -712,30 +729,51 @@ def atom_form_poly(atom: Atom) -> Poly:
 
 
 class ScalarExpr:
-    """Polynomial in coth atoms over the rational-function field.
+    """Polynomial in coth atoms over the rational-function field, stored as content times form.
 
-    terms maps an atom monomial ((atom, power), ...) to a nonzero coefficient:
-    an int or Fraction when it is constant, else a RationalFunction.  The
-    empty monomial holds the coth-free part.  All operations are pure; values
-    are immutable after construction.
+    content is a nonzero int or Fraction (0 for the zero expression).  form is
+    a tuple of (atom monomial, entry) pairs sorted by monomial, where an atom
+    monomial is ((atom, power), ...) and the empty monomial holds the
+    coth-free part.  An entry is an int, for a constant coefficient, or the
+    (numerator, denominator) pair of a RationalFunction coefficient that is
+    not constant, its numerator a Poly of int coefficients, hashed and compared
+    by its sorted terms.  The ints of all entries (numbers and
+    numerator coefficients, a numerator's in the sorted order of its
+    monomials) are coprime and the first is positive, so expressions equal up
+    to a rational factor share one form, and the form is hashable.  `terms`
+    is the coefficient view, content times each entry, its numerators in
+    sorted term order.  All operations are pure; values are immutable after
+    construction.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "content", "form")
 
     def __init__(self, nvars: int, terms: dict | None = None):
+        """The expression sum(c * monomial) over terms {atom monomial: coefficient}, a coefficient
+        a number or a RationalFunction, stored as `_stored` gives it; zero coefficients drop out."""
         self.nvars = nvars
-        self.terms = terms or {}
+        stored = ((m, _stored(c) if c.__class__ is RationalFunction else c) for m, c in (terms or {}).items())
+        self.content, self.form = _content_form(nvars, {m: c for m, c in stored if c})
+
+    @classmethod
+    def _of(cls, nvars: int, content, form: tuple) -> ScalarExpr:
+        """content * form as given; the caller guarantees a primitive form and a stored content."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.content = content
+        out.form = form
+        return out
 
     # -- constructors
 
     @classmethod
     def zero(cls, nvars: int) -> ScalarExpr:
-        return cls(nvars, {})
+        return cls._of(nvars, 0, ())
 
     @classmethod
     def const(cls, nvars: int, value) -> ScalarExpr:
         value = _coeff(value)
-        return cls(nvars, {(): value} if value else {})
+        return cls._of(nvars, value, _ONE) if value else cls._of(nvars, 0, ())
 
     @classmethod
     def coord(cls, nvars: int, index: int) -> ScalarExpr:
@@ -743,64 +781,43 @@ class ScalarExpr:
 
     @classmethod
     def from_ratfun(cls, rf: RationalFunction) -> ScalarExpr:
-        c = _stored(rf)
-        return cls(rf.nvars, {(): c} if c else {})
+        return cls(rf.nvars, {(): rf})
 
     @classmethod
-    def coth(cls, coeffs: Sequence, const=0) -> ScalarExpr:
-        atom, sign = make_atom(coeffs, const)
-        return cls(len(coeffs), {((atom, 1),): sign})
+    def coth(cls, coeffs: Sequence, const=0, scale=1) -> ScalarExpr:
+        """coth(scale * (coeffs . x + const))."""
+        atom, sign = make_atom(coeffs, const, scale)
+        return cls._of(len(coeffs), sign, ((((atom, 1),), 1),))
 
     # -- structure
 
+    @property
+    def terms(self) -> dict:
+        """{atom monomial: coefficient} in form order: content times each entry, formed exactly
+        once; a number (an int when integral) or a RationalFunction."""
+        c = self.content
+        return {
+            mono: _coeff(c * k)
+            if k.__class__ is int
+            else RationalFunction._reduced(Poly(self.nvars, {m: _coeff(v * c) for m, v in k[0].key()}, _prune=False), k[1])
+            for mono, k in self.form
+        }
+
     def is_rational(self) -> bool:
-        return all(m == () for m in self.terms)
+        return all(not m for m, _ in self.form)
 
     def symbolically_zero(self) -> bool:
         """Exact zero test with atoms as independent indeterminates (sound)."""
-        return not self.terms
+        return not self.form
 
     def constant(self):
         """The int or Fraction value of a constant expression, else None."""
-        if not self.terms:
+        if not self.form:
             return 0
-        c = self.terms.get(())
-        return c if len(self.terms) == 1 and c.__class__ is not RationalFunction else None
-
-    def primitive(self) -> tuple:
-        """(content, form) of the expression: self = content * P, where P's number and
-        numerator coefficients, in canonical order, are coprime ints and the first is positive;
-        zero is (0, ()).
-        The form is hashable and canonical: atom monomials sorted, each numerator by its sorted
-        terms and each denominator by its (factor id, multiplicity) pairs.  Equal forms mean
-        representations equal up to a rational factor; one value can have two (a reducible
-        denominator factor).
-        """
-        if not self.terms:
-            return 0, ()
-        shape = []
-        values: list = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            if c.__class__ is RationalFunction:
-                num = c.num.key()
-                shape.append((mono, tuple([m for m, _ in num]), tuple([(f._fid, m) for f, m in c.den])))
-                values += [v for _, v in num]
-            else:
-                shape.append((mono,))
-                values.append(c)
-        if len(values) == 1:
-            return values[0], (tuple(shape), (1,))
-        lcm = math.lcm(*[v.denominator for v in values])
-        if lcm != 1:
-            values = [v.numerator * (lcm // v.denominator) for v in values]
-        g = math.gcd(*values)
-        if values[0] < 0:
-            g = -g
-        return (g if lcm == 1 else Q(g, lcm)), (tuple(shape), tuple([v // g for v in values]))
+        return self.content if self.form == _ONE else None
 
     def identically_zero(self) -> bool:
-        """Exact and complete zero test; applies the coth addition law.
+        """Exact and complete zero test on the form; applies the coth addition law.
 
         With L the lcm of the atoms' coefficient denominators, substitute
         y_i = e^{2 x_i / L} and t = e^{2/L}.  Then e^{2u} = P/M for monomials
@@ -811,37 +828,47 @@ class ScalarExpr:
         sound.  The x_i and e^{2 x_i / L} are algebraically independent (Ax,
         Ann. Math. 93, 1971) and e^{2/L} is transcendental (Lindemann), so it
         is also complete.  P and M come from each atom's cleared int form.
+
+        A (y, t) monomial is packed into one int, a field of `width` bits per
+        exponent, wide enough for the largest exponent any cleared polynomial
+        reaches, so a monomial product is an int sum.  Each atom's
+        (P + M)^k (P - M)^(top - k) is built once per call and power k.
         """
-        if not self.terms:
+        form = self.form
+        if not form:
             return True
-        atoms = self.atoms()
-        if not atoms:
+        tops: dict[Atom, int] = {}  # atom -> its highest power
+        for mono, _ in form:
+            for atom, power in mono:
+                if power > tops.get(atom, 0):
+                    tops[atom] = power
+        if not tops:
             return False
-        nexp = self.nvars + 1  # y_0..y_{N-1}, t
-        lcm = math.lcm(*[_CLEARED[atom][1] for atom in atoms])
-        factors = {}  # atom -> (P + M, P - M, highest power of the atom)
-        for atom in atoms:
-            form = [v * (lcm // _CLEARED[atom][1]) for v in _CLEARED[atom][0]]
-            p, m = tuple([v if v > 0 else 0 for v in form]), tuple([-v if v < 0 else 0 for v in form])
-            top = max(dict(mono).get(atom, 0) for mono in self.terms)
-            factors[atom] = (Poly(nexp, {p: 1, m: 1}, _prune=False), Poly(nexp, {p: 1, m: -1}, _prune=False), top)
-        cleared_terms = []  # (coefficient, its cleared polynomial in (y, t))
-        for mono, coeff in self.terms.items():
+        lcm = math.lcm(*[_CLEARED[atom][1] for atom in tops])
+        signed = {atom: [v * (lcm // _CLEARED[atom][1]) for v in _CLEARED[atom][0]] for atom in tops}  # over lcm
+        # no exponent exceeds the sum over atoms of their largest |entry| times their top power
+        width = sum(max(map(abs, signed[atom])) * top for atom, top in tops.items()).bit_length()
+        factors: dict[Atom, dict] = {}  # atom -> {k: (P + M)^k (P - M)^(top - k)}
+        for atom, top in tops.items():
+            p = sum(v << (width * j) for j, v in enumerate(signed[atom]) if v > 0)
+            m = sum(-v << (width * j) for j, v in enumerate(signed[atom]) if v < 0)
+            plus, minus = [{0: 1}], [{0: 1}]
+            for _ in range(top):
+                plus.append(_packed_mul(plus[-1], {p: 1, m: 1}))
+                minus.append(_packed_mul(minus[-1], {p: 1, m: -1}))
+            factors[atom] = {k: _packed_mul(plus[k], minus[top - k]) for k in range(top + 1)}
+        numerator: dict[int, list] = {}  # (y, t) monomial -> its (int, entry) terms
+        for mono, k in form:
             powers = dict(mono)
-            cleared = Poly.const(nexp, 1)
-            for atom, (plus, minus, top) in factors.items():
-                k = powers.get(atom, 0)
-                for f in [plus] * k + [minus] * (top - k):
-                    cleared = cleared * f
-            cleared_terms.append((coeff, cleared))
-        sums = _number_sums(cleared_terms)
-        if sums is not None:
-            return not sums
-        numerator: dict[Mono, list] = {}  # (y, t) monomial -> its (int, coefficient) terms
-        for coeff, cleared in cleared_terms:
-            for m, c in cleared.terms.items():
-                numerator.setdefault(m, []).append((c, coeff))
-        return not any(_sum_group(self.nvars, terms) for terms in numerator.values())
+            cleared = {0: 1}
+            for atom, table in factors.items():
+                cleared = _packed_mul(cleared, table[powers.get(atom, 0)])
+            for m, c in cleared.items():
+                if c:
+                    numerator.setdefault(m, []).append((c, k))
+        if all(k.__class__ is int for _, k in form):
+            return not any(sum([c * k for c, k in terms]) for terms in numerator.values())
+        return not any(_sum_group(self.nvars, [(c, _entry(k)) for c, k in terms]) for terms in numerator.values())
 
     def as_ratfun(self) -> RationalFunction:
         if not self.is_rational():
@@ -850,7 +877,7 @@ class ScalarExpr:
         return c if c.__class__ is RationalFunction else RationalFunction.const(self.nvars, c)
 
     def atoms(self) -> set[Atom]:
-        return {a for m in self.terms for a, _ in m}
+        return {a for m, _ in self.form for a, _ in m}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (ScalarExpr, int, Fraction)):
@@ -872,22 +899,25 @@ class ScalarExpr:
     def sum(nvars: int, pairs: Sequence[tuple]) -> ScalarExpr:
         """sum(factor * term for factor, term in pairs), one reduction per atom monomial.
 
-        A factor is an int or a Fraction.  Monomials keep the order in which
-        the terms first bring them; a monomial whose sum cancels is dropped.
-        When every coefficient is a number, the sum is `_number_sums`'.
+        A factor is an int or a Fraction, and meets each term's content once.
+        When every entry is an int, the sum is `_number_sums`'; otherwise each
+        monomial's coefficients add through `_sum_group`.
         """
-        numbers = _number_sums(pairs)
+        numbers = _number_sums(nvars, pairs)
         if numbers is not None:
-            return ScalarExpr(nvars, numbers)
+            return numbers
+        scaled = [(factor * term.content, term) for factor, term in pairs]
+        lcm = math.lcm(*[q.denominator for q, _ in scaled])
         groups: dict[AtomMono, list] = {}
-        for factor, term in pairs:
-            for mono, c in term.terms.items():
+        for q, term in scaled:
+            f = q.numerator * (lcm // q.denominator)
+            for mono, k in term.form:
                 group = groups.get(mono)
                 if group is None:
-                    groups[mono] = [(factor, c)]
+                    groups[mono] = [(f, _entry(k))]
                 else:
-                    group.append((factor, c))
-        return ScalarExpr(nvars, _sum_groups(nvars, groups))
+                    group.append((f, _entry(k)))
+        return ScalarExpr._of(nvars, *_content_form(nvars, _sum_groups(nvars, groups), 1 if lcm == 1 else Q(1, lcm)))
 
     def __add__(self, other) -> ScalarExpr:
         other = self._coerce(other)
@@ -896,53 +926,79 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __neg__(self) -> ScalarExpr:
-        return ScalarExpr(self.nvars, {m: -c for m, c in self.terms.items()})
+        return ScalarExpr._of(self.nvars, -self.content, self.form)
 
     def __sub__(self, other):
         other = self._coerce(other)
         return ScalarExpr.sum(self.nvars, ((1, self), (-1, other)))
 
     def __mul__(self, other) -> ScalarExpr:
-        """The product; a number rides the sum's factor path, as does a number coefficient against
-        any other, and two number-coefficient expressions multiply through `_number_sums`."""
+        """The product: a number scales the content, and two expressions multiply their contents
+        once and their forms; two int forms multiply as ints."""
+        n = self.nvars
         if other.__class__ in (int, Q):
-            other = _coeff(other)
-            return ScalarExpr.sum(self.nvars, ((other, self),)) if other else ScalarExpr.zero(self.nvars)
+            c = _coeff(self.content * other)
+            return ScalarExpr._of(n, c, self.form) if c else ScalarExpr.zero(n)
         other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if RationalFunction not in map(type, a.values()) and RationalFunction not in map(type, b.values()):
-            # the sum of c1 * (b shifted by m1)
-            rows = ((c1, ScalarExpr(self.nvars, {_mono_mul(m1, m2): c2 for m2, c2 in b.items()})) for m1, c1 in a.items())
-            return ScalarExpr(self.nvars, _number_sums(rows))
+        a, b = self.form, other.form
+        if not a or not b:
+            return ScalarExpr.zero(n)
+        content = _coeff(self.content * other.content)
+        if a == _ONE or b == _ONE:
+            return ScalarExpr._of(n, content, b if a == _ONE else a)
         if len(a) == 1 == len(b):  # one product, nonzero: nothing to sum
-            ((m1, c1),), ((m2, c2),) = a.items(), b.items()
-            return ScalarExpr(self.nvars, {_mono_mul(m1, m2): _times(c1, c2)})
+            ((m1, k1),), ((m2, k2),) = a, b
+            if k1.__class__ is int and k2.__class__ is int:  # both 1, as the forms are primitive
+                return ScalarExpr._of(n, content, ((_mono_mul(m1, m2), 1),))
+            return ScalarExpr._of(n, *_content_form(n, {_mono_mul(m1, m2): _times(_entry(k1), _entry(k2))}, content))
+        if all(k.__class__ is int for _, k in a) and all(k.__class__ is int for _, k in b):
+            acc: dict = {}
+            for m1, k1 in a:
+                for m2, k2 in b:
+                    m = _mono_mul(m1, m2)
+                    s = acc.get(m)
+                    acc[m] = k1 * k2 if s is None else s + k1 * k2
+            return _from_ints(n, acc, 1, content)
         groups: dict[AtomMono, list] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                groups.setdefault(_mono_mul(m1, m2), []).append((1, _times(c1, c2)))
-        return ScalarExpr(self.nvars, _sum_groups(self.nvars, groups))
+        for m1, k1 in a:
+            c1 = _entry(k1)
+            for m2, k2 in b:
+                groups.setdefault(_mono_mul(m1, m2), []).append((1, _times(c1, _entry(k2))))
+        return ScalarExpr._of(n, *_content_form(n, _sum_groups(n, groups), content))
 
     __rmul__ = __mul__
 
     def differentiate(self, index: int) -> ScalarExpr:
-        """Exact partial derivative; d coth(u) = (1 - coth(u)^2) du."""
-        groups: dict[AtomMono, list] = {}
-        for mono, coeff in self.terms.items():
+        """Exact partial derivative; d coth(u) = (1 - coth(u)^2) du.
+
+        The form is differentiated and the result scaled by the content once.
+        du/dx_index is the atom's cleared int over its lcm, so every factor is
+        an int over the lcm L of the atoms' lcms: on an int form the terms add
+        as ints, and on any other the coefficients add with int factors.
+        """
+        n = self.nvars
+        lcm = math.lcm(*[_CLEARED[atom][1] for atom in self.atoms()])
+        numbers = all(k.__class__ is int for _, k in self.form)
+        groups: dict[AtomMono, list] = {}  # monomial -> its (int factor, coefficient) terms
+        for mono, k in self.form:
+            coeff = k if numbers else _entry(k)
             if coeff.__class__ is RationalFunction and (dc := coeff.diff(index)).num.terms:
-                groups.setdefault(mono, []).append((1, dc))
-            for k, (atom, power) in enumerate(mono):
-                u_i = atom_entries(atom)[index]
-                if u_i == 0:
+                groups.setdefault(mono, []).append((lcm, dc))
+            for pos, (atom, power) in enumerate(mono):
+                cleared, own = _CLEARED[atom]
+                if not cleared[index]:
                     continue
                 # p*coth^{p-1}*(1-coth^2)*u_i, within the rest of the monomial
                 # (a canonical monomial, as mono is)
-                low = mono[:k] + ((atom, power - 1),) + mono[k + 1 :] if power > 1 else mono[:k] + mono[k + 1 :]
+                low = mono[:pos] + ((atom, power - 1),) + mono[pos + 1 :] if power > 1 else mono[:pos] + mono[pos + 1 :]
                 high = _mono_mul(low, ((atom, 2),))
-                scale = u_i * power
-                groups.setdefault(low, []).append((scale, coeff))
-                groups.setdefault(high, []).append((-scale, coeff))
-        return ScalarExpr(self.nvars, _sum_groups(self.nvars, groups))
+                f = cleared[index] * power * (lcm // own)
+                groups.setdefault(low, []).append((f, coeff))
+                groups.setdefault(high, []).append((-f, coeff))
+        if numbers:
+            acc = {mono: sum([f * k for f, k in terms]) for mono, terms in groups.items()}
+            return _from_ints(n, acc, lcm, self.content)
+        return ScalarExpr._of(n, *_content_form(n, _sum_groups(n, groups), self.content if lcm == 1 else _coeff(Q(self.content, lcm))))
 
     # -- evaluation
 
@@ -952,8 +1008,9 @@ class ScalarExpr:
     def eval_numeric(self, point: Sequence | MpPoint, precision: int = 64, margin: float = 1e-6):
         """The value at `point` as an mpf of `precision` mantissa bits.
 
-        Each coefficient is evaluated exactly and rounded once; mpmath is
-        used only for the coth atoms (`MpPoint.coth`).  Raises PoleError when
+        Each coefficient, content times entry, is formed and evaluated
+        exactly and rounded once; mpmath is used only for the coth atoms
+        (`MpPoint.coth`).  Raises PoleError when
         the point is within `margin` of a coth singularity (atoms first, in
         canonical order) or of a denominator hyperplane, judged on exact
         values.  An MpPoint brings its own precision and margin.
@@ -976,27 +1033,28 @@ class ScalarExpr:
 
         coth(c.x + d) at x = t*w tends to the sign of its slope c.w; a zero
         slope leaves coth(d), which has no rational limit, so PoleError.  Slopes
-        are taken on each atom's cleared int coordinates.
+        are taken on each atom's cleared int coordinates; the signed entries
+        add as ints, scaled by the content once.
         """
         acc = 0
-        for mono, value in self.terms.items():
-            if value.__class__ is RationalFunction:
+        for mono, k in self.form:
+            if k.__class__ is not int:
                 raise ValueError("ray_limit needs constant coefficients")
             for atom, power in mono:
                 slope = sum([c * x for c, x in zip(_CLEARED[atom][0][:-1], w)])
                 if slope == 0:
                     raise PoleError(f"coth({poly_to_str(atom_form_poly(atom))})", w)
                 if slope < 0 and power % 2:
-                    value = -value
-            acc += value
-        return ScalarExpr.const(self.nvars, acc)
+                    k = -k
+            acc += k
+        return ScalarExpr.const(self.nvars, self.content * acc)
 
     def singular_forms(self) -> list[Poly]:
         """Denominator factors and coth arguments, as polynomials."""
         forms: dict[tuple, Poly] = {}
-        for coeff in self.terms.values():
-            if coeff.__class__ is RationalFunction:
-                for f, _ in coeff.den:
+        for _, k in self.form:
+            if k.__class__ is not int:
+                for f, _ in k[1]:
                     forms[f.key()] = f
         for atom in self.atoms():
             p = atom_form_poly(atom)
@@ -1007,6 +1065,79 @@ class ScalarExpr:
         return f"ScalarExpr({to_sexpr(self)})"
 
 
+_ONE = (((), 1),)  # the form of every nonzero constant
+
+
+def _content_of(ints: list, lcm: int, scale, lead) -> tuple:
+    """(g, content) of the coefficients ints / lcm whose first in form order is lead, times the
+    number scale: g is the gcd of the ints, signed as lead, and content = scale * g / lcm, an int
+    when integral.  The one place a content is split off."""
+    g = math.gcd(*ints)
+    if lead < 0:
+        g = -g
+    num, den = (scale * g, lcm) if scale.__class__ is int else (scale.numerator * g, scale.denominator * lcm)
+    q, r = divmod(num, den)
+    return g, Q(num, den) if r else q
+
+
+def _from_ints(nvars: int, acc: dict, lcm: int, scale) -> ScalarExpr:
+    """scale * sum(v * monomial for monomial, v in acc.items()) / lcm for int values v; a
+    monomial whose value is 0 is dropped."""
+    monos = sorted([m for m, v in acc.items() if v])
+    if len(monos) < 2:  # zero, or one entry, which is 1
+        if not monos:
+            return ScalarExpr._of(nvars, 0, ())
+        v = acc[monos[0]]
+        return ScalarExpr._of(nvars, _content_of([v], lcm, scale, v)[1], ((monos[0], 1),))
+    ints = [acc[m] for m in monos]
+    g, content = _content_of(ints, lcm, scale, ints[0])
+    if g != 1:
+        ints = [v // g for v in ints]
+    return ScalarExpr._of(nvars, content, tuple(zip(monos, ints)))
+
+
+def _content_form(nvars: int, terms: dict, scale=1) -> tuple:
+    """(content, form) of scale * sum(c * monomial) over terms {atom monomial: stored coefficient}.
+
+    Every number and numerator coefficient is brought to an int over their
+    lcm; the gcd of those ints, signed as the first coefficient in form order
+    (a numerator's first is that of its least monomial), goes into the
+    content.  A numerator that is already primitive is kept.
+    """
+    if not terms:
+        return 0, ()
+    monos = sorted(terms)
+    values = []
+    for mono in monos:
+        c = terms[mono]
+        if c.__class__ is RationalFunction:
+            values += c.num.terms.values()
+        else:
+            values.append(_coeff(c))
+    lead = terms[monos[0]]
+    if lead.__class__ is RationalFunction:
+        lead = lead.num.terms[min(lead.num.terms)]
+    lcm = math.lcm(*[v.denominator for v in values])
+    g, content = _content_of(values if lcm == 1 else [v.numerator * (lcm // v.denominator) for v in values], lcm, scale, lead)
+    form = []
+    for mono in monos:
+        c = terms[mono]
+        if c.__class__ is not RationalFunction:
+            form.append((mono, c.numerator * (lcm // c.denominator) // g))
+        elif lcm == 1 and g == 1:  # already primitive
+            form.append((mono, (c.num, c.den)))
+        else:
+            num = {m: v.numerator * (lcm // v.denominator) // g for m, v in c.num.terms.items()}
+            form.append((mono, (Poly(nvars, num, _prune=False), c.den)))
+    return content, tuple(form)
+
+
+def _entry(k):
+    """A form entry as a stored coefficient: the int, or the RationalFunction of a (numerator,
+    denominator) pair."""
+    return k if k.__class__ is int else RationalFunction._reduced(k[0], k[1])
+
+
 def _stored(rf: RationalFunction):
     """rf as a stored coefficient: its int or Fraction value when constant (0 when zero), else rf."""
     terms = rf.num.terms
@@ -1015,37 +1146,53 @@ def _stored(rf: RationalFunction):
     return next(iter(terms.values()), 0)
 
 
-def _number_sums(pairs: Iterable[tuple]) -> dict | None:
-    """{key: sum(factor * term.terms[key])} over (factor, term) pairs, a term a ScalarExpr or a
-    Poly, when every factor and coefficient is a number, else None.  The products add as ints
-    over the lcm of their denominators, one Fraction per key at the end; keys keep the order of
-    their first terms, and a key whose sum cancels is dropped."""
+def _number_sums(nvars: int, pairs: Iterable[tuple]) -> ScalarExpr | None:
+    """sum(factor * term) over (factor, ScalarExpr) pairs when every form entry is an int, else
+    None.  Each factor times its term's content is an int over a denominator, brought onto one
+    lcm per sum, and the form entries add as ints; no Fraction is made until the content."""
     acc: dict = {}
     lcm = 1
+    get = acc.get
     for factor, term in pairs:
+        c = term.content
         if factor.__class__ is int:
-            fn, fd = factor, 1
-        elif factor.__class__ is Q:
-            fn, fd = factor.numerator, factor.denominator
-        else:
-            return None
-        for key, c in term.terms.items():
             if c.__class__ is int:
-                n, d = fn * c, fd
-            elif c.__class__ is Q:
-                n, d = fn * c.numerator, fd * c.denominator
+                n, d = factor * c, 1
             else:
+                n, d = factor * c.numerator, c.denominator
+        elif c.__class__ is int:
+            n, d = factor.numerator * c, factor.denominator
+        else:
+            n, d = factor.numerator * c.numerator, factor.denominator * c.denominator
+        if not n:
+            if any(k.__class__ is not int for _, k in term.form):
                 return None
-            if d != lcm:
-                if lcm % d:
-                    grow = d // math.gcd(lcm, d)
-                    lcm *= grow
-                    for k in acc:
-                        acc[k] *= grow
-                n *= lcm // d
-            s = acc.get(key)
-            acc[key] = n if s is None else s + n
-    return {k: Q(n, lcm) if n % lcm else n // lcm for k, n in acc.items() if n}
+            continue
+        if d != lcm:
+            if lcm % d:  # a new lcm: the sums so far are rescaled onto it
+                grow = d // math.gcd(lcm, d)
+                lcm *= grow
+                for mono in acc:
+                    acc[mono] *= grow
+            n *= lcm // d
+        for mono, k in term.form:
+            if k.__class__ is not int:
+                return None
+            s = get(mono)
+            acc[mono] = n * k if s is None else s + n * k
+    return _from_ints(nvars, acc, lcm, 1)
+
+
+def _packed_mul(a: dict, b: dict) -> dict:
+    """The product of two polynomials {packed monomial: int}; see `ScalarExpr.identically_zero`."""
+    out: dict = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            s = get(m)
+            out[m] = c1 * c2 if s is None else s + c1 * c2
+    return out
 
 
 def _times(c1, c2):

@@ -22,10 +22,12 @@ dropped without a sum, and so is a cell whose sum cancels.  Alt_s and the leg
 brackets can record into a caller's accumulator (`into`), so a residual is
 summed once.  The leg brackets meet a cell only with its bracket partners
 (`LieSuperalgebra.bracket_partners`), in full-scan order.  Within one call,
-operand cells equal up to a rational factor share one base (`_split`), so
-every cell is an int times a base, a pair records an int factor against the
-product of two bases, formed once per pair of bases, and the terms of equal
-cells merge in `collect`; `scale` rides on one operand's bases.  Cells keep
+operand cells of one stored form (`ScalarExpr.form`: the cells equal up to a
+rational factor) share one base (`_split`), the form times the gcd of their
+contents, so every cell is an int times a base.  A pair records an int factor
+against the product of two bases, formed once per pair of bases: the two
+contents multiply once and the two forms as ints.  The terms of equal cells
+merge in `collect`; `scale` rides on one operand's bases.  Cells keep
 the order in which their first term arrived, also a cell whose partial sum
 cancels before later terms bring it back.  The super twist, `from_vectors`
 and `dr` map distinct terms to distinct cells and sum nothing; two-operand
@@ -93,7 +95,7 @@ class _TensorBase:
             if not any(f for f, _ in terms.values()):  # every recorded term cancelled in `collect`
                 continue
             c = ScalarExpr.sum(g.rank, terms.values())
-            if c.terms:
+            if c.form:
                 out[key] = c
         return cls(g, out, _prune=False)
 
@@ -118,7 +120,7 @@ class _TensorBase:
         for k, c in other.coeffs.items():
             if k in out:
                 c = out[k] + c
-                if not c.terms:
+                if not c.form:
                     del out[k]
                     continue
             out[k] = c
@@ -131,12 +133,11 @@ class _TensorBase:
         return self + (-other)
 
     def scale(self, factor):
-        """factor * self for an int or Fraction factor, each cell through the sum's factor path."""
+        """factor * self for an int or Fraction factor, which scales each cell's content."""
         factor = _coeff(factor)
         if not factor:
             return type(self).zero(self.g)
-        n = self.g.rank
-        return type(self)(self.g, {k: ScalarExpr.sum(n, ((factor, c),)) for k, c in self.coeffs.items()}, _prune=False)
+        return type(self)(self.g, {k: c * factor for k, c in self.coeffs.items()}, _prune=False)
 
     def evaluate(self, point, precision: int = 64, margin: float = 1e-6) -> dict:
         """Numeric coefficient values at a sample point, which every cell shares."""
@@ -198,32 +199,34 @@ def alt_s(t: Tensor3, into: dict | None = None) -> Tensor3 | None:
 def _split(t: Tensor2, scale=1) -> list:
     """[(cell, k, base)] in t.coeffs order: each cell is the int k times the base of its group.
 
-    The cells of one `ScalarExpr.primitive` form, the cells equal up to a
-    rational factor, make a group.  Its base is that form's expression times
-    the group's content, the gcd of its cells' contents signed as its first
-    cell's, times scale.  With scale 1, a group whose cells have one content
-    has its first cell as base.
+    The cells of one stored form, the cells equal up to a rational factor,
+    make a group.  Its base is that form times the group's content, the gcd
+    of its cells' contents signed as its first cell's, times scale.  With
+    scale 1, a group whose cells have one content has its first cell as base.
     """
-    split = []
-    groups: dict = {}  # form -> [first cell, its content, gcd of content numerators, lcm of denominators]
-    for key, c in t.coeffs.items():
-        content, form = c.primitive()
-        group = groups.get(form)
+    groups: dict = {}  # form -> [first cell, gcd of content numerators, lcm of denominators]
+    for c in t.coeffs.values():
+        q = c.content
+        num, den = (q, 1) if q.__class__ is int else (q.numerator, q.denominator)
+        group = groups.get(c.form)
         if group is None:
-            groups[form] = [c, content, content.numerator, content.denominator]
-        else:
-            group[2] = math.gcd(group[2], content.numerator)
-            group[3] = math.lcm(group[3], content.denominator)
-        split.append((key, content, form))
-    bases = {}  # form -> (base, numerator and denominator of the group's content)
-    for form, (first, q, num, den) in groups.items():
-        num = abs(num) if q > 0 else -abs(num)
-        f = _coeff(Q(num, den) * scale / q)
-        bases[form] = (first if f == 1 else ScalarExpr.sum(t.g.rank, ((f, first),)), num, den)
+            groups[c.form] = [c, num, den]
+        elif group[0].content != q:
+            group[1] = math.gcd(group[1], num)
+            group[2] = math.lcm(group[2], den)
+    n = t.g.rank
+    for form, group in groups.items():
+        first, num, den = group
+        num = abs(num) if first.content > 0 else -abs(num)
+        content = _coeff(Q(num, den) * scale)
+        group[1:] = num, den
+        if content != first.content:
+            group[0] = ScalarExpr._of(n, content, form)
     out = []
-    for key, q, form in split:
-        base, num, den = bases[form]
-        out.append((key, (q.numerator // num) * (den // q.denominator), base))
+    for key, c in t.coeffs.items():
+        base, num, den = groups[c.form]
+        q = c.content
+        out.append((key, q * den // num if q.__class__ is int else (q.numerator // num) * (den // q.denominator), base))
     return out
 
 

@@ -20,7 +20,7 @@ run_checks is the one place that selects the checks and builds their
 inputs: the lemma takes the reports it built, and limits its r.
 
 Zero decision policy: every residual is a dict of cells, and `decide_cells`
-decides each distinct cell form (`ScalarExpr.primitive`: cells equal up to a
+decides each distinct cell form (`ScalarExpr.form`: cells equal up to a
 rational factor share one) once per run, through the
 one verdict memo run_checks passes to every decision, exactly and completely
 (`ScalarExpr.identically_zero`, which applies the coth addition law), so a
@@ -118,9 +118,9 @@ class ResidualReport:
 
 
 def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None, *, verdicts=None) -> ResidualReport:
-    """Exact zero decision for every cell of a residual, once per distinct `ScalarExpr.primitive` form.
+    """Exact zero decision for every cell of a residual, once per distinct `ScalarExpr.form`.
 
-    verdicts (primitive form -> identically zero) memoizes the decided forms,
+    verdicts (form -> identically zero) memoizes the decided forms,
     which a nonzero rational factor leaves zero or nonzero; run_checks passes
     one per run.  A nonzero residual gets a witness: its
     nonzero cells are evaluated at the seeded lattice points, which avoid the
@@ -133,7 +133,7 @@ def decide_cells(cells: dict, name: str, cfg: VerifyConfig | None = None, *, ver
     verdicts = {} if verdicts is None else verdicts
     nonzero = {}
     for k, c in cells.items():
-        zero = verdicts.get(form := c.primitive()[1])
+        zero = verdicts.get(form := c.form)
         if zero is None:
             zero = verdicts[form] = c.identically_zero()
         if not zero:
@@ -168,14 +168,27 @@ def decide_tensor_zero(
 
 
 def differential_dr(r: Tensor2) -> Tensor3:
-    """dr = sum_i x_i (x) dr/dx_i, first leg in the Cartan."""
+    """dr = sum_i x_i (x) dr/dx_i, first leg in the Cartan.
+
+    A cell is its content times its form, so each form is differentiated once
+    per coordinate and each cell's derivative is that one times its content.
+    """
     g = r.g
+    derivatives: dict = {}  # form -> its derivative along each coordinate
+    rows = []
+    for key, coeff in r.coeffs.items():
+        ds = derivatives.get(coeff.form)
+        if ds is None:
+            form = ScalarExpr._of(g.rank, 1, coeff.form)
+            ds = derivatives[coeff.form] = [form.differentiate(coord) for coord in range(g.rank)]
+        rows.append((key, coeff.content, ds))
     cells = {
-        (c_idx, a, b): coeff.differentiate(coord)
+        (c_idx, a, b): ds[coord] * content
         for coord, c_idx in enumerate(g.cartan)
-        for (a, b), coeff in r.coeffs.items()
+        for (a, b), content, ds in rows
+        if ds[coord].form
     }
-    return Tensor3(g, cells, _prune=True)
+    return Tensor3(g, cells, _prune=False)
 
 
 def cdybe_lhs(r: Tensor2) -> Tensor3:

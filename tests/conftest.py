@@ -32,6 +32,7 @@ from sdybe.scalars import (
     _mono_mul,
     _shown_key,
     atom_entries,
+    make_atom,
     poly_to_str,
     sample_points,
 )
@@ -776,8 +777,8 @@ def lifted(c, nvars: int) -> RationalFunction:
     return c if isinstance(c, RationalFunction) else RationalFunction(Poly.const(nvars, c))
 
 
-def as_stored(nvars: int, coeffs: dict) -> ScalarExpr:
-    """The expression with the RationalFunction coefficients {monomial: rf}: zeros dropped, and a
+def as_stored(coeffs: dict) -> dict:
+    """The RationalFunction coefficients {monomial: rf} as stored coefficients: zeros dropped, and a
     constant as its value, an int when integral."""
     terms = {}
     for mono, rf in coeffs.items():
@@ -787,37 +788,38 @@ def as_stored(nvars: int, coeffs: dict) -> ScalarExpr:
             value = rf.num.const_value()
             rf = value.numerator if value.denominator == 1 else value
         terms[mono] = rf
-    return ScalarExpr(nvars, terms)
+    return terms
 
 
-def _reference_groups(nvars: int, groups: dict) -> ScalarExpr:
-    return as_stored(nvars, {mono: RationalFunction.sum(terms) for mono, terms in groups.items()})
+def _reference_groups(groups: dict) -> dict:
+    return as_stored({mono: RationalFunction.sum(terms) for mono, terms in groups.items()})
 
 
-def reference_sum(nvars: int, pairs) -> ScalarExpr:
-    """sum(factor * term): each atom monomial's lifted coefficients through `RationalFunction.sum`."""
+def reference_sum(nvars: int, pairs) -> dict:
+    """sum(factor * term) as stored coefficients: each atom monomial's lifted coefficients through
+    `RationalFunction.sum`."""
     groups: dict = {}
     for factor, term in pairs:
         for mono, c in term.terms.items():
             groups.setdefault(mono, []).append((factor, lifted(c, nvars)))
-    return _reference_groups(nvars, groups)
+    return _reference_groups(groups)
 
 
-def reference_product(a: ScalarExpr, b) -> ScalarExpr:
-    """a * b: every pair of lifted coefficients through `RationalFunction.__mul__`, each atom
-    monomial's products through `RationalFunction.sum`.  A number b is a constant coefficient."""
-    if not isinstance(b, ScalarExpr):
-        b = ScalarExpr(a.nvars, {(): b} if b else {})
+def reference_product(a: ScalarExpr, b) -> dict:
+    """a * b as stored coefficients: every pair of lifted coefficients through
+    `RationalFunction.__mul__`, each atom monomial's products through `RationalFunction.sum`.  A
+    number b is a constant coefficient."""
+    b_terms = b.terms if isinstance(b, ScalarExpr) else ({(): b} if b else {})
     groups: dict = {}
     for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+        for m2, c2 in b_terms.items():
             groups.setdefault(_mono_mul(m1, m2), []).append((1, lifted(c1, a.nvars) * lifted(c2, a.nvars)))
-    return _reference_groups(a.nvars, groups)
+    return _reference_groups(groups)
 
 
-def reference_differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
-    """d f / d x_index: `RationalFunction.diff` of each lifted coefficient, and
-    d coth(u)^p = p coth(u)^(p-1) (1 - coth(u)^2) du for each atom."""
+def reference_differentiate(f: ScalarExpr, index: int) -> dict:
+    """d f / d x_index as stored coefficients: `RationalFunction.diff` of each lifted coefficient,
+    and d coth(u)^p = p coth(u)^(p-1) (1 - coth(u)^2) du for each atom."""
     groups: dict = {}
     for mono, c in f.terms.items():
         rf = lifted(c, f.nvars)
@@ -831,15 +833,70 @@ def reference_differentiate(f: ScalarExpr, index: int) -> ScalarExpr:
                 low = tuple(sorted((a, p) for a, p in rest.items() if p))
                 groups.setdefault(low, []).append((u * power, rf))
                 groups.setdefault(_mono_mul(low, ((atom, 2),)), []).append((-u * power, rf))
-    return _reference_groups(f.nvars, groups)
+    return _reference_groups(groups)
 
 
-def reference_sexpr(f: ScalarExpr) -> str:
-    """The s-expression of f with lifted coefficients: a constant prints as its value, any other
-    coefficient as (ratfun "NUM" "DEN")."""
+def reference_primitive(terms: dict) -> tuple:
+    """(content, form) of the stored coefficients {atom monomial: coefficient}, as `ScalarExpr`
+    computed it on every call before it stored the two: terms = content * P, where P's number and
+    numerator coefficients, in canonical order, are coprime ints and the first is positive; zero is
+    (0, ()).  The form is (shape, values): per sorted monomial, (monomial,) for a number and
+    (monomial, numerator monomials, (factor id, multiplicity) pairs) for a RationalFunction, and
+    the ints in that order."""
+    if not terms:
+        return 0, ()
+    shape = []
+    values: list = []
+    for mono in sorted(terms):
+        c = terms[mono]
+        if isinstance(c, RationalFunction):
+            num = c.num.key()
+            shape.append((mono, tuple([m for m, _ in num]), tuple([(f._fid, m) for f, m in c.den])))
+            values += [v for _, v in num]
+        else:
+            shape.append((mono,))
+            values.append(c)
+    if len(values) == 1:
+        return values[0], (tuple(shape), (1,))
+    lcm = math.lcm(*[v.denominator for v in values])
+    if lcm != 1:
+        values = [v.numerator * (lcm // v.denominator) for v in values]
+    g = math.gcd(*values)
+    if values[0] < 0:
+        g = -g
+    return (g if lcm == 1 else Q(g, lcm)), (tuple(shape), tuple([v // g for v in values]))
+
+
+def rebuilt_from_form(f: ScalarExpr) -> dict:
+    """{atom monomial: RationalFunction}: f's content times each entry of its form, read off the
+    form itself, not through `ScalarExpr.terms`."""
+    return {
+        mono: RationalFunction(Poly.const(f.nvars, f.content * k)) if isinstance(k, int) else RationalFunction(k[0] * f.content, k[1])
+        for mono, k in f.form
+    }
+
+
+def in_reference_layout(f: ScalarExpr) -> tuple:
+    """f's stored (content, form), the form in `reference_primitive`'s (shape, values) layout."""
+    shape = []
+    values: list = []
+    for mono, k in f.form:
+        if isinstance(k, int):
+            shape.append((mono,))
+            values.append(k)
+        else:
+            num, den = k
+            shape.append((mono, tuple([m for m, _ in num.key()]), tuple([(g._fid, m) for g, m in den])))
+            values += [v for _, v in num.key()]
+    return f.content, ((tuple(shape), tuple(values)) if shape else ())
+
+
+def reference_sexpr(terms: dict, nvars: int) -> str:
+    """The s-expression of the stored coefficients with lifted coefficients: a constant prints as
+    its value, any other coefficient as (ratfun "NUM" "DEN")."""
     parts = []
-    for mono in sorted(f.terms, key=_shown_key):
-        rf = lifted(f.terms[mono], f.nvars)
+    for mono in sorted(terms, key=_shown_key):
+        rf = lifted(terms[mono], nvars)
         if not rf.den and rf.num.is_const():
             head = str(rf.num.const_value())
         else:
@@ -856,7 +913,8 @@ def reference_sexpr(f: ScalarExpr) -> str:
 
 def stored_form(f: ScalarExpr) -> list:
     """Monomials and coefficients of f in their stored order: a number with its type, a
-    RationalFunction as its numerator terms (each value with its type) and denominator factors."""
+    RationalFunction as its numerator terms in order (each value with its type) and denominator
+    factors."""
     return [
         (m, ([(n, v, type(v)) for n, v in c.num.terms.items()], [(g.key(), k) for g, k in c.den]))
         if isinstance(c, RationalFunction)
@@ -882,3 +940,13 @@ def reference_ray_limit(f: ScalarExpr, w) -> Fraction:
             value *= (1 if slope > 0 else -1) ** power
         total += value
     return total
+
+
+def reference_phi_atom(i: int, spec: RMatrixSpec, rd: RootDatum) -> tuple:
+    """(atom, sign) of the coth atom of an X-root i at eps != 0, built as `phi_coupled` built it
+    before it cleared the scale: every coroot coordinate and the shift (a, -nu) multiplied by the
+    Fraction scale A_a * eps / 2, and the products handed to `make_atom`."""
+    scale = sign_A(rd, i) * spec.epsilon / 2
+    coeffs = rd.coroot_table[i]
+    shift = -sum((c * v for c, v in zip(coeffs, spec.nu)), Q(0))
+    return make_atom([scale * c for c in coeffs], scale * shift)

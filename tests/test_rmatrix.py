@@ -31,6 +31,7 @@ from conftest import (
     functional_equation_residual,
     ode_residual,
     reference_closure_failures,
+    reference_phi_atom,
     sampled_max_abs,
 )
 
@@ -177,6 +178,34 @@ class TestPhiCoupled:
         spec = RMatrixSpec(X=frozenset(), nu=[0], D=TwoForm.zero(1), epsilon=1)
         with pytest.raises(MissingSignChoiceError):
             phi_coupled(rd.positive_indices()[0], spec, rd)
+
+    @pytest.mark.parametrize(
+        "family, m, n", [("sl", 2, 0), ("sl", 3, 0), ("gl", 1, 1), ("gl", 2, 1), ("sl", 2, 1), ("gl", 3, 1), ("gl", 2, 2), ("sl", 4, 0)]
+    )
+    def test_atom_matches_the_fraction_scaled_form(self, family, m, n):
+        """On every root, over several (eps, nu): the atom built from the cleared coroot row and
+        the scale A_a eps/2 is the atom of the Fraction-scaled form, with the same sign, and the
+        coefficient is sign * eps/2."""
+        g = (build_gl if family == "gl" else build_sl)(m, n)
+        rd = root_decomposition(g)
+        nus = ([0] * g.rank, [Q(k, 2 * k + 1) for k in range(1, g.rank + 1)], [Q(-3, 2)] + [Q(5)] * (g.rank - 1))
+        for eps in (Q(1, 3), Q(-2), Q(7, 4), Q(1)):
+            for nu in nus:
+                spec = RMatrixSpec(X=full_X(rd), nu=nu, D=TwoForm.zero(g.rank), epsilon=eps)
+                for i in range(len(rd)):
+                    f = phi_coupled(i, spec, rd)
+                    ((mono, k),), content = f.form, f.content
+                    atom, sign = reference_phi_atom(i, spec, rd)
+                    assert (mono, k, content) == (((atom, 1),), 1, sign * eps / 2)
+
+    def test_atom_oracle_sees_a_moved_scale(self, gl21):
+        """Negative control: the oracle's atom for eps differs from the one for eps scaled by 3/2."""
+        g, rd, _ = gl21
+        nu = [Q(1, 3), 0, Q(2)]
+        i = rd.positive_indices()[0]
+        atoms = [reference_phi_atom(i, RMatrixSpec(X=full_X(rd), nu=nu, D=TwoForm.zero(3), epsilon=eps), rd)[0]
+                 for eps in (Q(1, 3), Q(1, 2))]
+        assert atoms[0] != atoms[1]
 
     @pytest.mark.parametrize("eps", [Q(1), Q(1, 3)])
     @pytest.mark.parametrize("sign", [1, -1])

@@ -33,8 +33,11 @@ from sdybe.tensor import tensor_dump
 from sdybe.verifier import VerifyConfig, decide_cells, run_checks
 
 from conftest import (
+    in_reference_layout,
     lifted,
+    rebuilt_from_form,
     reference_differentiate,
+    reference_primitive,
     reference_product,
     reference_ray_limit,
     reference_sexpr,
@@ -512,8 +515,8 @@ def expr_pairs(draw, linear_only=False):
 def test_scalar_sum_matches_fold_and_values(pairs):
     total = ScalarExpr.sum(2, pairs)
     assert (total - fold(pairs, ScalarExpr.zero(2))).symbolically_zero()
-    # monomials in the order the terms first bring them
-    assert list(total.terms) == [m for m in dict.fromkeys(m for _, e in pairs for m in e.terms) if m in total.terms]
+    # monomials in canonical (sorted) order, whatever order the terms bring them in
+    assert list(total.terms) == sorted(total.terms)
     # atoms as indeterminates: each monomial's coefficient sums on its own
     for mono in {m for _, e in pairs for m in e.terms}:
         coeff = lifted(total.terms.get(mono, 0), 2)
@@ -545,10 +548,9 @@ def test_constant_coefficient_sums_match_the_general_path(mixed, pairs):
     """Constant coefficients added as numbers give the per-monomial sums of the lifted coefficients,
     stored alike: the same values and types of numbers, the same RationalFunctions."""
     for terms in (pairs, pairs + [(-f, e) for f, e in pairs[:2]], mixed + pairs):
-        got, expected = ScalarExpr.sum(2, terms), reference_sum(2, terms)
+        got, expected = ScalarExpr.sum(2, terms), ScalarExpr(2, reference_sum(2, terms))
         assert_same_form(got, expected)
         assert [type(c) for c in got.terms.values()] == [type(c) for c in expected.terms.values()]
-        assert stored_form(got) == stored_form(expected)
 
 
 NUMBERS = st.sampled_from([0, 1, -1]) | small_fraction
@@ -563,13 +565,9 @@ def constant_coefficient_products(draw):
 
 
 def assert_same_form(got: ScalarExpr, expected: ScalarExpr):
-    """`stored_form`s equal up to the order of each numerator's terms: the same atom monomials in
-    the same order, the same numbers with their types, the same numerator terms and denominators."""
-
-    def form(f):
-        return [(m, (sorted(c[0]), c[1]) if isinstance(c[0], list) else c) for m, c in stored_form(f)]
-
-    assert form(got) == form(expected)
+    """Equal `stored_form`s: the same atom monomials in the same order, the same numbers with their
+    types, the same numerator terms in the same order, and the same denominators."""
+    assert stored_form(got) == stored_form(expected)
 
 
 @settings(max_examples=80, deadline=None)
@@ -591,14 +589,15 @@ def test_ray_limit_matches_the_fraction_definition(f, w):
 @settings(max_examples=80, deadline=None)
 @given(sum_exprs() | constant_coefficient_products(), NUMBERS)
 def test_number_product_is_the_general_products_form(f, q):
-    assert_same_form(f * q, reference_product(f, q))
-    assert_same_form(q * f, reference_product(f, q))
+    expected = ScalarExpr(2, reference_product(f, q))
+    assert_same_form(f * q, expected)
+    assert_same_form(q * f, expected)
 
 
 @settings(max_examples=80, deadline=None)
 @given(constant_coefficient_products(), constant_coefficient_products())
 def test_constant_product_is_the_general_products_form(a, b):
-    assert_same_form(a * b, reference_product(a, b))
+    assert_same_form(a * b, ScalarExpr(2, reference_product(a, b)))
 
 
 @st.composite
@@ -644,11 +643,12 @@ def test_mixed_coefficients_match_the_lifted_general_path(pairs, q, index, w):
     if rational:  # c * (1/c) = 1: a product of RationalFunctions that is a number
         inverse = ScalarExpr.from_ratfun(RationalFunction(rational[0].den_poly(), [(rational[0].num, 1)]))
         cases.append((total * inverse, reference_product(total, inverse)))
-    for got, expected in cases:
+    for got, expected_terms in cases:
+        expected = ScalarExpr(2, expected_terms)
         assert_stored(got)
         assert_same_form(got, expected)
         assert [type(c) for c in got.terms.values()] == [type(c) for c in expected.terms.values()]
-        assert to_sexpr(got) == reference_sexpr(expected)
+        assert to_sexpr(got) == reference_sexpr(expected_terms, 2)
     coth_free = ScalarExpr(2, {m: c for m, c in total.terms.items() if not m})
     for pt, value in exact_values(pairs, lambda e, pt: lifted(e.terms.get((), 0), 2).eval_exact(pt)):
         assert coth_free.eval_exact(pt) == value
@@ -659,6 +659,52 @@ def test_mixed_coefficients_match_the_lifted_general_path(pairs, q, index, w):
             total.ray_limit(w)
     else:
         assert_same_form(total.ray_limit(w), ScalarExpr.const(2, limit))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_pairs(), NUMBERS, st.integers(0, 1))
+def test_stored_content_and_form_are_the_references(pairs, q, index):
+    """Built through sum, *, differentiate and scale by a number, an expression stores the
+    (content, form) that `reference_primitive` computes on its value from the lifted general
+    path, and its content times its form rebuilds that value."""
+    total = ScalarExpr.sum(2, pairs)
+    a, b = pairs[0][1], pairs[-1][1]
+    cases = [
+        (total, reference_sum(2, pairs)),
+        (a * b, reference_product(a, b)),
+        (total * q, reference_product(total, q)),
+        (total.differentiate(index), reference_differentiate(total, index)),
+    ]
+    for got, expected in cases:
+        assert in_reference_layout(got) == reference_primitive(expected)
+        rebuilt = rebuilt_from_form(got)
+        assert sorted(rebuilt) == sorted(expected)
+        assert all(rebuilt[mono] == lifted(c, 2) for mono, c in expected.items())
+
+
+def test_a_coefficient_moved_by_ten_to_the_minus_twenty_has_another_form():
+    """Negative control of the representation oracle: moving one number or numerator coefficient
+    by 1/10^20 gives another stored form, and another reference form."""
+    x0 = Poly.var(2, 0)
+    shared = ScalarExpr.coth([1, 0]) + ratfun(x0 + Poly.const(2, 2), x0 + Poly.const(2, 1))
+    moved = [
+        shared + Q(1, 10**20),
+        shared + ScalarExpr.coth([1, 0]) * Q(1, 10**20),
+        shared + ratfun(Poly.const(2, Q(1, 10**20)), x0 + Poly.const(2, 1)),
+    ]
+    for f in moved:
+        assert f.form != shared.form
+        assert in_reference_layout(f) == reference_primitive(f.terms) != reference_primitive(shared.terms)
+
+
+def test_stored_numerator_order_does_not_depend_on_the_sum_path():
+    """1 + 1/(x0^2 + x1 + 1): the sum path and the lifted general path store its numerator terms
+    in one order, their sorted order (the sum path once kept (0,0), (2,0), (0,1))."""
+    den = Poly(2, {(2, 0): 1, (0, 1): 1, (0, 0): 1})
+    pairs = [(1, ScalarExpr.const(2, 1)), (1, ratfun(Poly.const(2, 1), den))]
+    got = ScalarExpr.sum(2, pairs)
+    assert_same_form(got, ScalarExpr(2, reference_sum(2, pairs)))
+    assert list(got.terms[()].num.terms) == [(0, 0), (0, 1), (2, 0)]
 
 
 REDUCIBLE = Poly(2, {(1, 1): 1})  # x0*x1: a stored factor that is not prime
@@ -717,15 +763,15 @@ def test_equal_keys_are_equal_forms(exprs, factor):
     """Expressions of one primitive form differ only by the ratio of their contents."""
     a = exprs[0]
     reordered = ScalarExpr(2, dict(reversed(list(a.terms.items()))))
-    assert reordered.primitive() == a.primitive()
+    assert (reordered.content, reordered.form) == (a.content, a.form)
     # a multiple has a's monomials and denominators, and other numerators; the
     # parsed text form can store a product of factors as one factor
     multiple = ScalarExpr.sum(2, [(factor, a)])
-    assert not a.terms or multiple.primitive()[1] == a.primitive()[1]
+    assert not a.terms or multiple.form == a.form
     forms = exprs + [reordered, multiple, from_sexpr(to_sexpr(a), 2)]
     for x in forms:
         for y in forms:
-            (cx, fx), (cy, fy) = x.primitive(), y.primitive()
+            (cx, fx), (cy, fy) = (x.content, x.form), (y.content, y.form)
             if fx == fy and y.terms:
                 assert to_sexpr(x) == to_sexpr(ScalarExpr.sum(2, [(Q(cx) / cy, y)]))
 

@@ -909,20 +909,24 @@ def _kind_spec(rd, kind):
 
 
 def _form(c: ScalarExpr) -> tuple:
-    """The memo key of `decide_cells`: c's `ScalarExpr.primitive` form."""
-    return c.primitive()[1]
+    """The memo key of `decide_cells`: c's stored form."""
+    return c.form
+
+
+class _Forgetful(dict):
+    """A verdict memo that never returns a verdict: every cell is decided on its own."""
+
+    def get(self, key, default=None):
+        return default
 
 
 def _each_cell_alone(monkeypatch):
-    """Every cell a form of its own within `decide_cells`: the memo's key never repeats, so
-    each cell is decided on its own.  `primitive` is patched only inside decide_cells, as the
-    leg brackets also group their operand cells by it."""
+    """Every cell decided on its own within `decide_cells`: each call gets a memo that never hits."""
     decide = verifier_mod.decide_cells
 
     def alone(*args, **kwargs):
-        with monkeypatch.context() as mp:
-            mp.setattr(ScalarExpr, "primitive", lambda c: (1, object()))
-            return decide(*args, **kwargs)
+        kwargs["verdicts"] = _Forgetful()
+        return decide(*args, **kwargs)
 
     monkeypatch.setattr(verifier_mod, "decide_cells", alone)
 
@@ -971,7 +975,7 @@ class TestOneDecisionPerForm:
             assert statuses["cdybe"] == statuses["mdybe"] == "nonzero"
 
     def test_rational_multiples_share_one_decision(self, gl21, monkeypatch):
-        """c, 2c and -c have one primitive form: one `identically_zero` call, one verdict for all three."""
+        """c, 2c and -c have one form: one `identically_zero` call, one verdict for all three."""
         g, rd, om = gl21
         n = g.rank
         r = construct(full_spec(rd, eps=Q(1, 3), nu=[Q(k, 2 * k + 1) for k in range(1, n + 1)]), g, rd, omega=om)
@@ -997,7 +1001,7 @@ class TestOneDecisionPerForm:
         for k, c in cdybe_lhs(r).coeffs.items():
             forms.setdefault(_form(c), {})[k] = c
         # a form with a coth-free term, so the perturbation changes a numerator only
-        cells = next(group for (shape, _), group in forms.items() if len(group) > 2 and shape[0][0] == ())
+        cells = next(group for form, group in forms.items() if len(group) > 2 and form[0][0] == ())
         assert decide_cells(cells, "shared", CFG64).status == "exact-zero"
         moved = list(cells)[len(cells) // 2]
         cells[moved] = cells[moved] + ScalarExpr.const(n, Q(1, 10**20))
