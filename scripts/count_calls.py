@@ -58,6 +58,9 @@ COUNTED = {
     "build_parser": "cli.build_parser",
     "cross_bracket": "tensor.cross_bracket",
     "_leg_bracket": "tensor._leg_bracket",
+    "_koszul": "tensor._koszul",
+    "differential_dr": "verifier.differential_dr",
+    "yb_bracket": "verifier.yb_bracket",
 }
 
 # runs in a fresh interpreter: argv[1] is a src/ directory, argv[2] a JSON list
@@ -65,7 +68,7 @@ COUNTED = {
 DRIVER = """
 import cProfile, contextlib, fractions, io, json, pstats, sys
 sys.path.insert(0, sys.argv[1])
-from sdybe import cli, scalars, superalgebra, tensor
+from sdybe import cli, scalars, superalgebra, tensor, verifier
 jobs = json.load(open(sys.argv[2]))
 
 def one_pass():
@@ -83,7 +86,8 @@ stats = pstats.Stats(profile)
 counts = {"calls": stats.total_calls}
 for label, path in json.loads(sys.argv[3]).items():
     owner, *attrs = path.split(".")
-    fn = {"cli": cli, "scalars": scalars, "superalgebra": superalgebra, "tensor": tensor, "fractions": fractions}[owner]
+    fn = {"cli": cli, "scalars": scalars, "superalgebra": superalgebra, "tensor": tensor, "verifier": verifier,
+          "fractions": fractions}[owner]
     for attr in attrs:
         fn = getattr(fn, attr, None)
     if fn is None:  # not in this side's source

@@ -27,9 +27,12 @@ rational factor) share one base (`_split`), the form times the gcd of their
 contents, so every cell is an int times a base.  A pair records an int factor
 against the product of two bases, formed once per pair of bases: the two
 contents multiply once and the two forms as ints.  The terms of equal cells
-merge in `collect`; `scale` rides on one operand's bases.  Cells keep
-the order in which their first term arrived, also a cell whose partial sum
-cancels before later terms bring it back.  The super twist, `from_vectors`
+merge in `collect`.  A leg-bracket call reads the Koszul sign of each
+parity pair once (`_koszul`) and each bracket off `g.structure`, so a pair
+of cells makes no `bracket_basis` or `_koszul` call; what remains per
+output term is one `collect`.  Cells keep the order in which their first
+term arrived, also a cell whose partial sum cancels before later terms
+bring it back.  The super twist, `from_vectors`
 and `dr` map distinct terms to distinct cells and sum nothing; two-operand
 `+` merges copies and sums only the cells both operands hold.
 """
@@ -48,7 +51,12 @@ class OddActorError(ValueError):
 
 
 def _koszul(p: int, q: int) -> int:
-    """(-1)^{pq} for parities p, q.  Monkeypatch target for sign-injection tests."""
+    """(-1)^{pq} for parities p, q.
+
+    Monkeypatch target for sign-injection tests: the super twist reads it
+    per cell, and each leg-bracket call once per parity pair, so a patched
+    rule reaches every later call and leaves nothing behind once restored.
+    """
     return -1 if p and q else 1
 
 
@@ -196,13 +204,13 @@ def alt_s(t: Tensor3, into: dict | None = None) -> Tensor3 | None:
 # leg brackets
 
 
-def _split(t: Tensor2, scale=1) -> list:
+def _split(t: Tensor2) -> list:
     """[(cell, k, base)] in t.coeffs order: each cell is the int k times the base of its group.
 
     The cells of one stored form, the cells equal up to a rational factor,
     make a group.  Its base is that form times the group's content, the gcd
-    of its cells' contents signed as its first cell's, times scale.  With
-    scale 1, a group whose cells have one content has its first cell as base.
+    of its cells' contents signed as its first cell's.  A group whose cells
+    have one content has its first cell as base.
     """
     groups: dict = {}  # form -> [first cell, gcd of content numerators, lcm of denominators]
     for c in t.coeffs.values():
@@ -218,7 +226,7 @@ def _split(t: Tensor2, scale=1) -> list:
     for form, group in groups.items():
         first, num, den = group
         num = abs(num) if first.content > 0 else -abs(num)
-        content = _coeff(Q(num, den) * scale)
+        content = _coeff(Q(num, den))
         group[1:] = num, den
         if content != first.content:
             group[0] = ScalarExpr._of(n, content, form)
@@ -248,56 +256,52 @@ def _leg_bracket(r: list, s: tuple, mode: str, g, products: dict, cells: dict) -
     """Record the terms of one leg bracket of the `_split` cells r and those of s, given as the
     `_Partners` of its legs 0 and 1; mode is "12_13", "12_23" or "13_23".
 
-    A cell of r meets only its partners in s, in the order of a full scan.
-    A pair records the int sign * sc * k1 * k2 against base1 * base2.  That
+    A cell of r meets only its partners in s, in the order of a full scan,
+    so `g.structure` holds the bracket of every pair.  A pair records the
+    int sign * sc * k1 * k2 against base1 * base2; the sign is read off
+    the call's table of `_koszul` by the parities of j1 and i2.  That
     product is formed once per ordered pair of bases (products[id(base1)][id(base2)]),
     is the other base when one is the constant 1, and is nonzero as both are.
     """
-    p = g.parity
+    p, structure = g.parity, g.structure
     r_leg, s_leg = {"12_13": (0, 0), "12_23": (1, 0), "13_23": (1, 1)}[mode]  # the legs the mode brackets
     partners = s[s_leg]
+    koszul = [[1, 1], [1, 1]] if mode == "12_23" else [[_koszul(a, b) for b in (0, 1)] for a in (0, 1)]
     for (i1, j1), k1, b1 in r:
         row = products.get(id(b1))
         if row is None:
             row = products[id(b1)] = {}
-        for (i2, j2), k2, b2 in partners[j1 if r_leg else i1]:
-            if mode == "12_13":
-                basis, sign = g.bracket_basis(i1, i2), _koszul(p[j1], p[i2])
-            elif mode == "12_23":
-                basis, sign = g.bracket_basis(j1, i2), 1
-            else:
-                basis, sign = g.bracket_basis(j1, j2), _koszul(p[j1], p[i2])
+        x, signs = (j1 if r_leg else i1), koszul[p[j1]]
+        for (i2, j2), k2, b2 in partners[x]:
             c = row.get(id(b2))
             if c is None:
                 c = row[id(b2)] = b2 if b1.constant() == 1 else b1 if b2.constant() == 1 else b1 * b2
-            k = sign * k1 * k2
-            for idx, sc in basis.items():
-                if mode == "12_13":
-                    key = (idx, j1, j2)
-                elif mode == "12_23":
-                    key = (i1, idx, j2)
-                else:
-                    key = (i1, i2, idx)
-                collect(cells, key, k * sc, c)
+            k = signs[p[i2]] * k1 * k2
+            if mode == "12_13":
+                for idx, sc in structure[x, i2].items():
+                    collect(cells, (idx, j1, j2), k * sc, c)
+            elif mode == "12_23":
+                for idx, sc in structure[x, i2].items():
+                    collect(cells, (i1, idx, j2), k * sc, c)
+            else:
+                for idx, sc in structure[x, j2].items():
+                    collect(cells, (i1, i2, idx), k * sc, c)
 
 
 _MODES = ("12_13", "12_23", "13_23")
 
 
-def _leg_brackets(r: Tensor2, s: Tensor2, into: dict | None = None, scale=1):
+def _leg_brackets(r: Tensor2, s: Tensor2, into: dict | None = None):
     """The leg brackets of r and s in each of `_MODES`, recorded in into for the caller to sum,
     else each cell summed once.
 
-    Every cell enters as an int times the base of its group (`_split`); scale
-    rides on r's bases only, so it multiplies every bracket once and every
-    recorded factor is an int.  Only constant tensors (Omega) take a scale.
+    Every cell enters as an int times the base of its group (`_split`), so
+    every recorded factor is an int.
     """
     r._check(s)
     g = r.g
-    if scale != 1 and any(c.constant() is None for t in (r, s) for c in t.coeffs.values()):
-        raise ValueError("only constant tensors take a scale")
-    rs = _split(r, scale)
-    ss = rs if s is r and scale == 1 else _split(s)
+    rs = _split(r)
+    ss = rs if s is r else _split(s)
     partners = (_Partners(g, ss, 0), _Partners(g, ss, 1))
     products: dict = {}
     cells: dict = {} if into is None else into
@@ -306,9 +310,9 @@ def _leg_brackets(r: Tensor2, s: Tensor2, into: dict | None = None, scale=1):
     return Tensor3.summed(g, cells) if into is None else None
 
 
-def yb_bracket(r: Tensor2, into: dict | None = None, scale=1) -> Tensor3 | None:
-    """scale * [[r, r]] = scale * ([r12, r13] + [r12, r23] + [r13, r23]); see `_leg_brackets`."""
-    return _leg_brackets(r, r, into, scale)
+def yb_bracket(r: Tensor2, into: dict | None = None) -> Tensor3 | None:
+    """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23]; see `_leg_brackets`."""
+    return _leg_brackets(r, r, into)
 
 
 def cross_bracket(s: Tensor2, omega: Tensor2) -> Tensor3:

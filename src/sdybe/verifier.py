@@ -14,7 +14,9 @@ Checks:
 
 run_checks builds each residual once: cdybe and mdybe are each one
 accumulator of terms, and at eps = 0 (s = r, no [[Omega, Omega]] term)
-cdybe's residual is reported as mdybe's.
+cdybe's residual is reported as mdybe's.  Both take Alt_s of one dr, as
+s - r = -(eps/2) Omega is constant, and mdybe records [[Omega, Omega]],
+which depends on the algebra only, from `omega_bracket`'s cache.
 
 run_checks is the one place that selects the checks and builds their
 inputs: the lemma takes the reports it built, and limits its r.
@@ -35,11 +37,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 
+from . import tensor
 from .rmatrix import RMatrixSpec, _assemble, _constant_cells, shift_to_s, validate
 from .scalars import ScalarExpr, largest_value, sample_points, singular_forms
 from .superalgebra import LieSuperalgebra, RootDatum
-from .tensor import Tensor2, Tensor3, ad_action, alt_s, super_twist, yb_bracket
+from .tensor import Tensor2, Tensor3, ad_action, alt_s, collect_tensor, super_twist, yb_bracket
 from .tensor import cross_bracket  # noqa: F401  bound here for perfbench's `tensor.cross_bracket` tracer row
 
 Q = Fraction
@@ -191,13 +195,15 @@ def differential_dr(r: Tensor2) -> Tensor3:
     return Tensor3(g, cells, _prune=False)
 
 
-def cdybe_lhs(r: Tensor2) -> Tensor3:
-    """Alt_s(dr) + [[r, r]]: the mdybe residual at eps = 0."""
-    return mdybe_lhs(r, 0, None)
+def cdybe_lhs(r: Tensor2, dr: Tensor3) -> Tensor3:
+    """Alt_s(dr) + [[r, r]], dr = `differential_dr(r)`: the mdybe residual at eps = 0."""
+    return mdybe_lhs(r, dr, 0, None)
 
 
-def cdybe_residual(r: Tensor2, cfg: VerifyConfig | None = None, *, verdicts=None) -> tuple[Tensor3, ResidualReport]:
-    lhs = cdybe_lhs(r)
+def cdybe_residual(
+    r: Tensor2, dr: Tensor3, cfg: VerifyConfig | None = None, *, verdicts=None
+) -> tuple[Tensor3, ResidualReport]:
+    lhs = cdybe_lhs(r, dr)
     return lhs, decide_tensor_zero(lhs, "cdybe", cfg, verdicts=verdicts)
 
 
@@ -214,21 +220,43 @@ def zero_weight_residual(r: Tensor2 | Tensor3, cfg: VerifyConfig | None = None, 
     return decide_cells(cells, "zero-weight", cfg, verdicts=verdicts)
 
 
-def mdybe_lhs(s: Tensor2, eps, omega: Tensor2 | None) -> Tensor3:
-    """Alt_s(ds) + [[s, s]] + (eps^2/4) [[Omega, Omega]] in one accumulator; Omega is unread at eps = 0."""
+def omega_bracket(omega: Tensor2) -> Tensor3:
+    """[[Omega, Omega]] with the cells and cell order of `yb_bracket`; cells of equal value share
+    one constant term.  Built once per shared Omega (`casimir`), that is once per algebra, and
+    per sign rule in force (`tensor._koszul`), so a sign-injected run neither reads nor leaves
+    behind a bracket built under other signs."""
+    return _omega_bracket(omega, tensor._koszul)
+
+
+@cache
+def _omega_bracket(omega: Tensor2, signs) -> Tensor3:
+    cells: dict = {}
+    yb_bracket(omega, into=cells)
+    n, terms, out = omega.g.rank, {}, {}  # terms: value -> its one constant term
+    for key, recorded in cells.items():  # every term is a constant: add numbers, no ScalarExpr.sum per cell
+        if value := sum(f * c.constant() for f, c in recorded.values()):
+            out[key] = terms.get(value) or terms.setdefault(value, ScalarExpr.const(n, value))
+    return Tensor3(omega.g, out, _prune=False)
+
+
+def mdybe_lhs(s: Tensor2, ds: Tensor3, eps, omega: Tensor2 | None) -> Tensor3:
+    """Alt_s(ds) + [[s, s]] + (eps^2/4) [[Omega, Omega]] in one accumulator; Omega is unread at eps = 0.
+
+    ds is `differential_dr` of s or of r, the same tensor: s - r = -(eps/2) Omega is constant.
+    """
     eps = Q(eps)
     cells: dict = {}
-    alt_s(differential_dr(s), into=cells)
+    alt_s(ds, into=cells)
     yb_bracket(s, into=cells)
     if eps:
-        yb_bracket(omega, into=cells, scale=eps * eps / 4)
+        collect_tensor(cells, omega_bracket(omega), eps * eps / 4)
     return Tensor3.summed(s.g, cells)
 
 
 def mdybe_residual(
-    s: Tensor2, eps, omega: Tensor2, cfg: VerifyConfig | None = None, *, verdicts=None
+    s: Tensor2, ds: Tensor3, eps, omega: Tensor2, cfg: VerifyConfig | None = None, *, verdicts=None
 ) -> tuple[Tensor3, ResidualReport]:
-    lhs = mdybe_lhs(s, eps, omega)
+    lhs = mdybe_lhs(s, ds, eps, omega)
     return lhs, decide_tensor_zero(lhs, "mdybe", cfg, verdicts=verdicts)
 
 
@@ -388,14 +416,16 @@ def run_checks(
     omega = casimir(g, rd)
     r = _assemble(spec, g, rd, omega=omega)
     unit = unitarity_residual(r, eps, omega, cfg, verdicts=verdicts)[1] if lemma or "unitarity" in checks else None
-    cd = cdybe_residual(r, cfg, verdicts=verdicts)[1] if lemma or "cdybe" in checks else None
+    # ds = dr, as s - r is constant: one dr for cdybe and mdybe
+    dr = differential_dr(r) if lemma or {"cdybe", "mdybe"} & set(checks) else None
+    cd = cdybe_residual(r, dr, cfg, verdicts=verdicts)[1] if lemma or "cdybe" in checks else None
     md = None
     if lemma or "mdybe" in checks:
         # at eps = 0 s is r and there is no [[Omega, Omega]] term: the residual is cdybe's
         if eps == 0 and cd:
             md = replace(cd, name="mdybe")
         else:
-            md = mdybe_residual(shift_to_s(r, eps, omega) if eps else r, eps, omega, cfg, verdicts=verdicts)[1]
+            md = mdybe_residual(shift_to_s(r, eps, omega) if eps else r, dr, eps, omega, cfg, verdicts=verdicts)[1]
     if "unitarity" in checks:
         reports.append(unit)
     if "zero-weight" in checks:

@@ -451,12 +451,12 @@ def signed_permutation(t: Tensor3, which: str) -> Tensor3:
     return Tensor3(t.g, out)
 
 
-def mode_brackets(r: Tensor2, s: Tensor2, modes, into: dict | None = None, scale=1):
+def mode_brackets(r: Tensor2, s: Tensor2, modes, into: dict | None = None):
     """`tensor._leg_brackets` with `tensor._MODES` narrowed to modes for the call."""
     saved = tensor_mod._MODES
     tensor_mod._MODES = tuple(modes)
     try:
-        return _leg_brackets(r, s, into, scale)
+        return _leg_brackets(r, s, into)
     finally:
         tensor_mod._MODES = saved
 

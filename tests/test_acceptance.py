@@ -21,6 +21,7 @@ from sdybe.tensor import Tensor2, cross_bracket, super_twist
 from sdybe.verifier import (
     VerifyConfig,
     cdybe_residual,
+    differential_dr,
     dominant_vector,
     lemma_consistency_check,
     limit_behavior_check,
@@ -105,7 +106,7 @@ class TestAcceptance:
                 for spec in zero_coupling_specs(g, rd):
                     assert validate(spec, g, rd).ok
                     r = construct(spec, g, rd, omega=om)
-                    _, cd = cdybe_residual(r, CFG64)
+                    _, cd = cdybe_residual(r, differential_dr(r), CFG64)
                     assert cd.status == "exact-zero", (label, sorted(spec.X))
                     _, un = unitarity_residual(r, 0, om)
                     assert un.status == "exact-zero", label
@@ -130,10 +131,10 @@ class TestAcceptance:
                     choice = {i: sign for i in rd.positive_indices() if i not in X} if sign else {}
                     spec = RMatrixSpec(X=X, nu=[0] * n, D=TwoForm.zero(n), epsilon=eps, sign_choice=choice)
                     r = construct(spec, g, rd, omega=om)
-                    cd_lhs, cd = cdybe_residual(r, CFG64)
+                    cd_lhs, cd = cdybe_residual(r, differential_dr(r), CFG64)
                     assert cd.status == "exact-zero", (label, eps, sorted(X), sign)
                     s = r - om.scale(eps / 2)
-                    md_lhs, md = mdybe_residual(s, eps, om, CFG64)
+                    md_lhs, md = mdybe_residual(s, differential_dr(s), eps, om, CFG64)
                     assert md.status == "exact-zero", (label, eps, sorted(X), sign)
                     # the sampler, as an oracle for the exact verdicts
                     for lhs in (cd_lhs, md_lhs):
@@ -183,7 +184,7 @@ class TestAcceptance:
             r = construct(RMatrixSpec(X=full_X(rd), nu=[0, 0, 0], D=TwoForm.zero(3)), g, rd, omega=om)
             with monkeypatch.context() as mp:
                 mp.setattr(tensor_mod, "_koszul", lambda p, q: 1)
-                _, broken = cdybe_residual(r, CFG64)
+                _, broken = cdybe_residual(r, differential_dr(r), CFG64)
             assert broken.status == "nonzero" and broken.witness is not None
             # (iv) one phi scaled by 1.01
             g3, rd3, om3 = sl3
@@ -191,7 +192,8 @@ class TestAcceptance:
             cell = next(k for k in sorted(r3.coeffs) if k[0] not in g3.cartan)
             bumped = dict(r3.coeffs)
             bumped[cell] = bumped[cell] * Q(101, 100)
-            _, rep4 = cdybe_residual(Tensor2(g3, bumped), CFG64)
+            r4 = Tensor2(g3, bumped)
+            _, rep4 = cdybe_residual(r4, differential_dr(r4), CFG64)
             assert rep4.status == "nonzero" and rep4.witness is not None
 
     def test_criterion_5_limits(self, sl2, gl21):

@@ -362,9 +362,15 @@ def _without_seconds(doc):
 
 def _clear_shared_setup():
     """Empty the per-process set-up caches, as a fresh process starts."""
-    from sdybe import superalgebra
+    from sdybe import superalgebra, verifier
 
-    for fn in (superalgebra._build, superalgebra.root_decomposition, superalgebra.casimir, cli.build_parser):
+    for fn in (
+        superalgebra._build,
+        superalgebra.root_decomposition,
+        superalgebra.casimir,
+        verifier._omega_bracket,
+        cli.build_parser,
+    ):
         fn.cache_clear()
 
 

@@ -50,6 +50,7 @@ from sdybe.verifier import (
     limit_behavior_check,
     mdybe_lhs,
     mdybe_residual,
+    omega_bracket,
     run_checks,
     unitarity_residual,
     zero_weight_residual,
@@ -114,7 +115,7 @@ class TestCdybe:
     def test_rational_family_exact(self, sl2):
         g, rd, om = sl2
         r = construct(full_spec(rd), g, rd, omega=om)
-        _, rep = cdybe_residual(r, CFG64)
+        _, rep = cdybe_residual(r, differential_dr(r), CFG64)
         assert rep.status == "exact-zero"
 
     def test_coth_family_sl2_exact(self, sl2):
@@ -122,7 +123,7 @@ class TestCdybe:
         # family cancels symbolically
         g, rd, om = sl2
         r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
-        _, rep = cdybe_residual(r, CFG64)
+        _, rep = cdybe_residual(r, differential_dr(r), CFG64)
         assert rep.status == "exact-zero"
 
     def test_coth_family_gl21_numeric(self, gl21):
@@ -130,7 +131,7 @@ class TestCdybe:
         # oracle, confirms that the cells it decides vanish numerically too
         g, rd, om = gl21
         r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
-        lhs, rep = cdybe_residual(r, CFG64)
+        lhs, rep = cdybe_residual(r, differential_dr(r), CFG64)
         assert rep.status == "exact-zero"
         survivors = [c for c in lhs.coeffs.values() if not c.symbolically_zero()]
         assert survivors
@@ -145,7 +146,8 @@ class TestCdybe:
         cell = next(k for k in sorted(r.coeffs) if not r.coeffs[k].is_rational())
         bumped = dict(r.coeffs)
         bumped[cell] = bumped[cell] * (1 + Q(1, 10**30))
-        lhs, rep = cdybe_residual(Tensor2(g, bumped), VerifyConfig())
+        r = Tensor2(g, bumped)
+        lhs, rep = cdybe_residual(r, differential_dr(r), VerifyConfig())
         assert rep.status == "nonzero"
         assert rep.witness is not None and tuple(rep.witness["indices"]) in lhs.coeffs
         assert rep.max_abs < 1e-25
@@ -154,7 +156,7 @@ class TestCdybe:
         g, rd, om = sl2
         e, f = g.basis_names.index("E12"), g.basis_names.index("E21")
         r = basis_tensor2(g, e, f)
-        _, rep = cdybe_residual(r, CFG64)
+        _, rep = cdybe_residual(r, differential_dr(r), CFG64)
         assert rep.status == "nonzero"
         assert rep.witness is not None
 
@@ -169,7 +171,7 @@ class TestCdybe:
             sign_choice={theta: 1, gamma1: -1, gamma2: -1},
         )
         r = construct(spec, g, rd, omega=om)
-        _, rep = cdybe_residual(r, CFG64)
+        _, rep = cdybe_residual(r, differential_dr(r), CFG64)
         assert rep.is_zero
 
     def test_invalid_mixed_sign_choice_flagged(self, gl21):
@@ -182,7 +184,7 @@ class TestCdybe:
             sign_choice={theta: 1, gamma1: -1, gamma2: 1},
         )
         r = construct(spec, g, rd, omega=om)
-        _, rep = cdybe_residual(r, CFG64)
+        _, rep = cdybe_residual(r, differential_dr(r), CFG64)
         assert rep.status == "nonzero"
         assert rep.witness is not None
 
@@ -259,12 +261,12 @@ class TestMdybe:
         eps = Q(2)
         r = construct(full_spec(rd, eps=eps), g, rd, omega=om)
         s = shift_to_s(r, eps, om)
-        _, rep = mdybe_residual(s, eps, om, CFG64)
+        _, rep = mdybe_residual(s, differential_dr(s), eps, om, CFG64)
         assert rep.is_zero
 
     def test_zero_s_leaves_casimir_term(self, sl2):
         g, rd, om = sl2
-        _, rep = mdybe_residual(Tensor2.zero(g), 2, om, CFG64)
+        _, rep = mdybe_residual(Tensor2.zero(g), Tensor3.zero(g), 2, om, CFG64)
         assert rep.status == "nonzero"
 
     def test_eps_zero_reduces_to_cdybe(self, gl21):
@@ -272,13 +274,30 @@ class TestMdybe:
         rng = random.Random(23)
         dcells, phis = _random_unitary_pieces(g, rd, rng)
         s = build_zero_weight_tensor(g, rd, dcells, phis)
-        assert (mdybe_lhs(s, 0, om) - cdybe_lhs(s)).is_zero()
+        ds = differential_dr(s)
+        assert (mdybe_lhs(s, ds, 0, om) - cdybe_lhs(s, ds)).is_zero()
 
 
 # every gl(m|n), and every sl(m|n) with m != n, with 2 <= m + n <= 4
 SMALL_ALGEBRAS = [("gl", m, d - m) for d in (2, 3, 4) for m in range(d + 1)] + [
     ("sl", m, d - m) for d in (2, 3, 4) for m in range(d + 1) if 2 * m != d
 ]
+OMEGA_ALGEBRAS = SMALL_ALGEBRAS + [("gl", 3, 3), ("sl", 6, 0)]
+
+
+@pytest.mark.parametrize("family,m,n", OMEGA_ALGEBRAS, ids=[f"{f}{m}{n}" for f, m, n in OMEGA_ALGEBRAS])
+def test_cached_omega_bracket_is_the_full_scan(family, m, n):
+    """The cached [[Omega, Omega]] has the full scan's cells in the full scan's order, is built
+    once per Omega, and its cells of equal value share one term."""
+    g = (build_gl if family == "gl" else build_sl)(m, n)
+    om = casimir(g, root_decomposition(g))
+    got = omega_bracket(om)
+    want = full_scan_leg_brackets(om, om, _MODES, False)
+    assert got.coeffs and list(got.coeffs) == list(want.coeffs)
+    assert [to_sexpr(c) for c in got.coeffs.values()] == [to_sexpr(c) for c in want.coeffs.values()]
+    assert omega_bracket(om) is got
+    terms: dict = {}
+    assert all(terms.setdefault(c.constant(), c) is c for c in got.coeffs.values())
 
 
 class TestLemma:
@@ -325,7 +344,8 @@ class TestLemma:
         e = g.basis_names.index("E12")
         r = basis_tensor2(g, e, e)
         unit = unitarity_residual(r, 1, om, CFG64)[1]
-        cd, md = cdybe_residual(r, CFG64)[1], mdybe_residual(shift_to_s(r, 1, om), 1, om, CFG64)[1]
+        dr = differential_dr(r)
+        cd, md = cdybe_residual(r, dr, CFG64)[1], mdybe_residual(shift_to_s(r, 1, om), dr, 1, om, CFG64)[1]
         assert unit.status == "nonzero"
         with pytest.raises(PreconditionError):
             lemma_consistency_check(unit, cd, md)
@@ -337,7 +357,7 @@ class TestComponentOrbits:
         # the Cartan^3, (h, a, -a) orbit, or (a, b, -a-b) families
         g, rd, om = gl21
         r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
-        lhs = cdybe_lhs(r)
+        lhs = cdybe_lhs(r, differential_dr(r))
         weight_by_index = {}
         for i, root in enumerate(rd.roots):
             (b,) = rd.e[i].keys()
@@ -358,7 +378,7 @@ class TestComponentOrbits:
         for bundle in (sl2, sl3, gl21):
             g, rd, om = bundle
             r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
-            lhs = cdybe_lhs(r)
+            lhs = cdybe_lhs(r, differential_dr(r))
             for which in ("12", "23"):
                 total = signed_permutation(lhs, which) + lhs
                 forms = total.singular_forms()
@@ -372,9 +392,28 @@ class TestNegativeControls:
         g, rd, om = gl21
         r = construct(full_spec(rd), g, rd, omega=om)
         monkeypatch.setattr(tensor_mod, "_koszul", lambda p, q: 1)
-        _, rep = cdybe_residual(r, CFG64)
+        _, rep = cdybe_residual(r, differential_dr(r), CFG64)
         assert rep.status == "nonzero"
         assert rep.witness is not None
+
+    def test_sign_injection_leaves_no_signs_behind(self, gl21, monkeypatch):
+        """A `_koszul`-injected cdybe and mdybe fail, and the same r on the same algebra passes
+        again once the hook is restored: the leg brackets read the sign rule in force per
+        call, and the cached [[Omega, Omega]] is keyed on it, so nothing built under the
+        injected rule outlives it (a sign table per algebra would)."""
+        g, rd, om = gl21
+        spec = full_spec(rd, eps=Q(1))
+        r = construct(spec, g, rd, omega=om)
+        verifier_mod._omega_bracket.cache_clear()  # the injected run builds [[Omega, Omega]] first
+        checks = ("cdybe", "mdybe")
+        with monkeypatch.context() as mp:
+            mp.setattr(tensor_mod, "_koszul", lambda p, q: 1)
+            assert cdybe_residual(r, differential_dr(r), CFG64)[1].status == "nonzero"
+            ok, reports, _ = run_checks(g, rd, spec, checks=checks, cfg=CFG64)
+            assert not ok and [rep.status for rep in reports] == ["nonzero", "nonzero"]
+        assert cdybe_residual(r, differential_dr(r), CFG64)[1].status == "exact-zero"
+        ok, reports, _ = run_checks(g, rd, spec, checks=checks, cfg=CFG64)
+        assert ok and [rep.status for rep in reports] == ["exact-zero", "exact-zero"]
 
     def test_perturbed_phi_detected(self, sl3):
         g, rd, om = sl3
@@ -382,7 +421,8 @@ class TestNegativeControls:
         cell = next(k for k in sorted(r.coeffs) if k[0] not in g.cartan)
         bumped = dict(r.coeffs)
         bumped[cell] = bumped[cell] * Q(101, 100)
-        _, rep = cdybe_residual(Tensor2(g, bumped), CFG64)
+        r = Tensor2(g, bumped)
+        _, rep = cdybe_residual(r, differential_dr(r), CFG64)
         assert rep.status == "nonzero"
         assert rep.witness is not None
 
@@ -449,7 +489,8 @@ class TestClassification:
                 spec = RMatrixSpec(X=X, nu=[0] * g.rank, D=TwoForm.zero(g.rank), epsilon=Q(1, 2), sign_choice=choice)
                 assert validate(spec, g, rd).ok
                 count += 1
-                _, cd = cdybe_residual(construct(spec, g, rd, omega=om), CFG64)
+                r = construct(spec, g, rd, omega=om)
+                _, cd = cdybe_residual(r, differential_dr(r), CFG64)
                 assert functional_equation_check(spec, rd, CFG64).is_zero == cd.is_zero
                 if cd.is_zero:
                     solutions.add((X, frozenset(choice.items())))
@@ -502,13 +543,14 @@ class TestSingleWitness:
         _assert_witness(rep.as_dict(), lambda k: ad_action({k[0]: Q(1)}, r).coeffs[k[1:]])
 
     def test_cdybe(self, gl21):
-        lhs, rep = cdybe_residual(self._doubled_coth_cell(gl21), self.CFG)
+        r = self._doubled_coth_cell(gl21)
+        lhs, rep = cdybe_residual(r, differential_dr(r), self.CFG)
         _assert_witness(rep.as_dict(), lhs.coeffs.__getitem__)
 
     def test_mdybe(self, gl21):
         g, rd, om = gl21
         s = shift_to_s(self._doubled_coth_cell(gl21), 1, om)
-        lhs, rep = mdybe_residual(s, 1, om, self.CFG)
+        lhs, rep = mdybe_residual(s, differential_dr(s), 1, om, self.CFG)
         _assert_witness(rep.as_dict(), lhs.coeffs.__getitem__)
 
     def test_lemma_refuses_a_non_unitary_r(self, gl21):
@@ -516,7 +558,8 @@ class TestSingleWitness:
         g, rd, om = gl21
         r = self._doubled_coth_cell(gl21)
         unit = unitarity_residual(r, 1, om, self.CFG)[1]
-        cd, md = cdybe_residual(r, self.CFG)[1], mdybe_residual(shift_to_s(r, 1, om), 1, om, self.CFG)[1]
+        dr = differential_dr(r)
+        cd, md = cdybe_residual(r, dr, self.CFG)[1], mdybe_residual(shift_to_s(r, 1, om), dr, 1, om, self.CFG)[1]
         assert unit.status == "nonzero" and cd.status == md.status == "nonzero"
         with pytest.raises(PreconditionError, match="unitarity"):
             lemma_consistency_check(unit, cd, md)
@@ -526,10 +569,10 @@ class TestSingleWitness:
         # exact-zero cdybe report is a disagreement, with both reports and the cross status as witness
         g, rd, om = sl3
         r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
-        unit, cd = unitarity_residual(r, 1, om, self.CFG)[1], cdybe_residual(r, self.CFG)[1]
+        unit, cd = unitarity_residual(r, 1, om, self.CFG)[1], cdybe_residual(r, differential_dr(r), self.CFG)[1]
         e12, e13 = g.basis_names.index("E12"), g.basis_names.index("E13")
         bad = Tensor2(g, {(e12, e13): ScalarExpr.coth([Q(1), Q(0)])})
-        md = mdybe_residual(bad, 1, om, self.CFG)[1]
+        md = mdybe_residual(bad, differential_dr(bad), 1, om, self.CFG)[1]
         assert unit.is_zero and cd.is_zero and md.status == "nonzero"
         rep = lemma_consistency_check(unit, cd, md)
         assert rep.status == "nonzero"
@@ -539,7 +582,7 @@ class TestSingleWitness:
         }
         assert set(rep.witness) == {"cdybe", "mdybe", "cross"}
         assert rep.witness["cdybe"] == cd.as_dict() and rep.witness["mdybe"] == md.as_dict()
-        _assert_witness(rep.witness["mdybe"], mdybe_lhs(bad, 1, om).coeffs.__getitem__)
+        _assert_witness(rep.witness["mdybe"], mdybe_lhs(bad, differential_dr(bad), 1, om).coeffs.__getitem__)
         assert rep.witness["cross"] == {
             "name": "lemma-cross-bracket", "status": "exact-zero", "max_abs": None, "tolerance": None,
             "points_used": 0, "witness": None, "seconds": 0.0,
@@ -703,7 +746,7 @@ class TestConcurrency:
 
         g, rd, om = gl21
         r = construct(full_spec(rd, eps=Q(1)), g, rd, omega=om)
-        lhs = cdybe_lhs(r)
+        lhs = cdybe_lhs(r, differential_dr(r))
         pts = sample_points(g.rank, 12, seed=4, avoid=lhs.singular_forms())
         serial = [lhs.evaluate(pt, precision=64) for pt in pts]
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -725,7 +768,7 @@ class TestRankTwoCartan:
         spec = full_spec(rd, D=d)
         assert d.closedness_residuals() == []
         r = construct(spec, g, rd, omega=om)
-        _, rep = cdybe_residual(r, CFG64)
+        _, rep = cdybe_residual(r, differential_dr(r), CFG64)
         assert rep.status == "exact-zero"
 
     def test_rational_function_D_with_pole(self, sl3):
@@ -736,7 +779,7 @@ class TestRankTwoCartan:
         r = construct(spec, g, rd, omega=om)
         _, un = unitarity_residual(r, 1, om)
         assert un.status == "exact-zero"
-        _, rep = cdybe_residual(r, CFG64)
+        _, rep = cdybe_residual(r, differential_dr(r), CFG64)
         assert rep.is_zero
 
 
@@ -799,22 +842,30 @@ class TestComputeOnce:
             spec = full_spec(rd, eps=Q(1))
         else:
             spec = _bad_signs_spec(rd)
+        verifier_mod._omega_bracket.cache_clear()
         yb = _count_calls(monkeypatch, "yb_bracket")
         cross = _count_calls(monkeypatch, "cross_bracket")
         shift = _count_calls(monkeypatch, "shift_to_s")
         decide = _count_calls(monkeypatch, "decide_tensor_zero")
+        dr = _count_calls(monkeypatch, "differential_dr")
         ok, reports, _ = run_checks(g, rd, spec, checks=self.CHECKS, cfg=CFG64)
-        # unitarity, cdybe and mdybe, each decided once, and no cross bracket:
-        # the lemma reads it off unitarity; at eps = 0 mdybe is cdybe's
-        # residual, so s is not formed, [[r, r]] is built and decided once,
-        # and there is no [[Omega, Omega]] term
-        assert (len(yb), len(cross), len(shift), len(decide)) == ((1, 0, 0, 2) if kind == "eps0" else (3, 0, 1, 3))
+        # unitarity, cdybe and mdybe, each decided once, one dr for both, and
+        # no cross bracket: the lemma reads it off unitarity; at eps = 0 mdybe
+        # is cdybe's residual, so s is not formed, [[r, r]] is built and
+        # decided once, and there is no [[Omega, Omega]] term; at eps != 0 the
+        # first run builds [[Omega, Omega]] and a second run reads it
+        counts = (len(yb), len(cross), len(shift), len(decide), len(dr))
+        assert counts == ((1, 0, 0, 2, 1) if kind == "eps0" else (3, 0, 1, 3, 1))
+        yb.clear()
+        dr.clear()
+        assert run_checks(g, rd, spec, checks=self.CHECKS, cfg=CFG64)[0] == ok
+        assert (len(yb), len(dr)) == ((1, 1) if kind == "eps0" else (2, 1))
         monkeypatch.undo()
 
         r = construct(spec, g, rd, omega=om)
         s = shift_to_s(r, spec.epsilon, om)
-        unit, cd = unitarity_residual(r, spec.epsilon, om, CFG64)[1], cdybe_residual(r, CFG64)[1]
-        md = mdybe_residual(s, spec.epsilon, om, CFG64)[1]
+        unit, cd = unitarity_residual(r, spec.epsilon, om, CFG64)[1], cdybe_residual(r, differential_dr(r), CFG64)[1]
+        md = mdybe_residual(s, differential_dr(s), spec.epsilon, om, CFG64)[1]
         standalone = [unit, zero_weight_residual(r, CFG64), cd, md, lemma_consistency_check(unit, cd, md)]
         assert reports[0].name == "validate" and reports[0].status == "exact-zero"
         assert [_without_seconds(rep.as_dict()) for rep in reports[1:]] == [
@@ -831,12 +882,14 @@ class TestComputeOnce:
 
     def test_lemma_alone_still_builds_residuals_once(self, sl2, monkeypatch):
         g, rd, _ = sl2
+        verifier_mod._omega_bracket.cache_clear()
         yb = _count_calls(monkeypatch, "yb_bracket")
         cross = _count_calls(monkeypatch, "cross_bracket")
         decide = _count_calls(monkeypatch, "decide_tensor_zero")
+        dr = _count_calls(monkeypatch, "differential_dr")
         ok, reports, _ = run_checks(g, rd, full_spec(rd, eps=Q(1)), checks=("lemma",), cfg=CFG64)
         assert ok and [rep.name for rep in reports] == ["lemma"]
-        assert (len(yb), len(cross), len(decide)) == (3, 0, 3)
+        assert (len(yb), len(cross), len(decide), len(dr)) == (3, 0, 3, 1)
 
     @pytest.mark.parametrize("checks", [("mdybe",), ("cdybe", "mdybe")])
     def test_mdybe_at_eps0_is_cdybe_when_both_run(self, gl21, monkeypatch, checks):
@@ -951,8 +1004,8 @@ class TestOneDecisionPerForm:
         r = construct(spec, g, rd, omega=om)
         s = shift_to_s(r, eps, om)
         return kind, {
-            "cdybe": cdybe_lhs(r),
-            "mdybe": mdybe_lhs(s, eps, om),
+            "cdybe": cdybe_lhs(r, differential_dr(r)),
+            "mdybe": mdybe_lhs(s, differential_dr(s), eps, om),
             "unitarity": r + super_twist(r) - om.scale(eps),
         }
 
@@ -980,7 +1033,7 @@ class TestOneDecisionPerForm:
         n = g.rank
         r = construct(full_spec(rd, eps=Q(1, 3), nu=[Q(k, 2 * k + 1) for k in range(1, n + 1)]), g, rd, omega=om)
         # a cdybe cell with coth atoms: zero only by the addition law
-        zero = next(c for c in cdybe_lhs(r).coeffs.values() if c.atoms())
+        zero = next(c for c in cdybe_lhs(r, differential_dr(r)).coeffs.values() if c.atoms())
         for c, status in ((zero, "exact-zero"), (ScalarExpr.coth([1, 0, 0]) + 1, "nonzero")):
             cells = {(0, 0, 0): c, (0, 0, 1): ScalarExpr.sum(n, [(2, c)]), (0, 0, 2): -c}
             assert len({_form(x) for x in cells.values()}) == 1
@@ -998,7 +1051,7 @@ class TestOneDecisionPerForm:
         n = g.rank
         r = construct(full_spec(rd, eps=Q(1, 3), nu=[Q(k, 2 * k + 1) for k in range(1, n + 1)]), g, rd, omega=om)
         forms: dict = {}
-        for k, c in cdybe_lhs(r).coeffs.items():
+        for k, c in cdybe_lhs(r, differential_dr(r)).coeffs.items():
             forms.setdefault(_form(c), {})[k] = c
         # a form with a coth-free term, so the perturbation changes a numerator only
         cells = next(group for form, group in forms.items() if len(group) > 2 and form[0][0] == ())
@@ -1037,8 +1090,8 @@ class TestOneAccumulatorPerResidual:
         eps, r, s, om = tensors
         cdybe_sum = alt_s(differential_dr(r)) + yb_bracket(r)
         mdybe_sum = alt_s(differential_dr(s)) + yb_bracket(s) + yb_bracket(om).scale(eps * eps / 4)
-        assert tensor_dump(cdybe_lhs(r)) == tensor_dump(cdybe_sum)
-        assert tensor_dump(mdybe_lhs(s, eps, om)) == tensor_dump(mdybe_sum)
+        assert tensor_dump(cdybe_lhs(r, differential_dr(r))) == tensor_dump(cdybe_sum)
+        assert tensor_dump(mdybe_lhs(s, differential_dr(s), eps, om)) == tensor_dump(mdybe_sum)
 
     def test_cancelled_cells_skip_the_sum(self, tensors, monkeypatch):
         """The cross bracket's cells, equal up to int factors on shared bases, all cancel in
@@ -1057,22 +1110,21 @@ class TestOneAccumulatorPerResidual:
         assert full_scan_leg_brackets(s, om, _MODES, True).is_zero()
 
     def test_omega_scale_is_applied_once(self, tensors):
-        """The Omega-by-Omega term at eps^2/4 (eps = 1 for the eps = 0 specs) is the full
-        scan's Fraction recording at that scale, not at its square."""
-        eps, _, _, om = tensors
-        scale = Q(eps or 1) ** 2 / 4
-        got = yb_bracket(om, scale=scale)
-        assert tensor_dump(got) == tensor_dump(full_scan_leg_brackets(om, om, _MODES, False, scale))
-        assert got.coeffs and tensor_dump(got) != tensor_dump(full_scan_leg_brackets(om, om, _MODES, False, scale**2))
-
-    def test_only_constant_tensors_take_a_scale(self, tensors):
-        _, *operands = tensors
-        for t in operands:
-            if all(c.constant() is not None for c in t.coeffs.values()):
-                assert tensor_dump(yb_bracket(t, scale=Q(2, 3))) == tensor_dump(yb_bracket(t).scale(Q(2, 3)))
-            else:
-                with pytest.raises(ValueError, match="constant"):
-                    yb_bracket(t, scale=2)
+        """mdybe's Omega-by-Omega term at eps^2/4 (eps = 1 for the eps = 0 specs) is the full
+        scan's Fraction recording at that scale, not at its square: alone (s = 0, in cell
+        order) and as mdybe's residual less cdybe's on the same s."""
+        eps, _, s, om = tensors
+        eps = Q(eps or 1)
+        g = om.g
+        want = full_scan_leg_brackets(om, om, _MODES, False, eps * eps / 4)
+        alone = mdybe_lhs(Tensor2.zero(g), Tensor3.zero(g), eps, om)
+        assert list(alone.coeffs) == list(want.coeffs)
+        assert [to_sexpr(c) for c in alone.coeffs.values()] == [to_sexpr(c) for c in want.coeffs.values()]
+        ds = differential_dr(s)
+        term = mdybe_lhs(s, ds, eps, om) - cdybe_lhs(s, ds)
+        assert tensor_dump(term) == tensor_dump(want)
+        squared = full_scan_leg_brackets(om, om, _MODES, False, (eps * eps / 4) ** 2)
+        assert term.coeffs and tensor_dump(term) != tensor_dump(squared)
 
 
 class TestOneMemoPerRun:
@@ -1091,8 +1143,8 @@ class TestOneMemoPerRun:
         s = shift_to_s(r, eps, om)
         residuals = [
             r + super_twist(r) - om.scale(eps),
-            cdybe_lhs(r),
-            mdybe_lhs(s, eps, om),
+            cdybe_lhs(r, differential_dr(r)),
+            mdybe_lhs(s, differential_dr(s), eps, om),
         ] + [ad_action({c: Q(1)}, r) for c in g.cartan]
         assert len(calls) == len(set(calls)) == len({_form(c) for t in residuals for c in t.coeffs.values()})
         _each_cell_alone(monkeypatch)
@@ -1120,7 +1172,8 @@ class TestOneMemoPerRun:
         monkeypatch.setattr(verifier_mod, "super_twist", twist)
         monkeypatch.setattr(tensor_mod, "_koszul", lambda p, q: 1)
         ok, reports, _ = run_checks(g, rd, spec, cfg=CFG64)
-        standalone = mdybe_residual(shift_to_s(construct(spec, g, rd, omega=om), 0, om), 0, om, CFG64)[1]
+        r = construct(spec, g, rd, omega=om)
+        standalone = mdybe_residual(shift_to_s(r, 0, om), differential_dr(r), 0, om, CFG64)[1]
         statuses = {rep.name: rep for rep in reports}
         cd, md, lemma = statuses["cdybe"], statuses["mdybe"], statuses["lemma"]
         assert not ok and statuses["unitarity"].status == "exact-zero"
@@ -1133,7 +1186,7 @@ class TestOneMemoPerRun:
         g, rd, om = gl22
         n = g.rank
         r = construct(full_spec(rd, eps=Q(1, 3), nu=[Q(k, 2 * k + 1) for k in range(1, n + 1)]), g, rd, omega=om)
-        cells = dict(cdybe_lhs(r).coeffs)
+        cells = dict(cdybe_lhs(r, differential_dr(r)).coeffs)
         verdicts: dict = {}
         assert decide_cells(cells, "cdybe", CFG64, verdicts=verdicts).status == "exact-zero"
         assert verdicts and all(verdicts.values())
