@@ -17,7 +17,7 @@ difference, naming the spec and the path of the field with both values
 
 The workloads give D only as constants, so no workload reaches a product
 with a non-constant numerator.  A fixed set of rational-D specs
-(`RATIONAL_D`: gl(2|1) and sl(3), eps = 0 and 1/3, X = all) runs through
+(`RATIONAL_D`: gl(2|1), sl(3) and gl(3|2), eps = 0 and 1/3, X = all) runs through
 `verify` and symbolic `construct` on both sides as well, and so does
 `sdybe algebra` for every gl(m|n) and sl(m|n) with 2 <= m + n <= 9
 (`DESCRIPTOR_SIZES`), whose descriptors are compared field by field and
@@ -55,7 +55,8 @@ RATIONAL_D = (
     ((0, 1, '(ratfun "1" "2*x0 - 2*x1")'), (0, 2, '(ratfun "-3" "x0 - x1")'), (1, 2, '(ratfun "3" "x0 - x1")')),
     ((0, 1, '(ratfun "2/3" "x0 + x1")'), (0, 2, '(ratfun "-1/2" "x0 + x1")'), (1, 2, '(ratfun "-1/2" "x0 + x1")')),
 )
-RATIONAL_D_ALGEBRAS = (("gl", 2, 1), ("sl", 3, 0))
+# gl(3|2) gives the reducible x0*x1 entry a residual on which many cells share one sum (`ScalarExpr.sum`'s sums)
+RATIONAL_D_ALGEBRAS = (("gl", 2, 1), ("sl", 3, 0), ("gl", 3, 2))
 RATIONAL_D_EPSILONS = ("0", "1/3")
 DESCRIPTOR_SIZES = range(2, 10)  # m + n of the algebras whose `sdybe algebra` output is compared
 # the spec of the usage-error runs: X = all at eps = 0, where limits does not apply

@@ -42,6 +42,7 @@ COUNTED = {
     "RationalFunction.__mul__": "scalars.RationalFunction.__mul__",
     "RationalFunction.sum": "scalars.RationalFunction.sum",
     "ScalarExpr.sum": "scalars.ScalarExpr.sum",
+    "_sum_groups": "scalars._sum_groups",  # general-path sums computed: ScalarExpr.sum misses, products, derivatives
     "Poly.exact_div": "scalars.Poly.exact_div",
     "ScalarExpr.eval_numeric": "scalars.ScalarExpr.eval_numeric",
     "ScalarExpr.ray_limit": "scalars.ScalarExpr.ray_limit",

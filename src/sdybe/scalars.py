@@ -22,16 +22,19 @@ There is one sum path.  `RationalFunction.sum` and `ScalarExpr.sum` take
 (factor, term) pairs with int or Fraction factors: numerators over one
 denominator add into one coefficient dict, the groups meet over the lcm of
 their denominators, and the total is reduced once (a zero total is never
-divided).  A `ScalarExpr` sum brings each factor times its term's content
-onto one lcm per sum, so the forms add with int factors: int entries as ints
-(`_number_sums`), no Fraction made before the sum's content, and
-RationalFunction entries through `RationalFunction.sum`.  A product
-multiplies the two contents once and the two forms, int forms as ints; a
-number scales the content only.  `_content_form` is the one place a content
-is split off a result and its form made primitive.  `+`, `-`, `*` and
-`* number` are calls of these, and the tensor builders sum each cell through
-them.  A product tries each factor of its merged denominator once against
-the product of the numerators.
+divided).  The lcm's factors are tried in canonical order, so a sum's stored
+form does not depend on the order of its pairs, also where a reducible
+factor shares a divisor with another.  A `ScalarExpr` sum brings each factor
+times its term's content onto one lcm per sum, so the forms add with int
+factors: int entries as ints (`_number_sums`), no Fraction made before the
+sum's content, and RationalFunction entries through `RationalFunction.sum`.
+A caller may pass a memo (sums) that gives one general-path sum per term
+vector, up to sign.  A product multiplies the two contents once and the two
+forms, int forms as ints; a number scales the content only.  `_content_form`
+is the one place a content is split off a result and its form made
+primitive.  `+`, `-`, `*` and `* number` are calls of these, and the tensor
+builders sum each cell through them.  A product tries each factor of its
+merged denominator once against the product of the numerators.
 
 A coth atom is coth(u) for an affine-linear form u with rational coefficients.
 Atoms are sign-canonicalized (first nonzero coefficient of (u_0..u_{N-1}, const)
@@ -516,7 +519,8 @@ class RationalFunction:
         A factor is an int or a Fraction; pairs must not be empty.  Numerators
         over one denominator add into one coefficient dict (+-1 as an add or
         a subtract); these groups meet over the lcm of their denominators, and
-        each factor of the lcm is tried against the total once.  A zero total
+        each factor of the lcm is tried against the total once, in the order
+        of their canonical keys, whatever order the pairs come in.  A zero total
         divides nothing; a single term is already reduced.  A term with factor
         0 (the merged factors of terms that cancel) keeps its place in the
         group order and the lcm, as those terms would.
@@ -553,7 +557,8 @@ class RationalFunction:
             else:  # the first group's dict, built here, starts the total
                 total = acc
         total = _pruned(total)
-        return _cancel(Poly(nvars, total, _prune=False), factors, list(factors) if total else ())
+        fids = sorted(factors, key=lambda fid: factors[fid][0]._key) if total else ()
+        return _cancel(Poly(nvars, total, _prune=False), factors, fids)
 
     # -- constructors
 
@@ -896,16 +901,29 @@ class ScalarExpr:
         raise TypeError(f"cannot combine a ScalarExpr with {type(other).__name__}")
 
     @staticmethod
-    def sum(nvars: int, pairs: Sequence[tuple]) -> ScalarExpr:
+    def sum(nvars: int, pairs: Sequence[tuple], *, sums: dict | None = None) -> ScalarExpr:
         """sum(factor * term for factor, term in pairs), one reduction per atom monomial.
 
         A factor is an int or a Fraction, and meets each term's content once.
         When every entry is an int, the sum is `_number_sums`'; otherwise each
         monomial's coefficients add through `_sum_group`.
+
+        sums memoizes the general path by term vector: the (id(term), factor)
+        pairs sorted by id, zero factors kept (they shape the lcm), with the
+        sign of the first nonzero factor divided out, so a vector and its
+        negation share one sum.  The caller keeps every keyed term alive while
+        sums is in use (`_TensorBase.summed` passes one per call).
         """
         numbers = _number_sums(nvars, pairs)
         if numbers is not None:
             return numbers
+        if sums is not None:
+            key = sorted([(id(term), factor) for factor, term in pairs])
+            sign = next((-1 if f < 0 else 1 for _, f in key if f), 1)
+            key = tuple(key) if sign == 1 else tuple([(i, -f) for i, f in key])
+            hit = sums.get(key)
+            if hit is not None:
+                return hit if sign == 1 else -hit
         scaled = [(factor * term.content, term) for factor, term in pairs]
         lcm = math.lcm(*[q.denominator for q, _ in scaled])
         groups: dict[AtomMono, list] = {}
@@ -917,7 +935,10 @@ class ScalarExpr:
                     groups[mono] = [(f, _entry(k))]
                 else:
                     group.append((f, _entry(k)))
-        return ScalarExpr._of(nvars, *_content_form(nvars, _sum_groups(nvars, groups), 1 if lcm == 1 else Q(1, lcm)))
+        out = ScalarExpr._of(nvars, *_content_form(nvars, _sum_groups(nvars, groups), 1 if lcm == 1 else Q(1, lcm)))
+        if sums is not None:
+            sums[key] = out if sign == 1 else -out
+        return out
 
     def __add__(self, other) -> ScalarExpr:
         other = self._coerce(other)

@@ -17,24 +17,28 @@ A builder whose terms can meet in one cell (the leg brackets, Alt_s, the
 Cartan action, the r-matrix assembly) records every term as a (factor,
 coefficient) pair with `collect`, which adds the factors of one coefficient
 object, and reduces each cell once with `ScalarExpr.sum`
-(`_TensorBase.summed`).  A cell whose factors add to 0 in `collect` is
-dropped without a sum, and so is a cell whose sum cancels.  Alt_s and the leg
-brackets can record into a caller's accumulator (`into`), so a residual is
-summed once.  The leg brackets meet a cell only with its bracket partners
+(`_TensorBase.summed`).  A cell whose factors add to 0 in `collect` is dropped
+without a sum, and so is a cell whose sum cancels.  Cells that record the same
+terms with the same factors, up to one sign, share one general-path sum per
+`summed` call (`ScalarExpr.sum`'s sums), so the images of one partial-fraction
+identity in several cells are summed once.  Alt_s and the leg brackets can
+record into a caller's accumulator (`into`), so a residual is summed once.
+The leg brackets meet a cell only with its bracket partners
 (`LieSuperalgebra.bracket_partners`), in full-scan order.  Within one call,
 operand cells of one stored form (`ScalarExpr.form`: the cells equal up to a
 rational factor) share one base (`_split`), the form times the gcd of their
 contents, so every cell is an int times a base.  A pair records an int factor
-against the product of two bases, formed once per pair of bases: the two
-contents multiply once and the two forms as ints.  The terms of equal cells
-merge in `collect`.  A leg-bracket call reads the Koszul sign of each
-parity pair once (`_koszul`) and each bracket off `g.structure`, so a pair
-of cells makes no `bracket_basis` or `_koszul` call; what remains per
-output term is one `collect`.  Cells keep the order in which their first
-term arrived, also a cell whose partial sum cancels before later terms
-bring it back.  The super twist, `from_vectors`
-and `dr` map distinct terms to distinct cells and sum nothing; two-operand
-`+` merges copies and sums only the cells both operands hold.
+against the product of two bases, formed once per unordered pair of bases: the
+two contents multiply once and the two forms as ints, and the reversed pair
+reads the same object, as products commute.  The terms of equal cells merge in
+`collect`.  A leg-bracket call reads the Koszul sign of each parity pair once
+(`_koszul`) and each bracket off `g.structure`, so a pair of cells makes no
+`bracket_basis` or `_koszul` call; what remains per output term is one
+`collect`.  Cells keep the order in which their first term arrived, also a
+cell whose partial sum cancels before later terms bring it back.  The super
+twist, `from_vectors` and `dr` map distinct terms to distinct cells and sum
+nothing; two-operand `+` merges copies and sums only the cells both operands
+hold.
 """
 
 from __future__ import annotations
@@ -97,12 +101,14 @@ class _TensorBase:
 
     @classmethod
     def summed(cls, g: LieSuperalgebra, cells: dict):
-        """The tensor whose cells are the sums of the terms `collect` recorded in cells."""
+        """The tensor whose cells are the sums of the terms `collect` recorded in cells; cells of one
+        term vector, up to sign, share one sum (`ScalarExpr.sum`'s sums, alive while cells holds them)."""
         out = {}
+        sums: dict = {}
         for key, terms in cells.items():
             if not any(f for f, _ in terms.values()):  # every recorded term cancelled in `collect`
                 continue
-            c = ScalarExpr.sum(g.rank, terms.values())
+            c = ScalarExpr.sum(g.rank, terms.values(), sums=sums)
             if c.form:
                 out[key] = c
         return cls(g, out, _prune=False)
@@ -260,8 +266,9 @@ def _leg_bracket(r: list, s: tuple, mode: str, g, products: dict, cells: dict) -
     so `g.structure` holds the bracket of every pair.  A pair records the
     int sign * sc * k1 * k2 against base1 * base2; the sign is read off
     the call's table of `_koszul` by the parities of j1 and i2.  That
-    product is formed once per ordered pair of bases (products[id(base1)][id(base2)]),
-    is the other base when one is the constant 1, and is nonzero as both are.
+    product is formed once per unordered pair of bases (products[id(base1)][id(base2)],
+    which base2, base1 reads too, as products commute), is the other base
+    when one is the constant 1, and is nonzero as both are.
     """
     p, structure = g.parity, g.structure
     r_leg, s_leg = {"12_13": (0, 0), "12_23": (1, 0), "13_23": (1, 1)}[mode]  # the legs the mode brackets
@@ -275,7 +282,10 @@ def _leg_bracket(r: list, s: tuple, mode: str, g, products: dict, cells: dict) -
         for (i2, j2), k2, b2 in partners[x]:
             c = row.get(id(b2))
             if c is None:
-                c = row[id(b2)] = b2 if b1.constant() == 1 else b1 if b2.constant() == 1 else b1 * b2
+                c = products.get(id(b2), {}).get(id(b1))  # b2 * b1: the same stored product
+                if c is None:
+                    c = b2 if b1.constant() == 1 else b1 if b2.constant() == 1 else b1 * b2
+                row[id(b2)] = c
             k = signs[p[i2]] * k1 * k2
             if mode == "12_13":
                 for idx, sc in structure[x, i2].items():

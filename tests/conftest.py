@@ -99,6 +99,12 @@ def gl22():
     return AlgebraBundle(build_gl(2, 2))
 
 
+# every gl(m|n), and every sl(m|n) with m != n, with 2 <= m + n <= 4
+SMALL_ALGEBRAS = [("gl", m, d - m) for d in (2, 3, 4) for m in range(d + 1)] + [
+    ("sl", m, d - m) for d in (2, 3, 4) for m in range(d + 1) if 2 * m != d
+]
+
+
 # ---------------------------------------------------------------------------
 # matrix-unit oracle (independent of the package's structure constants)
 

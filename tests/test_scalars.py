@@ -781,6 +781,82 @@ def test_scalar_sum_of_nothing_is_zero():
     assert RationalFunction.sum([(1, RationalFunction.zero(2)), (Q(1, 2), RationalFunction.zero(2))]).is_zero()
 
 
+# -- the sums memo of ScalarExpr.sum: one general-path sum per term vector, up to sign
+
+_X0, _X1 = Poly.var(2, 0), Poly.var(2, 1)
+_T, _U = inv_linear([1, -1]), ratfun(_X1, Poly.linear([1, 1], 2))
+_OVER_X0 = ratfun(Poly.const(2, 1), _X0)  # 1/x0
+_OVER_X0X1 = ratfun(Poly.const(2, 1), REDUCIBLE)  # 1/(x0*x1): its factor holds x0
+_X1_OVER_X0X1 = ratfun(_X1, REDUCIBLE)  # stored as given: x0*x1 does not divide x1
+# denominators from primes and the reducible x0*x1, which holds the prime x0
+ORDER_FACTORS = [_X0, _X1, Poly.linear([1, -1]), REDUCIBLE]
+
+
+def test_non_proportional_factors_get_their_own_sum():
+    sums: dict = {}
+    a = ScalarExpr.sum(2, [(1, _T), (2, _U)], sums=sums)
+    b = ScalarExpr.sum(2, [(1, _T), (3, _U)], sums=sums)
+    assert len(sums) == 2 and not (a - b).symbolically_zero()
+    assert stored_form(b) == stored_form(ScalarExpr.sum(2, [(1, _T), (3, _U)]))
+
+
+def test_a_negated_term_vector_gets_the_negated_sum():
+    sums: dict = {}
+    a = ScalarExpr.sum(2, [(1, _T), (2, _U)], sums=sums)
+    negated = ScalarExpr.sum(2, [(-2, _U), (-1, _T)], sums=sums)
+    assert len(sums) == 1
+    assert (negated.content, negated.form) == (-a.content, a.form)
+    assert stored_form(negated) == stored_form(ScalarExpr.sum(2, [(-2, _U), (-1, _T)]))
+
+
+def test_a_zero_factor_term_stays_in_the_key():
+    """A cancelled 1/(x0*x1) still brings x0*x1 into the lcm: 1/x0 comes out as x1/(x0*x1)."""
+    sums: dict = {}
+    with_zero = ScalarExpr.sum(2, [(1, _OVER_X0), (0, _OVER_X0X1)], sums=sums)
+    alone = ScalarExpr.sum(2, [(1, _OVER_X0)], sums=sums)
+    assert len(sums) == 2
+    assert to_sexpr(with_zero) == '(ratfun "x1" "x0*x1")'
+    assert stored_form(with_zero) == stored_form(ScalarExpr.sum(2, [(1, _OVER_X0), (0, _OVER_X0X1)]))
+    assert stored_form(alone) == stored_form(_OVER_X0) != stored_form(with_zero)
+
+
+@st.composite
+def order_terms(draw):
+    """num / prod(f) over ORDER_FACTORS, sometimes times a coth atom."""
+    dens = draw(st.lists(st.sampled_from(ORDER_FACTORS), max_size=2))
+    term = ratfun(draw(polys(max_terms=2, max_exp=1)), *dens)
+    return term * SUM_ATOMS[0] if draw(st.booleans()) else term
+
+
+@st.composite
+def cells_over_shared_terms(draw):
+    """Cells of (factor, term) pairs over one pool of term objects; some cells repeat an earlier
+    one's terms in another order, with its factors negated or scaled."""
+    pool = draw(st.lists(order_terms(), min_size=1, max_size=4))
+    factors = st.sampled_from(SUM_FACTORS + [0])
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        if cells and draw(st.booleans()):
+            scale = draw(st.sampled_from([1, -1, 2, Q(-1, 2)]))
+            cells.append(draw(st.permutations([(f * scale, t) for f, t in draw(st.sampled_from(cells))])))
+        else:
+            picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique_by=id))
+            cells.append([(draw(factors), t) for t in picked])
+    return cells
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells_over_shared_terms())
+@example([[(1, _X1_OVER_X0X1), (0, _OVER_X0)], [(0, _OVER_X0), (1, _X1_OVER_X0X1)]])
+def test_one_memo_gives_each_cells_own_sum(cells):
+    """Sums through one memo store what each cell's own sum stores, whatever order its terms came
+    in: a sum tries its lcm's factors in canonical order, so a reducible x0*x1 beside x0 gives
+    one stored form for both orders of the example (before, x0*x1 tried first gave 1/x0)."""
+    sums: dict = {}
+    for pairs in cells:
+        assert stored_form(ScalarExpr.sum(2, pairs, sums=sums)) == stored_form(ScalarExpr.sum(2, pairs))
+
+
 def table_sizes() -> tuple[int, int, int]:
     return len(scalars._FACTOR_IDS), len(scalars._ATOMS), len(scalars._ATOM_IDS)
 

@@ -8,15 +8,20 @@ structure constants without going through the bracket functions).
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdybe.rmatrix import RMatrixSpec, TwoForm, construct, shift_to_s
+import sdybe.scalars as scalars_mod
+import sdybe.tensor as tensor_mod
+from sdybe.rmatrix import RMatrixSpec, TwoForm, construct, shift_to_s, spec_from_json
 from sdybe.scalars import (
     PoleError,
     Poly,
@@ -26,7 +31,7 @@ from sdybe.scalars import (
     largest_value,
     sample_points,
 )
-from sdybe.superalgebra import DegenerateFormError, build_gl, build_sl, sign_A
+from sdybe.superalgebra import DegenerateFormError, build_gl, build_sl, casimir, root_decomposition, sign_A
 from sdybe.tensor import (
     OddActorError,
     Tensor2,
@@ -34,14 +39,16 @@ from sdybe.tensor import (
     ad_action,
     alt_s,
     collect,
+    collect_tensor,
     cross_bracket,
     super_twist,
     tensor_dump,
     yb_bracket,
 )
-from sdybe.verifier import decide_tensor_zero, differential_dr
+from sdybe.verifier import cdybe_lhs, decide_tensor_zero, differential_dr, unitarity_residual
 
 from conftest import (
+    SMALL_ALGEBRAS,
     ReferenceCells,
     bracket,
     bracket_12_13,
@@ -831,3 +838,112 @@ def test_shared_bases_match_the_split_free_full_scan(r, s, modes):
     assert list(got.coeffs) == list(want.coeffs)
     same = mode_brackets(r, r, modes)
     assert tensor_dump(same) == tensor_dump(full_scan_leg_brackets(r, r, modes, False))
+
+
+# ---------------------------------------------------------------------------
+# one general-path sum per term vector, one base product per unordered pair
+
+
+def _rational_d_table():
+    """RATIONAL_D and RATIONAL_D_ALGEBRAS of scripts/compare_reports.py; sys.path is left as it was."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("compare_reports", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module.RATIONAL_D, module.RATIONAL_D_ALGEBRAS
+
+
+_RATIONAL_D, _RATIONAL_D_ALGEBRAS = _rational_d_table()
+# eps = 0, X = all: each small algebra at nu_k = k/(2k+1) and D = 0, and every rational D of
+# compare_reports at nu = 0 on each of its algebras whose rank has room for the entry's indices
+RATIONAL_CASES = [(f, m, n, ()) for f, m, n in SMALL_ALGEBRAS] + [
+    (f, m, n, entries)
+    for f, m, n in _RATIONAL_D_ALGEBRAS
+    for entries in _RATIONAL_D
+    if max(j for _, j, _ in entries) < (m + n if f == "gl" else m + n - 1)
+]
+
+
+def _rational_r(family, m, n, entries):
+    g = (build_gl if family == "gl" else build_sl)(m, n)
+    rd = root_decomposition(g)
+    doc = {"epsilon": "0", "X": "all", "D": [{"i": i, "j": j, "ratfun": f} for i, j, f in entries]}
+    if not entries:
+        doc["nu"] = [f"{k}/{2 * k + 1}" for k in range(1, g.rank + 1)]
+    return g, construct(spec_from_json(doc, g, rd), g, rd, omega=casimir(g, rd))
+
+
+def _each_cell_alone(g, cells: dict) -> dict:
+    """Every cell summed by itself with `ScalarExpr.sum` and no memo; cancelled cells dropped."""
+    out = {}
+    for key, terms in cells.items():
+        if any(f for f, _ in terms.values()):
+            c = ScalarExpr.sum(g.rank, list(terms.values()))
+            if c.form:
+                out[key] = c
+    return out
+
+
+def _stored_cells(coeffs: dict) -> list:
+    return [(k, c.content, type(c.content), c.form, stored_form(c)) for k, c in coeffs.items()]
+
+
+@pytest.mark.parametrize(
+    "family,m,n,entries", RATIONAL_CASES,
+    ids=[f"{f}{m}{n}-D{k}" for k, (f, m, n, _) in enumerate(RATIONAL_CASES)],
+)
+def test_memoized_sums_are_each_cells_own_sum(family, m, n, entries, monkeypatch):
+    """The cdybe and unitarity residuals of the rational family have the cells, the cell order and
+    the stored (content, form) of summing each cell alone, and compute no more sums."""
+    g, r = _rational_r(family, m, n, entries)
+    om = casimir(g, root_decomposition(g))
+    dr = differential_dr(r)
+    cdybe: dict = {}
+    alt_s(dr, into=cdybe)
+    yb_bracket(r, into=cdybe)
+    unitarity: dict = {}
+    collect_tensor(unitarity, r)
+    collect_tensor(unitarity, super_twist(r))
+    computed = []
+    sum_groups = scalars_mod._sum_groups
+    monkeypatch.setattr(scalars_mod, "_sum_groups", lambda *a: computed.append(1) or sum_groups(*a))
+    counts = []  # (sums of each cell alone, sums through the memo) per residual
+    for cells, kind, residual in (
+        (cdybe, Tensor3, cdybe_lhs(r, dr)),
+        (unitarity, Tensor2, unitarity_residual(r, 0, om)[0]),
+    ):
+        computed.clear()
+        want = _each_cell_alone(g, cells)
+        alone = len(computed)
+        computed.clear()
+        got = kind.summed(g, cells)
+        counts.append((alone, len(computed)))
+        assert _stored_cells(got.coeffs) == _stored_cells(want)
+        assert _stored_cells(residual.coeffs) == _stored_cells(want)
+    assert all(memo <= alone for alone, memo in counts)
+    if (family, m, n) == ("gl", 3, 2):  # many rational cells of cdybe share a term vector
+        assert counts[0][1] < counts[0][0]
+
+
+@pytest.mark.parametrize("kind", ["rational", "coth"])
+def test_reversed_pairs_share_one_product(gl21, kind, monkeypatch):
+    """In one yb_bracket call the product of bases (b2, b1) is the object of (b1, b2)."""
+    g, _, r, _ = _per_cell_case(gl21, kind)
+    tables = []
+    leg_bracket = tensor_mod._leg_bracket
+
+    def recording(r_cells, s, mode, g, products, cells):
+        tables.append(products)
+        return leg_bracket(r_cells, s, mode, g, products, cells)
+
+    monkeypatch.setattr(tensor_mod, "_leg_bracket", recording)
+    yb_bracket(r)
+    products = tables[0]
+    assert all(t is products for t in tables)
+    reversed_pairs = [(b1, b2) for b1, row in products.items() for b2 in row if b1 != b2 and b1 in products.get(b2, {})]
+    assert reversed_pairs
+    assert all(products[b1][b2] is products[b2][b1] for b1, b2 in reversed_pairs)

@@ -57,6 +57,7 @@ from sdybe.verifier import (
 )
 
 from conftest import (
+    SMALL_ALGEBRAS,
     full_scan_leg_brackets,
     mode_brackets,
     functional_equation_check,
@@ -278,10 +279,6 @@ class TestMdybe:
         assert (mdybe_lhs(s, ds, 0, om) - cdybe_lhs(s, ds)).is_zero()
 
 
-# every gl(m|n), and every sl(m|n) with m != n, with 2 <= m + n <= 4
-SMALL_ALGEBRAS = [("gl", m, d - m) for d in (2, 3, 4) for m in range(d + 1)] + [
-    ("sl", m, d - m) for d in (2, 3, 4) for m in range(d + 1) if 2 * m != d
-]
 OMEGA_ALGEBRAS = SMALL_ALGEBRAS + [("gl", 3, 3), ("sl", 6, 0)]
 
 
