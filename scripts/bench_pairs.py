@@ -9,7 +9,9 @@ revision is exported with `git archive` into --parent-dir (a fresh
 temporary directory by default), so each side runs `perfbench/run.py` from
 its own checkout on its own source, for the run length BENCHMARK.json sets.
 Pair k runs seed k; odd pairs run the parent first and even pairs the change
-first.  With --traced-seed, each side adds one `--trace 1` run.
+first.  With --traced-seed, each side adds one `--trace 1` run.  Every
+side process starts through `run_side`, so neither side reads bytecode the
+other lacks.
 
 The output keeps the layout of BENCH_5.json: per workload a set of pairs
 with, for every end-to-end metric, each side's runs, median and inclusive
@@ -57,12 +59,20 @@ def export_parent(rev: str, dest: str) -> str:
     return commit
 
 
+def run_side(argv: list[str], cwd: str | None = None) -> str:
+    """The stdout of argv, run as one side of a comparison: with bytecode writing off and the
+    bytecode cache a fresh empty directory, the process compiles every module from source,
+    whatever `__pycache__` its checkout holds."""
+    with tempfile.TemporaryDirectory(prefix="pycache-") as prefix:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix)
+        return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, check=True).stdout
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run: its summary line plus the calibration record it wrote."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
-    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    summary = json.loads(run_side(argv, cwd=checkout).strip().splitlines()[-1])
     record = os.path.join(checkout, ".perfbench", f"run-{workload}-seed{seed}-trace{trace}.json")
     with open(record) as fh:
         summary["calibration_s"] = json.load(fh)["calibration_s"]

@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
@@ -41,7 +40,7 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
-from bench_pairs import export_parent  # noqa: E402
+from bench_pairs import export_parent, run_side  # noqa: E402
 
 SEEDS = (1, 2, 3)
 PRECISIONS = (64, 128)
@@ -103,8 +102,7 @@ def run_all(checkout: str, jobs: list[list[str]], work: str) -> list:
     with open(path, "w") as fh:
         json.dump(jobs, fh)
     argv = [sys.executable, "-c", DRIVER, os.path.join(checkout, "src"), path]
-    done = subprocess.run(argv, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(run_side(argv).strip().splitlines()[-1])
 
 
 ABSENT = object()

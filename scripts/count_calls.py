@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
@@ -31,7 +30,7 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
-from bench_pairs import export_parent  # noqa: E402
+from bench_pairs import export_parent, run_side  # noqa: E402
 
 # label -> the function's owner and attribute in the package's side
 COUNTED = {
@@ -106,8 +105,7 @@ def count(checkout: str, jobs: list[list[str]], work: str) -> dict:
     with open(path, "w") as fh:
         json.dump(jobs, fh)
     argv = [sys.executable, "-c", DRIVER, os.path.join(checkout, "src"), path, json.dumps(COUNTED)]
-    done = subprocess.run(argv, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(run_side(argv).strip().splitlines()[-1])
 
 
 def main(argv=None) -> int:

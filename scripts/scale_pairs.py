@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -33,7 +32,7 @@ from fractions import Fraction
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
-from bench_pairs import export_parent  # noqa: E402
+from bench_pairs import export_parent, run_side  # noqa: E402
 
 # runs in a fresh interpreter: argv[1] is a src/ directory, argv[2..5] family, m, n, eps; prints one JSON line
 DRIVER = """
@@ -63,8 +62,7 @@ print(json.dumps({
 
 def run_once(checkout: str, family: str, m: int, n: int, eps: str) -> dict:
     argv = [sys.executable, "-c", DRIVER, os.path.join(checkout, "src"), family, str(m), str(n), eps]
-    done = subprocess.run(argv, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(run_side(argv).strip().splitlines()[-1])
 
 
 def main(argv=None) -> int:

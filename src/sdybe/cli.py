@@ -24,10 +24,10 @@ from functools import cache
 
 from . import __version__
 from .rmatrix import parse_sizes, spec_from_json
-from .scalars import PoleError
+from .scalars import MARGIN, MIN_PRECISION, PoleError
 from .superalgebra import build_gl, build_sl, export_descriptor, root_decomposition
 from .tensor import tensor_dump
-from .verifier import ALL_CHECKS, MARGIN, PreconditionError, VerifyConfig, run_checks
+from .verifier import ALL_CHECKS, PreconditionError, VerifyConfig, run_checks
 
 Q = Fraction
 
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--spec", required=True, help="path to a JSON r-matrix spec")
     p_con.add_argument("--at", help="evaluate at lambda = q1,q2,... (exact rationals)")
     p_con.add_argument(
-        "--precision", type=int, default=64, help="mantissa bits for coth values, at least 64 (default 64)"
+        "--precision", type=int, default=MIN_PRECISION, help=f"mantissa bits for coth values, at least {MIN_PRECISION} (default %(default)s)"
     )
     p_con.add_argument("--out", help="write JSON here instead of stdout")
     p_con.set_defaults(func=cmd_construct)
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {', '.join(ALL_CHECKS)} (default: all applicable)",
     )
     p_ver.add_argument(
-        "--precision", type=int, default=128, help="mantissa bits for witness values, at least 64 (default 128)"
+        "--precision", type=int, default=128, help=f"mantissa bits for witness values, at least {MIN_PRECISION} (default 128)"
     )
     p_ver.add_argument("--seed", type=int, default=0, help="seed for all lattice sampling (default 0)")
     p_ver.add_argument("--out", help="write the report here instead of stdout")

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .scalars import Poly, RationalFunction, ScalarExpr, from_sexpr, poly_from_str, to_sexpr
 from .superalgebra import LieSuperalgebra, RootDatum, cartan_casimir_cells, casimir, sign_A
-from .tensor import Tensor2, collect_tensor
+from .tensor import Tensor2, collect, collect_tensor
 
 Q = Fraction
 
@@ -232,7 +232,7 @@ def phi_coupled(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:
 
     a in X:               (eps/2) coth(A_a (eps/2)(a, l-nu)),  A_a = (-1)^{|a|}(e_a,e_{-a})
     a not in X, negative: s * eps/2
-    a not in X, positive: -s * (-1)^{|a|} * eps/2
+    a not in X, positive: -s * A_a * eps/2
     with s the per-pair sign choice recorded on the positive representative.
     """
     eps = spec.epsilon
@@ -247,9 +247,7 @@ def phi_coupled(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:
     if pos not in spec.sign_choice:
         raise MissingSignChoiceError(f"no sign choice for positive root index {pos}")
     s = spec.sign_choice[pos]
-    if root.positive:
-        return ScalarExpr.const(n, Q(-s * ((-1) ** root.parity), 1) * eps / 2)
-    return ScalarExpr.const(n, Q(s) * eps / 2)
+    return ScalarExpr.const(n, (-s if root.positive else s) * sign_A(rd, i) * eps / 2)
 
 
 def phi(i: int, spec: RMatrixSpec, rd: RootDatum) -> ScalarExpr:
@@ -295,7 +293,8 @@ def _assemble(spec: RMatrixSpec, g: LieSuperalgebra, rd: RootDatum, omega: Tenso
     for i in indices:
         f = phi(i, spec, rd)
         if not f.symbolically_zero():
-            collect_tensor(cells, Tensor2.from_vectors(g, rd.e[i], rd.e[rd.neg[i]], f))
+            key, c = rd.cell(i)
+            collect(cells, key, c, f)
     return Tensor2.summed(g, cells)
 
 
@@ -317,10 +316,10 @@ def constant_example(g: LieSuperalgebra, rd: RootDatum, eps, which: str = "r") -
 def _constant_cells(g: LieSuperalgebra, rd: RootDatum, eps: Fraction, which: str) -> dict:
     """The nonzero cells of `constant_example` as numbers, {(i, j): value}."""
     cells = cartan_casimir_cells(g, eps / 2)
-    for i in rd.positive_indices():  # each root vector is one off-diagonal unit: no two cells meet
-        x, y = (rd.e[rd.neg[i]], rd.e[i]) if which == "r" else (rd.e[i], rd.e[rd.neg[i]])
-        value = eps if which == "r" else eps * (-1) ** rd.roots[i].parity
-        cells.update({(bx, by): value * cx * cy for bx, cx in x.items() for by, cy in y.items()})
+    for i in rd.positive_indices():  # each root's cell is its own: no two cells meet
+        j, a = (rd.neg[i], 1) if which == "r" else (i, sign_A(rd, i))
+        key, c = rd.cell(j)
+        cells[key] = eps * a * c
     return cells
 
 

@@ -29,7 +29,9 @@ times its term's content onto one lcm per sum, so the forms add with int
 factors: int entries as ints (`_number_sums`), no Fraction made before the
 sum's content, and RationalFunction entries through `RationalFunction.sum`.
 A caller may pass a memo (sums) that gives one general-path sum per term
-vector, up to sign.  A product multiplies the two contents once and the two
+vector, up to sign.  A rational derivative is one `RationalFunction.sum` too,
+d(n/D) = n'/D - sum_k m_k n f_k'/(D f_k), each term reduced before it
+enters, and it multiplies no two denominator factors.  A product multiplies the two contents once and the two
 forms, int forms as ints; a number scales the content only.  `_content_form`
 is the one place a content is split off a result and its form made
 primitive.  `+`, `-`, `*` and `* number` are calls of these, and the tensor
@@ -64,6 +66,12 @@ import random
 import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+# witness settings: points of [-LATTICE, LATTICE]^rank at least MARGIN from every singular form, values
+# of at least MIN_PRECISION mantissa bits; `construct --at` reports a pole within MARGIN of one
+MARGIN = 1e-6
+LATTICE = 10
+MIN_PRECISION = 64
 
 # one immutable context per mantissa precision; mpmath's global context is
 # mutable and workprec() on it would race under concurrent evaluation
@@ -630,25 +638,14 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def diff(self, index: int) -> RationalFunction:
-        # d(n/D)/dx = (n' - n * sum_k m_k f_k'/f_k) / D, cleared of the f_k
-        if not self.den:
-            return RationalFunction(self.num.diff(index))
-        prod_all = Poly.const(self.nvars, 1)
-        for f, _ in self.den:
-            prod_all = prod_all * f
-        correction = Poly(self.nvars)
+        """d(n/D)/dx_index = n'/D - sum_k m_k n f_k' / (D f_k) over the factors f_k^m_k of D, as one
+        `RationalFunction.sum` of terms the constructor has reduced."""
+        pairs = [(1, RationalFunction(self.num.diff(index), self.den))]
         for f, m in self.den:
             df = f.diff(index)
-            if df.is_zero():
-                continue
-            rest = Poly.const(self.nvars, m)
-            for g, _ in self.den:
-                if g is not f:
-                    rest = rest * g
-            correction = correction + df * rest
-        new_num = self.num.diff(index) * prod_all - self.num * correction
-        new_den = [(f, m + 1) for f, m in self.den]
-        return RationalFunction(new_num, new_den)
+            if df.terms:
+                pairs.append((-m, RationalFunction(self.num * df, (*self.den, (f, 1)))))
+        return RationalFunction.sum(pairs)
 
     # -- evaluation
 
@@ -1026,7 +1023,7 @@ class ScalarExpr:
     def eval_exact(self, point: Sequence, margin: float = 0):
         return self.as_ratfun().eval_exact(point, margin)
 
-    def eval_numeric(self, point: Sequence | MpPoint, precision: int = 64, margin: float = 1e-6):
+    def eval_numeric(self, point: Sequence | MpPoint, precision: int = MIN_PRECISION, margin: float = MARGIN):
         """The value at `point` as an mpf of `precision` mantissa bits.
 
         Each coefficient, content times entry, is formed and evaluated
@@ -1295,8 +1292,8 @@ def sample_points(
     *,
     seed: int = 0,
     avoid: Sequence[Poly] = (),
-    margin: float = 1e-6,
-    lattice: int = 10,
+    margin: float = MARGIN,
+    lattice: int = LATTICE,
 ) -> list[tuple[int, ...]]:
     """Draw integer lattice points in [-lattice, lattice]^nvars.
 
@@ -1352,8 +1349,9 @@ def to_sexpr(f: ScalarExpr) -> str:
     if f.symbolically_zero():
         return "0"
     parts = []
-    for mono in sorted(f.terms, key=_shown_key):
-        c = f.terms[mono]
+    terms = f.terms
+    for mono in sorted(terms, key=_shown_key):
+        c = terms[mono]
         if c.__class__ is RationalFunction:
             head = f'(ratfun "{poly_to_str(c.num)}" "{poly_to_str(c.den_poly())}")'
         else:

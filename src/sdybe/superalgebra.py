@@ -205,8 +205,8 @@ class RootDatum:
     coroot_table[i] the Cartan-basis coordinates of the coroot h_i, the
     element with (h_i, x) = root_i(x), pairing[i] the value (e_i, e_{-i}),
     neg[i] the index of the opposite root, and labels[i] the matrix unit
-    (a, b) of the root e_a - e_b;
-    label_index[(a, b)] is the index of that root.  `root_decomposition`
+    (a, b) of the root e_a - e_b; label_index[(a, b)] is the index of that
+    root, and `cell(i)` the one cell of e_i (x) e_{-i}.  `root_decomposition`
     shares one datum per algebra, so it and its lists are never mutated;
     equality and hashing are by identity.
     """
@@ -225,6 +225,12 @@ class RootDatum:
 
     def positive_indices(self) -> list[int]:
         return [i for i, r in enumerate(self.roots) if r.positive]
+
+    def cell(self, i: int) -> tuple[tuple[int, int], int]:
+        """((u, v), c) with e_i (x) e_{-i} = c b_u (x) b_v: every root vector is one basis unit."""
+        ((u, a),) = self.e[i].items()
+        ((v, b),) = self.e[self.neg[i]].items()
+        return (u, v), a * b
 
     def add_index(self, i: int, j: int) -> int | None:
         """Index of root_i + root_j if it is a root, else None: (a, b) + (b, e) = (a, e)."""
@@ -296,12 +302,9 @@ def casimir(g: LieSuperalgebra, rd: RootDatum):
     from . import tensor
 
     cells = cartan_casimir_cells(g)
-    for i in range(len(rd)):
-        a = sign_A(rd, i)
-        for bi, ci in rd.e[i].items():
-            for bj, cj in rd.e[rd.neg[i]].items():
-                key = (bi, bj)
-                cells[key] = cells.get(key, 0) + a * ci * cj
+    for i in range(len(rd)):  # each root's cell is its own, off the Cartan cells
+        key, c = rd.cell(i)
+        cells[key] = sign_A(rd, i) * c
     return tensor.Tensor2.from_constant_cells(g, cells)
 
 

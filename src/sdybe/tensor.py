@@ -2,7 +2,7 @@
 
 Tensors are sparse maps from basis index tuples to ScalarExpr coefficients in
 the Cartan coordinates (nvars = rank of g).  Exactly-zero coefficients are
-pruned; there is no epsilon pruning.  Koszul signs enter in three places:
+pruned; there is no epsilon pruning.  Koszul signs (`_koszul`) enter in three places:
 
   super twist        T_s(a (x) b) = (-1)^{|a||b|} b (x) a
   leg brackets       [r12, s13] = sum (-1)^{|b||a'|} [a,a'] (x) b (x) b'
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Q
 
-from .scalars import MpPoint, ScalarExpr, _coeff, singular_forms, to_sexpr
+from .scalars import MARGIN, MIN_PRECISION, MpPoint, ScalarExpr, _coeff, singular_forms, to_sexpr
 from .superalgebra import EVEN, LieSuperalgebra, Vector
 
 
@@ -57,9 +57,9 @@ class OddActorError(ValueError):
 def _koszul(p: int, q: int) -> int:
     """(-1)^{pq} for parities p, q.
 
-    Monkeypatch target for sign-injection tests: the super twist reads it
-    per cell, and each leg-bracket call once per parity pair, so a patched
-    rule reaches every later call and leaves nothing behind once restored.
+    Monkeypatch target for sign-injection tests: the super twist reads it per cell, and
+    each leg-bracket and Alt_s call once per parity pair, so a patched rule reaches every
+    later call and leaves nothing behind once restored.
     """
     return -1 if p and q else 1
 
@@ -153,7 +153,7 @@ class _TensorBase:
             return type(self).zero(self.g)
         return type(self)(self.g, {k: c * factor for k, c in self.coeffs.items()}, _prune=False)
 
-    def evaluate(self, point, precision: int = 64, margin: float = 1e-6) -> dict:
+    def evaluate(self, point, precision: int = MIN_PRECISION, margin: float = MARGIN) -> dict:
         """Numeric coefficient values at a sample point, which every cell shares."""
         at = MpPoint(point, precision, margin)
         return {k: c.eval_numeric(at) for k, c in self.coeffs.items()}
@@ -196,13 +196,15 @@ def super_twist(t: Tensor2) -> Tensor2:
 
 
 def alt_s(t: Tensor3, into: dict | None = None) -> Tensor3 | None:
-    """Alt_s(a (x) b (x) c) = abc + (-1)^{|a|(|b|+|c|)} bca + (-1)^{|c|(|a|+|b|)} cab; into as in `_leg_brackets`."""
+    """Alt_s(a (x) b (x) c) = abc + (-1)^{|a|(|b|+|c|)} bca + (-1)^{|c|(|a|+|b|)} cab, the signs off
+    a table of `_koszul` per call; into as in `_leg_brackets`."""
     p = t.g.parity
+    koszul = [[_koszul(a, b) for b in (0, 1)] for a in (0, 1)]
     cells: dict = {} if into is None else into
     for (i, j, k), c in t.coeffs.items():
         collect(cells, (i, j, k), 1, c)
-        collect(cells, (j, k, i), -1 if p[i] * (p[j] + p[k]) % 2 else 1, c)
-        collect(cells, (k, i, j), -1 if p[k] * (p[i] + p[j]) % 2 else 1, c)
+        collect(cells, (j, k, i), koszul[p[i]][p[j] ^ p[k]], c)
+        collect(cells, (k, i, j), koszul[p[k]][p[i] ^ p[j]], c)
     return Tensor3.summed(t.g, cells) if into is None else None
 
 

@@ -41,7 +41,7 @@ from functools import cache
 
 from . import tensor
 from .rmatrix import RMatrixSpec, _assemble, _constant_cells, shift_to_s, validate
-from .scalars import ScalarExpr, largest_value, sample_points, singular_forms
+from .scalars import LATTICE, MARGIN, MIN_PRECISION, ScalarExpr, largest_value, sample_points, singular_forms
 from .superalgebra import LieSuperalgebra, RootDatum
 from .tensor import Tensor2, Tensor3, ad_action, alt_s, collect_tensor, super_twist, yb_bracket
 from .tensor import cross_bracket  # noqa: F401  bound here for perfbench's `tensor.cross_bracket` tracer row
@@ -54,13 +54,8 @@ class PreconditionError(ValueError):
 
 
 # the witness of a nonzero residual is searched at POINTS seeded points of
-# [-LATTICE, LATTICE]^rank at least MARGIN away from every singular form;
-# `construct --at` reports a pole within MARGIN of one
+# [-LATTICE, LATTICE]^rank at least MARGIN away from every singular form
 POINTS = 20
-MARGIN = 1e-6
-LATTICE = 10
-# the floor on the mantissa bits of witness values
-MIN_PRECISION = 64
 
 
 @dataclass

@@ -9,9 +9,10 @@ Beside them sit the checks that only tests run: the bracket of two vectors
 and the algebra axioms, the Fraction Gauss solve, the pair-by-pair X closure
 scan and the Gauss-solved dominant vector, the full-scan D closedness, the
 signed transpositions, the single leg brackets and the full-scan leg
-brackets, the phi ODE and functional equation, and the general-path
-references for number coefficients (every number lifted to a
-RationalFunction).  These use the package's types; the functional equation
+brackets, Omega and the constant solutions by double loops over the root
+vectors, the phi ODE and functional equation, the product-rule derivative of
+a rational function, and the general-path references for number
+coefficients (every number lifted to a RationalFunction).  These use the package's types; the functional equation
 decides a spec without the tensor brackets that cdybe is built from.
 """
 
@@ -103,6 +104,8 @@ def gl22():
 SMALL_ALGEBRAS = [("gl", m, d - m) for d in (2, 3, 4) for m in range(d + 1)] + [
     ("sl", m, d - m) for d in (2, 3, 4) for m in range(d + 1) if 2 * m != d
 ]
+# and two larger ones
+OMEGA_ALGEBRAS = SMALL_ALGEBRAS + [("gl", 3, 3), ("sl", 6, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +211,44 @@ def determinant(matrix: list[list[Fraction]]) -> Fraction:
                 f = m[r][col] * inv
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     return det
+
+
+# ---------------------------------------------------------------------------
+# Omega and the constant solutions by double loops over the root vectors
+
+
+def add_vector_cells(cells: dict, x: Vector, y: Vector, factor=1) -> dict:
+    """cells += factor * x (x) y, {(a, b): value}, over every pair of entries of x and y."""
+    for a, ca in x.items():
+        for b, cb in y.items():
+            cells[a, b] = cells.get((a, b), 0) + factor * ca * cb
+    return cells
+
+
+def _reference_cartan_cells(g: LieSuperalgebra, scale) -> dict:
+    """scale * sum_k x_k (x) x^k, the form-dual basis x^k from the Fraction Gram inverse."""
+    inv = invert_matrix(cartan_gram(g))
+    return {(ck, cl): scale * inv[l][k] for k, ck in enumerate(g.cartan) for l, cl in enumerate(g.cartan)}
+
+
+def reference_casimir_cells(g: LieSuperalgebra, rd: RootDatum) -> dict:
+    """The nonzero cells of Omega = sum_k x_k (x) x^k + sum_a A_a e_a (x) e_{-a}."""
+    cells = _reference_cartan_cells(g, 1)
+    for i, root in enumerate(rd.roots):
+        add_vector_cells(cells, rd.e[i], rd.e[rd.neg[i]], -1 if root.positive and root.parity else 1)
+    return {k: v for k, v in cells.items() if v}
+
+
+def reference_constant_cells(g: LieSuperalgebra, rd: RootDatum, eps, which: str) -> dict:
+    """The nonzero cells of `constant_example`: (eps/2) sum_k x_k (x) x^k plus eps e_{-a} (x) e_a
+    (which 'r') or eps (-1)^{|a|} e_a (x) e_{-a} (which 'Tsr') for each positive root a."""
+    cells = _reference_cartan_cells(g, Q(eps) / 2)
+    for i in rd.positive_indices():
+        if which == "r":
+            add_vector_cells(cells, rd.e[rd.neg[i]], rd.e[i], eps)
+        else:
+            add_vector_cells(cells, rd.e[i], rd.e[rd.neg[i]], -eps if rd.roots[i].parity else eps)
+    return {k: v for k, v in cells.items() if v}
 
 
 def _stored(value):
@@ -821,6 +862,28 @@ def reference_product(a: ScalarExpr, b) -> dict:
         for m2, c2 in b_terms.items():
             groups.setdefault(_mono_mul(m1, m2), []).append((1, lifted(c1, a.nvars) * lifted(c2, a.nvars)))
     return _reference_groups(groups)
+
+
+def product_rule_diff(rf: RationalFunction, index: int) -> RationalFunction:
+    """d(n/D)/dx_index with D = prod f_k^m_k, as (n' prod f - n sum_k m_k f_k' prod_{j != k} f_j) over
+    D prod f, the numerator multiplied out and reduced by the constructor: the oracle of
+    `RationalFunction.diff`."""
+    if not rf.den:
+        return RationalFunction(rf.num.diff(index))
+    prod_all = Poly.const(rf.nvars, 1)
+    for f, _ in rf.den:
+        prod_all = prod_all * f
+    correction = Poly(rf.nvars)
+    for f, m in rf.den:
+        df = f.diff(index)
+        if df.is_zero():
+            continue
+        rest = Poly.const(rf.nvars, m)
+        for other, _ in rf.den:
+            if other is not f:
+                rest = rest * other
+        correction = correction + df * rest
+    return RationalFunction(rf.num.diff(index) * prod_all - rf.num * correction, [(f, m + 1) for f, m in rf.den])
 
 
 def reference_differentiate(f: ScalarExpr, index: int) -> dict:

@@ -27,10 +27,12 @@ from sdybe.superalgebra import build_gl, build_sl, root_decomposition
 from sdybe.tensor import Tensor2, super_twist, yb_bracket
 
 from conftest import (
+    OMEGA_ALGEBRAS,
     full_scan_closedness_residuals,
     functional_equation_residual,
     ode_residual,
     reference_closure_failures,
+    reference_constant_cells,
     reference_phi_atom,
     sampled_max_abs,
 )
@@ -287,6 +289,15 @@ class TestConstantExample:
         r = constant_example(g, rd, Q(3, 2), which="r")
         tsr = constant_example(g, rd, Q(3, 2), which="Tsr")
         assert (super_twist(r) - tsr).is_zero()
+
+
+@pytest.mark.parametrize("which", ["r", "Tsr"])
+@pytest.mark.parametrize("family,m,n", OMEGA_ALGEBRAS, ids=[f"{f}{m}{n}" for f, m, n in OMEGA_ALGEBRAS])
+def test_constant_example_is_the_double_loop_build(family, m, n, which):
+    g = (build_gl if family == "gl" else build_sl)(m, n)
+    rd = root_decomposition(g)
+    got = constant_example(g, rd, Q(3, 2), which=which)
+    assert {k: c.constant() for k, c in got.coeffs.items()} == reference_constant_cells(g, rd, Q(3, 2), which)
 
 
 class TestShift:

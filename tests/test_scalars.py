@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -35,6 +36,7 @@ from sdybe.verifier import VerifyConfig, decide_cells, run_checks
 from conftest import (
     in_reference_layout,
     lifted,
+    product_rule_diff,
     rebuilt_from_form,
     reference_differentiate,
     reference_primitive,
@@ -483,6 +485,45 @@ def test_ratfun_sum_is_the_folds_canonical_form(pairs):
 def test_ratfun_sum_of_all_terms_and_negations_is_zero(pairs):
     total = RationalFunction.sum(pairs + [(-factor, term) for factor, term in pairs])
     assert total.is_zero() and total.den == ()
+
+
+# -- the derivative, one sum of reduced terms, against the product rule (`conftest.product_rule_diff`)
+
+# x0*x1 and x0^2 + x0 are reducible: a denominator may hold one beside its divisor
+REDUCIBLE_FACTORS = [Poly(2, {(1, 1): 1}), Poly(2, {(2, 0): 1, (1, 0): 1}), QUADRATIC]
+
+
+def random_ratfun(rng: random.Random, factors: list) -> RationalFunction:
+    """Up to four numerator terms over up to three factors of the pool, each to the power 1 or 2."""
+    terms = {(rng.randint(0, 2), rng.randint(0, 2)): Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))}
+    return RationalFunction(Poly(2, terms), [(rng.choice(factors), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))])
+
+
+def test_derivative_of_a_lone_live_term_is_reduced():
+    """d/dx0 (x0*x1 + 1)/x1 is the sum's one live term x1/x1, which the constructor reduces to 1."""
+    d = RationalFunction(Poly(2, {(1, 1): 1, (0, 0): 1}), [(Poly.var(2, 1), 1)]).diff(0)
+    assert d.den == () and d.num == Poly.const(2, 1)
+
+
+def test_derivative_is_the_product_rules():
+    """Over linear factors the derivative has the product rule's stored form; over any factors,
+    x0*x1 included, its value."""
+    rng = random.Random(25)
+    for n in range(400):
+        linear = n % 2 == 0
+        rf = random_ratfun(rng, LINEAR_FACTORS if linear else LINEAR_FACTORS + REDUCIBLE_FACTORS)
+        for index in (0, 1):
+            got, expected = rf.diff(index), product_rule_diff(rf, index)
+            assert_reduced(got)
+            assert got == expected
+            if linear:
+                assert stored_form(ScalarExpr.from_ratfun(got)) == stored_form(ScalarExpr.from_ratfun(expected))
+            for pt in SUM_POINTS:
+                try:
+                    value = expected.eval_exact(pt)
+                except PoleError:
+                    continue
+                assert got.eval_exact(pt) == value
 
 
 SUM_ATOMS = [ScalarExpr.coth([1, 0]), ScalarExpr.coth([1, -1], Q(1, 2)), ScalarExpr.coth([0, -1], 1)]

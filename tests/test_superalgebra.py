@@ -10,6 +10,7 @@ import pytest
 from sdybe import cli
 from sdybe.superalgebra import (
     DegenerateFormError,
+    RootDatum,
     _units,
     build_gl,
     build_sl,
@@ -20,7 +21,9 @@ from sdybe.superalgebra import (
 from sdybe.tensor import ad_action
 
 from conftest import (
+    OMEGA_ALGEBRAS,
     ad_signed_oracle,
+    add_vector_cells,
     bracket,
     by_matrix_products,
     cartan_gram,
@@ -30,6 +33,7 @@ from conftest import (
     gl_matrix_of,
     invert_matrix,
     mat_mul,
+    reference_casimir_cells,
     solve_linear,
     structure_constant_identity_report,
     supercommutator,
@@ -333,6 +337,30 @@ class TestCasimir:
         g, _, om = gl21
         for c in g.cartan:
             assert ad_action({c: Q(1)}, om).is_zero()
+
+
+@pytest.mark.parametrize("family,m,n", OMEGA_ALGEBRAS, ids=[f"{f}{m}{n}" for f, m, n in OMEGA_ALGEBRAS])
+class TestRootCells:
+    def test_cell_is_the_tensor_of_the_root_vectors(self, family, m, n):
+        rd = root_decomposition((build_gl if family == "gl" else build_sl)(m, n))
+        for i in range(len(rd)):
+            key, c = rd.cell(i)
+            assert {key: c} == add_vector_cells({}, rd.e[i], rd.e[rd.neg[i]])
+
+    def test_casimir_is_the_double_loop_build(self, family, m, n):
+        g = (build_gl if family == "gl" else build_sl)(m, n)
+        rd = root_decomposition(g)
+        assert {k: c.constant() for k, c in casimir(g, rd).coeffs.items()} == reference_casimir_cells(g, rd)
+
+
+def test_cell_rejects_a_root_vector_of_two_units():
+    rd = root_decomposition(build_gl(2, 1))
+    e = [{0: 1, 1: 1}, *rd.e[1:]]
+    bad = RootDatum(rd.g, rd.roots, e, rd.pairing, rd.neg, rd.labels, rd.label_index, rd.coroot_table)
+    with pytest.raises(ValueError):
+        bad.cell(0)
+    with pytest.raises(ValueError):
+        bad.cell(rd.neg[0])
 
 
 class TestStructureConstantIdentities:

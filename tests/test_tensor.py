@@ -191,6 +191,23 @@ class TestAltS:
         expected = basis_tensor3(g, odd, b, c) + basis_tensor3(g, b, c, odd) + basis_tensor3(g, c, odd, b)
         assert (got - expected).is_zero()
 
+    def test_signs_come_from_koszul(self, gl21, monkeypatch):
+        """Alt_s is t + (23)_s (12)_s t + (12)_s (23)_s t under the sign rule in force (`_koszul`):
+        an injected rule moves it off the signed transpositions, and the restored one brings it back."""
+        g, _, _ = gl21
+        odd = [i for i in range(g.dim) if g.parity[i]]
+        even = [i for i in range(g.dim) if not g.parity[i]]
+        t = basis_tensor3(g, odd[0], odd[1], even[0]) + basis_tensor3(g, even[1], odd[2], odd[3], Q(2))
+        expected = (
+            t
+            + signed_permutation(signed_permutation(t, "12"), "23")
+            + signed_permutation(signed_permutation(t, "23"), "12")
+        )
+        with monkeypatch.context() as mp:
+            mp.setattr(tensor_mod, "_koszul", lambda p, q: 1)
+            assert not (alt_s(t) - expected).is_zero()
+        assert (alt_s(t) - expected).is_zero()
+
     def test_triples_signed_cyclic_invariants(self, gl21):
         g, _, _ = gl21
         rng = random.Random(3)

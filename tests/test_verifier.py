@@ -57,6 +57,7 @@ from sdybe.verifier import (
 )
 
 from conftest import (
+    OMEGA_ALGEBRAS,
     SMALL_ALGEBRAS,
     full_scan_leg_brackets,
     mode_brackets,
@@ -277,9 +278,6 @@ class TestMdybe:
         s = build_zero_weight_tensor(g, rd, dcells, phis)
         ds = differential_dr(s)
         assert (mdybe_lhs(s, ds, 0, om) - cdybe_lhs(s, ds)).is_zero()
-
-
-OMEGA_ALGEBRAS = SMALL_ALGEBRAS + [("gl", 3, 3), ("sl", 6, 0)]
 
 
 @pytest.mark.parametrize("family,m,n", OMEGA_ALGEBRAS, ids=[f"{f}{m}{n}" for f, m, n in OMEGA_ALGEBRAS])
